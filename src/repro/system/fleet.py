@@ -5,7 +5,7 @@ objects (busy / queue / down signals), each a Python object with a name
 string and seven slots -- ~0.3 s of pure allocation before the first
 event fires, and a pointer-chasing cache miss per signal touch.
 :class:`FleetState` replaces that with eighteen flat ``float`` lists and
-four ``int`` lists, one entry per node, owned in one place.  Node server
+five ``int`` lists, one entry per node, owned in one place.  Node server
 loops bind the raw lists once and update them with straight-line float
 arithmetic (bit-identical to the inlined ``TimeWeighted`` updates they
 replace); everything that still wants a per-signal *object* -- the fault

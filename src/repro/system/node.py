@@ -42,6 +42,22 @@ from .work import WorkUnit
 class Node:
     """One independent processing component with its own scheduler."""
 
+    # No instance dict: a fleet holds one node per component (100k in the
+    # fleet scenarios), and past 30 attributes CPython stops sharing
+    # instance-dict keys, so each node would carry a private dict and
+    # lose the fast attribute loads on the server hot paths.
+    __slots__ = (
+        "env", "index", "speed", "queue", "metrics", "overload_policy",
+        "_busy", "_serving", "_wake_pending",
+        "_up", "_sleep", "_service_end", "_frozen_left",
+        "_lose_in_flight", "_drop_queued",
+        "_q_value", "_q_area", "_q_last", "_q_min", "_q_max",
+        "_b_value", "_b_area", "_b_last", "_b_min", "_b_max",
+        "_outstanding_listener",
+        "_heap", "_queue_key", "_queue_seq",
+        "_on_complete", "_on_wake", "_wake_event", "_abort_check",
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -81,7 +97,6 @@ class Node:
         # inlined TimeWeighted updates performed, minus the per-signal
         # object indirection.
         fleet = metrics.fleet
-        self._fleet = fleet
         self._q_value = fleet.queue_value
         self._q_area = fleet.queue_area
         self._q_last = fleet.queue_last

@@ -64,6 +64,14 @@ from .work import WorkUnit
 class PreemptiveNode(Node):
     """A node whose server implements preemptive-resume scheduling."""
 
+    # Only the attributes added here; a subclass without ``__slots__``
+    # would give every instance a dict again (see ``Node.__slots__``).
+    __slots__ = (
+        "_remaining", "_preemptions", "_preempt_pending",
+        "_service_began", "_service_demand",
+        "_preempt_counts", "_on_preempt", "_poke",
+    )
+
     def __init__(
         self,
         env: Environment,

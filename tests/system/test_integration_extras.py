@@ -84,16 +84,18 @@ class TestGFPriorities:
         assert leaf.timing.started_at == 4.0
         assert local.timing.started_at == 5.0
 
-    def test_gf_stamps_elevated_class_on_serial_stages(self, env):
+    def test_gf_stamps_elevated_class_on_serial_stages(self, env, monkeypatch):
         manager, _, nodes = build_system(env, strategy="EQF-GF")
         captured = []
-        original = nodes[0].submit_nowait
+        original = Node.submit_nowait
 
-        def capture(unit):
-            captured.append(unit)
-            return original(unit)
+        def capture(target, unit):
+            if target is nodes[0]:
+                captured.append(unit)
+            return original(target, unit)
 
-        nodes[0].submit_nowait = capture
+        # Nodes have no instance dict, so the wrapper goes on the class.
+        monkeypatch.setattr(Node, "submit_nowait", capture)
         tree = serial(SimpleTask(1.0, node_index=0), SimpleTask(1.0, node_index=1))
         manager.submit(tree, deadline=50.0)
         env.run()

@@ -239,20 +239,23 @@ class TestLocalTaskSource:
         stats = metrics.snapshot(env.now).local
         assert stats.completed > 0
 
-    def test_deadline_identity_on_generated_units(self, env, streams):
+    def test_deadline_identity_on_generated_units(
+        self, env, streams, monkeypatch
+    ):
         metrics = MetricsCollector(node_count=1)
         node = Node(env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics)
         captured = []
-        original_submit = node.submit_nowait
+        original_submit = Node.submit_nowait
 
-        def capturing_submit(unit):
+        def capturing_submit(target, unit):
             # Snapshot at submission: fire-and-forget units return to the
             # pool (timing dropped) as soon as the node finishes them.
             captured.append(unit.timing.sl)
-            return original_submit(unit)
+            return original_submit(target, unit)
 
         # The source submits through the no-completion-event fast path.
-        node.submit_nowait = capturing_submit
+        # Nodes have no instance dict, so the wrapper goes on the class.
+        monkeypatch.setattr(Node, "submit_nowait", capturing_submit)
         LocalTaskSource(
             env=env,
             node=node,
