@@ -1,8 +1,6 @@
-"""Microbenchmarks of the engine core, under whichever kernel is active.
+"""Microbenchmarks of the engine core (``repro.sim._engine``).
 
-Not a paper artifact: these track the compile-ready kernel split
-(``repro.sim._engine``, optionally compiled to ``repro.sim._engine_c``).
-Three workloads bracket the engine:
+Not a paper artifact.  Three workloads bracket the engine:
 
 * ``core_kernel_storm`` -- nothing but the run loop and the pooled-sleep
   machinery (one self-rescheduling timer, 100 000 firings): the purest
@@ -14,18 +12,14 @@ Three workloads bracket the engine:
   (``bench_preemptive.run_storm``): cancellable timers, urgent pokes,
   re-dispatch.
 
-Results are merged into ``BENCH_core.json`` keyed by the active kernel
-(``repro.sim.core.KERNEL``), so running the suite twice --
-``REPRO_KERNEL=python`` and, where the extension is built,
-``REPRO_KERNEL=compiled`` -- records the pure/compiled pair side by
-side.  The ``recorded`` section of that file holds the interleaved A/B
-numbers against the pre-split kernel (see PERFORMANCE.md for the
-methodology).
+Results are merged into ``BENCH_core.json``.  Its ``recorded`` sections
+hold the interleaved A/B numbers against the pre-split kernel (see
+PERFORMANCE.md for the methodology).
 """
 
 from __future__ import annotations
 
-from repro.sim.core import KERNEL, Environment
+from repro.sim.core import Environment
 
 from _util import record_core_bench
 from bench_preemptive import run_storm as run_preemptive_storm
@@ -73,8 +67,3 @@ def test_core_preemptive_storm(benchmark):
     preemptions = benchmark(run_preemptive_storm)
     record_core_bench("core_preemptive_storm", benchmark)
     assert preemptions == 10_000 - 1
-
-
-def test_active_kernel_is_recorded():
-    """The bench suite must know which kernel it measured."""
-    assert KERNEL in ("python", "compiled")

@@ -36,19 +36,27 @@ def test_event_throughput(benchmark):
 
 
 def test_process_switching(benchmark):
-    """Cost of suspending/resuming generator processes."""
+    """Cost of 100 interleaved tickers, each a chain of 100 timeouts
+    whose callback arms the next one."""
 
     def run():
         env = Environment()
         done = []
 
-        def ticker(env, n):
-            for _ in range(n):
-                yield env.timeout(1.0)
-            done.append(True)
+        def ticker(n):
+            left = [n]
+
+            def tick(_event):
+                left[0] -= 1
+                if left[0]:
+                    env.timeout(1.0).callbacks.append(tick)
+                else:
+                    done.append(True)
+
+            env.timeout(1.0).callbacks.append(tick)
 
         for _ in range(100):
-            env.process(ticker(env, 100))
+            ticker(100)
         env.run()
         return len(done)
 

@@ -38,7 +38,11 @@ from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
 from repro.system.process_manager import ProcessManager
 from repro.system.schedulers import get_policy
-from repro.system.workload import LocalTaskSource
+from repro.system.workload import (
+    GlobalTaskFactory,
+    GlobalTaskSource,
+    LocalTaskSource,
+)
 
 # One simulated time unit = one second of wall-clock time.
 DEADLINE_SECONDS = 120.0          # "within two minutes"
@@ -84,6 +88,16 @@ def build_trade_task(streams: StreamFactory) -> tuple:
     return tree
 
 
+class TradeFactory(GlobalTaskFactory):
+    """One trade per market event, due two minutes after it arrives."""
+
+    def __init__(self, streams: StreamFactory) -> None:
+        self.streams = streams
+
+    def build(self, now: float):
+        return build_trade_task(self.streams), now + DEADLINE_SECONDS
+
+
 def run_market(strategy: str, seed: int = 7):
     """Simulate the trading system under one SDA strategy."""
     env = Environment()
@@ -110,15 +124,13 @@ def run_market(strategy: str, seed: int = 7):
             streams=streams,
         )
 
-    def market_feed():
-        arrival_stream = streams.get("market-arrivals")
-        interarrival = exponential_interarrival(MARKET_EVENT_RATE)
-        while True:
-            yield env.timeout(interarrival.sample(arrival_stream))
-            tree = build_trade_task(streams)
-            manager.submit(tree, deadline=env.now + DEADLINE_SECONDS)
-
-    env.process(market_feed())
+    GlobalTaskSource(
+        env=env,
+        process_manager=manager,
+        interarrival=exponential_interarrival(MARKET_EVENT_RATE),
+        factory=TradeFactory(streams),
+        streams=streams,
+    )
     env.run(until=WARMUP_SECONDS)
     metrics.reset(env.now)
     env.run(until=SIM_SECONDS)

@@ -36,7 +36,11 @@ from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
 from repro.system.process_manager import ProcessManager
 from repro.system.schedulers import get_policy
-from repro.system.workload import LocalTaskSource
+from repro.system.workload import (
+    GlobalTaskFactory,
+    GlobalTaskSource,
+    LocalTaskSource,
+)
 
 # One simulated time unit = one millisecond.
 SLO_MS = 250.0
@@ -71,6 +75,16 @@ def build_request(streams: StreamFactory):
     )
 
 
+class RequestFactory(GlobalTaskFactory):
+    """One request per arrival, due one SLO after it arrives."""
+
+    def __init__(self, streams: StreamFactory) -> None:
+        self.streams = streams
+
+    def build(self, now: float):
+        return build_request(self.streams), now + SLO_MS
+
+
 def run_service(strategy: str, seed: int = 11):
     env = Environment()
     streams = StreamFactory(seed)
@@ -95,14 +109,13 @@ def run_service(strategy: str, seed: int = 11):
             streams=streams,
         )
 
-    def frontend():
-        arrival_stream = streams.get("request-arrivals")
-        interarrival = exponential_interarrival(REQUEST_RATE)
-        while True:
-            yield env.timeout(interarrival.sample(arrival_stream))
-            manager.submit(build_request(streams), deadline=env.now + SLO_MS)
-
-    env.process(frontend())
+    GlobalTaskSource(
+        env=env,
+        process_manager=manager,
+        interarrival=exponential_interarrival(REQUEST_RATE),
+        factory=RequestFactory(streams),
+        streams=streams,
+    )
     env.run(until=WARMUP_MS)
     metrics.reset(env.now)
     env.run(until=SIM_MS)

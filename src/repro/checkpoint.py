@@ -13,7 +13,7 @@ File format
 
 A checkpoint file is two consecutive pickle frames written atomically:
 
-1. a small **header** dict (``magic``, ``version``, ``kernel``, ``seed``,
+1. a small **header** dict (``magic``, ``version``, ``seed``,
    ``config``, ``now``) that is read and validated *before* the payload
    is touched, so a mismatched file fails with a clear error instead of
    an obscure unpickling one;
@@ -21,15 +21,16 @@ A checkpoint file is two consecutive pickle frames written atomically:
    the module-level id counters (work-unit ids, global-task ids), which
    trace labels derive from.
 
-Checkpoints are specific to the kernel leg that wrote them: the pickle
-stores engine class paths (``repro.sim._engine`` vs ``_engine_c``), and
-the two legs' objects are not interchangeable.  The header records the
-leg and :func:`load_checkpoint` refuses a mismatch.
+Older files may carry a ``kernel`` header field.  ``"python"`` (or no
+field) loads as usual.  ``"compiled"`` marks a file written by the
+compiled engine, which has been removed: its payload references a
+module that no longer exists, so :func:`load_checkpoint` refuses it
+from the header with a clear error.
 
-Not captured: generator processes (:class:`repro.sim.process.Process`)
-and conditions -- the system model is a pure callback machine and never
-uses them, so this only matters for hand-built models, which fail with
-a clear ``TypeError`` at save time.
+Not captured: user-defined :class:`~repro.sim.core.Event` subclasses --
+the system model only uses the engine's own event classes, so this only
+matters for hand-built models, which fail with a clear ``TypeError`` at
+save time.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from .sim.core import KERNEL
 
 #: First bytes of every checkpoint file (as a pickled header field).
 CHECKPOINT_MAGIC = "repro-checkpoint"
@@ -261,7 +260,6 @@ def save_checkpoint(simulation: Any, path: Any) -> None:
     header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "kernel": KERNEL,
         "seed": simulation.config.seed,
         "config": simulation.config.describe(),
         "now": simulation.env.now,
@@ -290,13 +288,12 @@ def _validate_header(header: Any, path: str) -> Dict[str, Any]:
             f"{path}: checkpoint version {version} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    kernel = header.get("kernel")
-    if kernel != KERNEL:
+    kernel = header.get("kernel", "python")
+    if kernel != "python":
         raise CheckpointError(
-            f"{path}: checkpoint was written under the {kernel!r} kernel "
-            f"leg but this process runs {KERNEL!r}; restore under "
-            f"REPRO_KERNEL={kernel} (checkpoints are not portable across "
-            "kernel legs)"
+            f"{path}: checkpoint was written by the {kernel!r} engine, "
+            "which has been removed; only checkpoints of the pure-Python "
+            "engine can be restored"
         )
     return header
 

@@ -2,15 +2,15 @@
 
 Public surface:
 
-* :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-  :class:`AllOf`, :class:`AnyOf` -- the event/process machinery;
+* :class:`Environment`, :class:`Event`, :class:`Timeout` -- the event
+  machinery;
 * :class:`StreamFactory` -- reproducible named random streams;
 * the distribution classes in :mod:`repro.sim.distributions`;
 * :class:`Tally`, :class:`TimeWeighted`, :class:`Series` -- monitors;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
-from .core import AllOf, AnyOf, Condition, ConditionValue, Environment, Event, Timeout
+from .core import Environment, Event, Timeout
 from .distributions import (
     Choice,
     Deterministic,
@@ -23,23 +23,12 @@ from .distributions import (
     UniformErrorFactor,
     exponential_interarrival,
 )
-from .errors import (
-    EventLifecycleError,
-    Interrupt,
-    ProcessError,
-    SimulationError,
-    StopSimulation,
-)
+from .errors import EventLifecycleError, SimulationError, StopSimulation
 from .monitor import MeanTally, Series, Tally, TimeWeighted
-from .process import Process
 from .rng import StreamFactory
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Choice",
-    "Condition",
-    "ConditionValue",
     "Deterministic",
     "DiscreteUniform",
     "Distribution",
@@ -48,11 +37,8 @@ __all__ = [
     "Event",
     "EventLifecycleError",
     "Exponential",
-    "Interrupt",
     "LognormalErrorFactor",
     "MeanTally",
-    "Process",
-    "ProcessError",
     "Series",
     "SimulationError",
     "StopSimulation",

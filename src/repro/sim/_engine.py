@@ -1,21 +1,16 @@
-"""Monomorphic discrete-event engine core (compile-ready).
+"""Monomorphic discrete-event engine core.
 
-This module is the kernel's hot loop, extracted from ``repro.sim.core``
-so that it can optionally be compiled ahead of time (mypyc preferred,
-Cython acceptable — see ``setup.py``).  ``repro.sim.core`` selects the
-implementation at import time (``REPRO_KERNEL=python|compiled|auto``)
-and re-exports the public API unchanged; nothing outside the ``sim``
-package imports this module directly.
+This module is the simulator's event list and run loop: the one engine
+every model runs on.  ``repro.sim.core`` re-exports its public names;
+the module keeps its own name because checkpoints pickle engine class
+paths as ``repro.sim._engine.*``.
 
-Design rules (what "compile-ready" means here)
-----------------------------------------------
+Design rules
+------------
 
 * **Monomorphic final classes.**  Every class has ``__slots__``; the
   event path touches no properties, no ``**kwargs``, and no dynamic
-  dispatch.  :class:`Environment` and :class:`_Sleep` are ``@final``;
-  :class:`Event` admits the two interpreted subclasses that live
-  *outside* this module (``Process`` and ``Condition`` — the user-model
-  layer, never on the hot path).
+  dispatch.  :class:`Environment` and :class:`_Sleep` are ``@final``.
 * **Plain tuples on the heap.**  An event-list entry is
   ``(time, seq, event)`` — a float, an int, an object.  Priority is
   folded into the sequence key: NORMAL events use the bare monotone
@@ -24,7 +19,7 @@ Design rules (what "compile-ready" means here)
   normal entry at the same timestamp.
 * **The urgent queue is a deque, not heap entries.**  Kernel
   bookkeeping scheduled "at the current instant, ahead of normal
-  events" (process start kicks, node wake-ups, preemption pokes) never
+  events" (node wake-ups, preemption pokes, deferred continuations) never
   touches the heap: it lands on a FIFO deque drained before every heap
   pop.  This is order-equivalent to the old ``(time, URGENT, seq)``
   entries — an urgent event always beat every heap entry at the same
@@ -37,10 +32,9 @@ Design rules (what "compile-ready" means here)
   instead of a callback list, so firing one is: pop, stamp the clock,
   recycle into the pool, call.  No list append at arm time, no list
   detach/clear/re-attach at fire time.
-* **No exception machinery.**  The engine knows nothing about
-  ``Interrupt``; interruption is a user-model compatibility feature
-  implemented entirely in ``repro.sim.process`` on top of the generic
-  ``_schedule_call`` primitive.
+* **No exception machinery.**  Nothing on the event path raises for
+  control flow: preemptive servers revoke service by cancelling a
+  pooled sleep, not by interrupting anything.
 
 Determinism contract: this restructuring is *order-equivalent* to the
 pre-split kernel.  Urgent events no longer consume sequence numbers,
@@ -59,23 +53,12 @@ from typing import Any, Callable, Deque, List, Optional, final
 
 from .errors import EventLifecycleError, SimulationError, StopSimulation
 
-try:  # pragma: no cover - only present when mypy/mypyc is installed
-    from mypy_extensions import mypyc_attr
-except ImportError:  # pure-Python and Cython builds
-
-    def mypyc_attr(**_kwargs: Any) -> Callable[[type], type]:
-        def decorator(cls: type) -> type:
-            return cls
-
-        return decorator
-
-
 #: Default priority for scheduled events.  Lower values fire earlier among
 #: events scheduled for the same simulation time.
 NORMAL = 1
 
 #: Priority used for "urgent" bookkeeping events that must run before any
-#: normal event at the same timestamp (e.g., process resumption).
+#: normal event at the same timestamp (e.g., node wake-ups).
 URGENT = 0
 
 #: Sequence-key bias applied by :meth:`Environment._schedule` for
@@ -92,14 +75,6 @@ _HORIZON_KEY = 1 << 61
 _INF = float("inf")
 
 Callback = Callable[["Event"], None]
-
-#: Lazily resolved :class:`~repro.sim.process.Process` (import cycle guard).
-_Process: Any = None
-
-#: Lazily resolved condition classes (they live in ``repro.sim.core``,
-#: the user-model layer above this module).
-_AllOf: Any = None
-_AnyOf: Any = None
 
 
 class _PendingType:
@@ -125,12 +100,11 @@ def _new_instance(cls: type) -> Any:
     Event-class ``__init__`` methods push onto the event list as a side
     effect, so unpickling must bypass them: allocate bare and let
     ``__setstate__`` fill the slots.  Module-level so pickles reference it
-    by name under either kernel leg.
+    by name.
     """
     return cls.__new__(cls)
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Event:
     """An occurrence that may happen at some point in simulation time.
 
@@ -141,11 +115,9 @@ class Event:
        event list;
     3. *processed* -- popped from the event list; its callbacks have run.
 
-    Processes wait for events by ``yield``-ing them.
-
-    The only subclasses outside this module are the user-model layer's
-    ``Process`` and ``Condition`` (interpreted, off the hot path); the
-    engine-internal subclasses are :class:`Timeout` and :class:`_Sleep`.
+    Model code waits for an event by appending a callback to
+    :attr:`callbacks`.  The engine's own subclasses are :class:`Timeout`
+    and :class:`_Sleep`.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_processed", "_defused")
@@ -204,10 +176,9 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        Every process waiting on this event will have ``exception`` thrown
-        into it.  If nobody is waiting and the failure is never *defused*,
-        :meth:`Environment.step` re-raises it so that model bugs cannot pass
-        silently.
+        Every callback sees the failed event.  Unless one of them
+        *defuses* it, :meth:`Environment.step` re-raises the exception so
+        that model bugs cannot pass silently.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -222,20 +193,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled, silencing the crash-on-fail."""
         self._defused = True
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> Any:
-        global _AllOf
-        if _AllOf is None:  # resolved once; the conditions live upstairs
-            from .core import AllOf as _AllOf
-        return _AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> Any:
-        global _AnyOf
-        if _AnyOf is None:
-            from .core import AnyOf as _AnyOf
-        return _AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -253,8 +210,8 @@ class Event:
         # only memoize this object between allocation and __setstate__.
         if type(self) is not Event:
             raise TypeError(
-                f"cannot pickle {type(self).__name__}: generator processes "
-                "and conditions are not checkpointable"
+                f"cannot pickle {type(self).__name__}: only the engine's "
+                "own event classes are checkpointable"
             )
         return (
             _new_instance,
@@ -338,10 +295,9 @@ class _Sleep(Timeout):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         self.env = env
-        #: Permanently ``None``: generic event plumbing (processes,
-        #: conditions, ``run(until=...)``) must never adopt a pooled
-        #: sleep, and every ``callbacks is not None`` guard treats it as
-        #: already spoken for.
+        #: Permanently ``None``: generic event plumbing (``run(until=...)``)
+        #: must never adopt a pooled sleep, and every ``callbacks is not
+        #: None`` guard treats it as already spoken for.
         self.callbacks = None
         self._value = None
         self._ok = True
@@ -399,18 +355,18 @@ class _Sleep(Timeout):
 class _Call:
     """A bare single-callback bookkeeping event (``_schedule_call``).
 
-    The kernel's "call this at the current time" primitive: process
-    start kicks, already-fired-target resumptions, node wake-ups,
-    preemption pokes, and deferred ``on_done`` continuations are all
-    one callback with a payload -- no callback list, no lifecycle, no
-    ``env`` backref.  Dispatching one is four slot reads and a call.
+    The kernel's "call this at the current time" primitive: node
+    wake-ups, preemption pokes, and deferred ``on_done`` continuations
+    are all one callback with a payload -- no callback list, no
+    lifecycle, no ``env`` backref.  Dispatching one is four slot reads
+    and a call.
 
     Callers receiving a ``_Call`` as their event argument may read
-    ``_ok``/``_value``/``_defused`` and set ``_defused`` (the process
-    resume protocol); nothing else is supported.  Long-lived callers
-    (node wake, preemption poke) may pool one instance and re-enqueue
-    it after it fires -- the callback slot is never detached, so
-    re-arming is free (guard against double-enqueueing yourself).
+    ``_ok``/``_value``/``_defused`` and set ``_defused``; nothing else
+    is supported.  Long-lived callers (node wake, preemption poke) may
+    pool one instance and re-enqueue it after it fires -- the callback
+    slot is never detached, so re-arming is free (guard against
+    double-enqueueing yourself).
     """
 
     __slots__ = ("callback", "_value", "_ok", "_defused")
@@ -446,24 +402,20 @@ class _Call:
 
 @final
 class Environment:
-    """Simulation clock, event list, and process launcher.
+    """Simulation clock and event list.
 
     Typical use::
 
         env = Environment()
 
-        def worker(env):
-            yield env.timeout(5)
+        def done(event):
             print("done at", env.now)
 
-        env.process(worker(env))
+        env.timeout(5).callbacks.append(done)
         env.run(until=100)
     """
 
-    __slots__ = (
-        "_now", "_queue", "_next_seq", "_urgent", "_active_process",
-        "_sleep_pool",
-    )
+    __slots__ = ("_now", "_queue", "_next_seq", "_urgent", "_sleep_pool")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
@@ -476,7 +428,6 @@ class Environment:
         #: Urgent bookkeeping calls due at the current instant, drained
         #: FIFO before every heap pop (see the module docstring).
         self._urgent: Deque[_Call] = deque()
-        self._active_process: Any = None  # set by Process while running
         self._sleep_pool: List[_Sleep] = []
 
     # -- clock -----------------------------------------------------------
@@ -485,11 +436,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Any:
-        """The :class:`~repro.sim.process.Process` currently executing."""
-        return self._active_process
 
     # -- event construction ----------------------------------------------
 
@@ -524,27 +470,6 @@ class Environment:
         heappush(self._queue, (self._now + delay, self._next_seq(), event))
         return event
 
-    def all_of(self, events: Any) -> Any:
-        """Create an event that fires once all of ``events`` have fired."""
-        global _AllOf
-        if _AllOf is None:
-            from .core import AllOf as _AllOf
-        return _AllOf(self, events)
-
-    def any_of(self, events: Any) -> Any:
-        """Create an event that fires once any of ``events`` has fired."""
-        global _AnyOf
-        if _AnyOf is None:
-            from .core import AnyOf as _AnyOf
-        return _AnyOf(self, events)
-
-    def process(self, generator: Any) -> Any:
-        """Start a new process running ``generator``."""
-        global _Process
-        if _Process is None:  # resolved once; avoids a per-call import
-            from .process import Process as _Process
-        return _Process(self, generator)
-
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
@@ -573,13 +498,12 @@ class Environment:
     ) -> _Call:
         """Schedule a lightweight single-callback event at the current time.
 
-        Internal fast path for kernel bookkeeping (start-of-process kicks,
-        already-fired-target resumptions, node server wake-ups, deferred
-        completion continuations): builds a bare :class:`_Call`, by
-        default with :data:`URGENT` priority so it runs before any normal
-        event at the same timestamp.  Urgent calls land on the FIFO deque
-        (never the heap); :data:`NORMAL` calls take a regular heap entry
-        at the current time.
+        Internal fast path for kernel bookkeeping (node server wake-ups,
+        preemption pokes, deferred completion continuations): builds a
+        bare :class:`_Call`, by default with :data:`URGENT` priority so it
+        runs before any normal event at the same timestamp.  Urgent calls
+        land on the FIFO deque (never the heap); :data:`NORMAL` calls take
+        a regular heap entry at the current time.
         """
         event = _Call.__new__(_Call)
         event.callback = callback
@@ -615,9 +539,6 @@ class Environment:
     # -- pickling (checkpoint/resume) ------------------------------------
 
     def __reduce__(self) -> Any:
-        # _active_process is only non-None while a Process is executing;
-        # snapshots are taken between events, and processes are not
-        # checkpointable anyway, so it is deliberately not captured.
         return (
             _new_instance,
             (Environment,),
@@ -631,7 +552,6 @@ class Environment:
         self._queue = queue
         self._next_seq = count(seq).__next__
         self._urgent = deque(urgent)
-        self._active_process = None
         self._sleep_pool = pool
 
     def step(self) -> None:

@@ -2,7 +2,7 @@
 
 The kernel deliberately uses a small, explicit exception hierarchy so that
 model code can distinguish programming errors (:class:`SimulationError`)
-from control-flow signals (:class:`Interrupt`, :class:`StopSimulation`).
+from the control-flow signal that stops a run (:class:`StopSimulation`).
 """
 
 from __future__ import annotations
@@ -20,37 +20,14 @@ class EventLifecycleError(SimulationError):
     """
 
 
-class ProcessError(SimulationError):
-    """A simulation process misbehaved.
-
-    Raised, for instance, when a process generator yields an object that is
-    not an :class:`~repro.sim.core.Event`.
-    """
-
-
 class StopSimulation(Exception):
     """Signal that stops :meth:`~repro.sim.core.Environment.run`.
 
-    Carries the value passed to :meth:`Environment.exit` (if any) so that
-    ``run()`` can return it.  This intentionally subclasses ``Exception``
+    Carries the value that ``run()`` returns: the ``until`` event's value,
+    or whatever the model code that raised it passed.  This intentionally subclasses ``Exception``
     (not :class:`SimulationError`): it is control flow, not a failure.
     """
 
     def __init__(self, value: object = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted by another process.
-
-    The ``cause`` attribute carries an arbitrary object explaining why the
-    interrupt happened (e.g., an abort decision by an overload policy).
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"

@@ -19,7 +19,7 @@ invisible to the golden determinism gate (pinned in
 
 File format (one JSON object per line, torn tail tolerated):
 
-1. a ``header`` record (magic, version, kernel leg, seed, config);
+1. a ``header`` record (magic, version, seed, config);
 2. ``interval`` records at each trigger firing during the measured
    phase: ``now``, kernel ``events`` so far, ``cumulative`` (the
    ``RunResult.to_dict()`` of a mid-run snapshot), ``window``;
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..checkpoint import CheckpointError, JsonlAppender, read_jsonl
-from ..sim.core import KERNEL
 from .metrics import (
     DEFAULT_WINDOW_TAU,
     PER_NODE_DETAIL_THRESHOLD,
@@ -109,7 +108,6 @@ class MetricsEmitter:
                 "type": "header",
                 "magic": METRICS_MAGIC,
                 "version": METRICS_VERSION,
-                "kernel": KERNEL,
                 "seed": simulation.config.seed,
                 "config": simulation.config.describe(),
             }
@@ -215,7 +213,7 @@ def summarize_series(records: List[Dict[str, Any]]) -> str:
     intervals = [r for r in records if r.get("type") == "interval"]
     finals = [r for r in records if r.get("type") == "final"]
     lines = [
-        f"series: seed={header.get('seed')} kernel={header.get('kernel')}",
+        f"series: seed={header.get('seed')}",
         f"config: {header.get('config')}",
         f"records: {len(intervals)} interval(s), {len(finals)} final",
     ]

@@ -34,18 +34,14 @@ Semantics:
 * the overload policy is still consulted only at (re-)dispatch, never
   mid-service.
 
-Like its base class, the server is a callback state machine -- no
-generator process, no coroutine switch, no ``Interrupt`` exception on the
-hot path.  Dispatch schedules a pooled, *cancellable* completion timer
-(:meth:`repro.sim.core._Sleep.cancel`); preemption cancels it, computes
+Like its base class, the server is a callback state machine.  Dispatch
+schedules a pooled, *cancellable* completion timer
+(:meth:`repro.sim._engine._Sleep.cancel`); preemption cancels it, computes
 the remaining demand, re-enqueues the unit, and re-dispatches, all in one
-urgent callback.  Event ordering is bit-identical to the old generator
-server: the idle wake-up is a NORMAL-priority heap entry (where the
-generator server triggered its wakeup event, consuming one event-list
-sequence number at the same point) and the preemption poke rides the
-kernel's urgent deque (where the generator server scheduled its
-interrupt — urgent dispatch order is unchanged, see
-:mod:`repro.sim._engine`).
+urgent callback.  The idle wake-up is a NORMAL-priority heap entry, which
+consumes one event-list sequence number, and the preemption poke rides
+the kernel's urgent deque (see :mod:`repro.sim._engine`); the golden
+determinism gate pins that event order.
 """
 
 from __future__ import annotations

@@ -25,12 +25,11 @@ the whole global task is recorded as aborted (and missed).
 Hot-path notes
 --------------
 
-Coordination is a callback state machine, mirroring the node rewrite: no
-generator frame per tree level, no coroutine resume per stage, no
-``Process``/``all_of`` machinery per parallel group.  Each leaf's
-completion event (a lightweight kernel callback scheduled by the node,
-see :attr:`~repro.system.work.WorkUnit.on_done`) drives the next serial
-stage directly through a chain of small *continuation frames*:
+Coordination is a callback state machine, mirroring the node servers.
+Each leaf's completion event (a lightweight kernel callback scheduled by
+the node, see :attr:`~repro.system.work.WorkUnit.on_done`) drives the
+next serial stage directly through a chain of small *continuation
+frames*:
 
 * :class:`_TaskRun` is the root frame -- it records the end-to-end
   outcome when the tree finishes;

@@ -17,6 +17,33 @@ def env() -> Environment:
 
 
 @pytest.fixture
+def script(env: Environment):
+    """Start a timed script on ``env``: ``script(action, 2.0, action, ...)``.
+
+    Numbers are waits and callables are actions, run in order.  The
+    first segment runs from an urgent ``_schedule_call`` kick, and each
+    wait arms ``env.timeout(delay)`` from inside the previous segment's
+    callback, after that segment's actions ran.  Tests with same-instant
+    arrivals pin this event order in their expected values.
+    """
+
+    def start(*steps) -> None:
+        pending = iter(steps)
+
+        def resume(_event) -> None:
+            for step in pending:
+                if callable(step):
+                    step()
+                else:
+                    env.timeout(step).callbacks.append(resume)
+                    return
+
+        env._schedule_call(resume)
+
+    return start
+
+
+@pytest.fixture
 def streams() -> StreamFactory:
     """A reproducible stream factory with a fixed seed."""
     return StreamFactory(seed=12345)

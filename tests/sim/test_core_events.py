@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.core import AllOf, AnyOf, ConditionValue, Environment, Event, Timeout
-from repro.sim.errors import EventLifecycleError, SimulationError
+from repro.sim.errors import EventLifecycleError
 
 
 class TestEventLifecycle:
@@ -108,94 +107,6 @@ class TestTimeout:
         env.run()
         assert event.processed
         assert env.now == 0.0
-
-
-class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        a, b = env.timeout(1, value="a"), env.timeout(3, value="b")
-        joined = env.all_of([a, b])
-        env.run(until=joined)
-        assert env.now == 3
-
-    def test_any_of_fires_on_first(self, env):
-        a, b = env.timeout(1, value="a"), env.timeout(3, value="b")
-        either = env.any_of([a, b])
-        env.run(until=either)
-        assert env.now == 1
-
-    def test_all_of_value_maps_events(self, env):
-        a, b = env.timeout(1, value="a"), env.timeout(2, value="b")
-        joined = env.all_of([a, b])
-        env.run()
-        value = joined.value
-        assert isinstance(value, ConditionValue)
-        assert value[a] == "a"
-        assert value[b] == "b"
-        assert value.todict() == {a: "a", b: "b"}
-
-    def test_condition_value_len_and_iter(self, env):
-        a, b = env.timeout(1), env.timeout(2)
-        joined = env.all_of([a, b])
-        env.run()
-        assert len(joined.value) == 2
-        assert list(joined.value) == [a, b]
-
-    def test_condition_value_missing_event_raises(self, env):
-        a = env.timeout(1)
-        other = env.timeout(2)
-        joined = env.all_of([a])
-        env.run()
-        with pytest.raises(KeyError):
-            joined.value[other]
-
-    def test_empty_all_of_fires_immediately(self, env):
-        joined = env.all_of([])
-        assert joined.triggered
-        env.run()
-        assert len(joined.value) == 0
-
-    def test_operator_and(self, env):
-        a, b = env.timeout(1), env.timeout(2)
-        both = a & b
-        assert isinstance(both, AllOf)
-        env.run(until=both)
-        assert env.now == 2
-
-    def test_operator_or(self, env):
-        a, b = env.timeout(1), env.timeout(2)
-        either = a | b
-        assert isinstance(either, AnyOf)
-        env.run(until=either)
-        assert env.now == 1
-
-    def test_all_of_with_already_processed_event(self, env):
-        a = env.timeout(1)
-        env.run()
-        b = env.timeout(1)
-        joined = env.all_of([a, b])
-        env.run(until=joined)
-        assert joined.value[a] == a.value
-
-    def test_failed_member_fails_condition(self, env):
-        def failer(env):
-            yield env.timeout(1)
-            raise RuntimeError("branch died")
-
-        proc = env.process(failer(env))
-        other = env.timeout(5)
-        joined = env.all_of([proc, other])
-        joined.defuse()
-        env.run(until=10)
-        assert joined.triggered
-        assert not joined.ok
-        assert isinstance(joined.value, RuntimeError)
-
-    def test_cross_environment_events_rejected(self, env):
-        other_env = Environment()
-        a = env.timeout(1)
-        b = other_env.timeout(1)
-        with pytest.raises(SimulationError):
-            env.all_of([a, b])
 
 
 class TestCancellableSleep:

@@ -1,12 +1,8 @@
-"""Engine-kernel contract tests, parametrized over implementations.
+"""Engine contract tests for ``repro.sim._engine``.
 
-The compile-ready split put the kernel's hot loop into
-``repro.sim._engine`` with an optional compiled twin
-(``repro.sim._engine_c``, built by ``setup.py`` when a toolchain is
-available).  Both are one source file and must behave identically; these
-tests pin the event-ordering contract on every importable
-implementation, skipping the compiled leg cleanly when the extension
-was never built.
+The first half pins the event-ordering contract of the engine: time
+order, FIFO among same-time events, the urgent deque, the run horizon,
+and pooled, cancellable sleeps.
 
 The second half pins :meth:`Environment.step` as the faithful reference
 implementation of the inlined run loop: a manually stepped, traced
@@ -15,45 +11,15 @@ simulation must match ``run()`` event for event and metric for metric.
 
 from __future__ import annotations
 
-import importlib
-
 import pytest
 
-from repro.sim.errors import EventLifecycleError, SimulationError
-
-
-def _engine_implementations():
-    """(param-id, module) pairs for every importable engine."""
-    impls = [("python", importlib.import_module("repro.sim._engine"))]
-    try:
-        compiled = importlib.import_module("repro.sim._engine_c")
-    except ImportError:
-        compiled = None
-    if compiled is not None and not (
-        (getattr(compiled, "__file__", None) or "").endswith((".py", ".pyc"))
-    ):
-        impls.append(("compiled", compiled))
-    return impls
-
-
-_IMPLS = _engine_implementations()
-
-
-@pytest.fixture(
-    params=[impl for _, impl in _IMPLS],
-    ids=[name for name, _ in _IMPLS],
-)
-def engine(request):
-    """One engine implementation module (pure Python, and compiled when
-    built).  The compiled leg simply does not appear when absent --
-    pytest reports it neither failed nor errored, per the fallback
-    contract."""
-    return request.param
+from repro.sim._engine import NORMAL, Environment
+from repro.sim.errors import EventLifecycleError, SimulationError, StopSimulation
 
 
 class TestEventOrdering:
-    def test_time_order(self, engine):
-        env = engine.Environment()
+    def test_time_order(self):
+        env = Environment()
         order = []
         for delay in (5.0, 1.0, 3.0, 2.0, 4.0):
             env.timeout(delay, value=delay).callbacks.append(
@@ -62,8 +28,8 @@ class TestEventOrdering:
         env.run()
         assert order == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_fifo_among_simultaneous(self, engine):
-        env = engine.Environment()
+    def test_fifo_among_simultaneous(self):
+        env = Environment()
         order = []
         for tag in "abcde":
             env.timeout(1.0, value=tag).callbacks.append(
@@ -72,12 +38,12 @@ class TestEventOrdering:
         env.run()
         assert order == list("abcde")
 
-    def test_urgent_calls_run_before_normal_events_at_same_time(self, engine):
+    def test_urgent_calls_run_before_normal_events_at_same_time(self):
         """An urgent ``_schedule_call`` issued while dispatching an event
         must run before every already-scheduled normal event at the same
         timestamp -- the deque bypass must be order-equivalent to the old
         ``(time, URGENT, seq)`` heap entries."""
-        env = engine.Environment()
+        env = Environment()
         order = []
         first = env.timeout(1.0)
         env.timeout(1.0, value="normal-later").callbacks.append(
@@ -91,8 +57,8 @@ class TestEventOrdering:
         env.run()
         assert order == ["urgent", "normal-later"]
 
-    def test_urgent_calls_are_fifo(self, engine):
-        env = engine.Environment()
+    def test_urgent_calls_are_fifo(self):
+        env = Environment()
         order = []
         env._schedule_call(lambda e: order.append(1))
         env._schedule_call(lambda e: order.append(2))
@@ -100,16 +66,16 @@ class TestEventOrdering:
         env.run()
         assert order == [1, 2, 3]
 
-    def test_normal_schedule_call_keeps_heap_fifo(self, engine):
+    def test_normal_schedule_call_keeps_heap_fifo(self):
         """NORMAL-priority calls interleave with other normal events by
         schedule order (they consume sequence keys)."""
-        env = engine.Environment()
+        env = Environment()
         order = []
         env.timeout(0.0, value="t1").callbacks.append(
             lambda e: order.append(e.value)
         )
         env._schedule_call(
-            lambda e: order.append("call"), priority=engine.NORMAL
+            lambda e: order.append("call"), priority=NORMAL
         )
         env.timeout(0.0, value="t2").callbacks.append(
             lambda e: order.append(e.value)
@@ -117,8 +83,8 @@ class TestEventOrdering:
         env.run()
         assert order == ["t1", "call", "t2"]
 
-    def test_run_until_horizon(self, engine):
-        env = engine.Environment()
+    def test_run_until_horizon(self):
+        env = Environment()
         fired = []
         env.timeout(20.0).callbacks.append(lambda e: fired.append(env.now))
         env.run(until=10.0)
@@ -128,26 +94,24 @@ class TestEventOrdering:
         assert fired == [20.0]
         assert env.now == 30.0
 
-    def test_event_at_horizon_instant_runs(self, engine):
-        env = engine.Environment()
+    def test_event_at_horizon_instant_runs(self):
+        env = Environment()
         fired = []
         env.timeout(10.0).callbacks.append(lambda e: fired.append(env.now))
         env.run(until=10.0)
         assert fired == [10.0]
 
-    def test_run_until_event(self, engine):
-        env = engine.Environment()
+    def test_run_until_event(self):
+        env = Environment()
         event = env.timeout(4.0, value="done")
         assert env.run(until=event) == "done"
         assert env.now == 4.0
 
-    def test_user_stop_inside_timed_run_withdraws_horizon(self, engine):
+    def test_user_stop_inside_timed_run_withdraws_horizon(self):
         """A StopSimulation raised by user code during ``run(until=t)``
         must not leave the horizon sentinel behind: a later run past
         ``t`` keeps going."""
-        from repro.sim.errors import StopSimulation
-
-        env = engine.Environment()
+        env = Environment()
 
         def stopper(_event):
             raise StopSimulation("early")
@@ -160,8 +124,8 @@ class TestEventOrdering:
         assert fired == [5.0]
         assert env.now == 20.0
 
-    def test_sleep_pooling_and_cancel(self, engine):
-        env = engine.Environment()
+    def test_sleep_pooling_and_cancel(self):
+        env = Environment()
         fired = []
         sleep = env._sleep(2.0, lambda e: fired.append(env.now))
         env.run(until=3.0)
@@ -176,8 +140,8 @@ class TestEventOrdering:
         assert fired == [2.0]
         assert sleep in env._sleep_pool
 
-    def test_peek_and_step(self, engine):
-        env = engine.Environment()
+    def test_peek_and_step(self):
+        env = Environment()
         assert env.peek() == float("inf")
         env.timeout(9.0)
         env.timeout(2.0)
@@ -192,51 +156,21 @@ class TestEventOrdering:
         with pytest.raises(SimulationError):
             env.step()
 
-    def test_run_until_pooled_sleep_is_rejected(self, engine):
+    def test_run_until_pooled_sleep_is_rejected(self):
         """A pooled sleep is recycled at expiry, so waiting on one is
         always a bug -- the kernel fails loudly instead of returning
         instantly (pending sleeps carry no callback list)."""
-        env = engine.Environment()
+        env = Environment()
         sleep = env._sleep(5.0, lambda e: None)
         with pytest.raises(SimulationError, match="pooled kernel sleep"):
             env.run(until=sleep)
 
-    def test_condition_over_pooled_sleep_is_rejected(self, engine):
-        from repro.sim.core import Environment as SelectedEnvironment
-
-        if engine.Environment is not SelectedEnvironment:
-            pytest.skip("conditions are bound to the selected kernel")
-        env = engine.Environment()
-        sleep = env._sleep(5.0, lambda e: None)
-        with pytest.raises(SimulationError, match="pooled kernel sleep"):
-            env.all_of([sleep, env.timeout(1.0)])
-
-    def test_process_yielding_pooled_sleep_fails_loudly(self, engine):
-        from repro.sim.core import Environment as SelectedEnvironment
-        from repro.sim.errors import ProcessError
-
-        if engine.Environment is not SelectedEnvironment:
-            pytest.skip("Process is bound to the selected kernel")
-        env = engine.Environment()
-        failures = []
-
-        def sleeper(env):
-            try:
-                yield env._sleep(5.0, lambda e: None)
-            except ProcessError as exc:
-                failures.append(exc)
-
-        env.process(sleeper(env))
-        env.run()
-        assert len(failures) == 1
-        assert "pooled kernel sleep" in str(failures[0])
-
-    def test_failed_event_crashes_unless_defused(self, engine):
-        env = engine.Environment()
+    def test_failed_event_crashes_unless_defused(self):
+        env = Environment()
         env.event().fail(RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
             env.run()
-        env2 = engine.Environment()
+        env2 = Environment()
         env2.event().fail(RuntimeError("ok")).defuse()
         env2.run()
 

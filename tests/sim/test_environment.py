@@ -109,15 +109,10 @@ class TestOrdering:
         with pytest.raises(SimulationError):
             env._schedule(event, 1, -1.0)
 
-    def test_clock_never_goes_backwards(self, env):
+    def test_clock_never_goes_backwards(self, env, script):
         stamps = []
 
-        def observer(env):
-            for _ in range(10):
-                yield env.timeout(0.5)
-                stamps.append(env.now)
-
-        env.process(observer(env))
+        script(*[0.5, lambda: stamps.append(env.now)] * 10)
         env.timeout(0)
         env.timeout(2.5)
         env.run()

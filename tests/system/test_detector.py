@@ -6,8 +6,7 @@ The load-bearing claims, in order:
   observed :class:`SuspicionView` *converge* to the oracle
   :class:`LiveSet` trajectory -- no false positives, no missed
   detections, and view == truth everywhere outside the detection
-  horizon of the last true transition (checked in-process and under
-  both ``REPRO_KERNEL`` legs);
+  horizon of the last true transition;
 * a config with a detector left unset (or a disabled spec) is
   bit-identical to the pinned pre-detector engine;
 * lossy/delayed channels produce the pathologies the scenarios study
@@ -21,9 +20,6 @@ The load-bearing claims, in order:
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -177,6 +173,7 @@ class TestConvergenceToOracle:
         assert result.false_suspicions == 0
         assert result.missed_detections == 0
         assert result.detections > 0
+        assert result.total_crashes > 0
         # Crash-to-suspicion lag is bounded by interval + timeout.
         assert 0.0 < result.detection_latency <= 2.0
 
@@ -212,81 +209,6 @@ class TestConvergenceToOracle:
             [n.downtime for n in result.per_node]
             == [n.downtime for n in oracle.per_node]
         )
-
-
-#: Kernel-leg driver: the convergence property must hold under both
-#: engine kernels (import-time switch, hence the subprocess).
-_KERNEL_CONVERGENCE_DRIVER = """
-import json
-from repro.sim.core import KERNEL
-from repro.system.config import baseline_config
-from repro.system.detector import DetectorSpec
-from repro.system.faults import FaultSpec
-from repro.system.simulation import Simulation
-
-config = baseline_config(
-    sim_time=2_500.0, warmup_time=250.0, seed=17, strategy="EQF",
-    faults=FaultSpec(
-        mttf=400.0, mttr=20.0, repair_model="deterministic",
-        in_flight="resume", queued="preserved",
-        retry_limit=2, retry_timeout=30.0, retry_backoff=1.0,
-    ),
-    detector=DetectorSpec(
-        kind="timeout", heartbeat_interval=0.5, timeout=1.5,
-    ),
-)
-sim = Simulation(config)
-result = sim.run()
-detector = sim.failure_detector
-now = sim.env.now
-agree = all(
-    (i in sim.suspicion_view) == node._up
-    for i, node in enumerate(sim.nodes)
-    if now - detector.last_transition[i] > 2.0
-)
-print(json.dumps({
-    "kernel": KERNEL,
-    "false_suspicions": result.false_suspicions,
-    "missed_detections": result.missed_detections,
-    "detections": result.detections,
-    "crashes": result.total_crashes,
-    "agree": agree,
-}))
-"""
-
-
-def _compiled_kernel_available() -> bool:
-    import importlib.util
-
-    spec = importlib.util.find_spec("repro.sim._engine_c")
-    if spec is None or spec.origin is None:
-        return False
-    return not spec.origin.endswith((".py", ".pyc"))
-
-
-class TestConvergenceAcrossKernels:
-    @pytest.mark.parametrize("kernel", ["python", "compiled"])
-    def test_converges_under_kernel(self, kernel):
-        if kernel == "compiled" and not _compiled_kernel_available():
-            pytest.skip("compiled kernel extension not built")
-        env = dict(os.environ, REPRO_KERNEL=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CONVERGENCE_DRIVER],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        values = json.loads(output)
-        assert values["kernel"] == kernel
-        assert values["false_suspicions"] == 0
-        assert values["missed_detections"] == 0
-        assert values["detections"] > 0
-        assert values["crashes"] > 0
-        assert values["agree"] is True
 
 
 class TestObservedModePathologies:

@@ -29,18 +29,17 @@ def build_system(env, node_count=3, strategy="UD"):
 
 
 class TestHopelessTasks:
-    def test_deadline_already_past_at_submission(self, env):
+    def test_deadline_already_past_at_submission(self, env, script):
         """A soft real-time system accepts and runs already-late tasks."""
         manager, metrics, _ = build_system(env)
 
-        def late_submit(env, manager):
-            yield env.timeout(10.0)
+        def late_submit():
             tree = serial(
                 SimpleTask(1.0, node_index=0), SimpleTask(1.0, node_index=1)
             )
-            return manager.submit(tree, deadline=5.0)  # in the past
+            manager.submit(tree, deadline=5.0)  # in the past
 
-        runner = env.process(late_submit(env, manager))
+        script(10.0, late_submit)
         env.run()
         stats = metrics.snapshot(env.now).global_
         assert stats.completed == 1
@@ -61,7 +60,7 @@ class TestHopelessTasks:
 
 
 class TestGFPriorities:
-    def test_gf_subtasks_jump_local_queue(self, env):
+    def test_gf_subtasks_jump_local_queue(self, env, script):
         """A GF subtask submitted *after* locals with earlier deadlines is
         still served first."""
         manager, _, nodes = build_system(env, strategy="GF")
@@ -71,15 +70,9 @@ class TestGFPriorities:
         node_submit(env, nodes[0], ex=4.0, dl=4.5, name="in-service")
         local = node_submit(env, nodes[0], ex=1.0, dl=6.0, name="queued-local")
 
-        def submit_global(env, manager):
-            yield env.timeout(1.0)
-            leaf = SimpleTask(1.0, node_index=0)
-            manager.submit(leaf, deadline=100.0)
-            return leaf
-
-        runner = env.process(submit_global(env, manager))
+        leaf = SimpleTask(1.0, node_index=0)
+        script(1.0, lambda: manager.submit(leaf, deadline=100.0))
         env.run()
-        leaf = runner.value
         # Global subtask (dl=100!) served at t=4, before the local (dl=6).
         assert leaf.timing.started_at == 4.0
         assert local.timing.started_at == 5.0

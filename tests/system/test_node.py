@@ -48,15 +48,11 @@ class TestService:
         # Both queued at t=0 while server idle wakes; earliest deadline first.
         assert early.timing.completed_at < late.timing.completed_at
 
-    def test_non_preemptive(self, env, node):
+    def test_non_preemptive(self, env, node, script):
         """A newly arrived urgent unit must wait for the unit in service."""
         running = submit(env, node, ex=10.0, dl=100.0, name="running")
 
-        def late_arrival(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=2.0, name="urgent")
-
-        env.process(late_arrival(env, node))
+        script(1.0, lambda: submit(env, node, ex=1.0, dl=2.0, name="urgent"))
         env.run()
         assert running.timing.completed_at == 10.0
 
@@ -68,16 +64,15 @@ class TestService:
         assert b.timing.started_at == 2.0
         assert b.timing.completed_at == 5.0
 
-    def test_server_idles_between_arrivals(self, env, node):
-        def arrivals(env, node):
-            submit(env, node, ex=1.0, dl=5.0)
-            yield env.timeout(10.0)
-            late = submit(env, node, ex=1.0, dl=20.0)
-            return late
-
-        proc = env.process(arrivals(env, node))
+    def test_server_idles_between_arrivals(self, env, node, script):
+        created = []
+        script(
+            lambda: submit(env, node, ex=1.0, dl=5.0),
+            10.0,
+            lambda: created.append(submit(env, node, ex=1.0, dl=20.0)),
+        )
         env.run()
-        late = proc.value
+        late = created[0]
         assert late.timing.started_at == 10.0
 
     def test_wrong_node_rejected(self, env, node):
@@ -87,16 +82,12 @@ class TestService:
         with pytest.raises(ValueError, match="routed to node"):
             node.submit(unit)
 
-    def test_busy_and_queue_length(self, env, node):
+    def test_busy_and_queue_length(self, env, node, script):
         submit(env, node, ex=5.0, dl=100.0)
         submit(env, node, ex=5.0, dl=100.0)
-
-        def probe(env, node, out):
-            yield env.timeout(1.0)
-            out.append((node.busy, node.queue_length))
 
         observed = []
-        env.process(probe(env, node, observed))
+        script(1.0, lambda: observed.append((node.busy, node.queue_length)))
         env.run()
         assert observed == [(True, 1)]
         assert not node.busy

@@ -36,15 +36,12 @@ def submit(env, node, ex, dl, name="u", priority=PriorityClass.NORMAL):
 
 
 class TestPreemption:
-    def test_urgent_arrival_preempts(self, env, node):
+    def test_urgent_arrival_preempts(self, env, node, script):
         long_unit = submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def late_arrival(env, node, out):
-            yield env.timeout(2.0)
-            out.append(submit(env, node, ex=1.0, dl=4.0, name="urgent"))
-
         arrivals = []
-        env.process(late_arrival(env, node, arrivals))
+        script(2.0, lambda: arrivals.append(
+            submit(env, node, ex=1.0, dl=4.0, name="urgent")))
         env.run()
         urgent = arrivals[0]
         # The urgent unit ran immediately: [2, 3].
@@ -55,42 +52,35 @@ class TestPreemption:
         assert long_unit.timing.completed_at == 11.0
         assert node.preemptions == 1
 
-    def test_equal_priority_does_not_preempt(self, env, node):
+    def test_equal_priority_does_not_preempt(self, env, node, script):
         running = submit(env, node, ex=5.0, dl=50.0, name="running")
 
-        def late_arrival(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=50.0, name="tie")
-
-        env.process(late_arrival(env, node))
+        script(1.0, lambda: submit(env, node, ex=1.0, dl=50.0, name="tie"))
         env.run()
         assert running.timing.completed_at == 5.0
         assert node.preemptions == 0
 
-    def test_lower_priority_does_not_preempt(self, env, node):
+    def test_lower_priority_does_not_preempt(self, env, node, script):
         running = submit(env, node, ex=5.0, dl=10.0, name="running")
 
-        def late_arrival(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=99.0, name="later-dl")
-
-        env.process(late_arrival(env, node))
+        script(1.0, lambda: submit(env, node, ex=1.0, dl=99.0, name="later-dl"))
         env.run()
         assert running.timing.completed_at == 5.0
         assert node.preemptions == 0
 
-    def test_nested_preemption(self, env, node):
+    def test_nested_preemption(self, env, node, script):
         """A preempting unit can itself be preempted."""
         first = submit(env, node, ex=10.0, dl=100.0, name="first")
 
-        def arrivals(env, node, out):
-            yield env.timeout(2.0)
-            out.append(submit(env, node, ex=4.0, dl=20.0, name="second"))
-            yield env.timeout(1.0)
-            out.append(submit(env, node, ex=1.0, dl=5.0, name="third"))
-
         created = []
-        env.process(arrivals(env, node, created))
+        script(
+            2.0,
+            lambda: created.append(
+                submit(env, node, ex=4.0, dl=20.0, name="second")),
+            1.0,
+            lambda: created.append(
+                submit(env, node, ex=1.0, dl=5.0, name="third")),
+        )
         env.run()
         second, third = created
         assert third.timing.completed_at == 4.0      # [3, 4]: 1 unit
@@ -98,41 +88,32 @@ class TestPreemption:
         assert first.timing.completed_at == 15.0     # [0, 2] + [7, 15]: 10 units
         assert node.preemptions == 2
 
-    def test_started_at_is_first_service(self, env, node):
+    def test_started_at_is_first_service(self, env, node, script):
         long_unit = submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def late_arrival(env, node):
-            yield env.timeout(2.0)
-            submit(env, node, ex=1.0, dl=4.0, name="urgent")
-
-        env.process(late_arrival(env, node))
+        script(2.0, lambda: submit(env, node, ex=1.0, dl=4.0, name="urgent"))
         env.run()
         assert long_unit.timing.started_at == 0.0
 
-    def test_elevated_class_preempts_normal(self, env, node):
+    def test_elevated_class_preempts_normal(self, env, node, script):
         """Globals-First semantics carry over: an elevated unit preempts a
         normal one regardless of deadlines."""
         running = submit(env, node, ex=5.0, dl=6.0, name="local")
 
-        def late_arrival(env, node, out):
-            yield env.timeout(1.0)
-            out.append(submit(env, node, ex=1.0, dl=99.0, name="global",
-                              priority=PriorityClass.ELEVATED))
-
         created = []
-        env.process(late_arrival(env, node, created))
+        script(1.0, lambda: created.append(
+            submit(env, node, ex=1.0, dl=99.0, name="global",
+                   priority=PriorityClass.ELEVATED)))
         env.run()
         assert created[0].timing.completed_at == 2.0
         assert running.timing.completed_at == 6.0
 
-    def test_utilization_accounting_across_preemption(self, env, node, metrics):
+    def test_utilization_accounting_across_preemption(
+        self, env, node, metrics, script
+    ):
         submit(env, node, ex=4.0, dl=100.0, name="long")
 
-        def late_arrival(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=2.0, dl=5.0, name="urgent")
-
-        env.process(late_arrival(env, node))
+        script(1.0, lambda: submit(env, node, ex=2.0, dl=5.0, name="urgent"))
         env.run(until=10.0)
         # Total service = 6 units over [0, 10]: no double counting.
         assert metrics.snapshot(10.0).per_node[0].utilization == pytest.approx(0.6)
@@ -140,22 +121,24 @@ class TestPreemption:
 
 class TestSameInstantArrivals:
     """Regression tests for the double-interrupt bug: every same-instant
-    higher-priority arrival used to issue its own ``process.interrupt()``,
-    and the queued second interrupt fired at the *next* service interval,
+    higher-priority arrival used to interrupt the server on its own, and
+    the queued second interrupt fired at the *next* service interval,
     charging a spurious preemption to the wrong unit."""
 
-    def test_two_simultaneous_urgent_arrivals_preempt_once(self, env, node):
+    def test_two_simultaneous_urgent_arrivals_preempt_once(
+        self, env, node, script
+    ):
         long_unit = submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def storm(env, node, out):
-            yield env.timeout(2.0)
+        arrivals = []
+
+        def storm():
             # Two arrivals at the same instant, both beating the unit in
             # service, submitted within one event callback.
-            out.append(submit(env, node, ex=1.0, dl=4.0, name="urgent-a"))
-            out.append(submit(env, node, ex=1.0, dl=5.0, name="urgent-b"))
+            arrivals.append(submit(env, node, ex=1.0, dl=4.0, name="urgent-a"))
+            arrivals.append(submit(env, node, ex=1.0, dl=5.0, name="urgent-b"))
 
-        arrivals = []
-        env.process(storm(env, node, arrivals))
+        script(2.0, storm)
         env.run()
         a, b = arrivals
         # One preemption: the server re-picks the best queued unit once.
@@ -168,32 +151,30 @@ class TestSameInstantArrivals:
         assert long_unit.timing.completed_at == 12.0
         assert node._remaining == {}
 
-    def test_storm_preemption_counter_exact(self, env, node):
+    def test_storm_preemption_counter_exact(self, env, node, script):
         """An N-arrival same-instant storm is exactly one preemption."""
         submit(env, node, ex=20.0, dl=200.0, name="long")
 
-        def storm(env, node):
-            yield env.timeout(1.0)
+        def storm():
             for i in range(5):
                 submit(env, node, ex=0.5, dl=2.0 + 0.1 * i, name=f"s{i}")
 
-        env.process(storm(env, node))
+        script(1.0, storm)
         env.run()
         assert node.preemptions == 1
         assert node._remaining == {}
 
-    def test_sequential_preemptions_still_count_individually(self, env, node):
+    def test_sequential_preemptions_still_count_individually(
+        self, env, node, script
+    ):
         """The pending-interrupt guard must not swallow preemptions that
         happen at distinct instants."""
         submit(env, node, ex=20.0, dl=200.0, name="long")
 
-        def arrivals(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=5.0, name="first")
-            yield env.timeout(2.0)
-            submit(env, node, ex=1.0, dl=6.0, name="second")
-
-        env.process(arrivals(env, node))
+        script(
+            1.0, lambda: submit(env, node, ex=1.0, dl=5.0, name="first"),
+            2.0, lambda: submit(env, node, ex=1.0, dl=6.0, name="second"),
+        )
         env.run()
         assert node.preemptions == 2
         assert node._remaining == {}
@@ -205,7 +186,9 @@ class TestCompletionInstantInterrupt:
     ``remaining = demand - consumed < 0`` by a float ulp, and later a
     negative sleep delay."""
 
-    def test_interrupt_at_completion_instant_clamps_remaining(self, env, node):
+    def test_interrupt_at_completion_instant_clamps_remaining(
+        self, env, node, script
+    ):
         # "first" is served over [0.1, 0.4], and in float arithmetic
         # (0.1 + 0.3) - 0.1 = 0.30000000000000004 > 0.3: an interrupt at
         # the completion instant computes consumed > demand by an ulp.
@@ -218,12 +201,9 @@ class TestCompletionInstantInterrupt:
         submit(env, node, ex=0.1, dl=1.0, name="background")
         first = submit(env, node, ex=0.3, dl=100.0, name="first")
 
-        def urgent_at_completion(env, node, out):
-            yield env.timeout(0.4)
-            out.append(submit(env, node, ex=0.1, dl=0.6, name="urgent"))
-
         arrivals = []
-        env.process(urgent_at_completion(env, node, arrivals))
+        script(0.4, lambda: arrivals.append(
+            submit(env, node, ex=0.1, dl=0.6, name="urgent")))
         env.run()
         urgent = arrivals[0]
         assert node.preemptions == 1
@@ -233,7 +213,7 @@ class TestCompletionInstantInterrupt:
         assert first.timing.completed_at == 0.5
         assert node._remaining == {}
 
-    def test_remaining_demand_never_negative(self, env, node):
+    def test_remaining_demand_never_negative(self, env, node, script):
         """Drive many preemptions at awkward float instants and assert the
         remaining-demand table never goes negative."""
         for i in range(10):
@@ -241,16 +221,14 @@ class TestCompletionInstantInterrupt:
 
         seen = []
 
-        def storm(env, node):
-            t = 0.0
-            for i in range(30):
-                step = 0.07 * ((i % 5) + 1)
-                t += step
-                yield env.timeout(step)
-                submit(env, node, ex=0.05, dl=env.now + 0.2, name=f"hi{i}")
-                seen.append(min(node._remaining.values(), default=0.0))
+        def arrive(i):
+            submit(env, node, ex=0.05, dl=env.now + 0.2, name=f"hi{i}")
+            seen.append(min(node._remaining.values(), default=0.0))
 
-        env.process(storm(env, node))
+        steps = []
+        for i in range(30):
+            steps += [0.07 * ((i % 5) + 1), lambda i=i: arrive(i)]
+        script(*steps)
         env.run()
         assert all(value >= 0.0 for value in seen)
         assert min(node._remaining.values(), default=0.0) >= 0.0
@@ -266,19 +244,20 @@ class TestEdgeCases:
         assert node.preemptions == 0
         assert node._remaining == {}
 
-    def test_zero_demand_unit_under_storm(self, env, node):
+    def test_zero_demand_unit_under_storm(self, env, node, script):
         """Zero-demand units interleaved with preemption churn neither
         preempt wrongly nor leak remaining-demand entries."""
         long_unit = submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def arrivals(env, node, out):
-            yield env.timeout(1.0)
-            out.append(submit(env, node, ex=0.0, dl=2.0, name="zero"))
-            yield env.timeout(1.0)
-            out.append(submit(env, node, ex=1.0, dl=4.0, name="urgent"))
-
         created = []
-        env.process(arrivals(env, node, created))
+        script(
+            1.0,
+            lambda: created.append(
+                submit(env, node, ex=0.0, dl=2.0, name="zero")),
+            1.0,
+            lambda: created.append(
+                submit(env, node, ex=1.0, dl=4.0, name="urgent")),
+        )
         env.run()
         zero, urgent = created
         assert zero.timing.completed_at == 1.0
@@ -288,7 +267,9 @@ class TestEdgeCases:
         assert node.preemptions == 2
         assert node._remaining == {}
 
-    def test_preempted_then_aborted_leaves_no_remaining_leak(self, env, metrics):
+    def test_preempted_then_aborted_leaves_no_remaining_leak(
+        self, env, metrics, script
+    ):
         """A unit preempted once and later aborted at re-dispatch must be
         scrubbed from the remaining-demand table."""
         from repro.system.overload import AbortTardyAtDispatch
@@ -299,27 +280,19 @@ class TestEdgeCases:
         )
         doomed = submit(env, node, ex=10.0, dl=5.0, name="doomed")
 
-        def arrivals(env, node):
-            yield env.timeout(2.0)
-            # Preempts "doomed" and serves past its deadline, so the
-            # re-dispatch of "doomed" aborts it.
-            submit(env, node, ex=4.0, dl=4.5, name="urgent")
-
-        env.process(arrivals(env, node))
+        # "urgent" preempts "doomed" and serves past its deadline, so the
+        # re-dispatch of "doomed" aborts it.
+        script(2.0, lambda: submit(env, node, ex=4.0, dl=4.5, name="urgent"))
         env.run()
         assert doomed.timing.aborted
         assert doomed.timing.completed_at is None
         assert node.preemptions == 1
         assert node._remaining == {}
 
-    def test_remaining_cleared_on_completion(self, env, node):
+    def test_remaining_cleared_on_completion(self, env, node, script):
         preempted = submit(env, node, ex=5.0, dl=50.0, name="victim")
 
-        def arrival(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=3.0, name="urgent")
-
-        env.process(arrival(env, node))
+        script(1.0, lambda: submit(env, node, ex=1.0, dl=3.0, name="urgent"))
         env.run()
         # victim: [0, 1] + [2, 6] = its full 5 units.
         assert preempted.timing.completed_at == 6.0
@@ -342,17 +315,15 @@ class TestSpeedFactors:
         env.run()
         assert unit.timing.completed_at == 5.0
 
-    def test_remaining_demand_scales_across_preemption(self, env, metrics):
+    def test_remaining_demand_scales_across_preemption(
+        self, env, metrics, script
+    ):
         """On a speed-2 node: 10 demand = 5 time units.  Preempt after 2
         time units (4 demand consumed); the resume needs (10-4)/2 = 3."""
         node = self.make_node(env, metrics, speed=2.0)
         long_unit = submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def arrival(env, node):
-            yield env.timeout(2.0)
-            submit(env, node, ex=2.0, dl=5.0, name="urgent")
-
-        env.process(arrival(env, node))
+        script(2.0, lambda: submit(env, node, ex=2.0, dl=5.0, name="urgent"))
         env.run()
         # urgent: [2, 3] (2 demand at speed 2); long: [0, 2] + [3, 6].
         assert long_unit.timing.completed_at == 6.0

@@ -74,18 +74,14 @@ class TestRecording:
         env.run()
         assert len(metrics.tracer) == 4
 
-    def test_preemption_recorded(self, env):
+    def test_preemption_recorded(self, env, script):
         metrics = MetricsCollector(node_count=1)
         metrics.tracer = TraceLog()
         node = PreemptiveNode(env=env, index=0, policy=EarliestDeadlineFirst(),
                               metrics=metrics)
         submit(env, node, ex=10.0, dl=100.0, name="long")
 
-        def late(env, node):
-            yield env.timeout(2.0)
-            submit(env, node, ex=1.0, dl=4.0, name="urgent")
-
-        env.process(late(env, node))
+        script(2.0, lambda: submit(env, node, ex=1.0, dl=4.0, name="urgent"))
         env.run()
         preempts = metrics.tracer.filter(kind=PREEMPT)
         assert len(preempts) == 1
@@ -102,18 +98,14 @@ class TestQueriesAndRendering:
         intervals = log.busy_intervals(0)
         assert intervals == [(0.0, 2.0, "a"), (2.0, 5.0, "b")]
 
-    def test_busy_intervals_across_preemption(self, env):
+    def test_busy_intervals_across_preemption(self, env, script):
         metrics = MetricsCollector(node_count=1)
         metrics.tracer = TraceLog()
         node = PreemptiveNode(env=env, index=0, policy=EarliestDeadlineFirst(),
                               metrics=metrics)
         submit(env, node, ex=4.0, dl=100.0, name="long")
 
-        def late(env, node):
-            yield env.timeout(1.0)
-            submit(env, node, ex=1.0, dl=3.0, name="urgent")
-
-        env.process(late(env, node))
+        script(1.0, lambda: submit(env, node, ex=1.0, dl=3.0, name="urgent"))
         env.run()
         intervals = metrics.tracer.busy_intervals(0)
         # long [0,1] (preempted), urgent [1,2], long [2,5].

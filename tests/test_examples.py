@@ -1,9 +1,10 @@
 """Smoke tests for the example scripts.
 
 Each example guards its entry point with ``__name__ == "__main__"``, so
-importing is safe; the fast helpers are exercised directly.  (The full
-example mains simulate tens of thousands of time units and are run
-manually / in CI's long lane, not here.)
+importing is safe; the fast helpers are exercised directly, and the
+simulation functions run at a short horizon by patching the module's
+time constants.  (The full example mains simulate tens of thousands of
+time units and are run manually / in CI's long lane, not here.)
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ class TestStockTradingHelpers:
         assert leaves[0].node_index in trading.FEED_NODES
         assert leaves[-1].node_index == trading.ORDER_NODE
 
+    def test_short_market_run_completes_trades(self, monkeypatch):
+        trading = load_example("stock_trading")
+        monkeypatch.setattr(trading, "SIM_SECONDS", 3_000.0)
+        monkeypatch.setattr(trading, "WARMUP_SECONDS", 300.0)
+        result = trading.run_market("EQF-DIV1")
+        assert result.global_.completed > 0
+
     def test_trade_nodes_disjoint(self):
         trading = load_example("stock_trading")
         roles = set(trading.FEED_NODES) | {
@@ -94,3 +102,10 @@ class TestWebPipelineHelpers:
         # The middle child is the parallel fan-out.
         assert len(tree.children) == 3
         assert tree.children[1].kind == "parallel"
+
+    def test_short_service_run_completes_requests(self, monkeypatch):
+        web = load_example("web_pipeline")
+        monkeypatch.setattr(web, "SIM_MS", 6_000.0)
+        monkeypatch.setattr(web, "WARMUP_MS", 600.0)
+        result = web.run_service("DIV-1")
+        assert result.global_.completed > 0
