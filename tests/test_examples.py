@@ -84,6 +84,14 @@ class TestStockTradingHelpers:
         result = trading.run_market("EQF-DIV1")
         assert result.global_.completed > 0
 
+    def test_trade_factory_stamps_deadline_after_arrival(self):
+        trading = load_example("stock_trading")
+        from repro.sim.rng import StreamFactory
+
+        tree, deadline = trading.TradeFactory(StreamFactory(1)).build(40.0)
+        assert deadline == 40.0 + trading.DEADLINE_SECONDS
+        assert tree.subtask_count() == 6
+
     def test_trade_nodes_disjoint(self):
         trading = load_example("stock_trading")
         roles = set(trading.FEED_NODES) | {
@@ -102,6 +110,14 @@ class TestWebPipelineHelpers:
         # The middle child is the parallel fan-out.
         assert len(tree.children) == 3
         assert tree.children[1].kind == "parallel"
+
+    def test_request_factory_stamps_slo_deadline(self):
+        web = load_example("web_pipeline")
+        from repro.sim.rng import StreamFactory
+
+        tree, deadline = web.RequestFactory(StreamFactory(1)).build(90.0)
+        assert deadline == 90.0 + web.SLO_MS
+        assert tree.subtask_count() == 5
 
     def test_short_service_run_completes_requests(self, monkeypatch):
         web = load_example("web_pipeline")
