@@ -311,13 +311,25 @@ def read_checkpoint_header(path: Any) -> Dict[str, Any]:
     return _validate_header(header, path)
 
 
+#: What unpickling a truncated or corrupted payload, or one pickled by a
+#: build whose classes had another layout, raises.  A corrupted length
+#: field can ask for an impossible allocation (``MemoryError``).
+_PAYLOAD_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    IndexError, KeyError, TypeError, ValueError, OverflowError,
+    MemoryError,
+)
+
+
 def load_checkpoint(path: Any) -> Any:
     """Restore the simulation saved at ``path``.
 
     Returns the :class:`~repro.system.simulation.Simulation`, ready for
     ``run()`` (which finishes the run exactly as the uninterrupted one
     would have, bit for bit).  Also restores the module-level id
-    counters, so trace labels continue the original numbering.
+    counters, so trace labels continue the original numbering.  Raises
+    :class:`CheckpointError` when the file is not a checkpoint or its
+    payload is damaged or was written by an incompatible build.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -328,6 +340,14 @@ def load_checkpoint(path: Any) -> Any:
                 f"{path}: not a repro checkpoint file ({exc})"
             )
         _validate_header(header, path)
-        payload = pickle.load(handle)
-    _restore_counters(payload["unit_counter"], payload["global_counter"])
-    return payload["simulation"]
+        try:
+            payload = pickle.load(handle)
+            simulation = payload["simulation"]
+            counters = payload["unit_counter"], payload["global_counter"]
+        except _PAYLOAD_ERRORS as exc:
+            raise CheckpointError(
+                f"{path}: damaged or incompatible checkpoint payload "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+    _restore_counters(*counters)
+    return simulation

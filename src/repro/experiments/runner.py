@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..checkpoint import atomic_write
 from ..stats.confidence import IntervalEstimate, interval_from_samples
 from ..system.config import SystemConfig
-from ..system.metrics import RunResult
+from ..system.metrics import FOLDS, RunResult
 from ..system.simulation import Simulation
 
 
@@ -131,38 +131,25 @@ class PointEstimate:
     utilization: float
     local_completed: int
     global_completed: int
-    #: Total preemption events across nodes and replications (0 for
-    #: non-preemptive configurations; see ``NodeStats.preemptions``).
+    #: The replication folds of the metric table
+    #: (:data:`repro.system.metrics.FOLDS`), one field per folded row:
+    #: node and run counters and the global class's ``failed`` summed
+    #: over nodes and replications (all 0 in fault-free, oracle-mode,
+    #: non-preemptive configurations); ``detect_latency``, the mean
+    #: crash-to-suspicion latency weighted by each replication's
+    #: detection count; ``p99_late``, the mean over replications of the
+    #: global-class p99 lateness.  Both means are ``nan`` when nothing
+    #: was observed.
     preemptions: int = 0
-    #: Total node crashes across nodes and replications (0 fault-free).
     crashes: int = 0
-    #: Total crash-discarded work units across nodes and replications.
     lost: int = 0
-    #: Total retry resubmissions across replications (0 unless a
-    #: retry-enabled fault spec is configured).
     retries: int = 0
-    #: Global tasks that exhausted their retry budget and failed
-    #: (``ClassStats.failed``; a subset of aborts), across replications.
     failed: int = 0
-    #: Submits bounced off a crashed node by the failure detector's
-    #: misroute path (0 in oracle mode), across replications.
     misroutes: int = 0
-    #: Detector suspicions of nodes that were actually up (0 in oracle
-    #: mode), across replications.
     false_suspicions: int = 0
-    #: Crashes the detector never noticed before the node recovered
-    #: (0 in oracle mode), across replications.
     missed_detections: int = 0
-    #: Crashes the detector did notice (0 in oracle mode), across
-    #: replications.
     detections: int = 0
-    #: Mean crash-to-suspicion latency, weighted by each replication's
-    #: detection count; ``nan`` when nothing was detected.
     detect_latency: float = math.nan
-    #: Mean (over replications) of the global-class p99 lateness -- the
-    #: tail the paper's mean-based measures hide.  ``nan`` when no
-    #: replication completed a global task (P^2 sketches do not merge,
-    #: so replications are averaged, not pooled).
     p99_late: float = math.nan
 
     @property
@@ -193,37 +180,12 @@ def _aggregate(
     utilizations: List[float] = []
     local_completed = 0
     global_completed = 0
-    preemptions = 0
-    crashes = 0
-    lost = 0
-    retries = 0
-    failed = 0
-    misroutes = 0
-    false_suspicions = 0
-    missed_detections = 0
-    detections = 0
-    latency_sum = 0.0
-    p99_lates: List[float] = []
     for result in results:
         md_locals.append(result.md_local)
         md_globals.append(result.md_global)
         utilizations.append(result.mean_utilization)
         local_completed += result.local.completed
         global_completed += result.global_.completed
-        preemptions += result.total_preemptions
-        crashes += result.total_crashes
-        lost += result.total_lost
-        retries += result.retries
-        failed += result.global_.failed
-        misroutes += result.misroutes
-        false_suspicions += result.false_suspicions
-        missed_detections += result.missed_detections
-        detections += result.detections
-        if result.detections:
-            latency_sum += result.detection_latency * result.detections
-        p99 = result.global_.p99_lateness
-        if not math.isnan(p99):
-            p99_lates.append(p99)
     return PointEstimate(
         config=config,
         md_local=interval_from_samples(md_locals, level),
@@ -231,21 +193,7 @@ def _aggregate(
         utilization=sum(utilizations) / len(utilizations),
         local_completed=local_completed,
         global_completed=global_completed,
-        preemptions=preemptions,
-        crashes=crashes,
-        lost=lost,
-        retries=retries,
-        failed=failed,
-        misroutes=misroutes,
-        false_suspicions=false_suspicions,
-        missed_detections=missed_detections,
-        detections=detections,
-        detect_latency=(
-            latency_sum / detections if detections else math.nan
-        ),
-        p99_late=(
-            sum(p99_lates) / len(p99_lates) if p99_lates else math.nan
-        ),
+        **{row.estimate: row.fold_over(results) for row in FOLDS},
     )
 
 

@@ -16,7 +16,7 @@ from the echoed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from ..experiments.runner import (
@@ -29,7 +29,18 @@ from ..experiments.runner import (
 )
 from ..stats.tables import format_percent, render_table
 from ..system.config import SystemConfig
+from ..system.metrics import FOLDS, NANMEAN, Metric
 from .spec import ScenarioSpec
+
+_LABELLED = {row.estimate: row for row in FOLDS if row.label}
+
+#: The metric columns of the sweep report: the labelled replication
+#: folds in ``PointEstimate`` field order, the tail (``NANMEAN``) ones
+#: first, next to the miss ratios they complement.
+REPORT_COLUMNS: Tuple[Metric, ...] = tuple(sorted(
+    (_LABELLED[f.name] for f in fields(PointEstimate) if f.name in _LABELLED),
+    key=lambda row: row.fold != NANMEAN,
+))
 
 #: Default strategy panel for sweeps: the paper's SSP contenders plus the
 #: DIV-family combination (PSP side active on parallel structures).
@@ -90,34 +101,19 @@ class ScenarioSweepResult:
     def table(self) -> str:
         """Render the per-scenario strategy ranking as one table.
 
-        The ``preempt`` column is the total preemption count across
-        nodes and replications (``PointEstimate.preemptions``): 0 for
-        non-preemptive scenarios, and a direct preemption-pressure
-        ranking signal for the ``preemptive-*`` family.  ``crash`` /
-        ``lost`` / ``retry`` / ``fail`` are the fault-model counters
-        (all 0 for fault-free scenarios): crash events, crash-discarded
-        work units, retry resubmissions, and global tasks that exhausted
-        their retry budget, across nodes and replications.
-        ``misroute`` / ``fp`` / ``fn`` / ``detect`` are the
-        failure-detection counters (all 0/- in oracle mode): submits
-        bounced off crashed nodes, false suspicions of live nodes,
-        crashes never detected before recovery, and the mean
-        crash-to-suspicion latency.
-        ``p99_late`` is the mean-over-replications global p99 lateness
-        (``PointEstimate.p99_late``) -- the tail the miss-ratio columns
-        cannot show; ``-`` when no replication completed a global task.
+        After the miss ratios come the :data:`REPORT_COLUMNS`, each a
+        labelled row of the metric table (its field comment in
+        :mod:`repro.system.metrics` says what it measures) folded over
+        nodes and replications: the global p99 lateness first, then the
+        preemption, fault and failure-detection counters.  A counter
+        reads 0, and an empty mean ``-``, when its feature is off.
         """
-        headers = [
-            "scenario", "rank", "strategy", "MD_global", "MD_local", "gap",
-            "p99_late", "preempt", "crash", "lost", "retry", "fail",
-            "misroute", "fp", "fn", "detect",
-        ]
+        headers = ["scenario", "rank", "strategy", "MD_global", "MD_local",
+                   "gap"] + [row.label for row in REPORT_COLUMNS]
         rows: List[List[object]] = []
         for scenario in self.scenarios:
             for rank, cell in enumerate(self.ranking(scenario), start=1):
                 estimate = cell.estimate
-                p99_late = estimate.p99_late
-                detect = estimate.detect_latency
                 rows.append([
                     scenario if rank == 1 else "",
                     rank,
@@ -125,16 +121,9 @@ class ScenarioSweepResult:
                     format_percent(estimate.md_global.mean),
                     format_percent(estimate.md_local.mean),
                     format_percent(estimate.gap),
-                    "-" if math.isnan(p99_late) else f"{p99_late:.3f}",
-                    estimate.preemptions,
-                    estimate.crashes,
-                    estimate.lost,
-                    estimate.retries,
-                    estimate.failed,
-                    estimate.misroutes,
-                    estimate.false_suspicions,
-                    estimate.missed_detections,
-                    "-" if math.isnan(detect) else f"{detect:.2f}",
+                ] + [
+                    row.render(getattr(estimate, row.estimate))
+                    for row in REPORT_COLUMNS
                 ])
         table = render_table(
             headers,

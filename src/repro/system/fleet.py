@@ -4,64 +4,53 @@ Constructing a 100k-node system used to mean 300k :class:`TimeWeighted`
 objects (busy / queue / down signals), each a Python object with a name
 string and seven slots -- ~0.3 s of pure allocation before the first
 event fires, and a pointer-chasing cache miss per signal touch.
-:class:`FleetState` replaces that with eighteen flat ``float`` lists and
-five ``int`` lists, one entry per node, owned in one place.  Node server
-loops bind the raw lists once and update them with straight-line float
-arithmetic (bit-identical to the inlined ``TimeWeighted`` updates they
-replace); everything that still wants a per-signal *object* -- the fault
+:class:`FleetState` replaces that with twelve flat ``float`` lists, one
+entry per node, owned in one place.  Node server loops bind the raw
+lists once and update them with straight-line float arithmetic
+(bit-identical to the inlined ``TimeWeighted`` updates they replace);
+everything that still wants a per-signal *object* -- the fault
 injector's down signal, external tests -- goes through the
 :class:`SignalView` proxy, which implements the exact ``TimeWeighted``
 arithmetic against the shared arrays.
 
-The per-signal layout mirrors ``TimeWeighted`` field for field:
+The per-signal layout mirrors ``TimeWeighted``'s accumulation fields
+(its extrema are not kept: nothing reads them per node):
 
 ===========  ===========================================================
 ``value``    current signal value (piecewise-constant)
 ``area``     integral of the signal over ``[start, last]``
 ``last``     time of the most recent update
 ``start``    start of the current accumulation window (warm-up reset)
-``min/max``  extrema since the window started
 ===========  ===========================================================
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
 
 __all__ = ["FleetState", "SignalView", "SignalViews"]
 
 
 class FleetState:
-    """Owner of every per-node hot counter, as flat parallel lists.
+    """Owner of every per-node time-weighted signal, as flat parallel lists.
 
-    Three time-weighted signals per node (``busy``, ``queue``, ``down``)
-    plus five event counters (``dispatched``, ``preemptions``,
-    ``crashes``, ``lost``, ``suspicions``).  Nodes and the metrics
-    collector view into these lists; nothing copies them.
+    Three signals per node (``busy``, ``queue``, ``down``).  Nodes and
+    the metrics collector view into these lists; nothing copies them.
+    (The per-node event counters are the collector's ``node_*`` lists.)
     """
 
     __slots__ = (
         "node_count",
         "busy_value", "busy_area", "busy_last", "busy_start",
-        "busy_min", "busy_max",
         "queue_value", "queue_area", "queue_last", "queue_start",
-        "queue_min", "queue_max",
         "down_value", "down_area", "down_last", "down_start",
-        "down_min", "down_max",
-        "dispatched", "preemptions", "crashes", "lost", "suspicions",
     )
 
     def __init__(self, node_count: int) -> None:
         self.node_count = node_count
         for kind in ("busy", "queue", "down"):
-            for field in ("value", "area", "last", "start", "min", "max"):
+            for field in ("value", "area", "last", "start"):
                 setattr(self, f"{kind}_{field}", [0.0] * node_count)
-        self.dispatched: List[int] = [0] * node_count
-        self.preemptions: List[int] = [0] * node_count
-        self.crashes: List[int] = [0] * node_count
-        self.lost: List[int] = [0] * node_count
-        self.suspicions: List[int] = [0] * node_count
 
     # -- warm-up -----------------------------------------------------------
 
@@ -70,32 +59,17 @@ class FleetState:
 
         Same semantics as ``TimeWeighted.reset`` per node: the current
         value is *kept* (a node busy -- or down -- across the warm-up
-        boundary stays busy/down in the measured window), the area and
-        window start over, and the extrema collapse to the current value.
+        boundary stays busy/down in the measured window), and the area
+        and window start over.
         """
         for kind in ("busy", "queue", "down"):
-            values = getattr(self, f"{kind}_value")
             areas = getattr(self, f"{kind}_area")
             lasts = getattr(self, f"{kind}_last")
             starts = getattr(self, f"{kind}_start")
-            mins = getattr(self, f"{kind}_min")
-            maxs = getattr(self, f"{kind}_max")
             for i in range(self.node_count):
                 areas[i] = 0.0
                 lasts[i] = now
                 starts[i] = now
-                value = values[i]
-                mins[i] = value
-                maxs[i] = value
-
-    def reset_counters(self) -> None:
-        """Zero the per-node event counters, in place (nodes hold refs)."""
-        n = self.node_count
-        self.dispatched[:] = [0] * n
-        self.preemptions[:] = [0] * n
-        self.crashes[:] = [0] * n
-        self.lost[:] = [0] * n
-        self.suspicions[:] = [0] * n
 
 
 class SignalView:
@@ -108,16 +82,13 @@ class SignalView:
     so going through a view is bit-identical to the object it replaces.
     """
 
-    __slots__ = ("_values", "_areas", "_lasts", "_starts", "_mins", "_maxs",
-                 "index")
+    __slots__ = ("_values", "_areas", "_lasts", "_starts", "index")
 
-    def __init__(self, values, areas, lasts, starts, mins, maxs, index):
+    def __init__(self, values, areas, lasts, starts, index):
         self._values = values
         self._areas = areas
         self._lasts = lasts
         self._starts = starts
-        self._mins = mins
-        self._maxs = maxs
         self.index = index
 
     @property
@@ -130,14 +101,6 @@ class SignalView:
     def _value(self) -> float:
         return self._values[self.index]
 
-    @property
-    def min(self) -> float:
-        return self._mins[self.index]
-
-    @property
-    def max(self) -> float:
-        return self._maxs[self.index]
-
     def update(self, value: float, now: float) -> None:
         i = self.index
         last = self._lasts[i]
@@ -148,10 +111,6 @@ class SignalView:
         self._areas[i] += self._values[i] * (now - last)
         self._lasts[i] = now
         self._values[i] = value
-        if value < self._mins[i]:
-            self._mins[i] = value
-        if value > self._maxs[i]:
-            self._maxs[i] = value
 
     def increment(self, delta: float, now: float) -> None:
         i = self.index
@@ -161,14 +120,9 @@ class SignalView:
                 f"time went backwards: {now} < {last} in signal {i}"
             )
         old = self._values[i]
-        value = old + delta
         self._areas[i] += old * (now - last)
         self._lasts[i] = now
-        self._values[i] = value
-        if value < self._mins[i]:
-            self._mins[i] = value
-        if value > self._maxs[i]:
-            self._maxs[i] = value
+        self._values[i] = old + delta
 
     def mean_at(self, now: float) -> float:
         i = self.index
@@ -183,9 +137,6 @@ class SignalView:
         self._areas[i] = 0.0
         self._lasts[i] = now
         self._starts[i] = now
-        value = self._values[i]
-        self._mins[i] = value
-        self._maxs[i] = value
 
     def __repr__(self) -> str:
         return f"SignalView({self.index}, value={self._values[self.index]!r})"
@@ -198,15 +149,13 @@ class SignalViews:
     sequence materializes one on each ``[i]``.
     """
 
-    __slots__ = ("_values", "_areas", "_lasts", "_starts", "_mins", "_maxs")
+    __slots__ = ("_values", "_areas", "_lasts", "_starts")
 
     def __init__(self, fleet: FleetState, kind: str) -> None:
         self._values = getattr(fleet, f"{kind}_value")
         self._areas = getattr(fleet, f"{kind}_area")
         self._lasts = getattr(fleet, f"{kind}_last")
         self._starts = getattr(fleet, f"{kind}_start")
-        self._mins = getattr(fleet, f"{kind}_min")
-        self._maxs = getattr(fleet, f"{kind}_max")
 
     def __len__(self) -> int:
         return len(self._values)
@@ -217,6 +166,5 @@ class SignalViews:
         if index < 0:
             index += len(self._values)
         return SignalView(
-            self._values, self._areas, self._lasts, self._starts,
-            self._mins, self._maxs, index,
+            self._values, self._areas, self._lasts, self._starts, index
         )

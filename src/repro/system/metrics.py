@@ -16,8 +16,8 @@ the window grows.)
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.task import TaskClass
 from ..sim.monitor import DecayedMean, DecayedRate, MeanTally
@@ -41,30 +41,148 @@ _NAN = math.nan
 PER_NODE_DETAIL_THRESHOLD = 256
 
 
+# -- the metric table ----------------------------------------------------------
+#
+# Every reported metric is a field of ClassStats (scope "class"),
+# NodeStats ("node") or RunResult ("run") declared with ``metric(...)``;
+# :data:`METRICS` collects those declarations into one table, and the
+# cold code -- record (de)serialization, node totals and summaries, the
+# collector's run counters, replication folds, the sweep-report columns
+# -- is driven by it.  The hot paths (per-completion recording, the node
+# loops' array writes, the per-node snapshot loop) name their fields.
+
+#: Scopes: where a metric is measured.
+CLASS, NODE, RUN = "class", "node", "run"
+
+#: Replication folds, how a data point's replications combine into one
+#: ``PointEstimate`` field: an integer total; a mean weighted by the
+#: row's ``weight`` run counter; a mean over the replications whose value
+#: is not ``nan``.  Both means are ``nan`` when there is nothing to
+#: average.
+SUM, WEIGHTED, NANMEAN = "sum", "weighted", "nanmean"
+
+_ROW = "metric"  # the dataclass-field metadata key of a table row
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One row of the metric table, declared on its field by :func:`metric`."""
+
+    name: str
+    #: ``CLASS``, ``NODE`` or ``RUN``: the dataclass the field is on.
+    scope: str
+    #: The field default, which a record written before the field existed
+    #: loads with (``dataclasses.MISSING``: the key is required).
+    default: Any
+    #: The replication fold (``None``: not on ``PointEstimate``) and the
+    #: ``PointEstimate`` field it lands in (default: ``name``).
+    fold: Optional[str] = None
+    estimate: Optional[str] = None
+    #: The sweep-report column (``None``: not reported) and its format
+    #: spec (``""``: the value as is; ``nan`` renders as ``-``).
+    label: Optional[str] = None
+    fmt: str = ""
+    #: The run counter a ``WEIGHTED`` row is weighted by.  The collector
+    #: accumulates such a row as ``<name>_sum`` and reports the sum over
+    #: the weight.
+    weight: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.fold and self.estimate is None:
+            object.__setattr__(self, "estimate", self.name)
+
+    def value(self, result: "RunResult") -> Any:
+        """This metric in one run, as the replication fold reads it: node
+        rows total over the nodes, class rows read the global class (the
+        paper's end-to-end measure), run rows read the field."""
+        if self.scope == NODE:
+            return result._node_total(self.name)
+        if self.scope == CLASS:
+            return getattr(result.global_, self.name)
+        return getattr(result, self.name)
+
+    def fold_over(self, results: Sequence["RunResult"]) -> Any:
+        """Fold the replications ``results`` with this row's fold."""
+        if self.fold == SUM:
+            return sum(self.value(result) for result in results)
+        if self.fold == WEIGHTED:
+            total = 0.0
+            weights = 0
+            for result in results:
+                weight = getattr(result, self.weight)
+                if weight:
+                    total += self.value(result) * weight
+                    weights += weight
+            return total / weights if weights else _NAN
+        values = [v for v in map(self.value, results) if not math.isnan(v)]
+        return sum(values) / len(values) if values else _NAN
+
+    def render(self, value: Any) -> Any:
+        """The sweep-report cell for ``value``."""
+        if not self.fmt:
+            return value
+        return "-" if math.isnan(value) else format(value, self.fmt)
+
+
+def metric(default: Any = MISSING, **row: Any) -> Any:
+    """A result field that is one :class:`Metric` row: ``default`` is the
+    field default, ``row`` the row's optional fields (``fold``,
+    ``estimate``, ``label``, ``fmt``, ``weight``)."""
+    return field(default=default, metadata={_ROW: row})
+
+
+def _rows(cls: type, scope: str) -> Tuple[Metric, ...]:
+    return tuple(
+        Metric(f.name, scope, f.default, **f.metadata[_ROW])
+        for f in fields(cls) if _ROW in f.metadata
+    )
+
+
+def _from_record(cls: type, data: Dict[str, Any]) -> Any:
+    """Build the dataclass ``cls`` from its ``to_dict`` form.
+
+    Tolerant of older records: a key written before its field existed
+    loads with the field's default (a missing required key raises
+    ``KeyError``), and unknown keys are ignored -- so sweep journals from
+    any prior release stay loadable.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = data[f.name]
+        elif f.default is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class ClassStats:
     """Immutable snapshot of one task class's outcome statistics."""
 
-    completed: int
-    missed: int
-    aborted: int
-    mean_response: float
-    mean_lateness: float
-    mean_waiting: float
+    completed: int = metric()
+    missed: int = metric()
+    aborted: int = metric()
+    mean_response: float = metric()
+    mean_lateness: float = metric()
+    mean_waiting: float = metric()
     #: Tasks whose retry budget was exhausted after crash losses (the
     #: ``"failed"`` :class:`GlobalTaskOutcome` disposition).  A subset of
     #: ``aborted`` -- failed tasks are counted in both.
-    failed: int = 0
+    failed: int = metric(0, fold=SUM, label="fail")
     #: Streaming percentile estimates of response time and lateness,
     #: from O(1)-memory P² sketches (:mod:`repro.sim.sketch`): exact for
     #: up to five completions, Jain/Chlamtac marker estimates beyond.
-    #: ``nan`` when nothing completed.
-    p50_response: float = _NAN
-    p95_response: float = _NAN
-    p99_response: float = _NAN
-    p50_lateness: float = _NAN
-    p95_lateness: float = _NAN
-    p99_lateness: float = _NAN
+    #: ``nan`` when nothing completed.  The global p99 lateness is the
+    #: tail the paper's mean-based measures hide (P² sketches do not
+    #: merge, so replications are averaged, not pooled).
+    p50_response: float = metric(_NAN)
+    p95_response: float = metric(_NAN)
+    p99_response: float = metric(_NAN)
+    p50_lateness: float = metric(_NAN)
+    p95_lateness: float = metric(_NAN)
+    p99_lateness: float = metric(
+        _NAN, fold=NANMEAN, label="p99_late", fmt=".3f", estimate="p99_late"
+    )
 
     @property
     def miss_ratio(self) -> float:
@@ -81,79 +199,100 @@ class ClassStats:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassStats":
-        """Inverse of :meth:`to_dict`, tolerant of older records.
-
-        Fields added after a journal was written default (counters to 0,
-        percentiles to ``nan``), and unknown keys are ignored -- so sweep
-        journals from any prior release stay loadable.
-        """
-        return cls(
-            completed=data["completed"],
-            missed=data["missed"],
-            aborted=data["aborted"],
-            mean_response=data["mean_response"],
-            mean_lateness=data["mean_lateness"],
-            mean_waiting=data["mean_waiting"],
-            failed=data.get("failed", 0),
-            p50_response=data.get("p50_response", _NAN),
-            p95_response=data.get("p95_response", _NAN),
-            p99_response=data.get("p99_response", _NAN),
-            p50_lateness=data.get("p50_lateness", _NAN),
-            p95_lateness=data.get("p95_lateness", _NAN),
-            p99_lateness=data.get("p99_lateness", _NAN),
-        )
+    from_dict = classmethod(_from_record)
 
 
 @dataclass(frozen=True, slots=True)
 class NodeStats:
-    """Immutable snapshot of one node's load statistics."""
+    """Immutable snapshot of one node's load statistics.
+
+    The ``int`` rows are per-node event counters (see
+    :data:`NODE_COUNTERS`); the ``float`` rows are time-weighted signal
+    means over the measured window.
+    """
 
     index: int
-    utilization: float
-    mean_queue_length: float
-    dispatched: int
+    utilization: float = metric()
+    mean_queue_length: float = metric()
+    dispatched: int = metric()
     #: Preemption events at this node within the measured window (always
     #: 0 for non-preemptive nodes).  Unlike the node object's lifetime
     #: ``preemptions`` diagnostic, this counter restarts at the warm-up
     #: reset, so sweeps can rank scenarios/strategies by preemption rate.
-    preemptions: int = 0
+    preemptions: int = metric(0, fold=SUM, label="preempt")
     #: Crash events at this node within the measured window.
-    crashes: int = 0
+    crashes: int = metric(0, fold=SUM, label="crash")
     #: Work units discarded by crashes at this node (in-flight units under
     #: ``in_flight="lost"`` plus queued units under ``queued="dropped"``).
-    lost: int = 0
+    lost: int = metric(0, fold=SUM, label="lost")
     #: Fraction of the measured window this node spent down (time-weighted
     #: mean of the 0/1 down signal; 0.0 in fault-free runs).
-    downtime: float = 0.0
+    downtime: float = metric(0.0)
     #: Times the failure detector marked this node suspected within the
     #: measured window (0 unless a :class:`DetectorSpec` is enabled).
-    suspicions: int = 0
+    suspicions: int = metric(0)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "NodeStats":
-        """Inverse of :meth:`to_dict`, tolerant of older records (fields
-        added later default; unknown keys are ignored)."""
-        return cls(
-            index=data["index"],
-            utilization=data["utilization"],
-            mean_queue_length=data["mean_queue_length"],
-            dispatched=data["dispatched"],
-            preemptions=data.get("preemptions", 0),
-            crashes=data.get("crashes", 0),
-            lost=data.get("lost", 0),
-            downtime=data.get("downtime", 0.0),
-            suspicions=data.get("suspicions", 0),
-        )
+    from_dict = classmethod(_from_record)
+
+
+#: The per-node event counters, in field order: each is a ``node_<name>``
+#: list on :class:`MetricsCollector` (incremented inline by the nodes,
+#: the fault injector and the detector), a ``RunResult.total_<name>``
+#: and a total in the aggregated ``node_summary``.
+NODE_COUNTERS: Tuple[str, ...] = tuple(
+    f.name for f in fields(NodeStats)
+    if _ROW in f.metadata and f.type == "int"
+)
+
+
+def _node_mean(per_node: Sequence[NodeStats], name: str) -> float:
+    return sum(getattr(n, name) for n in per_node) / len(per_node)
+
+
+def _mean_active_utilization(per_node: Sequence[NodeStats]) -> float:
+    total = 0.0
+    for n in per_node:
+        uptime = 1.0 - n.downtime
+        total += n.utilization / uptime if uptime > 0.0 else 0.0
+    return total / len(per_node)
+
+
+def _summarize_nodes(per_node: Sequence[NodeStats]) -> Dict[str, Any]:
+    """Fold per-node detail into the bounded aggregate record.
+
+    Shares its folds with the ``RunResult`` node properties, so a result
+    loaded from the aggregate reports the same numbers bit for bit.
+    """
+    count = len(per_node)
+    if count == 0:
+        return {"count": 0}
+    # Extrema skip ``nan`` (a node with an empty window).
+    utils = [n.utilization for n in per_node if not math.isnan(n.utilization)]
+    summary = {
+        "count": count,
+        "utilization_mean": _node_mean(per_node, "utilization"),
+        "utilization_min": min(utils, default=math.inf),
+        "utilization_max": max(utils, default=-math.inf),
+        "active_utilization_mean": _mean_active_utilization(per_node),
+        "queue_length_mean": _node_mean(per_node, "mean_queue_length"),
+        "downtime_mean": _node_mean(per_node, "downtime"),
+    }
+    for name in NODE_COUNTERS:
+        summary[name] = sum(getattr(n, name) for n in per_node)
+    return summary
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything measured in one simulation run."""
+    """Everything measured in one simulation run.
+
+    Each per-node counter has a ``total_<name>`` property (see
+    :data:`NODE_COUNTERS`): ``total_preemptions``, ``total_crashes``,
+    ``total_lost``, ``total_suspicions`` and ``total_dispatched``.
+    """
 
     sim_time: float
     warmup: float
@@ -161,21 +300,24 @@ class RunResult:
     per_node: List[NodeStats]
     #: Leaf resubmissions by the process manager's retry layer within the
     #: measured window (0 unless a retry-enabled :class:`FaultSpec` is set).
-    retries: int = 0
+    retries: int = metric(0, fold=SUM, label="retry")
     #: Submits that reached a truly-crashed node and bounced through the
     #: process manager's misroute path (0 unless a detector is enabled).
-    misroutes: int = 0
+    misroutes: int = metric(0, fold=SUM, label="misroute")
     #: Detector suspicions of nodes that were actually up (false
     #: positives of the failure detector).
-    false_suspicions: int = 0
+    false_suspicions: int = metric(0, fold=SUM, label="fp")
     #: True down intervals that ended without ever being suspected
     #: (false negatives of the failure detector, counted at recovery).
-    missed_detections: int = 0
+    missed_detections: int = metric(0, fold=SUM, label="fn")
     #: True crashes the detector suspected while the node was down.
-    detections: int = 0
+    detections: int = metric(0, fold=SUM)
     #: Mean time from a true crash to its suspicion (``nan`` when no
     #: detection carried a latency sample).
-    detection_latency: float = _NAN
+    detection_latency: float = metric(
+        _NAN, fold=WEIGHTED, weight="detections", label="detect",
+        fmt=".2f", estimate="detect_latency",
+    )
     #: Aggregated node statistics, present on results loaded from records
     #: written with ``to_dict(aggregate_nodes=True)`` (fleet-size runs
     #: drop per-node detail from serialized forms).  ``None`` on results
@@ -213,11 +355,9 @@ class RunResult:
         availability-adjusted view (busy time over *uptime*), see
         :attr:`mean_active_utilization`.
         """
-        if not self.per_node:
-            if self.node_summary:
-                return self.node_summary.get("utilization_mean", float("nan"))
-            return float("nan")
-        return sum(n.utilization for n in self.per_node) / len(self.per_node)
+        if self.per_node:
+            return _node_mean(self.per_node, "utilization")
+        return self._summarized("utilization_mean")
 
     @property
     def mean_active_utilization(self) -> float:
@@ -226,98 +366,30 @@ class RunResult:
         down for the whole window contributes 0.0.  Equals
         :attr:`mean_utilization` in fault-free runs.
         """
-        if not self.per_node:
-            if self.node_summary:
-                return self.node_summary.get(
-                    "active_utilization_mean", float("nan")
-                )
-            return float("nan")
-        total = 0.0
-        for n in self.per_node:
-            uptime = 1.0 - n.downtime
-            total += n.utilization / uptime if uptime > 0.0 else 0.0
-        return total / len(self.per_node)
+        if self.per_node:
+            return _mean_active_utilization(self.per_node)
+        return self._summarized("active_utilization_mean")
 
     @property
     def mean_availability(self) -> float:
         """Average fraction of the window nodes were up (1.0 fault-free)."""
-        if not self.per_node:
-            if self.node_summary:
-                return 1.0 - self.node_summary.get("downtime_mean", 0.0)
-            return float("nan")
-        return 1.0 - sum(n.downtime for n in self.per_node) / len(self.per_node)
+        if self.per_node:
+            return 1.0 - _node_mean(self.per_node, "downtime")
+        return 1.0 - self._summarized("downtime_mean", 0.0)
 
-    @property
-    def total_preemptions(self) -> int:
-        """Preemption events across all nodes in the measured window."""
+    def _summarized(self, key: str, missing: float = _NAN) -> float:
+        """``key`` of the aggregated record's ``node_summary`` (``missing``
+        when the record predates it; ``nan`` without any node data)."""
+        if self.node_summary:
+            return self.node_summary.get(key, missing)
+        return _NAN
+
+    def _node_total(self, name: str) -> int:
+        """One per-node counter summed over the nodes (read from the
+        ``node_summary`` of an aggregated record)."""
         if not self.per_node and self.node_summary:
-            return self.node_summary.get("preemptions", 0)
-        return sum(n.preemptions for n in self.per_node)
-
-    @property
-    def total_crashes(self) -> int:
-        """Crash events across all nodes in the measured window."""
-        if not self.per_node and self.node_summary:
-            return self.node_summary.get("crashes", 0)
-        return sum(n.crashes for n in self.per_node)
-
-    @property
-    def total_lost(self) -> int:
-        """Crash-discarded work units across all nodes in the window."""
-        if not self.per_node and self.node_summary:
-            return self.node_summary.get("lost", 0)
-        return sum(n.lost for n in self.per_node)
-
-    @property
-    def total_suspicions(self) -> int:
-        """Detector suspicion events across all nodes in the window."""
-        if not self.per_node and self.node_summary:
-            return self.node_summary.get("suspicions", 0)
-        return sum(n.suspicions for n in self.per_node)
-
-    @staticmethod
-    def _summarize_nodes(per_node: List[NodeStats]) -> Dict[str, Any]:
-        """Fold per-node detail into the bounded aggregate record."""
-        count = len(per_node)
-        if count == 0:
-            return {"count": 0}
-        util_sum = 0.0
-        util_min = math.inf
-        util_max = -math.inf
-        active_sum = 0.0
-        queue_sum = 0.0
-        downtime_sum = 0.0
-        dispatched = preemptions = crashes = lost = suspicions = 0
-        for n in per_node:
-            util = n.utilization
-            util_sum += util
-            if util < util_min:
-                util_min = util
-            if util > util_max:
-                util_max = util
-            uptime = 1.0 - n.downtime
-            active_sum += util / uptime if uptime > 0.0 else 0.0
-            queue_sum += n.mean_queue_length
-            downtime_sum += n.downtime
-            dispatched += n.dispatched
-            preemptions += n.preemptions
-            crashes += n.crashes
-            lost += n.lost
-            suspicions += n.suspicions
-        return {
-            "count": count,
-            "utilization_mean": util_sum / count,
-            "utilization_min": util_min,
-            "utilization_max": util_max,
-            "active_utilization_mean": active_sum / count,
-            "queue_length_mean": queue_sum / count,
-            "downtime_mean": downtime_sum / count,
-            "dispatched": dispatched,
-            "preemptions": preemptions,
-            "crashes": crashes,
-            "lost": lost,
-            "suspicions": suspicions,
-        }
+            return self.node_summary.get(name, 0)
+        return sum(getattr(n, name) for n in self.per_node)
 
     def to_dict(self, aggregate_nodes: bool = False) -> Dict[str, Any]:
         """JSON-serializable form; exact inverse of :meth:`from_dict`.
@@ -332,54 +404,61 @@ class RunResult:
         record serializes in O(1) instead of O(n).  The default emits the
         exact historical record, byte for byte.
         """
-        per_node: List[Dict[str, Any]] = (
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["per_class"] = {
+            name: stats.to_dict() for name, stats in self.per_class.items()
+        }
+        data["per_node"] = (
             [] if aggregate_nodes
             else [stats.to_dict() for stats in self.per_node]
         )
-        data = {
-            "sim_time": self.sim_time,
-            "warmup": self.warmup,
-            "per_class": {
-                name: stats.to_dict()
-                for name, stats in self.per_class.items()
-            },
-            "per_node": per_node,
-            "retries": self.retries,
-            "misroutes": self.misroutes,
-            "false_suspicions": self.false_suspicions,
-            "missed_detections": self.missed_detections,
-            "detections": self.detections,
-            "detection_latency": self.detection_latency,
-        }
         summary = self.node_summary
         if aggregate_nodes and summary is None:
-            summary = self._summarize_nodes(self.per_node)
-        if summary is not None:
+            summary = _summarize_nodes(self.per_node)
+        if summary is None:
+            del data["node_summary"]
+        else:
             data["node_summary"] = summary
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Inverse of :meth:`to_dict`, tolerant of records written before
-        a field existed (``retries`` landed after the first journals)."""
-        return cls(
-            sim_time=data["sim_time"],
-            warmup=data["warmup"],
+        """Inverse of :meth:`to_dict`, tolerant of older records (see
+        :func:`_from_record`)."""
+        return _from_record(cls, dict(
+            data,
             per_class={
                 name: ClassStats.from_dict(stats)
                 for name, stats in data["per_class"].items()
             },
-            per_node=[
-                NodeStats.from_dict(stats) for stats in data["per_node"]
-            ],
-            retries=data.get("retries", 0),
-            misroutes=data.get("misroutes", 0),
-            false_suspicions=data.get("false_suspicions", 0),
-            missed_detections=data.get("missed_detections", 0),
-            detections=data.get("detections", 0),
-            detection_latency=data.get("detection_latency", _NAN),
-            node_summary=data.get("node_summary"),
-        )
+            per_node=[NodeStats.from_dict(stats) for stats in data["per_node"]],
+        ))
+
+
+for _name in NODE_COUNTERS:
+    setattr(RunResult, f"total_{_name}", property(
+        lambda self, name=_name: self._node_total(name),
+        doc=f"``{_name}`` events across all nodes in the measured window.",
+    ))
+del _name
+
+#: The metric table: one row per reported metric, in class, node, run
+#: field order.
+METRICS: Tuple[Metric, ...] = (
+    _rows(ClassStats, CLASS) + _rows(NodeStats, NODE) + _rows(RunResult, RUN)
+)
+
+#: The rows folded over replications into ``PointEstimate`` fields.
+FOLDS: Tuple[Metric, ...] = tuple(row for row in METRICS if row.fold)
+
+_RUN_ROWS = tuple(row for row in METRICS if row.scope == RUN)
+
+#: The collector's run counters and their zeros: one per run row, a
+#: ``WEIGHTED`` row accumulating its ``<name>_sum``.
+_RUN_COUNTERS: Tuple[Tuple[str, Any], ...] = tuple(
+    (f"{row.name}_sum", 0.0) if row.weight else (row.name, row.default)
+    for row in _RUN_ROWS
+)
 
 
 class _ClassAccumulator:
@@ -606,8 +685,8 @@ class MetricsCollector:
         # Bound once: accumulators are reset in place, never replaced.
         self._local_acc = self._classes[TaskClass.LOCAL]
         self._global_acc = self._classes[TaskClass.GLOBAL]
-        #: Flat array-backed per-node state: one owner for every hot
-        #: counter, so a 100k-node collector is 23 list allocations
+        #: Flat array-backed per-node signals plus one flat list per
+        #: event counter, so a 100k-node collector is 17 list allocations
         #: instead of 300k ``TimeWeighted`` objects.  Node server loops
         #: bind and mutate the raw lists; the ``node_busy`` /
         #: ``node_queue`` / ``node_down`` attributes below are
@@ -615,34 +694,22 @@ class MetricsCollector:
         self.fleet = FleetState(node_count)
         self.node_busy = SignalViews(self.fleet, "busy")
         self.node_queue = SignalViews(self.fleet, "queue")
-        #: Per-node event counters -- aliases of the ``FleetState`` lists
-        #: (reset happens in place; node server loops hold references).
-        self.node_dispatched: List[int] = self.fleet.dispatched
-        #: Per-node preemption counts (preemptive nodes increment their
-        #: slot inline; reset at warm-up like ``node_dispatched``).
-        self.node_preemptions: List[int] = self.fleet.preemptions
-        #: Per-node crash counts (incremented by the fault injector).
-        self.node_crashes: List[int] = self.fleet.crashes
-        #: Per-node crash-discarded unit counts (incremented by the nodes'
-        #: ``_discard_lost``).
-        self.node_lost: List[int] = self.fleet.lost
-        #: Per-node suspicion counts (incremented by the failure detector).
-        self.node_suspicions: List[int] = self.fleet.suspicions
         #: Per-node 0/1 down signal (1.0 while crashed); ``reset`` keeps
         #: the current value, so a node down across the warm-up boundary
         #: keeps accruing downtime in the measured window.
         self.node_down = SignalViews(self.fleet, "down")
-        #: Leaf resubmissions by the process manager's retry layer.
-        self.retries = 0
-        #: Misroute bounces by the process manager's detector path.
-        self.misroutes = 0
-        #: Failure-detector accounting (see :class:`RunResult`): false
-        #: positives, false negatives, detections, and the latency sum
-        #: behind the mean reported in snapshots.
-        self.false_suspicions = 0
-        self.missed_detections = 0
-        self.detections = 0
-        self.detection_latency_sum = 0.0
+        #: Per-node event counters, one ``node_<name>`` list per entry of
+        #: :data:`NODE_COUNTERS` (``node_dispatched``, ``node_crashes``,
+        #: ...).  Nodes, the fault injector and the detector increment
+        #: their slot inline and hold references, so ``reset`` zeroes the
+        #: lists in place.
+        for name in NODE_COUNTERS:
+            setattr(self, f"node_{name}", [0] * node_count)
+        #: Run-scope counters, one attribute per run row of the metric
+        #: table (``retries``, ``misroutes``, the detector's counters and
+        #: its ``detection_latency_sum``), incremented by their owners.
+        for name, zero in _RUN_COUNTERS:
+            setattr(self, name, zero)
         self._warmup_end = 0.0
         self._tracer = None
         #: Optional :class:`WindowedSignals` (see :meth:`enable_windows`);
@@ -810,13 +877,11 @@ class MetricsCollector:
         # across the warm-up boundary stays so in the measured window.
         self.fleet.reset_signals(now)
         # In place: node server loops hold references to these lists.
-        self.fleet.reset_counters()
-        self.retries = 0
-        self.misroutes = 0
-        self.false_suspicions = 0
-        self.missed_detections = 0
-        self.detections = 0
-        self.detection_latency_sum = 0.0
+        zeros = [0] * self.fleet.node_count
+        for name in NODE_COUNTERS:
+            getattr(self, f"node_{name}")[:] = zeros
+        for name, zero in _RUN_COUNTERS:
+            setattr(self, name, zero)
         self._warmup_end = now
         if self._window is not None:
             self._window.reset(now)
@@ -835,6 +900,10 @@ class MetricsCollector:
         d_value, d_area, d_last, d_start = (
             fleet.down_value, fleet.down_area, fleet.down_last,
             fleet.down_start,
+        )
+        dispatched, preemptions, crashes, lost, suspicions = (
+            self.node_dispatched, self.node_preemptions, self.node_crashes,
+            self.node_lost, self.node_suspicions,
         )
         per_node = []
         for i in range(fleet.node_count):
@@ -865,29 +934,30 @@ class MetricsCollector:
                 index=i,
                 utilization=utilization,
                 mean_queue_length=mean_queue,
-                dispatched=fleet.dispatched[i],
-                preemptions=fleet.preemptions[i],
-                crashes=fleet.crashes[i],
-                lost=fleet.lost[i],
+                dispatched=dispatched[i],
+                preemptions=preemptions[i],
+                crashes=crashes[i],
+                lost=lost[i],
                 downtime=downtime,
-                suspicions=fleet.suspicions[i],
+                suspicions=suspicions[i],
             ))
         per_class = {
             cls.value: acc.snapshot() for cls, acc in self._classes.items()
         }
-        detections = self.detections
+        run = {}
+        for row in _RUN_ROWS:
+            if row.weight is None:
+                run[row.name] = getattr(self, row.name)
+            else:
+                weight = getattr(self, row.weight)
+                run[row.name] = (
+                    getattr(self, f"{row.name}_sum") / weight if weight
+                    else _NAN
+                )
         return RunResult(
             sim_time=now,
             warmup=self._warmup_end,
             per_class=per_class,
             per_node=per_node,
-            retries=self.retries,
-            misroutes=self.misroutes,
-            false_suspicions=self.false_suspicions,
-            missed_detections=self.missed_detections,
-            detections=detections,
-            detection_latency=(
-                self.detection_latency_sum / detections if detections
-                else _NAN
-            ),
+            **run,
         )

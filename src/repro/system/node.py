@@ -51,8 +51,8 @@ class Node:
         "_busy", "_serving", "_wake_pending",
         "_up", "_sleep", "_service_end", "_frozen_left",
         "_lose_in_flight", "_drop_queued",
-        "_q_value", "_q_area", "_q_last", "_q_min", "_q_max",
-        "_b_value", "_b_area", "_b_last", "_b_min", "_b_max",
+        "_q_value", "_q_area", "_q_last",
+        "_b_value", "_b_area", "_b_last",
         "_outstanding_listener",
         "_heap", "_queue_key", "_queue_seq",
         "_on_complete", "_on_wake", "_wake_event", "_abort_check",
@@ -100,13 +100,9 @@ class Node:
         self._q_value = fleet.queue_value
         self._q_area = fleet.queue_area
         self._q_last = fleet.queue_last
-        self._q_min = fleet.queue_min
-        self._q_max = fleet.queue_max
         self._b_value = fleet.busy_value
         self._b_area = fleet.busy_area
         self._b_last = fleet.busy_last
-        self._b_min = fleet.busy_min
-        self._b_max = fleet.busy_max
         #: Outstanding-count change hook (``None`` keeps the hot path at
         #: one pointer check, the tracer discipline).  An incremental
         #: placement policy (least-outstanding) binds this to learn of
@@ -172,16 +168,12 @@ class Node:
         )
         now = self.env._now
         index = self.index
-        # Inlined queue increment(1, now) against the flat arrays: kernel
-        # time is monotone, and a +1 step can raise only the maximum.
+        # Inlined queue increment(1, now) against the flat arrays.
         q_value = self._q_value
         old = q_value[index]
         self._q_area[index] += old * (now - self._q_last[index])
         self._q_last[index] = now
-        value = old + 1.0
-        q_value[index] = value
-        if value > self._q_max[index]:
-            self._q_max[index] = value
+        q_value[index] = old + 1.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "submit", unit, index)
@@ -237,20 +229,15 @@ class Node:
         q_value = self._q_value
         q_area = self._q_area
         q_last = self._q_last
-        q_min = self._q_min
         abort_check = self._abort_check
         while heap:
             unit = heappop(heap)[3]
             now = env._now
-            # Inlined queue increment(-1, now): a -1 step can lower only
-            # the minimum.
+            # Inlined queue increment(-1, now).
             old = q_value[index]
             q_area[index] += old * (now - q_last[index])
             q_last[index] = now
-            qlen = old - 1.0
-            q_value[index] = qlen
-            if qlen < q_min[index]:
-                q_min[index] = qlen
+            q_value[index] = old - 1.0
             metrics.node_dispatched[index] += 1
             timing = unit.timing
 
@@ -282,8 +269,6 @@ class Node:
             # bookkeeping fields move.
             self._b_last[index] = now
             self._b_value[index] = 1.0
-            if self._b_max[index] < 1.0:
-                self._b_max[index] = 1.0
             timing.started_at = now
             if metrics._tracer is not None:
                 metrics._tracer.record(now, "dispatch", unit, index)
@@ -327,8 +312,6 @@ class Node:
         self._b_area[index] += now - self._b_last[index]
         self._b_last[index] = now
         self._b_value[index] = 0.0
-        if self._b_min[index] > 0.0:
-            self._b_min[index] = 0.0
         if metrics._tracer is not None:
             metrics._tracer.record(now, "complete", unit, index)
         metrics.record_unit_completion(unit, now)
@@ -386,8 +369,6 @@ class Node:
             self._b_area[index] += now - self._b_last[index]
             self._b_last[index] = now
             self._b_value[index] = 0.0
-            if self._b_min[index] > 0.0:
-                self._b_min[index] = 0.0
             unit = self._serving
             if self._lose_in_flight:
                 self._serving = None
@@ -422,8 +403,6 @@ class Node:
             # Inlined busy update(1, now): 0 -> 1 edge adds no area.
             self._b_last[index] = now
             self._b_value[index] = 1.0
-            if self._b_max[index] < 1.0:
-                self._b_max[index] = 1.0
             self._service_end = now + left
             self._sleep = env._sleep(left, self._on_complete)
         elif self._heap and not self._wake_pending:
@@ -444,12 +423,7 @@ class Node:
         old = q_value[index]
         self._q_area[index] += old * (now - self._q_last[index])
         self._q_last[index] = now
-        value = old + delta
-        q_value[index] = value
-        if value < self._q_min[index]:
-            self._q_min[index] = value
-        if value > self._q_max[index]:
-            self._q_max[index] = value
+        q_value[index] = old + delta
 
     def _discard_lost(self, unit: WorkUnit, now: float) -> None:
         """Account a crash-discarded unit and release its waiters.

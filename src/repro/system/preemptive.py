@@ -133,16 +133,12 @@ class PreemptiveNode(Node):
         env = self.env
         now = env._now
         index = self.index
-        # Inlined queue increment(1, now) against the flat arrays: kernel
-        # time is monotone, and a +1 step can raise only the maximum.
+        # Inlined queue increment(1, now) against the flat arrays.
         q_value = self._q_value
         old = q_value[index]
         self._q_area[index] += old * (now - self._q_last[index])
         self._q_last[index] = now
-        value = old + 1.0
-        q_value[index] = value
-        if value > self._q_max[index]:
-            self._q_max[index] = value
+        q_value[index] = old + 1.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "submit", unit, index)
@@ -212,21 +208,16 @@ class PreemptiveNode(Node):
         q_value = self._q_value
         q_area = self._q_area
         q_last = self._q_last
-        q_min = self._q_min
         abort_check = self._abort_check
         remaining = self._remaining
         while heap:
             unit = heappop(heap)[3]
             now = env._now
-            # Inlined queue increment(-1, now): a -1 step can lower only
-            # the minimum.
+            # Inlined queue increment(-1, now).
             old = q_value[index]
             q_area[index] += old * (now - q_last[index])
             q_last[index] = now
-            qlen = old - 1.0
-            q_value[index] = qlen
-            if qlen < q_min[index]:
-                q_min[index] = qlen
+            q_value[index] = old - 1.0
             dispatched[index] += 1
             timing = unit.timing
 
@@ -259,8 +250,6 @@ class PreemptiveNode(Node):
             # (the signal was 0), so only the bookkeeping fields move.
             self._b_last[index] = now
             self._b_value[index] = 1.0
-            if self._b_max[index] < 1.0:
-                self._b_max[index] = 1.0
             if tracer is not None:
                 tracer.record(now, "dispatch", unit, index)
             self._service_began = now
@@ -318,8 +307,6 @@ class PreemptiveNode(Node):
         self._b_area[index] += now - self._b_last[index]
         self._b_last[index] = now
         self._b_value[index] = 0.0
-        if self._b_min[index] > 0.0:
-            self._b_min[index] = 0.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "preempt", unit, index)
@@ -368,8 +355,6 @@ class PreemptiveNode(Node):
             self._b_area[index] += now - self._b_last[index]
             self._b_last[index] = now
             self._b_value[index] = 0.0
-            if self._b_min[index] > 0.0:
-                self._b_min[index] = 0.0
             if self._lose_in_flight:
                 self._remaining.pop(unit.id, None)
                 self._discard_lost(unit, now)

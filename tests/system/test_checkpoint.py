@@ -197,6 +197,56 @@ class TestHeaderContract:
             load_checkpoint(path)
 
 
+class TestDamagedPayload:
+    """A valid header over a damaged or incompatible payload is refused
+    with a :class:`CheckpointError` naming the file, never a raw
+    unpickling traceback."""
+
+    def test_truncated_payload_is_refused(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        sim = _sim(seed=21)
+        sim.env.run(until=100.0)
+        save_checkpoint(sim, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-200])
+        # The header frame is intact, so the cheap header read passes.
+        assert read_checkpoint_header(path)["seed"] == 21
+        with pytest.raises(CheckpointError, match="damaged or incompatible"
+                           ) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_older_class_layout_is_refused(self, tmp_path):
+        """A payload pickled by a build whose slotted classes had other
+        attributes (here a ``FleetState`` with the removed extrema
+        lists) fails on restore, and says so."""
+        from repro.system.fleet import FleetState
+
+        class OldFleet:
+            def __reduce__(self):
+                return (FleetState, (1,),
+                        (None, {"node_count": 1, "busy_min": [0.0]}))
+
+        header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+                  "seed": 1, "config": "old", "now": 0.0}
+        payload = {"simulation": OldFleet(), "unit_counter": 0,
+                   "global_counter": 0}
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps(header, protocol=4)
+                         + pickle.dumps(payload, protocol=4))
+        with pytest.raises(CheckpointError, match="AttributeError"):
+            load_checkpoint(path)
+
+    def test_payload_without_simulation_is_refused(self, tmp_path):
+        header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+                  "seed": 1, "config": "crafted", "now": 0.0}
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(pickle.dumps(header, protocol=4)
+                         + pickle.dumps({}, protocol=4))
+        with pytest.raises(CheckpointError, match="KeyError"):
+            load_checkpoint(path)
+
+
 class TestSaveLoadRoundtrip:
     def test_resumed_run_matches_straight_through(self, tmp_path):
         path = str(tmp_path / "mid.ckpt")

@@ -260,3 +260,203 @@ class TestFromDictTolerance:
         collector.record_unit_completion(finished_unit(env), now=2.0)
         result = collector.snapshot(10.0)
         assert RunResult.from_dict(result.to_dict()) == result
+
+
+def _faulty_detected_result():
+    """A short run with crash losses and a lossy failure detector, so
+    crashes, lost units, suspicions and downtime are all non-zero."""
+    from repro.system.config import baseline_config
+    from repro.system.detector import DetectorSpec
+    from repro.system.faults import FaultSpec
+    from repro.system.simulation import Simulation
+
+    config = baseline_config(
+        strategy="EQF", sim_time=1500.0, warmup_time=150.0, seed=4,
+        faults=FaultSpec(mttf=300.0, mttr=20.0, in_flight="lost",
+                         retry_limit=2, retry_timeout=30.0),
+        detector=DetectorSpec(heartbeat_interval=2.0, timeout=6.0,
+                              delay_mean=0.5, loss_probability=0.1),
+    )
+    return Simulation(config).run()
+
+
+@pytest.fixture(scope="module")
+def faulty_result():
+    return _faulty_detected_result()
+
+
+class TestAggregatedRecord:
+    """The fleet-size form ``to_dict(aggregate_nodes=True)``."""
+
+    def test_counters_are_exercised(self, faulty_result):
+        r = faulty_result
+        assert r.total_crashes > 0
+        assert r.total_lost > 0
+        assert r.total_suspicions > 0
+        assert 0.0 < 1.0 - r.mean_availability < 1.0
+
+    def test_loaded_aggregate_reports_the_per_node_values(
+        self, faulty_result
+    ):
+        import json
+
+        from repro.system.metrics import NODE_COUNTERS, RunResult
+
+        r = faulty_result
+        record = json.loads(json.dumps(r.to_dict(aggregate_nodes=True)))
+        assert record["per_node"] == []
+        loaded = RunResult.from_dict(record)
+        assert loaded.per_node == []
+        for name in NODE_COUNTERS:
+            assert getattr(loaded, f"total_{name}") == getattr(
+                r, f"total_{name}"
+            ), name
+        assert loaded.total_crashes == r.total_crashes
+        assert loaded.total_lost == r.total_lost
+        assert loaded.total_suspicions == r.total_suspicions
+        assert loaded.total_preemptions == r.total_preemptions
+        assert loaded.mean_utilization == r.mean_utilization
+        assert loaded.mean_active_utilization == r.mean_active_utilization
+        assert loaded.mean_availability == r.mean_availability
+        assert json.dumps(loaded.to_dict()["per_class"]) == json.dumps(
+            r.to_dict()["per_class"]
+        )
+        assert loaded.detections == r.detections
+
+    def test_reserializing_the_aggregate_is_stable(self, faulty_result):
+        import json
+
+        from repro.system.metrics import RunResult
+
+        first = faulty_result.to_dict(aggregate_nodes=True)
+        loaded = RunResult.from_dict(json.loads(json.dumps(first)))
+        second = loaded.to_dict(aggregate_nodes=True)
+        assert json.dumps(second) == json.dumps(first)
+
+
+def _rows_with_defaults():
+    from dataclasses import MISSING
+
+    from repro.system.metrics import METRICS
+
+    return [row for row in METRICS if row.default is not MISSING]
+
+
+class TestMetricTable:
+    @pytest.mark.parametrize(
+        "row", _rows_with_defaults(), ids=lambda row: f"{row.scope}.{row.name}"
+    )
+    def test_record_missing_the_key_loads_the_default(
+        self, row, faulty_result
+    ):
+        from repro.system.metrics import CLASS, NODE, RunResult
+
+        record = faulty_result.to_dict()
+        if row.scope == CLASS:
+            holders = list(record["per_class"].values())
+        elif row.scope == NODE:
+            holders = record["per_node"]
+        else:
+            holders = [record]
+        for holder in holders:
+            del holder[row.name]
+        loaded = RunResult.from_dict(record)
+        if row.scope == CLASS:
+            values = [getattr(s, row.name) for s in loaded.per_class.values()]
+        elif row.scope == NODE:
+            values = [getattr(n, row.name) for n in loaded.per_node]
+        else:
+            values = [getattr(loaded, row.name)]
+        assert values
+        for value in values:
+            assert value is row.default or value == row.default
+
+    def test_required_keys_are_required(self):
+        from repro.system.metrics import NodeStats
+
+        with pytest.raises(KeyError, match="dispatched"):
+            NodeStats.from_dict({"index": 0, "utilization": 0.5,
+                                 "mean_queue_length": 0.1})
+
+    def test_every_fold_lands_in_a_point_estimate_field(self):
+        from dataclasses import fields
+
+        from repro.experiments.runner import PointEstimate
+        from repro.system.metrics import FOLDS
+
+        names = [f.name for f in fields(PointEstimate)]
+        assert [row.estimate for row in FOLDS if row.estimate not in names] == []
+        defaults = {f.name: f.default for f in fields(PointEstimate)}
+        for row in FOLDS:
+            default = defaults[row.estimate]
+            assert default == 0 or math.isnan(default), row.name
+
+    def test_report_columns_keep_their_order(self):
+        from repro.scenarios.report import REPORT_COLUMNS
+
+        assert [row.label for row in REPORT_COLUMNS] == [
+            "p99_late", "preempt", "crash", "lost", "retry", "fail",
+            "misroute", "fp", "fn", "detect",
+        ]
+
+    def test_node_counters_are_the_int_node_rows(self, faulty_result):
+        from repro.system.metrics import NODE_COUNTERS
+
+        assert NODE_COUNTERS == (
+            "dispatched", "preemptions", "crashes", "lost", "suspicions",
+        )
+        assert faulty_result.total_dispatched == sum(
+            n.dispatched for n in faulty_result.per_node
+        )
+
+    def test_replication_folds(self, faulty_result):
+        """Sums add, the weighted mean weights by detections, the tail
+        mean skips replications without a value."""
+        import dataclasses
+
+        from repro.experiments.runner import _aggregate
+
+        r = faulty_result
+        empty = dataclasses.replace(
+            r, detections=0, detection_latency=math.nan,
+            per_class={
+                name: dataclasses.replace(stats, p99_lateness=math.nan)
+                for name, stats in r.per_class.items()
+            },
+        )
+        estimate = _aggregate(None, [r, empty], level=0.95)
+        assert estimate.crashes == 2 * r.total_crashes
+        assert estimate.detections == r.detections
+        assert estimate.detect_latency == pytest.approx(
+            r.detection_latency, rel=1e-12
+        )
+        assert estimate.p99_late == r.global_.p99_lateness
+
+    def test_snapshot_and_reset_cover_every_counter(self):
+        """Each per-node counter list and run counter the table creates
+        reaches the snapshot, and the warm-up reset zeroes it."""
+        from repro.system.metrics import NODE_COUNTERS, METRICS, RUN
+
+        collector = MetricsCollector(node_count=2)
+        for k, name in enumerate(NODE_COUNTERS, start=1):
+            getattr(collector, f"node_{name}")[1] = k
+        run_counters = [row.name for row in METRICS
+                        if row.scope == RUN and row.weight is None]
+        for k, name in enumerate(run_counters, start=1):
+            setattr(collector, name, k)
+        collector.detection_latency_sum = 12.0
+        snapshot = collector.snapshot(1.0)
+        node = snapshot.per_node[1]
+        assert [getattr(node, name) for name in NODE_COUNTERS] == list(
+            range(1, len(NODE_COUNTERS) + 1)
+        )
+        assert [getattr(snapshot, name) for name in run_counters] == list(
+            range(1, len(run_counters) + 1)
+        )
+        assert snapshot.detection_latency == 12.0 / snapshot.detections
+        collector.reset(1.0)
+        cleared = collector.snapshot(2.0)
+        assert all(getattr(cleared.per_node[1], name) == 0
+                   for name in NODE_COUNTERS)
+        assert all(getattr(cleared, name) == 0 for name in run_counters)
+        assert math.isnan(cleared.detection_latency)

@@ -197,6 +197,21 @@ class TestSimulateCheckpointFlags:
         assert main(["simulate", "--resume", str(bogus)]) == 2
         assert "not a repro checkpoint" in capsys.readouterr().err
 
+    def test_resume_from_truncated_payload_fails_cleanly(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "run.ckpt"
+        assert main([
+            "simulate", "--sim-time", "600", "--warmup", "60",
+            "--checkpoint", str(path), "--checkpoint-events", "500",
+        ]) == 0
+        capsys.readouterr()
+        path.write_bytes(path.read_bytes()[:-200])
+        assert main(["simulate", "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: damaged or incompatible")
+        assert "Traceback" not in err
+
     def test_resume_from_missing_file_fails_cleanly(self, capsys, tmp_path):
         assert main(
             ["simulate", "--resume", str(tmp_path / "absent.ckpt")]
