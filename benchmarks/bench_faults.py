@@ -162,10 +162,10 @@ def run_crash_storm(cycles: int = 10_000) -> int:
     node.configure_fault_semantics(lose_in_flight=False, drop_queued=False)
     for i in range(4):
         timing = TimingRecord(ar=0.0, ex=1e9, dl=1e12)
-        unit = WorkUnit(env=env, name=None, task_class=TaskClass.LOCAL,
+        unit = WorkUnit(name=None, task_class=TaskClass.LOCAL,
                         node_index=0, timing=timing)
         unit.lost = False
-        node.submit_nowait(unit)
+        node.submit(unit)
     storm = _CrashStorm(env, node, cycles)
     env.run(until=cycles * 0.5 + 1.0)
     return storm.crashes

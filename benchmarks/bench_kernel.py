@@ -21,12 +21,15 @@ from _util import record_kernel_bench
 
 
 def test_event_throughput(benchmark):
-    """Schedule-and-fire cost of bare timeout events."""
+    """Schedule-and-fire cost of bare pooled sleeps."""
+
+    def noop(_event):
+        pass
 
     def run():
         env = Environment()
         for i in range(10_000):
-            env.timeout(i % 97 * 0.1)
+            env._sleep(i % 97 * 0.1, noop)
         env.run()
         return env.now
 
@@ -36,7 +39,7 @@ def test_event_throughput(benchmark):
 
 
 def test_process_switching(benchmark):
-    """Cost of 100 interleaved tickers, each a chain of 100 timeouts
+    """Cost of 100 interleaved tickers, each a chain of 100 sleeps
     whose callback arms the next one."""
 
     def run():
@@ -49,11 +52,11 @@ def test_process_switching(benchmark):
             def tick(_event):
                 left[0] -= 1
                 if left[0]:
-                    env.timeout(1.0).callbacks.append(tick)
+                    env._sleep(1.0, tick)
                 else:
                     done.append(True)
 
-            env.timeout(1.0).callbacks.append(tick)
+            env._sleep(1.0, tick)
 
         for _ in range(100):
             ticker(100)
@@ -66,11 +69,9 @@ def test_process_switching(benchmark):
 
 def test_ready_queue_throughput(benchmark):
     """Push/pop cost of the EDF ready queue at depth ~1000."""
-    env = Environment()
     rng = random.Random(1)
     units = [
         WorkUnit(
-            env=env,
             name=f"u{i}",
             task_class=TaskClass.LOCAL,
             node_index=0,

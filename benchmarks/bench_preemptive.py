@@ -59,8 +59,8 @@ class _Storm:
         env = self.env
         self.fired += 1
         timing = TimingRecord(ar=env._now, ex=100.0, dl=1e9 - self.fired)
-        self.node.submit_nowait(WorkUnit(
-            env=env, name=None, task_class=TaskClass.LOCAL,
+        self.node.submit(WorkUnit(
+            name=None, task_class=TaskClass.LOCAL,
             node_index=0, timing=timing,
         ))
         self.left -= 1

@@ -27,10 +27,15 @@ compiled engine, which has been removed: its payload references a
 module that no longer exists, so :func:`load_checkpoint` refuses it
 from the header with a clear error.
 
-Not captured: user-defined :class:`~repro.sim.core.Event` subclasses --
-the system model only uses the engine's own event classes, so this only
-matters for hand-built models, which fail with a clear ``TypeError`` at
-save time.
+The payload pickles engine, node and work-unit objects slot by slot, so
+a change to any of their layouts bumps :data:`CHECKPOINT_VERSION`: the
+header check then refuses an incompatible file up front instead of
+letting it fail deep inside the payload.
+
+Every callback on the event list is pickled with its event, so a
+hand-built model whose callbacks are lambdas or closures fails at save
+time with pickle's own error; the system model's callbacks are all bound
+methods of picklable objects.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: First bytes of every checkpoint file (as a pickled header field).
 CHECKPOINT_MAGIC = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+#: Payload layout version, bumped whenever a pickled class changes its
+#: slots.  Version 2: the engine's events are only ``_Sleep``/``_Call``,
+#: work units carry no ``env`` or completion-event slot, and the
+#: ``FleetState``/``Node`` slots are the per-metric-schema ones.
+CHECKPOINT_VERSION = 2
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

@@ -432,7 +432,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            simulation = None
+            simulation = Simulation(SystemConfig(
+                strategy=args.strategy,
+                load=args.load,
+                frac_local=args.frac_local,
+                task_structure=args.structure,
+                scheduler=args.scheduler,
+                sim_time=args.sim_time,
+                warmup_time=args.warmup,
+                seed=args.seed,
+            ))
     except FileNotFoundError:
         print(
             f"error: {args.resume}: no such checkpoint file (a run "
@@ -443,17 +452,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except (CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if simulation is None:
-        simulation = Simulation(SystemConfig(
-            strategy=args.strategy,
-            load=args.load,
-            frac_local=args.frac_local,
-            task_structure=args.structure,
-            scheduler=args.scheduler,
-            sim_time=args.sim_time,
-            warmup_time=args.warmup,
-            seed=args.seed,
-        ))
     result = simulation.run(checkpoint=policy, emit=emit)
     config = simulation.config
     rows = [

@@ -2,15 +2,14 @@
 
 Public surface:
 
-* :class:`Environment`, :class:`Event`, :class:`Timeout` -- the event
-  machinery;
+* :class:`Environment` -- the simulation clock and event list;
 * :class:`StreamFactory` -- reproducible named random streams;
 * the distribution classes in :mod:`repro.sim.distributions`;
 * :class:`Tally`, :class:`TimeWeighted`, :class:`Series` -- monitors;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
-from .core import Environment, Event, Timeout
+from .core import Environment
 from .distributions import (
     Choice,
     Deterministic,
@@ -34,7 +33,6 @@ __all__ = [
     "Distribution",
     "Environment",
     "Erlang",
-    "Event",
     "EventLifecycleError",
     "Exponential",
     "LognormalErrorFactor",
@@ -45,7 +43,6 @@ __all__ = [
     "StreamFactory",
     "Tally",
     "TimeWeighted",
-    "Timeout",
     "Uniform",
     "UniformErrorFactor",
     "exponential_interarrival",

@@ -1,9 +1,9 @@
 """Core of the discrete-event simulation kernel.
 
-This module provides the :class:`Environment` (simulation clock plus event
-list) and the :class:`Event` family.  It plays the role that the DeNet
-simulation language [Livny 1990] played for the original paper: a generic
-discrete-event substrate on which the task/node/scheduler model is built.
+This module provides the :class:`Environment`: the simulation clock plus
+the event list.  It plays the role that the DeNet simulation language
+[Livny 1990] played for the original paper: a generic discrete-event
+substrate on which the task/node/scheduler model is built.
 
 The engine itself (event list, run loop, pooled sleeps, urgent deque)
 lives in :mod:`repro.sim._engine`; this module re-exports its public
@@ -18,30 +18,20 @@ Design notes
   deterministic for a fixed seed; urgent bookkeeping bypasses the heap
   on a FIFO deque (see the engine module docstring).
 * The model is a callback machine: node servers, the coordinator and
-  the workload sources arm timers and append callbacks to events; no
-  code on the event path runs a coroutine.
-* Events support success *and* failure.  A failed event that no
-  callback defuses re-raises its exception out of the run loop, so
-  model bugs cannot pass silently.
+  the workload sources arm pooled timers (``_sleep``) and schedule
+  single-callback calls (``_schedule_call``); no code on the event path
+  runs a coroutine, and nothing waits on an event.
+* An exception raised by a callback propagates out of
+  :meth:`Environment.run`, so model bugs cannot pass silently.
 """
 
 from __future__ import annotations
 
-from ._engine import (
-    NORMAL,
-    URGENT,
-    Callback,
-    Environment,
-    Event,
-    Timeout,
-    _Call,
-)
+from ._engine import NORMAL, URGENT, Callback, Environment, _Call
 
 __all__ = [
     "NORMAL",
     "URGENT",
     "Callback",
     "Environment",
-    "Event",
-    "Timeout",
 ]

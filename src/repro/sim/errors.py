@@ -15,17 +15,17 @@ class SimulationError(Exception):
 class EventLifecycleError(SimulationError):
     """An event was used in a way that violates its lifecycle.
 
-    Examples: triggering an already-triggered event, or scheduling an event
-    that is already on the event list.
+    Example: cancelling a pooled sleep that has already fired.
     """
 
 
 class StopSimulation(Exception):
     """Signal that stops :meth:`~repro.sim.core.Environment.run`.
 
-    Carries the value that ``run()`` returns: the ``until`` event's value,
-    or whatever the model code that raised it passed.  This intentionally subclasses ``Exception``
-    (not :class:`SimulationError`): it is control flow, not a failure.
+    Carries the value that ``run()`` returns: ``None`` at a run horizon,
+    or whatever the model code that raised it passed.  This intentionally
+    subclasses ``Exception`` (not :class:`SimulationError`): it is control
+    flow, not a failure.
     """
 
     def __init__(self, value: object = None) -> None:

@@ -24,7 +24,7 @@ from .overload import (
     OverloadPolicy,
     get_overload_policy,
 )
-from .process_manager import GlobalTaskOutcome, ProcessManager
+from .process_manager import ProcessManager
 from .schedulers import (
     POLICIES,
     EarliestDeadlineFirst,
@@ -56,7 +56,6 @@ __all__ = [
     "FaultSpec",
     "FirstComeFirstServed",
     "GlobalTaskFactory",
-    "GlobalTaskOutcome",
     "GlobalTaskSource",
     "LiveSet",
     "LocalTaskSource",

@@ -237,9 +237,11 @@ class SystemConfig:
                 f"unknown task_structure {self.task_structure!r}; "
                 f"expected one of {_STRUCTURES}"
             )
-        if self.warmup_time < 0 or self.sim_time <= self.warmup_time:
+        if not (
+            math.isfinite(self.warmup_time) and math.isfinite(self.sim_time)
+        ) or self.warmup_time < 0 or self.sim_time <= self.warmup_time:
             raise ValueError(
-                f"need 0 <= warmup_time < sim_time, got "
+                f"need finite 0 <= warmup_time < sim_time, got "
                 f"{self.warmup_time} / {self.sim_time}"
             )
         if self.subtask_count_range is not None:

@@ -165,9 +165,9 @@ class ClassStats:
     mean_response: float = metric()
     mean_lateness: float = metric()
     mean_waiting: float = metric()
-    #: Tasks whose retry budget was exhausted after crash losses (the
-    #: ``"failed"`` :class:`GlobalTaskOutcome` disposition).  A subset of
-    #: ``aborted`` -- failed tasks are counted in both.
+    #: Tasks that died because a subtask's crash-retry budget was
+    #: exhausted (``record_global_completion(failed=True)``).  A subset
+    #: of ``aborted`` -- failed tasks are counted in both.
     failed: int = metric(0, fold=SUM, label="fail")
     #: Streaming percentile estimates of response time and lateness,
     #: from O(1)-memory P² sketches (:mod:`repro.sim.sketch`): exact for

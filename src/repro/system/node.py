@@ -9,7 +9,8 @@ matching the paper's "open system" assumption.
 The server sleeps while the queue is empty, picks the highest-priority
 unit otherwise, optionally consults the overload policy
 (abort-at-dispatch), serves the unit for its *real* execution time, and
-fires the unit's completion event.
+schedules the unit's ``on_done`` continuation (or recycles a unit that
+has none).
 
 Hot-path notes
 --------------
@@ -21,10 +22,11 @@ generator process, no coroutine switch, and no idle-wakeup event),
 collaborator state is bound once, the overload hook is skipped entirely
 under the ``NoAbort`` baseline, trace calls are guarded by a tracer
 ``None`` check (tracing off must cost nothing), monitor updates are
-inlined, and completion events are only fired for units whose submitter
-actually asked for one.  The preemptive subclass is a callback machine
-too, built on cancellable kernel timers (see
-:mod:`repro.system.preemptive`); no node kind runs a generator server.
+inlined, and a completion schedules an event only for units whose
+submitter installed an ``on_done`` continuation.  The preemptive
+subclass is a callback machine too, built on cancellable kernel timers
+(see :mod:`repro.system.preemptive`); no node kind runs a generator
+server.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Optional
 
-from ..sim.core import NORMAL, Environment, Event, _Call
+from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .overload import NoAbort, OverloadPolicy
 from .schedulers import ReadyQueue, SchedulingPolicy
@@ -134,22 +136,12 @@ class Node:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, unit: WorkUnit) -> Event:
-        """Enqueue ``unit``; returns the unit's completion event.
+    def submit(self, unit: WorkUnit) -> None:
+        """Enqueue ``unit``; its ``on_done`` (if any) runs when it ends.
 
         The unit's ``timing.ar`` must be the current time (it is the
         submission instant by definition), and its deadline must already be
         assigned by the SDA strategy.
-        """
-        self.submit_nowait(unit)
-        return unit.done
-
-    def submit_nowait(self, unit: WorkUnit) -> None:
-        """Enqueue ``unit`` without materializing its completion event.
-
-        Fast path for fire-and-forget submitters (the local task sources
-        never join on their units): skipping the completion event saves an
-        event allocation plus one dead event-list entry per completion.
         """
         if unit.node_index != self.index:
             raise ValueError(
@@ -249,16 +241,13 @@ class Node:
                 listener = self._outstanding_listener
                 if listener is not None:
                     listener(index)
-                done = unit._done
-                if done is not None:
-                    done.succeed(unit)
                 on_done = unit.on_done
                 if on_done is not None:
                     env._schedule_call(
                         on_done, value=unit, priority=NORMAL
                     )
-                elif done is None and unit.pool is not None:
-                    # Fire-and-forget unit with no waiters: recycle.
+                elif unit.pool is not None:
+                    # Fire-and-forget unit: recycle.
                     unit.release()
                 continue
 
@@ -280,7 +269,6 @@ class Node:
             pool = env._sleep_pool
             if pool and service >= 0.0:
                 sleep = pool.pop()
-                sleep.delay = service
                 sleep.callback = self._on_complete
                 sleep._processed = False
                 heappush(
@@ -318,18 +306,15 @@ class Node:
         listener = self._outstanding_listener
         if listener is not None:
             listener(index)
-        done = unit._done
-        if done is not None:
-            done.succeed(unit)
         on_done = unit.on_done
         if on_done is not None:
-            # Deferred like a `done` event (same NORMAL priority, same seq
-            # slot) so the continuation cannot reorder the node's own
-            # next dispatch or any other same-instant event.
+            # Deferred as a NORMAL heap entry (one sequence key) so the
+            # continuation cannot reorder the node's own next dispatch or
+            # any other same-instant event.
             env._schedule_call(on_done, value=unit, priority=NORMAL)
-        elif done is None and unit.pool is not None:
-            # Fire-and-forget unit with no waiters: recycle.  The tracer
-            # and metrics copied everything they need above.
+        elif unit.pool is not None:
+            # Fire-and-forget unit: recycle.  The tracer and metrics
+            # copied everything they need above.
             unit.release()
         self._dispatch_next()
 
@@ -426,7 +411,7 @@ class Node:
         q_value[index] = old + delta
 
     def _discard_lost(self, unit: WorkUnit, now: float) -> None:
-        """Account a crash-discarded unit and release its waiters.
+        """Account a crash-discarded unit and hand it to its continuation.
 
         The unit completes as aborted *and* marked ``lost`` so the retry
         layer in the process manager can tell crash losses apart from
@@ -441,14 +426,11 @@ class Node:
         if metrics._tracer is not None:
             metrics._tracer.record(now, "lost", unit, index)
         metrics.record_unit_completion(unit, now)
-        done = unit._done
-        if done is not None:
-            done.succeed(unit)
         on_done = unit.on_done
         if on_done is not None:
             self.env._schedule_call(on_done, value=unit, priority=NORMAL)
-        elif done is None and unit.pool is not None:
-            # Fire-and-forget unit with no waiters: recycle.
+        elif unit.pool is not None:
+            # Fire-and-forget unit: recycle.
             unit.release()
 
     def __repr__(self) -> str:

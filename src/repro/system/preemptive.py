@@ -106,7 +106,7 @@ class PreemptiveNode(Node):
         """Number of preemption events at this node (for diagnostics)."""
         return self._preemptions
 
-    def submit_nowait(self, unit: WorkUnit) -> None:
+    def submit(self, unit: WorkUnit) -> None:
         """Enqueue a unit; wake the idle server or preempt the one in
         service.
 
@@ -230,14 +230,11 @@ class PreemptiveNode(Node):
                 listener = self._outstanding_listener
                 if listener is not None:
                     listener(index)
-                done = unit._done
-                if done is not None:
-                    done.succeed(unit)
                 on_done = unit.on_done
                 if on_done is not None:
                     env._schedule_call(on_done, value=unit, priority=NORMAL)
-                elif done is None and unit.pool is not None:
-                    # Fire-and-forget unit with no waiters: recycle.
+                elif unit.pool is not None:
+                    # Fire-and-forget unit: recycle.
                     unit.release()
                 continue
 
@@ -263,7 +260,6 @@ class PreemptiveNode(Node):
             pool = env._sleep_pool
             if pool and service >= 0.0:
                 sleep = pool.pop()
-                sleep.delay = service
                 sleep.callback = self._on_complete
                 sleep._processed = False
                 heappush(
@@ -313,7 +309,7 @@ class PreemptiveNode(Node):
         # Put the preempted unit back; the newcomer (already queued by
         # submit) wins the re-dispatch.  Preemption is not the per-unit
         # hot path, so this takes the readable queue API rather than
-        # submit_nowait's inlined copy -- same arithmetic.  The
+        # submit's inlined copy -- same arithmetic.  The
         # outstanding count is unchanged (busy -1, queue +1), so no
         # listener notification is needed.
         self.queue.push(unit)

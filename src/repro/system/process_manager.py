@@ -26,8 +26,8 @@ Hot-path notes
 --------------
 
 Coordination is a callback state machine, mirroring the node servers.
-Each leaf's completion event (a lightweight kernel callback scheduled by
-the node, see :attr:`~repro.system.work.WorkUnit.on_done`) drives the
+Each leaf's completion (a lightweight kernel callback scheduled by the
+node, see :attr:`~repro.system.work.WorkUnit.on_done`) drives the
 next serial stage directly through a chain of small *continuation
 frames*:
 
@@ -50,69 +50,17 @@ consumption can be considered as additional subtasks"); neither do we.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..core.strategies import DeadlineAssigner
 from ..core.task import ParallelTask, SerialTask, SimpleTask, TaskClass, TaskNode
 from ..core.timing import fast_timing
-from ..sim.core import NORMAL, Environment, Event
+from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
 from .work import WorkUnit, acquire_unit
 
 _global_counter = itertools.count(1)
-
-
-@dataclass
-class GlobalTaskOutcome:
-    """End-to-end result of one global task."""
-
-    global_id: int
-    arrival: float
-    deadline: float
-    completed_at: Optional[float]
-    aborted: bool
-    #: True when the task died because a subtask exhausted its crash-retry
-    #: budget (a subset of ``aborted``; see :attr:`disposition`).
-    failed: bool = False
-
-    @property
-    def disposition(self) -> str:
-        """How the task ended: ``"completed"``, ``"aborted"`` (overload
-        policy discarded a subtask), or ``"failed"`` (a subtask's
-        crash-retry budget was exhausted)."""
-        if self.failed:
-            return "failed"
-        if self.aborted:
-            return "aborted"
-        return "completed"
-
-    @property
-    def missed(self) -> bool:
-        """True if the task was aborted or finished after its deadline."""
-        if self.aborted:
-            return True
-        return self.completed_at > self.deadline
-
-    @property
-    def response_time(self) -> Optional[float]:
-        """End-to-end response time, or ``None`` for aborted tasks.
-
-        An aborted task never completed, so it has no response time; the
-        miss-ratio statistics count it via :attr:`missed`/:attr:`aborted`
-        instead.
-        """
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.arrival
-
-    @property
-    def lateness(self) -> Optional[float]:
-        """Completion time minus deadline, or ``None`` for aborted tasks."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.deadline
 
 
 class _Continuation:
@@ -125,14 +73,13 @@ class _Continuation:
 
     __slots__ = ()
 
-    def _on_unit(self, event: Event) -> None:
+    def _on_unit(self, event: _Call) -> None:
         unit = event._value
         aborted = unit.timing.aborted
         # This frame is the single consumer of a pool-acquired subtask
-        # unit: recycle it now that the outcome is read.  ``_FAILED``
-        # (pool None) and units with a materialized ``done`` event
-        # (external joiners may still hold it) are left alone.
-        if unit.pool is not None and unit._done is None:
+        # unit: recycle it now that the outcome is read.  ``_FAILED`` and
+        # hand-built units (pool None) are left alone.
+        if unit.pool is not None:
             unit.release()
         self.child_done(aborted)
 
@@ -146,7 +93,6 @@ class _TaskRun(_Continuation):
         "deadline",
         "global_id",
         "arrival",
-        "outcome_event",
         "failed",
         "on_unit",
     )
@@ -156,20 +102,18 @@ class _TaskRun(_Continuation):
         manager: "ProcessManager",
         tree: TaskNode,
         deadline: float,
-        outcome_event: Optional[Event],
     ) -> None:
         self.manager = manager
         self.tree = tree
         self.deadline = deadline
         self.global_id = next(_global_counter)
         self.arrival = 0.0  # stamped when the start kick fires
-        self.outcome_event = outcome_event
         #: Latched by a leaf's retry shim when its budget is exhausted,
         #: turning the recorded outcome into the "failed" disposition.
         self.failed = False
         self.on_unit = self._on_unit  # bound once; reused per leaf
 
-    def _start(self, _event: Event) -> None:
+    def _start(self, _event: _Call) -> None:
         """Deferred start kick (scheduled by ``submit``): walk the tree.
 
         Deferring by one urgent event preserves the classic submission
@@ -198,18 +142,6 @@ class _TaskRun(_Continuation):
                 response_time=now - self.arrival,
                 lateness=now - deadline,
                 now=now,
-            )
-        outcome_event = self.outcome_event
-        if outcome_event is not None:
-            outcome_event.succeed(
-                GlobalTaskOutcome(
-                    global_id=self.global_id,
-                    arrival=self.arrival,
-                    deadline=deadline,
-                    completed_at=None if aborted else now,
-                    aborted=aborted,
-                    failed=self.failed,
-                )
             )
 
 
@@ -459,7 +391,6 @@ class _LeafAttempt:
         )
         leaf.timing = timing
         unit = acquire_unit(
-            env=env,
             name=leaf.name,
             task_class=TaskClass.GLOBAL,
             node_index=node_index,
@@ -474,7 +405,7 @@ class _LeafAttempt:
         retry = manager._retry
         if retry is not None and retry.retry_timeout > 0.0:
             self.timer = env._sleep(retry.retry_timeout, self._on_timeout)
-        manager.nodes[node_index].submit_nowait(unit)
+        manager.nodes[node_index].submit(unit)
 
     def _bounce(self, _event) -> None:
         """Bounce delay elapsed: re-route to a trusted node (or back to
@@ -491,12 +422,12 @@ class _LeafAttempt:
             node_index = manager._detector_stream.randrange(view.node_count)
         self._dispatch(node_index)
 
-    def _unit_done(self, event: Event) -> None:
+    def _unit_done(self, event: _Call) -> None:
         unit = event._value
         if unit is not self.current:
             # A timed-out attempt completing late: already retried.  This
             # shim is the orphaned unit's only consumer, so recycle here.
-            if unit.pool is not None and unit._done is None:
+            if unit.pool is not None:
                 unit.release()
             return
         self.current = None
@@ -509,7 +440,7 @@ class _LeafAttempt:
             # before scheduling the retry.  (Without a retry layer --
             # detector-only mode -- the loss passes through below as the
             # abort it is.)
-            if unit.pool is not None and unit._done is None:
+            if unit.pool is not None:
                 unit.release()
             self._retry_or_fail()
             return
@@ -610,34 +541,18 @@ class ProcessManager:
 
     # -- public API ----------------------------------------------------------
 
-    def submit(self, tree: TaskNode, deadline: float) -> Event:
+    def submit(self, tree: TaskNode, deadline: float) -> None:
         """Launch a global task with the given end-to-end deadline.
 
-        Returns an event that fires (with the :class:`GlobalTaskOutcome`)
-        when the task completes or aborts.  Metrics are recorded
-        automatically.  A deadline already in the past is permitted -- a
-        soft real-time system may receive a task that is already hopeless
-        -- but the tree must be well formed.
+        The outcome is recorded in the metrics when the task completes
+        or aborts; nothing is returned, and there is nothing to wait on.
+        A deadline already in the past is permitted -- a soft real-time
+        system may receive a task that is already hopeless -- but the
+        tree must be well formed.
         """
         tree.validate()
         self.submitted += 1
-        outcome_event = Event(self.env)
-        run = _TaskRun(self, tree, deadline, outcome_event)
-        self.env._schedule_call(run._start)
-        return outcome_event
-
-    def submit_nowait(self, tree: TaskNode, deadline: float) -> None:
-        """Launch a global task without materializing its outcome event.
-
-        Fast path for fire-and-forget submitters (the global task source
-        never joins on its tasks): metrics are still recorded, but the
-        per-task outcome event -- one allocation plus one dead event-list
-        entry per completion -- is skipped.
-        """
-        tree.validate()
-        self.submitted += 1
-        run = _TaskRun(self, tree, deadline, None)
-        self.env._schedule_call(run._start)
+        self.env._schedule_call(_TaskRun(self, tree, deadline)._start)
 
     # -- tree execution --------------------------------------------------------
 
@@ -693,7 +608,6 @@ class ProcessManager:
         )
         leaf.timing = timing
         unit = acquire_unit(
-            env=env,
             name=leaf.name,
             task_class=TaskClass.GLOBAL,
             node_index=node_index,
@@ -704,7 +618,7 @@ class ProcessManager:
             natural_deadline=run.deadline,
             on_done=on_done,
         )
-        self.nodes[node_index].submit_nowait(unit)
+        self.nodes[node_index].submit(unit)
 
     def _fork_parallel(
         self,

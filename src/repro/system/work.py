@@ -3,7 +3,7 @@
 A :class:`WorkUnit` is one unit of service demand at one node -- either a
 local task or a simple subtask of a global task.  It carries the timing
 record the scheduler consults, the priority class (for Globals-First), and
-a completion event the submitter can wait on.
+the single completion callback (``on_done``) its submitter installed.
 
 Keeping this as its own small type decouples the node/scheduler machinery
 from the task-tree algebra: nodes never see trees, only work units, exactly
@@ -14,38 +14,20 @@ subtasks, or segments of global tasks, instead of complete tasks".
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..core.strategies.base import PriorityClass
 from ..core.task import TaskClass
 from ..core.timing import TimingRecord
-from ..sim.core import Environment, Event
 
 _unit_counter = itertools.count(1)
-
-
-class _Pooled:
-    """Sentinel stored in a recycled unit's ``_done`` slot.
-
-    Anything still holding a reference to a released unit and asking for
-    its completion event gets a hard error instead of silently attaching
-    to the slot's next tenant.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return "<pooled>"
-
-
-_POOLED = _Pooled()
 
 
 class UnitPool:
     """Free-list recycler for :class:`WorkUnit` (cf. ``_Sleep`` pooling).
 
     At fleet scale every simulated task would otherwise allocate (and
-    collect) a fresh 13-slot object; the pool keeps released units on a
+    collect) a fresh 12-slot object; the pool keeps released units on a
     plain list and the workload sources re-stamp every slot on acquire.
     ``in_use``/``high_water`` are diagnostics only (surfaced by
     ``scenarios run --metrics-out``); they are approximate after a
@@ -84,13 +66,11 @@ class WorkUnit:
 
     __slots__ = (
         "id",
-        "env",
         "_name",
         "task_class",
         "node_index",
         "timing",
         "priority_class",
-        "_done",
         "on_done",
         "global_id",
         "stage",
@@ -101,7 +81,6 @@ class WorkUnit:
 
     def __init__(
         self,
-        env: Environment,
         name: Optional[str],
         task_class: TaskClass,
         node_index: int,
@@ -110,7 +89,7 @@ class WorkUnit:
         global_id: Optional[int] = None,
         stage: Optional[int] = None,
         natural_deadline: Optional[float] = None,
-        on_done: Optional[Callable[[Event], None]] = None,
+        on_done: Optional[Callable[[Any], None]] = None,
     ) -> None:
         if timing.dl is None:
             raise ValueError(
@@ -118,23 +97,16 @@ class WorkUnit:
                 "strategy must assign one before submission"
             )
         self.id = next(_unit_counter)
-        self.env = env
         self._name = name
         self.task_class = task_class
         self.node_index = node_index
         self.timing = timing
         self.priority_class = priority_class
-        #: Lazily created completion event (see :attr:`done`).  Kept unset
-        #: until someone asks: fire-and-forget submitters (the local task
-        #: sources) never join on their units, and skipping the event saves
-        #: an allocation plus a dead heap entry per local completion.
-        self._done: Optional[Event] = None
-        #: Lightweight completion callback (the process manager's
+        #: The one completion channel (the process manager's
         #: continuation): when set, the node schedules it as a bare
         #: single-callback event at completion/discard time, with the unit
-        #: as the event value.  Cheaper than :attr:`done` (no ``Event``
-        #: construction, no lazy property, no callback-list append), but
-        #: single-listener only; external joiners use :attr:`done`.
+        #: as the event's ``_value``.  Units without one (the local task
+        #: sources' fire-and-forget work) go back to their pool instead.
         self.on_done = on_done
         #: True when a node crash discarded this unit (as opposed to an
         #: overload-policy abort).  The process manager's retry layer only
@@ -170,31 +142,6 @@ class WorkUnit:
         return name
 
     @property
-    def done(self) -> Event:
-        """Fires when the node finishes (or aborts) this unit.  The value is
-        the unit itself so joiners can inspect the outcome.
-
-        Created on first access; asking after the unit already finished
-        returns an event that fires (with the recorded outcome) at the
-        current simulation time.
-        """
-        done = self._done
-        if done is _POOLED:
-            raise RuntimeError(
-                f"work unit {self.id} was recycled: its completion event "
-                "is gone, and this object may already be serving a new "
-                "task.  Hold the unit's outcome (timing/lost) before it "
-                "is released, or keep units out of the pool by building "
-                "them directly."
-            )
-        if done is None:
-            done = self._done = Event(self.env)
-            timing = self.timing
-            if timing.completed_at is not None or timing.aborted:
-                done.succeed(self)
-        return done
-
-    @property
     def is_global_subtask(self) -> bool:
         """True for subtasks of global tasks (vs. locally generated work)."""
         return self.task_class is TaskClass.GLOBAL
@@ -203,25 +150,20 @@ class WorkUnit:
         """Return this unit to its pool (single owner only).
 
         Callable only on pool-acquired units whose outcome nobody still
-        needs: the node loops release fire-and-forget units (no ``done``
-        event, no ``on_done``) right after recording their outcome, and
-        the process manager's continuation releases its subtask units
-        after consuming theirs.  The ``_done`` slot becomes the pooled
-        sentinel so a stale ``unit.done`` (or a double release) raises
-        instead of corrupting the next tenant.
+        needs: the node loops release fire-and-forget units (no
+        ``on_done``) right after recording their outcome, and the process
+        manager's continuation releases its subtask units after consuming
+        theirs.  A parked unit has no timing record, so a double release
+        raises instead of corrupting the next tenant.
         """
-        if self._done is _POOLED:
+        if self.timing is None:
             raise RuntimeError(f"work unit {self.id} released twice")
         pool = self.pool
-        self._done = _POOLED
         self.on_done = None
-        # Drop the timing record and environment: the outcome was already
-        # copied into the metrics/trace layers, a stale reader failing
-        # loudly on None beats silently reading the next tenant's record,
-        # and a parked unit must not pin a finished run's object graph
-        # across in-process replications.
+        # Drop the timing record: the outcome was already copied into the
+        # metrics/trace layers, and a stale reader failing loudly on None
+        # beats silently reading the next tenant's record.
         self.timing = None
-        self.env = None
         pool.in_use -= 1
         pool.free.append(self)
 
@@ -233,7 +175,6 @@ class WorkUnit:
 
 
 def acquire_unit(
-    env: Environment,
     name: Optional[str],
     task_class: TaskClass,
     node_index: int,
@@ -242,7 +183,7 @@ def acquire_unit(
     global_id: Optional[int] = None,
     stage: Optional[int] = None,
     natural_deadline: Optional[float] = None,
-    on_done: Optional[Callable[[Event], None]] = None,
+    on_done: Optional[Callable[[Any], None]] = None,
 ) -> WorkUnit:
     """Pool-recycling equivalent of ``WorkUnit(...)``.
 
@@ -269,13 +210,11 @@ def acquire_unit(
     if in_use > pool.high_water:
         pool.high_water = in_use
     unit.id = next(_unit_counter)
-    unit.env = env
     unit._name = name
     unit.task_class = task_class
     unit.node_index = node_index
     unit.timing = timing
     unit.priority_class = priority_class
-    unit._done = None
     unit.on_done = on_done
     unit.lost = False
     unit.global_id = global_id

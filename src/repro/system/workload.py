@@ -143,7 +143,7 @@ class PiecewiseProfile:
 class LocalTaskSource(_RebindSamplers):
     """Poisson source of local tasks at one node.
 
-    Implemented as a self-rescheduling timeout callback rather than a
+    Implemented as a self-rescheduling sleep callback rather than a
     generator process: one arrival costs one event-list entry and one
     callback, with no coroutine suspend/resume machinery.  Random draws
     happen in the same per-stream order as the process version, so fixed
@@ -208,7 +208,7 @@ class LocalTaskSource(_RebindSamplers):
         self._predict = (
             None if self.estimator.is_perfect else self.estimator.predict
         )
-        self._submit = node.submit_nowait
+        self._submit = node.submit
         self._node_index = node.index
         self._profile = profile
         # Bound once; reused per arrival.  The stationary path keeps the
@@ -257,13 +257,11 @@ class LocalTaskSource(_RebindSamplers):
         if in_use > unit_pool.high_water:
             unit_pool.high_water = in_use
         unit.id = next(_unit_counter)
-        unit.env = env
         unit._name = None
         unit.task_class = _LOCAL
         unit.node_index = self._node_index
         unit.timing = timing
         unit.priority_class = _PRIORITY_NORMAL
-        unit._done = None
         unit.on_done = None
         unit.global_id = None
         unit.stage = None
@@ -276,7 +274,6 @@ class LocalTaskSource(_RebindSamplers):
         pool = env._sleep_pool
         if pool and gap >= 0.0:
             sleep = pool.pop()
-            sleep.delay = gap
             sleep.callback = self._on_arrive
             sleep._processed = False
             heappush(env._queue, (env._now + gap, env._next_seq(), sleep))
@@ -314,13 +311,11 @@ class LocalTaskSource(_RebindSamplers):
         if in_use > unit_pool.high_water:
             unit_pool.high_water = in_use
         unit.id = next(_unit_counter)
-        unit.env = env
         unit._name = None
         unit.task_class = _LOCAL
         unit.node_index = self._node_index
         unit.timing = timing
         unit.priority_class = _PRIORITY_NORMAL
-        unit._done = None
         unit.on_done = None
         unit.global_id = None
         unit.stage = None
@@ -331,7 +326,6 @@ class LocalTaskSource(_RebindSamplers):
         pool = env._sleep_pool
         if pool and gap >= 0.0:
             sleep = pool.pop()
-            sleep.delay = gap
             sleep.callback = self._on_arrive
             sleep._processed = False
             heappush(env._queue, (env._now + gap, env._next_seq(), sleep))
@@ -571,11 +565,10 @@ class SerialParallelFactory(GlobalTaskFactory):
 class GlobalTaskSource(_RebindSamplers):
     """Single Poisson stream of global tasks feeding the process manager.
 
-    Like :class:`LocalTaskSource`, a self-rescheduling timeout callback.
-    Submission uses the manager's fire-and-forget path
-    (:meth:`~repro.system.process_manager.ProcessManager.submit_nowait`):
-    the source never joins on a task's outcome, so the per-task outcome
-    event is skipped entirely.
+    Like :class:`LocalTaskSource`, a self-rescheduling sleep callback;
+    each arrival is handed to
+    :meth:`~repro.system.process_manager.ProcessManager.submit`, which
+    records the task's outcome in the metrics.
     """
 
     _samplers = {
@@ -613,7 +606,7 @@ class GlobalTaskSource(_RebindSamplers):
         self.generated = 0
         self._next_interarrival = interarrival.bind(self._arrival_stream)
         self._build = factory.build
-        self._submit = process_manager.submit_nowait
+        self._submit = process_manager.submit
         self._profile = profile
         # Bound once; the stationary path keeps the original callback.
         self._on_arrive = (

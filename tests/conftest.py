@@ -22,8 +22,8 @@ def script(env: Environment):
 
     Numbers are waits and callables are actions, run in order.  The
     first segment runs from an urgent ``_schedule_call`` kick, and each
-    wait arms ``env.timeout(delay)`` from inside the previous segment's
-    callback, after that segment's actions ran.  Tests with same-instant
+    wait arms ``env._sleep(delay, ...)`` from inside the previous
+    segment's callback, after that segment's actions ran.  Tests with same-instant
     arrivals pin this event order in their expected values.
     """
 
@@ -35,7 +35,7 @@ def script(env: Environment):
                 if callable(step):
                     step()
                 else:
-                    env.timeout(step).callbacks.append(resume)
+                    env._sleep(step, resume)
                     return
 
         env._schedule_call(resume)

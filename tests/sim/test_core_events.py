@@ -1,4 +1,4 @@
-"""Unit tests for the event lifecycle (repro.sim.core)."""
+"""Unit tests for the engine's pooled timers (repro.sim.core)."""
 
 from __future__ import annotations
 
@@ -7,105 +7,22 @@ import pytest
 from repro.sim.errors import EventLifecycleError
 
 
-class TestEventLifecycle:
-    def test_new_event_is_pending(self, env):
-        event = env.event()
-        assert not event.triggered
-        assert not event.processed
-
-    def test_value_before_trigger_raises(self, env):
-        event = env.event()
-        with pytest.raises(EventLifecycleError):
-            _ = event.value
-
-    def test_ok_before_trigger_raises(self, env):
-        event = env.event()
-        with pytest.raises(EventLifecycleError):
-            _ = event.ok
-
-    def test_succeed_sets_value(self, env):
-        event = env.event().succeed(42)
-        assert event.triggered
-        assert event.ok
-        assert event.value == 42
-
-    def test_succeed_with_none_value_still_triggered(self, env):
-        event = env.event().succeed()
-        assert event.triggered
-        assert event.value is None
-
-    def test_double_succeed_raises(self, env):
-        event = env.event().succeed(1)
-        with pytest.raises(EventLifecycleError):
-            event.succeed(2)
-
-    def test_fail_then_succeed_raises(self, env):
-        event = env.event().fail(RuntimeError("boom"))
-        event.defuse()
-        with pytest.raises(EventLifecycleError):
-            event.succeed(1)
-
-    def test_fail_requires_exception(self, env):
-        event = env.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")  # type: ignore[arg-type]
-
-    def test_fail_stores_exception(self, env):
-        error = ValueError("bad")
-        event = env.event().fail(error)
-        event.defuse()
-        assert not event.ok
-        assert event.value is error
-
-    def test_undefused_failure_crashes_run(self, env):
-        env.event().fail(RuntimeError("unhandled"))
-        with pytest.raises(RuntimeError, match="unhandled"):
-            env.run()
-
-    def test_defused_failure_does_not_crash_run(self, env):
-        event = env.event().fail(RuntimeError("handled"))
-        event.defuse()
-        env.run()  # must not raise
-
-    def test_callbacks_run_on_processing(self, env):
-        event = env.event()
-        seen = []
-        event.callbacks.append(lambda e: seen.append(e.value))
-        event.succeed("payload")
-        env.run()
-        assert seen == ["payload"]
-        assert event.processed
-
-    def test_repr_shows_state(self, env):
-        event = env.event()
-        assert "pending" in repr(event)
-        event.succeed()
-        assert "triggered" in repr(event)
-        env.run()
-        assert "processed" in repr(event)
-
-
-class TestTimeout:
-    def test_timeout_fires_after_delay(self, env):
+class TestSleep:
+    def test_sleep_fires_after_delay(self, env):
         times = []
-        event = env.timeout(5.5)
-        event.callbacks.append(lambda e: times.append(env.now))
+        env._sleep(5.5, lambda e: times.append(env.now))
         env.run()
         assert times == [5.5]
 
-    def test_timeout_carries_value(self, env):
-        event = env.timeout(1.0, value="tick")
-        env.run()
-        assert event.value == "tick"
-
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-0.1)
+            env._sleep(-0.1, lambda e: None)
 
     def test_zero_delay_fires_at_current_time(self, env):
-        event = env.timeout(0.0)
+        times = []
+        env._sleep(0.0, lambda e: times.append(env.now))
         env.run()
-        assert event.processed
+        assert times == [0.0]
         assert env.now == 0.0
 
 
@@ -167,8 +84,7 @@ class TestCancellableSleep:
         order = []
         env._sleep(3.0, lambda event: order.append("keep"))
         victim = env._sleep(1.0, lambda event: order.append("victim"))
-        late = env.timeout(5.0)
-        late.callbacks.append(lambda event: order.append("late"))
+        env._sleep(5.0, lambda event: order.append("late"))
         victim.cancel()
         env.run(until=10.0)
         assert order == ["keep", "late"]
@@ -179,11 +95,10 @@ class TestCancellableSleep:
         boundary case where a preemption lands at the completion
         instant."""
         fired = []
-        # The trigger is created first, so at t=1.0 it is processed
+        # The trigger is armed first, so at t=1.0 it is processed
         # before the sleep (same time, smaller sequence key).
-        trigger = env.timeout(1.0)
+        env._sleep(1.0, lambda event: sleep.cancel())
         sleep = env._sleep(1.0, lambda event: fired.append(event))
-        trigger.callbacks.append(lambda event: sleep.cancel())
         env.run(until=2.0)
         assert fired == []
         assert sleep in env._sleep_pool

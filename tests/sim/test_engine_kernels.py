@@ -9,18 +9,24 @@ implementation of the inlined run loop: a manually stepped, traced
 simulation must match ``run()`` event for event and metric for metric.
 
 The rest covers the kernel-internal primitives the system model runs
-on: ``_schedule_call`` bookkeeping events, the generic ``_schedule``
-path, sequence-key accounting, ``run(until=...)`` edge cases, and the
-pickling contract checkpoints rely on.
+on: ``_schedule_call`` bookkeeping events, sequence-key accounting,
+``run(until=t)`` edge cases, error propagation, and the pickling
+contract checkpoints rely on.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.sim import _engine
-from repro.sim._engine import NORMAL, URGENT, Environment, Timeout
+from repro.sim._engine import NORMAL, URGENT, Environment, _Call, _Sleep
 from repro.sim.errors import EventLifecycleError, SimulationError, StopSimulation
+
+
+def _noop(_event) -> None:
+    pass
 
 
 class TestEventOrdering:
@@ -28,9 +34,7 @@ class TestEventOrdering:
         env = Environment()
         order = []
         for delay in (5.0, 1.0, 3.0, 2.0, 4.0):
-            env.timeout(delay, value=delay).callbacks.append(
-                lambda e: order.append(e.value)
-            )
+            env._sleep(delay, lambda e, delay=delay: order.append(delay))
         env.run()
         assert order == [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -38,9 +42,7 @@ class TestEventOrdering:
         env = Environment()
         order = []
         for tag in "abcde":
-            env.timeout(1.0, value=tag).callbacks.append(
-                lambda e: order.append(e.value)
-            )
+            env._sleep(1.0, lambda e, tag=tag: order.append(tag))
         env.run()
         assert order == list("abcde")
 
@@ -51,15 +53,12 @@ class TestEventOrdering:
         ``(time, URGENT, seq)`` heap entries."""
         env = Environment()
         order = []
-        first = env.timeout(1.0)
-        env.timeout(1.0, value="normal-later").callbacks.append(
-            lambda e: order.append(e.value)
-        )
 
         def schedule_urgent(_event):
             env._schedule_call(lambda e: order.append("urgent"))
 
-        first.callbacks.append(schedule_urgent)
+        env._sleep(1.0, schedule_urgent)
+        env._sleep(1.0, lambda e: order.append("normal-later"))
         env.run()
         assert order == ["urgent", "normal-later"]
 
@@ -77,22 +76,18 @@ class TestEventOrdering:
         schedule order (they consume sequence keys)."""
         env = Environment()
         order = []
-        env.timeout(0.0, value="t1").callbacks.append(
-            lambda e: order.append(e.value)
-        )
+        env._sleep(0.0, lambda e: order.append("s1"))
         env._schedule_call(
             lambda e: order.append("call"), priority=NORMAL
         )
-        env.timeout(0.0, value="t2").callbacks.append(
-            lambda e: order.append(e.value)
-        )
+        env._sleep(0.0, lambda e: order.append("s2"))
         env.run()
-        assert order == ["t1", "call", "t2"]
+        assert order == ["s1", "call", "s2"]
 
     def test_run_until_horizon(self):
         env = Environment()
         fired = []
-        env.timeout(20.0).callbacks.append(lambda e: fired.append(env.now))
+        env._sleep(20.0, lambda e: fired.append(env.now))
         env.run(until=10.0)
         assert fired == []
         assert env.now == 10.0
@@ -103,15 +98,9 @@ class TestEventOrdering:
     def test_event_at_horizon_instant_runs(self):
         env = Environment()
         fired = []
-        env.timeout(10.0).callbacks.append(lambda e: fired.append(env.now))
+        env._sleep(10.0, lambda e: fired.append(env.now))
         env.run(until=10.0)
         assert fired == [10.0]
-
-    def test_run_until_event(self):
-        env = Environment()
-        event = env.timeout(4.0, value="done")
-        assert env.run(until=event) == "done"
-        assert env.now == 4.0
 
     def test_user_stop_inside_timed_run_withdraws_horizon(self):
         """A StopSimulation raised by user code during ``run(until=t)``
@@ -122,9 +111,9 @@ class TestEventOrdering:
         def stopper(_event):
             raise StopSimulation("early")
 
-        env.timeout(1.0).callbacks.append(stopper)
+        env._sleep(1.0, stopper)
         fired = []
-        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
+        env._sleep(5.0, lambda e: fired.append(env.now))
         assert env.run(until=10.0) == "early"
         env.run(until=20.0)
         assert fired == [5.0]
@@ -149,12 +138,12 @@ class TestEventOrdering:
     def test_peek_and_step(self):
         env = Environment()
         assert env.peek() == float("inf")
-        env.timeout(9.0)
-        env.timeout(2.0)
+        env._sleep(9.0, _noop)
+        env._sleep(2.0, _noop)
         assert env.peek() == 2.0
         env.step()
         assert env.now == 2.0
-        env._schedule_call(lambda e: None)
+        env._schedule_call(_noop)
         assert env.peek() == env.now  # urgent call is due immediately
         env.step()
         env.step()
@@ -162,23 +151,15 @@ class TestEventOrdering:
         with pytest.raises(SimulationError):
             env.step()
 
-    def test_run_until_pooled_sleep_is_rejected(self):
-        """A pooled sleep is recycled at expiry, so waiting on one is
-        always a bug -- the kernel fails loudly instead of returning
-        instantly (pending sleeps carry no callback list)."""
+    def test_heap_holds_only_sleeps_and_calls(self):
+        """The two event kinds: everything the model schedules is a pooled
+        sleep or a bare call -- there is no event anything waits on."""
         env = Environment()
-        sleep = env._sleep(5.0, lambda e: None)
-        with pytest.raises(SimulationError, match="pooled kernel sleep"):
-            env.run(until=sleep)
-
-    def test_failed_event_crashes_unless_defused(self):
-        env = Environment()
-        env.event().fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            env.run()
-        env2 = Environment()
-        env2.event().fail(RuntimeError("ok")).defuse()
-        env2.run()
+        env._sleep(1.0, _noop)
+        env._schedule_call(_noop, priority=NORMAL)
+        env._schedule_call(_noop)
+        assert {type(entry[2]) for entry in env._queue} == {_Sleep, _Call}
+        assert [type(call) for call in env._urgent] == [_Call]
 
 
 class TestStepMatchesRunLoop:
@@ -241,59 +222,34 @@ class TestBookkeepingCalls:
     def test_call_payload_reaches_callback(self):
         env = Environment()
         seen = []
+        call = env._schedule_call(lambda e: seen.append(e), value="payload")
         env._schedule_call(
-            lambda e: seen.append((e._ok, e._value)), value="payload"
+            lambda e: seen.append(e), value="normal", priority=NORMAL
         )
-        env._schedule_call(
-            lambda e: seen.append((e._ok, e._value)),
-            ok=False, value=KeyError("k"), defused=True,
-        )
+        env._schedule_call(lambda e: seen.append(e), priority=URGENT)
         env.run()
-        assert seen[0] == (True, "payload")
-        assert seen[1][0] is False
-        assert isinstance(seen[1][1], KeyError)
-
-    @pytest.mark.parametrize("priority", [URGENT, NORMAL], ids=["urgent", "normal"])
-    def test_failed_call_crashes_run_unless_defused(self, priority):
-        env = Environment()
-        env._schedule_call(
-            lambda e: None, ok=False, value=RuntimeError("boom"),
-            priority=priority,
-        )
-        with pytest.raises(RuntimeError, match="boom"):
-            env.run()
-        env2 = Environment()
-        env2._schedule_call(
-            lambda e: None, ok=False, value=RuntimeError("ok"),
-            defused=True, priority=priority,
-        )
-        env2.run()
-
-    def test_callback_may_defuse_a_failed_call(self):
-        env = Environment()
-
-        def handle(event):
-            event._defused = True
-
-        env._schedule_call(handle, ok=False, value=RuntimeError("handled"))
-        env.run()
-
-    def test_step_raises_failed_urgent_call(self):
-        env = Environment()
-        env._schedule_call(lambda e: None, ok=False, value=ValueError("v"))
-        with pytest.raises(ValueError, match="v"):
-            env.step()
+        assert seen[0] is call
+        assert [e._value for e in seen] == ["payload", None, "normal"]
 
     def test_urgent_calls_consume_no_sequence_numbers(self):
         """The determinism contract of the urgent deque: urgent calls
         never take a heap key, so they cannot relabel normal events."""
         env = Environment()
         before = env._seq_peek()
-        env._schedule_call(lambda e: None)
-        env._schedule_call(lambda e: None)
+        env._schedule_call(_noop)
+        env._schedule_call(_noop)
         assert env._seq_peek() == before
-        env._schedule_call(lambda e: None, priority=NORMAL)
+        env._schedule_call(_noop, priority=NORMAL)
         assert env._seq_peek() == before + 1
+
+    def test_normal_call_is_due_now(self):
+        env = Environment(initial_time=4.0)
+        stamps = []
+        env._sleep(1.0, lambda e: env._schedule_call(
+            lambda e: stamps.append(env.now), priority=NORMAL
+        ))
+        env.run()
+        assert stamps == [5.0]
 
     def test_pooled_call_can_be_reenqueued(self):
         """Long-lived owners keep one ``_Call`` and push it back onto the
@@ -305,14 +261,14 @@ class TestBookkeepingCalls:
         def later(_event):
             env._urgent.append(wake)
 
-        env.timeout(3.0).callbacks.append(later)
+        env._sleep(3.0, later)
         env.run()
         assert fired == [0.0, 3.0]
 
     def test_urgent_call_from_urgent_call_runs_before_heap(self):
         env = Environment()
         order = []
-        env.timeout(0.0).callbacks.append(lambda e: order.append("normal"))
+        env._sleep(0.0, lambda e: order.append("normal"))
 
         def first(_event):
             order.append("first")
@@ -323,49 +279,41 @@ class TestBookkeepingCalls:
         assert order == ["first", "second", "normal"]
 
 
-class TestDelayedSchedule:
-    """The generic ``_schedule(event, priority, delay)`` path."""
+class TestErrorPropagation:
+    """A callback's exception leaves the run loop unchanged: model bugs
+    cannot pass silently, whatever kind of event ran the callback."""
 
-    def _tagged(self, env, tag, order):
-        event = env.event()
-        event._value = tag
-        event.callbacks.append(lambda e: order.append(e._value))
-        return event
+    @staticmethod
+    def _broken(_event):
+        raise RuntimeError("boom")
 
-    def test_urgent_delayed_schedule_sorts_ahead_of_normal(self):
+    def _arm(self, env, kind):
+        if kind == "sleep":
+            env._sleep(1.0, self._broken)
+        elif kind == "urgent":
+            env._schedule_call(self._broken)
+        else:
+            env._schedule_call(self._broken, priority=NORMAL)
+
+    @pytest.mark.parametrize("kind", ["sleep", "urgent", "normal"])
+    def test_run_raises_callback_error(self, kind):
         env = Environment()
-        order = []
-        env.timeout(2.0, value="timeout").callbacks.append(
-            lambda e: order.append(e.value)
-        )
-        env._schedule(self._tagged(env, "normal", order), NORMAL, 2.0)
-        env._schedule(self._tagged(env, "urgent", order), URGENT, 2.0)
-        env.run()
-        assert order == ["urgent", "timeout", "normal"]
+        self._arm(env, kind)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
 
-    def test_urgent_delayed_schedules_are_fifo(self):
+    @pytest.mark.parametrize("kind", ["sleep", "urgent", "normal"])
+    def test_step_raises_callback_error(self, kind):
         env = Environment()
-        order = []
-        for tag in "abc":
-            env._schedule(self._tagged(env, tag, order), URGENT, 1.0)
-        env.run()
-        assert order == list("abc")
-
-    def test_delayed_schedule_fires_at_now_plus_delay(self):
-        env = Environment(initial_time=10.0)
-        stamps = []
-        event = env.event()
-        event._value = None
-        event.callbacks.append(lambda e: stamps.append(env.now))
-        env._schedule(event, NORMAL, 2.5)
-        env.run()
-        assert stamps == [12.5]
+        self._arm(env, kind)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.step()
 
 
 class TestSequenceKeys:
     def test_seq_peek_does_not_consume(self):
         env = Environment()
-        env.timeout(1.0)
+        env._sleep(1.0, _noop)
         peeked = env._seq_peek()
         assert env._seq_peek() == peeked
         assert env._next_seq() == peeked
@@ -376,7 +324,7 @@ class TestSequenceKeys:
         sliced = Environment()
         whole = Environment()
         for env in (sliced, whole):
-            env.timeout(7.0)
+            env._sleep(7.0, _noop)
         for t in (1.0, 2.0, 3.0, 4.0):
             sliced.run(until=t)
         whole.run(until=4.0)
@@ -384,42 +332,15 @@ class TestSequenceKeys:
 
 
 class TestRunUntil:
-    def test_run_until_event_leaves_later_events_queued(self):
-        env = Environment()
-        fired = []
-        target = env.timeout(2.0, value="target")
-        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
-        assert env.run(until=target) == "target"
-        assert fired == []
-        assert env.peek() == 5.0
-        env.run()
-        assert fired == [5.0]
-
-    def test_run_until_event_triggered_by_a_callback(self):
-        env = Environment()
-        target = env.event()
-        env.timeout(3.0).callbacks.append(lambda e: target.succeed("late"))
-        assert env.run(until=target) == "late"
-        assert env.now == 3.0
-
-    def test_run_until_processed_event_returns_at_once(self):
-        env = Environment()
-        target = env.timeout(1.0, value="old")
-        env.run()
-        env.timeout(4.0)
-        assert env.run(until=target) == "old"
-        assert env.now == 1.0
-        assert env.peek() == 5.0
-
     def test_model_error_inside_timed_run_withdraws_horizon(self):
         env = Environment()
 
         def broken(_event):
             raise ValueError("model bug")
 
-        env.timeout(1.0).callbacks.append(broken)
+        env._sleep(1.0, broken)
         fired = []
-        env.timeout(15.0).callbacks.append(lambda e: fired.append(env.now))
+        env._sleep(15.0, lambda e: fired.append(env.now))
         with pytest.raises(ValueError, match="model bug"):
             env.run(until=10.0)
         assert env.now == 1.0
@@ -427,38 +348,35 @@ class TestRunUntil:
         assert fired == [15.0]
         assert env.now == 20.0
 
+    def test_consumed_horizon_leaves_no_sentinel(self):
+        """A horizon the loop reached is popped, not withdrawn: the heap
+        holds only the model's own events afterwards."""
+        env = Environment()
+        env._sleep(15.0, _noop)
+        env.run(until=10.0)
+        assert [entry[0] for entry in env._queue] == [15.0]
+        assert all(type(entry[2]) is _Sleep for entry in env._queue)
+
+    def test_horizon_on_an_empty_heap_advances_the_clock(self):
+        env = Environment()
+        env.run(until=10.0)
+        assert env.now == 10.0
+        assert env._queue == []
+
 
 class TestEventDispatch:
-    def test_callback_list_is_dropped_after_processing(self):
-        env = Environment()
-        event = env.timeout(1.0)
-        env.run()
-        assert event.processed
-        assert event.callbacks is None
-
-    def test_succeed_inside_callback_queues_behind_same_time_events(self):
+    def test_call_inside_callback_queues_behind_same_time_events(self):
+        """A NORMAL call scheduled by a callback takes the next heap key,
+        so it runs after every event already due at that instant."""
         env = Environment()
         order = []
-        follow_up = env.event()
-        follow_up.callbacks.append(lambda e: order.append(e.value))
-        env.timeout(1.0).callbacks.append(lambda e: follow_up.succeed("chained"))
-        env.timeout(1.0, value="queued").callbacks.append(
-            lambda e: order.append(e.value)
-        )
+        env._sleep(1.0, lambda e: env._schedule_call(
+            lambda e: order.append("chained"), priority=NORMAL
+        ))
+        env._sleep(1.0, lambda e: order.append("queued"))
         env.run()
         assert order == ["queued", "chained"]
         assert env.now == 1.0
-
-    def test_every_callback_sees_a_failed_event_before_the_crash(self):
-        env = Environment()
-        seen = []
-        event = env.event()
-        event.callbacks.append(lambda e: seen.append("first"))
-        event.callbacks.append(lambda e: seen.append("second"))
-        event.fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            env.run()
-        assert seen == ["first", "second"]
 
 
 class TestPooledSleepContract:
@@ -502,8 +420,8 @@ class _Recorder:
     def hit(self, event):
         self.log.append((event._value, self.env.now))
 
-    def slept(self, event):
-        self.log.append(("sleep", self.env.now))
+    def tagged(self, tag, _event):
+        self.log.append((tag, self.env.now))
 
 
 class TestPickling:
@@ -514,8 +432,8 @@ class TestPickling:
         env = Environment()
         recorder = _Recorder(env)
         for delay, tag in ((3.0, "c"), (1.0, "a"), (1.0, "b")):
-            env.timeout(delay, value=tag).callbacks.append(recorder.hit)
-        env._sleep(2.0, recorder.slept)
+            env._sleep(delay, partial(recorder.tagged, tag))
+        env._sleep(2.0, partial(recorder.tagged, "sleep"))
         env._schedule_call(recorder.hit, value="urgent")
         env._schedule_call(recorder.hit, value="normal-call", priority=NORMAL)
         return env, recorder
@@ -532,25 +450,24 @@ class TestPickling:
         assert recorder.log[0] == ("urgent", 0.0)
         assert restored_env._seq_peek() == env._seq_peek()
 
-    def test_pending_sentinel_identity_survives(self):
+    def test_cancelled_and_processed_sleeps_round_trip(self):
+        """A cancelled sleep stays silent after a restore, and a fired
+        one in the pool still refuses a stale cancel."""
         import pickle
 
         env = Environment()
-        event = env.event()
-        clone = pickle.loads(pickle.dumps(event))
-        assert not clone.triggered
-        with pytest.raises(EventLifecycleError):
-            clone.value
-
-    def test_timeout_subclass_is_not_checkpointable(self):
-        import pickle
-
-        class Custom(Timeout):
-            __slots__ = ()
-
-        env = Environment()
-        with pytest.raises(TypeError, match="Custom"):
-            pickle.dumps(Custom(env, 1.0))
+        recorder = _Recorder(env)
+        fired = env._sleep(1.0, partial(recorder.tagged, "fired"))
+        env.run(until=1.5)
+        env._sleep(3.0, partial(recorder.tagged, "cancelled")).cancel()
+        env._sleep(4.0, partial(recorder.tagged, "kept"))
+        assert fired not in env._sleep_pool  # re-issued to "cancelled"
+        restored_env, restored = pickle.loads(pickle.dumps((env, recorder)))
+        restored_env.run()
+        assert restored.log == [("fired", 1.0), ("kept", 5.5)]
+        for sleep in restored_env._sleep_pool:
+            with pytest.raises(EventLifecycleError):
+                sleep.cancel()
 
     def test_classes_pickle_under_the_engine_module_path(self):
         """Existing checkpoints name ``repro.sim._engine`` classes; the
@@ -565,5 +482,5 @@ class TestPickling:
         for name in core.__all__:
             obj = getattr(core, name)
             assert obj is getattr(_engine, name)
-        for cls in (core.Environment, core.Event, core.Timeout, core._Call):
+        for cls in (core.Environment, core._Call, _Sleep):
             assert cls.__module__ == "repro.sim._engine"

@@ -29,20 +29,20 @@ class TestScriptFixture:
         """The kick is an urgent call: it beats normal events due now,
         even ones scheduled before the script started."""
         log = []
-        env.timeout(0.0).callbacks.append(lambda e: log.append("timeout"))
+        env._sleep(0.0, lambda e: log.append("sleep"))
         script(lambda: log.append("script"))
         env.run()
-        assert log == ["script", "timeout"]
+        assert log == ["script", "sleep"]
 
     def test_wait_is_armed_when_the_previous_segment_ends(self, env, script):
         """A wait takes its heap key from inside the previous callback,
-        after that segment's actions: same-instant timeouts armed before
+        after that segment's actions: same-instant sleeps armed before
         the script, or by its own actions, fire first."""
         log = []
-        env.timeout(1.0).callbacks.append(lambda e: log.append("armed-before"))
+        env._sleep(1.0, lambda e: log.append("armed-before"))
 
         def arm_inside():
-            env.timeout(1.0).callbacks.append(lambda e: log.append("armed-inside"))
+            env._sleep(1.0, lambda e: log.append("armed-inside"))
 
         script(arm_inside, 1.0, lambda: log.append("script"))
         env.run()
@@ -59,9 +59,7 @@ class TestScriptFixture:
     def test_zero_wait_yields_to_queued_same_instant_events(self, env, script):
         log = []
         script(
-            lambda: env.timeout(0.0).callbacks.append(
-                lambda e: log.append("queued")
-            ),
+            lambda: env._sleep(0.0, lambda e: log.append("queued")),
             0.0,
             lambda: log.append("after-yield"),
         )

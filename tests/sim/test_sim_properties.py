@@ -28,8 +28,7 @@ def test_events_always_fire_in_nondecreasing_time_order(ds):
     env = Environment()
     fired = []
     for d in ds:
-        event = env.timeout(d)
-        event.callbacks.append(lambda e: fired.append(env.now))
+        env._sleep(d, lambda e: fired.append(env.now))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(ds)
@@ -39,7 +38,7 @@ def test_events_always_fire_in_nondecreasing_time_order(ds):
 def test_run_until_horizon_never_overshoots(ds):
     env = Environment()
     for d in ds:
-        env.timeout(d)
+        env._sleep(d, lambda e: None)
     horizon = max(ds) / 2 if max(ds) > 0 else 1.0
     env.run(until=horizon)
     assert env.now == horizon
@@ -50,8 +49,7 @@ def test_simultaneous_events_fire_fifo(tags):
     env = Environment()
     fired = []
     for tag in tags:
-        event = env.timeout(1.0, value=tag)
-        event.callbacks.append(lambda e: fired.append(e.value))
+        env._sleep(1.0, lambda e, tag=tag: fired.append(tag))
     env.run()
     assert fired == tags
 

@@ -197,6 +197,10 @@ class TestValidation:
             {"subtask_count_range": (5, 3)},
             {"task_structure": PARALLEL, "subtask_count": 7},
             {"task_structure": SERIAL_PARALLEL, "stage_width": 7},
+            {"sim_time": float("nan")},
+            {"sim_time": float("inf")},
+            {"warmup_time": float("nan")},
+            {"warmup_time": float("inf")},
         ],
     )
     def test_rejects_bad_settings(self, overrides):

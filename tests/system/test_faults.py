@@ -114,10 +114,11 @@ def make_node(env, metrics, preemptive=False):
     )
 
 
-def submit(env, node, ex, dl, name="u", task_class=TaskClass.LOCAL):
+def submit(env, node, ex, dl, name="u", task_class=TaskClass.LOCAL,
+           on_done=None):
     timing = TimingRecord(ar=env.now, ex=ex, dl=dl)
-    unit = WorkUnit(env=env, name=name, task_class=task_class,
-                    node_index=0, timing=timing)
+    unit = WorkUnit(name=name, task_class=task_class,
+                    node_index=0, timing=timing, on_done=on_done)
     unit.lost = False
     node.submit(unit)
     return unit
@@ -129,14 +130,16 @@ class TestNodeCrashLost:
     def test_in_flight_unit_discarded(self, env, metrics):
         node = make_node(env, metrics)
         node.configure_fault_semantics(lose_in_flight=True, drop_queued=False)
-        unit = submit(env, node, ex=10.0, dl=100.0)
+        handed_back = []
+        unit = submit(env, node, ex=10.0, dl=100.0,
+                      on_done=lambda e: handed_back.append((env.now, e._value)))
         env.run(until=2.0)
         node.crash()
         env.run(until=20.0)
         assert unit.lost
         assert unit.timing.aborted
         assert unit.timing.completed_at is None
-        assert unit.done.processed
+        assert handed_back == [(2.0, unit)]
         assert metrics.node_lost[0] == 1
 
     def test_queue_preserved_serves_after_recovery(self, env, metrics):
@@ -216,12 +219,14 @@ class TestNodeCrashResume:
     def test_preemptive_crash_lost_discards(self, env, metrics):
         node = make_node(env, metrics, preemptive=True)
         node.configure_fault_semantics(lose_in_flight=True, drop_queued=True)
-        unit = submit(env, node, ex=4.0, dl=100.0)
+        handed_back = []
+        unit = submit(env, node, ex=4.0, dl=100.0,
+                      on_done=lambda e: handed_back.append((env.now, e._value)))
         env.run(until=3.0)
         node.crash()
         env.run(until=5.0)
         assert unit.lost
-        assert unit.done.processed
+        assert handed_back == [(3.0, unit)]
 
 
 class TestFaultInjector:

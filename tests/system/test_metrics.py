@@ -18,7 +18,7 @@ def finished_unit(env, task_class=TaskClass.LOCAL, ar=0.0, ex=1.0, dl=5.0,
     timing.started_at = started
     timing.completed_at = None if aborted else completed
     timing.aborted = aborted
-    return WorkUnit(env=env, name="u", task_class=task_class,
+    return WorkUnit(name="u", task_class=task_class,
                     node_index=0, timing=timing)
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.task import TaskClass
 from repro.core.timing import TimingRecord
-from repro.sim.core import Event, _Call
+from repro.sim.core import _Call
 from repro.system.metrics import MetricsCollector, NodeStats
 from repro.system.node import Node
 from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst, ReadyQueue
-from repro.system.work import WorkUnit
+from repro.system.work import UNIT_POOL, WorkUnit
 
 
 def _noop(_event) -> None:
@@ -30,14 +30,15 @@ def _instances(env):
             index=0, utilization=0.5, mean_queue_length=1.0, dispatched=3
         ),
         "WorkUnit": WorkUnit(
-            env=env, name="u", task_class=TaskClass.LOCAL, node_index=0,
+            name="u", task_class=TaskClass.LOCAL, node_index=0,
             timing=timing,
         ),
         "TimingRecord": timing,
         "ReadyQueue": ReadyQueue(EarliestDeadlineFirst()),
         "_Sleep": env._sleep(1.0, _noop),
         "_Call": _Call(_noop),
-        "Event": Event(env),
+        "Environment": env,
+        "UnitPool": UNIT_POOL,
     }
 
 
@@ -45,7 +46,7 @@ def _instances(env):
     "name",
     [
         "Node", "PreemptiveNode", "NodeStats", "WorkUnit", "TimingRecord",
-        "ReadyQueue", "_Sleep", "_Call", "Event",
+        "ReadyQueue", "_Sleep", "_Call", "Environment", "UnitPool",
     ],
 )
 def test_no_instance_dict(env, name):

@@ -11,8 +11,9 @@ from repro.sim.core import Environment
 from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
 from repro.system.overload import AbortTardyAtDispatch
+from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst
-from repro.system.work import WorkUnit
+from repro.system.work import UNIT_POOL, WorkUnit, acquire_unit
 
 
 @pytest.fixture
@@ -25,21 +26,24 @@ def node(env, metrics):
     return Node(env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics)
 
 
-def submit(env, node, ex, dl, name="u", task_class=TaskClass.LOCAL, ar=None):
+def submit(env, node, ex, dl, name="u", task_class=TaskClass.LOCAL, ar=None,
+           on_done=None):
     timing = TimingRecord(ar=env.now if ar is None else ar, ex=ex, dl=dl)
-    unit = WorkUnit(env=env, name=name, task_class=task_class,
-                    node_index=0, timing=timing)
+    unit = WorkUnit(name=name, task_class=task_class,
+                    node_index=0, timing=timing, on_done=on_done)
     node.submit(unit)
     return unit
 
 
 class TestService:
     def test_single_unit_served_for_ex(self, env, node):
-        unit = submit(env, node, ex=2.5, dl=10.0)
+        handed_back = []
+        unit = submit(env, node, ex=2.5, dl=10.0,
+                      on_done=lambda e: handed_back.append((env.now, e._value)))
         env.run()
         assert unit.timing.started_at == 0.0
         assert unit.timing.completed_at == 2.5
-        assert unit.done.processed
+        assert handed_back == [(2.5, unit)]
 
     def test_edf_order(self, env, node):
         late = submit(env, node, ex=1.0, dl=20.0, name="late")
@@ -77,7 +81,7 @@ class TestService:
 
     def test_wrong_node_rejected(self, env, node):
         timing = TimingRecord(ar=0.0, ex=1.0, dl=5.0)
-        unit = WorkUnit(env=env, name="u", task_class=TaskClass.LOCAL,
+        unit = WorkUnit(name="u", task_class=TaskClass.LOCAL,
                         node_index=3, timing=timing)
         with pytest.raises(ValueError, match="routed to node"):
             node.submit(unit)
@@ -131,12 +135,14 @@ class TestAbortAtDispatch:
     def test_expired_unit_dropped_without_service(self, env, abort_node, metrics):
         # The blocker has the earliest deadline, so EDF serves it first and
         # the doomed unit's deadline expires while it waits.
+        handed_back = []
         blocker = submit(env, abort_node, ex=10.0, dl=2.0, name="blocker")
-        doomed = submit(env, abort_node, ex=1.0, dl=5.0, name="doomed")
+        doomed = submit(env, abort_node, ex=1.0, dl=5.0, name="doomed",
+                        on_done=lambda e: handed_back.append((env.now, e._value)))
         env.run()
         assert doomed.timing.aborted
         assert doomed.timing.started_at is None
-        assert doomed.done.processed
+        assert handed_back == [(10.0, doomed)]
         stats = metrics.snapshot(env.now).local
         assert stats.aborted == 1
         assert stats.missed == 2  # the blocker itself finished tardy too
@@ -155,3 +161,64 @@ class TestAbortAtDispatch:
         survivor = submit(env, abort_node, ex=1.0, dl=50.0, name="survivor")
         env.run()
         assert survivor.timing.started_at == 10.0  # right after blocker
+
+
+class TestCompletionChannel:
+    """``on_done`` is a unit's only completion channel: every way a node
+    finishes with a unit hands it to that callback exactly once, and a
+    unit without one goes back to ``UNIT_POOL`` exactly once."""
+
+    #: When the target unit (ex 1, dl 5, submitted at 0) is handed back.
+    HANDED_BACK_AT = {
+        "completion": 1.0,
+        "dispatch-abort": 10.0,  # dispatched after the blocker, past dl
+        "crash-lost-in-flight": 0.5,
+        "crash-dropped-queued": 0.5,
+    }
+
+    @pytest.mark.parametrize("channel", ["on_done", "pool"])
+    @pytest.mark.parametrize("scenario", list(HANDED_BACK_AT))
+    @pytest.mark.parametrize(
+        "node_cls", [Node, PreemptiveNode], ids=["node", "preemptive"]
+    )
+    def test_unit_handed_back_exactly_once(
+        self, env, metrics, node_cls, scenario, channel
+    ):
+        node = node_cls(
+            env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics,
+            overload_policy=(
+                AbortTardyAtDispatch() if scenario == "dispatch-abort" else None
+            ),
+        )
+        if scenario == "crash-lost-in-flight":
+            node.configure_fault_semantics(lose_in_flight=True, drop_queued=False)
+        elif scenario == "crash-dropped-queued":
+            node.configure_fault_semantics(lose_in_flight=False, drop_queued=True)
+        if scenario in ("dispatch-abort", "crash-dropped-queued"):
+            # Hand-built and earliest-deadline: served ahead of the target.
+            submit(env, node, ex=10.0, dl=2.0, name="blocker")
+        handed_back = []
+        baseline = UNIT_POOL.in_use
+        unit = acquire_unit(
+            name="target", task_class=TaskClass.LOCAL, node_index=0,
+            timing=TimingRecord(ar=0.0, ex=1.0, dl=5.0),
+            on_done=(
+                (lambda e: handed_back.append((env.now, e._value)))
+                if channel == "on_done" else None
+            ),
+        )
+        node.submit(unit)
+        if scenario.startswith("crash"):
+            env.run(until=0.5)
+            node.crash()
+        env.run(until=50.0)
+        if channel == "on_done":
+            assert handed_back == [(self.HANDED_BACK_AT[scenario], unit)]
+            assert unit.timing.aborted is (scenario != "completion")
+            assert unit.lost is scenario.startswith("crash")
+            # The callback's owner consumes the unit: the node never
+            # recycles a unit that has a listener.
+            assert UNIT_POOL.in_use == baseline + 1
+            unit.release()
+        assert UNIT_POOL.in_use == baseline
+        assert UNIT_POOL.free.count(unit) == 1

@@ -99,7 +99,7 @@ def _make_nodes(env, count):
 
 def _busy_unit(env, node_index):
     timing = fast_timing(ar=0.0, ex=10.0, pex=10.0, dl=100.0)
-    return WorkUnit(env, None, TaskClass.LOCAL, node_index, timing)
+    return WorkUnit(None, TaskClass.LOCAL, node_index, timing)
 
 
 class TestLeastOutstandingPlacement:
@@ -107,8 +107,8 @@ class TestLeastOutstandingPlacement:
         env = Environment()
         nodes = _make_nodes(env, 3)
         placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=1))
-        nodes[0].submit_nowait(_busy_unit(env, 0))
-        nodes[2].submit_nowait(_busy_unit(env, 2))
+        nodes[0].submit(_busy_unit(env, 0))
+        nodes[2].submit(_busy_unit(env, 2))
         env.run(until=1.0)  # dispatch: nodes 0 and 2 now busy
         assert placement.pick_one() == 1
 
@@ -117,8 +117,8 @@ class TestLeastOutstandingPlacement:
         nodes = _make_nodes(env, 3)
         placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=1))
         for _ in range(2):
-            nodes[0].submit_nowait(_busy_unit(env, 0))
-        nodes[1].submit_nowait(_busy_unit(env, 1))
+            nodes[0].submit(_busy_unit(env, 0))
+        nodes[1].submit(_busy_unit(env, 1))
         env.run(until=1.0)
         # Outstanding: node0 = 2 (one serving, one queued), node1 = 1, node2 = 0.
         assert placement.pick_distinct(3) == [2, 1, 0]

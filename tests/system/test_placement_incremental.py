@@ -90,7 +90,7 @@ def _clone(stream) -> random.Random:
 
 def _unit(env, node_index, now):
     timing = fast_timing(ar=now, ex=1.5, pex=1.5, dl=now + 50.0)
-    return WorkUnit(env, None, TaskClass.LOCAL, node_index, timing)
+    return WorkUnit(None, TaskClass.LOCAL, node_index, timing)
 
 
 def _check_counts(placement, metrics):
@@ -128,7 +128,7 @@ def test_incremental_counts_and_decisions_match_rescan(
 
     for op, arg in steps:
         if op == "submit":
-            nodes[arg].submit_nowait(_unit(env, arg, env.now))
+            nodes[arg].submit(_unit(env, arg, env.now))
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "crash":
@@ -188,7 +188,7 @@ def test_incremental_counts_without_live_set(steps):
     placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=23))
     for op, arg in steps:
         if op == "submit":
-            nodes[arg].submit_nowait(_unit(env, arg, env.now))
+            nodes[arg].submit(_unit(env, arg, env.now))
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "pick_one":

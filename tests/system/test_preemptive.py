@@ -29,7 +29,7 @@ def node(env, metrics):
 
 def submit(env, node, ex, dl, name="u", priority=PriorityClass.NORMAL):
     timing = TimingRecord(ar=env.now, ex=ex, dl=dl)
-    unit = WorkUnit(env=env, name=name, task_class=TaskClass.LOCAL,
+    unit = WorkUnit(name=name, task_class=TaskClass.LOCAL,
                     node_index=0, timing=timing, priority_class=priority)
     node.submit(unit)
     return unit

@@ -41,13 +41,14 @@ class TestSerialExecution:
             SimpleTask(2.0, node_index=1, name="s1"),
             SimpleTask(3.0, node_index=2, name="s2"),
         )
-        proc = manager.submit(tree, deadline=20.0)
+        manager.submit(tree, deadline=20.0)
         env.run()
-        outcome = proc.value
-        assert outcome.completed_at == 6.0
-        assert not outcome.missed
+        stats = metrics.snapshot(env.now).global_
+        assert stats.mean_response == 6.0  # arrived at t=0
+        assert (stats.completed, stats.missed) == (1, 0)
         leaves = list(tree.leaves())
         assert leaves[0].timing.completed_at == 1.0
+        assert leaves[2].timing.completed_at == 6.0
         assert leaves[1].timing.ar == 1.0      # submitted when stage 0 ended
         assert leaves[2].timing.ar == 3.0
 
@@ -102,10 +103,12 @@ class TestSerialExecution:
     def test_single_leaf_global_task(self, env):
         manager, metrics, _ = build_system(env)
         leaf = SimpleTask(1.5, node_index=0)
-        proc = manager.submit(leaf, deadline=10.0)
+        manager.submit(leaf, deadline=10.0)
         env.run()
-        assert proc.value.completed_at == 1.5
-        assert metrics.snapshot(env.now).global_.completed == 1
+        assert leaf.timing.completed_at == 1.5
+        stats = metrics.snapshot(env.now).global_
+        assert stats.completed == 1
+        assert stats.mean_response == 1.5
 
     def test_unrouted_leaf_rejected(self, env):
         manager, _, _ = build_system(env)
@@ -117,15 +120,15 @@ class TestSerialExecution:
 
 class TestParallelExecution:
     def test_group_finishes_with_last_branch(self, env):
-        manager, _, _ = build_system(env)
+        manager, metrics, _ = build_system(env)
         tree = parallel(
             SimpleTask(1.0, node_index=0),
             SimpleTask(5.0, node_index=1),
             SimpleTask(2.0, node_index=2),
         )
-        proc = manager.submit(tree, deadline=20.0)
+        manager.submit(tree, deadline=20.0)
         env.run()
-        assert proc.value.completed_at == 5.0
+        assert metrics.snapshot(env.now).global_.mean_response == 5.0
 
     def test_branches_fork_simultaneously(self, env):
         manager, _, _ = build_system(env)
@@ -162,15 +165,16 @@ class TestParallelExecution:
 
 class TestSerialParallelTrees:
     def test_nested_execution_times(self, env):
-        manager, _, _ = build_system(env)
+        manager, metrics, _ = build_system(env)
         tree = serial(
             parallel(SimpleTask(2.0, node_index=0), SimpleTask(3.0, node_index=1)),
             parallel(SimpleTask(1.0, node_index=0), SimpleTask(4.0, node_index=2)),
         )
-        proc = manager.submit(tree, deadline=20.0)
+        manager.submit(tree, deadline=20.0)
         env.run()
         # Stage 1 finishes at max(2,3)=3; stage 2 at 3+max(1,4)=7.
-        assert proc.value.completed_at == 7.0
+        assert [leaf.timing.ar for leaf in tree.leaves()] == [0.0, 0.0, 3.0, 3.0]
+        assert metrics.snapshot(env.now).global_.mean_response == 7.0
 
     def test_eqf_div1_recursive_windows(self, env):
         manager, _, _ = build_system(env, strategy="EQF-DIV1")
@@ -214,15 +218,14 @@ class TestAbortPropagation:
             SimpleTask(1.0, node_index=0),
             SimpleTask(1.0, node_index=1),
         )
-        proc = manager.submit(tree, deadline=2.0)  # hopeless
+        manager.submit(tree, deadline=2.0)  # hopeless
         env.run()
-        outcome = proc.value
-        assert outcome.aborted
-        assert outcome.missed
         # The second stage never ran.
+        assert list(tree.leaves())[0].timing.aborted
         assert list(tree.leaves())[1].timing is None
         stats = metrics.snapshot(env.now).global_
         assert stats.aborted == 1
+        assert stats.missed == 1
         assert stats.completed == 0
 
     def test_aborted_parallel_branch_aborts_group(self, env):
@@ -236,20 +239,20 @@ class TestAbortPropagation:
             SimpleTask(1.0, node_index=0),   # blocked past its deadline
             SimpleTask(1.0, node_index=1),   # completes fine
         )
-        proc = manager.submit(tree, deadline=2.0)
+        manager.submit(tree, deadline=2.0)
         env.run()
-        assert proc.value.aborted
+        assert metrics.snapshot(env.now).global_.aborted == 1
         # The healthy branch still ran to completion before the join.
         healthy = list(tree.leaves())[1]
         assert healthy.timing.completed_at == 1.0
 
 
 class TestAbortedOutcomeValues:
-    """Regression: aborted outcomes must not report fabricated timings.
+    """Regression: aborted tasks must not report fabricated timings.
 
-    ``response_time``/``lateness`` used to compute ``0.0 - arrival`` /
-    ``0.0 - deadline`` for aborted tasks (``completed_at`` is ``None``),
-    yielding large negative garbage; they now return ``None``.
+    An aborted task never completed, so it has no response time or
+    lateness; computing them from a missing completion once yielded
+    large negative garbage.
     """
 
     def _aborted_outcome(self, env):
@@ -259,16 +262,20 @@ class TestAbortedOutcomeValues:
         from tests.system.test_node import submit as node_submit
 
         node_submit(env, nodes[0], ex=10.0, dl=100.0, name="blocker")
-        proc = manager.submit(SimpleTask(1.0, node_index=0), deadline=2.0)
+        leaf = SimpleTask(1.0, node_index=0)
+        manager.submit(leaf, deadline=2.0)
         env.run()
-        return proc.value, metrics
+        return leaf, metrics
 
     def test_aborted_response_time_and_lateness_are_none(self, env):
-        outcome, _ = self._aborted_outcome(env)
-        assert outcome.aborted
-        assert outcome.completed_at is None
-        assert outcome.response_time is None
-        assert outcome.lateness is None
+        import math
+
+        leaf, metrics = self._aborted_outcome(env)
+        assert leaf.timing.aborted
+        assert leaf.timing.completed_at is None
+        stats = metrics.snapshot(env.now).global_
+        assert math.isnan(stats.p99_response)
+        assert math.isnan(stats.p99_lateness)
 
     def test_aborted_task_leaves_response_stats_untouched(self, env):
         """The miss counters move, but no phantom response/lateness sample
@@ -284,12 +291,12 @@ class TestAbortedOutcomeValues:
         assert math.isnan(stats.mean_lateness)
 
     def test_completed_outcome_still_reports_timings(self, env):
-        manager, _, _ = build_system(env)
-        proc = manager.submit(SimpleTask(1.5, node_index=0), deadline=10.0)
+        manager, metrics, _ = build_system(env)
+        manager.submit(SimpleTask(1.5, node_index=0), deadline=10.0)
         env.run()
-        outcome = proc.value
-        assert outcome.response_time == pytest.approx(1.5)
-        assert outcome.lateness == pytest.approx(-8.5)
+        stats = metrics.snapshot(env.now).global_
+        assert stats.mean_response == pytest.approx(1.5)
+        assert stats.mean_lateness == pytest.approx(-8.5)
 
 
 class TestSubmissionBookkeeping:
@@ -300,11 +307,11 @@ class TestSubmissionBookkeeping:
         env.run()
         assert manager.submitted == 3
 
-    def test_submit_nowait_records_metrics_without_outcome_event(self, env):
-        """The fire-and-forget path (used by the global task source) still
-        records end-to-end metrics."""
+    def test_submit_returns_none_and_records_metrics(self, env):
+        """Nothing waits on a global task: ``submit`` returns nothing, and
+        the end-to-end outcome lands in the metrics."""
         manager, metrics, _ = build_system(env)
-        assert manager.submit_nowait(
+        assert manager.submit(
             SimpleTask(0.5, node_index=0), deadline=50.0
         ) is None
         env.run()
@@ -314,10 +321,11 @@ class TestSubmissionBookkeeping:
     def test_past_deadline_accepted(self, env):
         """A soft real-time system accepts already-hopeless tasks."""
         manager, metrics, _ = build_system(env)
-        proc = manager.submit(SimpleTask(1.0, node_index=0), deadline=-5.0)
+        manager.submit(SimpleTask(1.0, node_index=0), deadline=-5.0)
         env.run()
-        assert proc.value.missed
-        assert metrics.snapshot(env.now).global_.completed == 1
+        stats = metrics.snapshot(env.now).global_
+        assert stats.completed == 1
+        assert stats.missed == 1
 
     def test_invalid_tree_rejected_at_submit(self, env):
         manager, _, _ = build_system(env)

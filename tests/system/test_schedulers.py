@@ -23,7 +23,6 @@ from repro.system.work import WorkUnit
 def unit(env, dl, pex=1.0, ar=0.0, ex=None, priority=PriorityClass.NORMAL, name="u"):
     timing = TimingRecord(ar=ar, ex=ex if ex is not None else pex, pex=pex, dl=dl)
     return WorkUnit(
-        env=env,
         name=name,
         task_class=TaskClass.LOCAL,
         node_index=0,

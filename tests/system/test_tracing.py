@@ -26,7 +26,7 @@ from repro.system.work import WorkUnit
 
 def submit(env, node, ex, dl, name):
     timing = TimingRecord(ar=env.now, ex=ex, dl=dl)
-    unit = WorkUnit(env=env, name=name, task_class=TaskClass.LOCAL,
+    unit = WorkUnit(name=name, task_class=TaskClass.LOCAL,
                     node_index=node.index, timing=timing)
     node.submit(unit)
     return unit

@@ -19,7 +19,7 @@ from repro.system.work import WorkUnit
 def make_unit(env, dl=10.0, task_class=TaskClass.LOCAL, natural_deadline=None):
     timing = TimingRecord(ar=0.0, ex=1.0, dl=dl)
     return WorkUnit(
-        env=env, name="u", task_class=task_class, node_index=0, timing=timing,
+        name="u", task_class=task_class, node_index=0, timing=timing,
         natural_deadline=natural_deadline,
     )
 
@@ -28,11 +28,11 @@ class TestWorkUnit:
     def test_requires_deadline(self, env):
         timing = TimingRecord(ar=0.0, ex=1.0)  # no deadline assigned
         with pytest.raises(ValueError, match="without a deadline"):
-            WorkUnit(env=env, name="u", task_class=TaskClass.LOCAL,
+            WorkUnit(name="u", task_class=TaskClass.LOCAL,
                      node_index=0, timing=timing)
 
-    def test_done_event_initially_pending(self, env):
-        assert not make_unit(env).done.triggered
+    def test_no_completion_listener_by_default(self, env):
+        assert make_unit(env).on_done is None
 
     def test_is_global_subtask(self, env):
         assert make_unit(env, task_class=TaskClass.GLOBAL).is_global_subtask
@@ -118,7 +118,7 @@ class TestUnitPool:
 
         timing = TimingRecord(ar=0.0, ex=1.0, dl=dl)
         return acquire_unit(
-            env=env, name=None, task_class=TaskClass.LOCAL, node_index=0,
+            name=None, task_class=TaskClass.LOCAL, node_index=0,
             timing=timing,
         )
 
@@ -127,7 +127,7 @@ class TestUnitPool:
 
         with pytest.raises(ValueError, match="without a deadline"):
             acquire_unit(
-                env=env, name=None, task_class=TaskClass.LOCAL,
+                name=None, task_class=TaskClass.LOCAL,
                 node_index=0, timing=TimingRecord(ar=0.0, ex=1.0),
             )
 
@@ -145,12 +145,6 @@ class TestUnitPool:
         assert recycled.id > first_id
         assert make_unit(env).id > recycled.id  # shared counter
 
-    def test_done_after_release_raises(self, env):
-        unit = self._acquire(env)
-        unit.release()
-        with pytest.raises(RuntimeError, match="was recycled"):
-            unit.done
-
     def test_double_release_raises(self, env):
         unit = self._acquire(env)
         unit.release()
@@ -161,8 +155,8 @@ class TestUnitPool:
         unit = self._acquire(env)
         unit.release()
         assert unit.timing is None
-        assert unit.env is None
         assert unit.on_done is None
+        assert not hasattr(unit, "env")
 
     def test_recycled_unit_is_fully_restamped(self, env):
         stale = self._acquire(env)
@@ -173,7 +167,8 @@ class TestUnitPool:
         assert fresh.lost is False
         assert fresh.timing.dl == 7.0
         assert fresh.natural_deadline == 7.0
-        assert not fresh.done.triggered  # fresh lazy event, not _POOLED
+        assert fresh.on_done is None
+        fresh.release()  # the restamped timing re-arms the release guard
 
     def test_in_use_and_high_water_accounting(self, env):
         from repro.system.work import UNIT_POOL

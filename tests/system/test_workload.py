@@ -245,7 +245,7 @@ class TestLocalTaskSource:
         metrics = MetricsCollector(node_count=1)
         node = Node(env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics)
         captured = []
-        original_submit = Node.submit_nowait
+        original_submit = Node.submit
 
         def capturing_submit(target, unit):
             # Snapshot at submission: fire-and-forget units return to the
@@ -255,7 +255,7 @@ class TestLocalTaskSource:
 
         # The source submits through the no-completion-event fast path.
         # Nodes have no instance dict, so the wrapper goes on the class.
-        monkeypatch.setattr(Node, "submit_nowait", capturing_submit)
+        monkeypatch.setattr(Node, "submit", capturing_submit)
         LocalTaskSource(
             env=env,
             node=node,

@@ -77,10 +77,26 @@ class TestSimulate:
         assert code == 0
         assert "MD_global" in capsys.readouterr().out
 
-    def test_bad_strategy_errors(self):
-        with pytest.raises(ValueError):
-            main(["simulate", "--strategy", "BOGUS",
-                  "--sim-time", "500", "--warmup", "50"])
+    def test_bad_strategy_errors(self, capsys):
+        code = main(["simulate", "--strategy", "BOGUS",
+                     "--sim-time", "500", "--warmup", "50"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sim_time, warmup",
+        [("nan", "10"), ("inf", "10"), ("500", "nan"), ("500", "inf"),
+         ("5", "10")],
+    )
+    def test_bad_horizon_is_an_input_error(self, capsys, sim_time, warmup):
+        """Non-finite or inverted horizons are refused up front (a ``nan``
+        sim time used to run forever) with an error line, not a
+        traceback."""
+        code = main(["simulate", "--sim-time", sim_time, "--warmup", warmup])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "warmup_time < sim_time" in err
 
 
 class TestParser:
