@@ -56,7 +56,9 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: slots.  Version 2: the engine's events are only ``_Sleep``/``_Call``,
 #: work units carry no ``env`` or completion-event slot, and the
 #: ``FleetState``/``Node`` slots are the per-metric-schema ones.
-CHECKPOINT_VERSION = 2
+#: Version 3: nodes own no ``ReadyQueue`` and no wake event (a node is
+#: its own wake entry), and share one pickled-by-position FIFO counter.
+CHECKPOINT_VERSION = 3
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

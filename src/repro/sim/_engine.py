@@ -10,10 +10,23 @@ Design rules
 
 * **Monomorphic final classes.**  Every class has ``__slots__``; the
   event path touches no properties, no ``**kwargs``, and no dynamic
-  dispatch.  The heap holds exactly two kinds of event, :class:`_Sleep`
-  and :class:`_Call`, and each carries exactly one callback: a
-  completion reaches its consumer through that callback and nothing
-  else -- there is no event anything can wait on.
+  dispatch.  Every event carries exactly one callback: a completion
+  reaches its consumer through that callback and nothing else -- there
+  is no event anything can wait on.
+* **What the event lists hold.**  The run loop tells only
+  :class:`_Sleep` apart (it recycles those into the pool); any other
+  entry is dispatched as ``event.callback(event)``.  So:
+
+  - the heap holds pooled :class:`_Sleep` timers, NORMAL
+    :class:`_Call` entries (``on_done`` continuations, the run-horizon
+    sentinel) and preemptive nodes, each its own idle wake-up;
+  - the urgent deque holds URGENT :class:`_Call` entries (the
+    preemptive node's pooled poke among them) and non-preemptive
+    nodes, each its own idle wake-up.
+
+  A node is not a :class:`_Sleep` and has a class-level ``callback``
+  (its dispatch step), so it needs no wrapper object of its own; its
+  owner guarantees that it is queued at most once at a time.
 * **Plain tuples on the heap.**  An event-list entry is
   ``(time, seq, event)`` — a float, an int, an object — with a bare
   monotone sequence number as the FIFO tie-break.
@@ -105,8 +118,9 @@ class _Sleep:
     def __init__(
         self, env: "Environment", delay: float, callback: Callback
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # ``not >=`` rather than ``<``: a NaN delay must not pass.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         self.callback: Optional[Callback] = callback
         self._processed = False
         heappush(env._queue, (env._now + delay, env._next_seq(), self))
@@ -153,16 +167,17 @@ class _Sleep:
 class _Call:
     """A bare single-callback bookkeeping event (``_schedule_call``).
 
-    The kernel's "call this at the current time" primitive: node
-    wake-ups, preemption pokes, and deferred ``on_done`` continuations
-    are all one callback with a payload -- no lifecycle, no ``env``
-    backref.  Dispatching one is two slot reads and a call.
+    The kernel's "call this at the current time" primitive: preemption
+    pokes and deferred ``on_done`` continuations are one callback with
+    a payload -- no lifecycle, no ``env`` backref.  Dispatching one is
+    two slot reads and a call.  (Node wake-ups need no ``_Call``: a
+    node is its own event; see the module docstring.)
 
     Callers receiving a ``_Call`` as their event argument read the
     payload from ``_value``; nothing else is supported.  Long-lived
-    callers (node wake, preemption poke) may pool one instance and
-    re-enqueue it after it fires -- the callback slot is never detached,
-    so re-arming is free (guard against double-enqueueing yourself).
+    callers (the preemption poke) may pool one instance and re-enqueue
+    it after it fires -- the callback slot is never detached, so
+    re-arming is free (guard against double-enqueueing yourself).
     """
 
     __slots__ = ("callback", "_value")
@@ -210,8 +225,9 @@ class Environment:
         #: interpreted increment.
         self._next_seq: Callable[[], int] = count().__next__
         #: Urgent bookkeeping calls due at the current instant, drained
-        #: FIFO before every heap pop (see the module docstring).
-        self._urgent: Deque[_Call] = deque()
+        #: FIFO before every heap pop (see the module docstring for what
+        #: it may hold).
+        self._urgent: Deque[Any] = deque()
         self._sleep_pool: List[_Sleep] = []
 
     # -- clock -----------------------------------------------------------
@@ -234,8 +250,8 @@ class Environment:
         pool = self._sleep_pool
         if not pool:
             return _Sleep(self, delay, callback)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         event = pool.pop()
         event.callback = callback
         event._processed = False

@@ -7,7 +7,8 @@ substrate on which the task/node/scheduler model is built.
 
 The engine itself (event list, run loop, pooled sleeps, urgent deque)
 lives in :mod:`repro.sim._engine`; this module re-exports its public
-names, plus ``_Call``, the bookkeeping event the node servers pool.
+names, plus ``_Call``, the bookkeeping event the preemptive node pools
+for its preemption poke.
 
 Design notes
 ------------

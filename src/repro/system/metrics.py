@@ -930,16 +930,12 @@ class MetricsCollector:
                 downtime = (
                     d_area[i] + d_value[i] * (now - d_last[i])
                 ) / elapsed
+            # Positional, in NodeStats field order: a keyword call costs
+            # about 30% more per row, and a fleet snapshot builds one row
+            # per node.
             per_node.append(NodeStats(
-                index=i,
-                utilization=utilization,
-                mean_queue_length=mean_queue,
-                dispatched=dispatched[i],
-                preemptions=preemptions[i],
-                crashes=crashes[i],
-                lost=lost[i],
-                downtime=downtime,
-                suspicions=suspicions[i],
+                i, utilization, mean_queue, dispatched[i], preemptions[i],
+                crashes[i], lost[i], downtime, suspicions[i],
             ))
         per_class = {
             cls.value: acc.snapshot() for cls, acc in self._classes.items()

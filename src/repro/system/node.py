@@ -27,17 +27,29 @@ submitter installed an ``on_done`` continuation.  The preemptive
 subclass is a callback machine too, built on cancellable kernel timers
 (see :mod:`repro.system.preemptive`); no node kind runs a generator
 server.
+
+A fleet holds one node per component (100k in the fleet scenarios), so
+a node is also written to be small: three objects the garbage collector
+tracks -- the node, its ready heap and its bound completion callback.
+The ready queue is inlined (:class:`~repro.system.schedulers.ReadyQueue`
+is the reference), the FIFO tie-break counter is shared by all nodes of
+a simulation, and the node is its own wake-up event: its class-level
+``callback`` is the dispatch step, so a wake pushes the node itself onto
+the kernel's urgent deque (or, for the preemptive node, the heap).  Every
+tracked object a node adds is one more object each full collection
+walks, and it moves the point where the next full collection lands.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Optional
 
-from ..sim.core import NORMAL, Environment, _Call
+from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
 from .overload import NoAbort, OverloadPolicy
-from .schedulers import ReadyQueue, SchedulingPolicy
+from .schedulers import FifoCounter, SchedulingPolicy
 from .work import WorkUnit
 
 
@@ -49,15 +61,15 @@ class Node:
     # instance-dict keys, so each node would carry a private dict and
     # lose the fast attribute loads on the server hot paths.
     __slots__ = (
-        "env", "index", "speed", "queue", "metrics", "overload_policy",
+        "env", "index", "speed", "metrics", "overload_policy",
         "_busy", "_serving", "_wake_pending",
         "_up", "_sleep", "_service_end", "_frozen_left",
         "_lose_in_flight", "_drop_queued",
         "_q_value", "_q_area", "_q_last",
         "_b_value", "_b_area", "_b_last",
         "_outstanding_listener",
-        "_heap", "_queue_key", "_queue_seq",
-        "_on_complete", "_on_wake", "_wake_event", "_abort_check",
+        "_policy", "_heap", "_queue_key", "_queue_seq",
+        "_on_complete", "_abort_check",
     )
 
     def __init__(
@@ -68,9 +80,12 @@ class Node:
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
+        fifo: Optional[FifoCounter] = None,
     ) -> None:
-        if speed <= 0:
-            raise ValueError(f"node speed must be positive, got {speed}")
+        if not (math.isfinite(speed) and speed > 0):
+            raise ValueError(
+                f"node speed must be positive and finite, got {speed}"
+            )
         self.env = env
         self.index = index
         #: Service-speed factor (heterogeneous-hardware scenarios): a unit
@@ -78,7 +93,6 @@ class Node:
         #: homogeneous baseline keeps the exact ``timing.ex`` sleep (no
         #: division), so fixed-seed results are bit-identical.
         self.speed = speed
-        self.queue = ReadyQueue(policy)
         self.metrics = metrics
         self.overload_policy = overload_policy or NoAbort()
         self._busy = False
@@ -110,23 +124,19 @@ class Node:
         #: placement policy (least-outstanding) binds this to learn of
         #: every submit/complete/crash/recover without scanning nodes.
         self._outstanding_listener = None
-        # Ready-queue internals and callback methods, bound once: pushes,
-        # dispatches and completions run once per unit, and bound-method
-        # creation alone is measurable at that rate.
-        queue = self.queue
-        self._heap = queue._heap  # mutated in place by the queue
-        self._queue_key = queue._key
-        self._queue_seq = queue._seq
+        # The inlined ready queue (ReadyQueue is the reference): the heap,
+        # the policy key (a C-level ``fast_key`` when the policy has one)
+        # and the FIFO tie-break counter, which the nodes of a simulation
+        # share (``FifoCounter``).
+        self._policy = policy
+        self._heap = []
+        self._queue_key = getattr(policy, "fast_key", None) or policy.key
+        self._queue_seq = FifoCounter() if fifo is None else fifo
+        # The completion callback, bound once: a completion runs once per
+        # unit, and bound-method creation alone is measurable at that
+        # rate.  The idle wake needs no such object: the node is its own
+        # wake event (see ``callback``).
         self._on_complete = self._complete
-        self._on_wake = self._dispatch_next
-        # The idle wake-up, pooled: one bare kernel call per node, reused
-        # for every schedule (the callback slot is never detached, so
-        # there is nothing to re-arm).  ``_wake_pending`` guarantees at
-        # most one outstanding schedule, so reuse is safe; the base class
-        # appends it to the kernel's urgent deque directly (the classic
-        # URGENT ``_schedule_call``), the preemptive subclass pushes it
-        # as a NORMAL heap entry.
-        self._wake_event = _Call(self._on_wake)
         overload = self.overload_policy
         self._abort_check = (
             None
@@ -183,9 +193,9 @@ class Node:
         # slip a later unit in front).
         if not self._busy and not self._wake_pending and self._up:
             self._wake_pending = True
-            # Inlined urgent _schedule_call with the pooled wake event:
-            # no allocation, no heap entry.
-            self.env._urgent.append(self._wake_event)
+            # Inlined urgent _schedule_call with the node as its own wake
+            # event: no allocation, no heap entry.
+            self.env._urgent.append(self)
 
     @property
     def busy(self) -> bool:
@@ -195,19 +205,32 @@ class Node:
     @property
     def queue_length(self) -> int:
         """Number of units waiting (not including the one in service)."""
-        return len(self.queue)
+        return len(self._heap)
+
+    def _push(self, unit: WorkUnit) -> None:
+        """Enqueue ``unit`` in the ready heap (cold paths; ``submit``
+        inlines this, and :meth:`ReadyQueue.push` is the reference)."""
+        heappush(
+            self._heap,
+            (
+                unit.priority_class,
+                self._queue_key(unit),
+                next(self._queue_seq),
+                unit,
+            ),
+        )
 
     # -- server state machine -------------------------------------------------
 
     def _dispatch_next(self, _event=None) -> None:
         """Serve the highest-priority queued unit, or go idle.
 
-        Runs from the deferred idle wake (as its event callback — the
-        ``_event`` argument — clearing ``_wake_pending`` on entry, which
-        is a no-op on the other paths since a wake is only ever pending
-        while the server is idle) and from the completion callback;
-        immediate aborts drain in the loop without touching the event
-        list.
+        Runs from the deferred idle wake (as the node's event callback,
+        with the node itself as ``_event``, clearing ``_wake_pending`` on
+        entry, which is a no-op on the other paths since a wake is only
+        ever pending while the server is idle) and from the completion
+        callback; immediate aborts drain in the loop without touching the
+        event list.
         """
         self._wake_pending = False
         if not self._up:
@@ -282,6 +305,12 @@ class Node:
             self._sleep = sleep
             self._service_end = now + service
             return
+
+    #: The node is its own idle wake-up event: the kernel calls
+    #: ``event.callback(event)``, so queueing the node runs
+    #: ``self._dispatch_next(self)``.  ``_wake_pending`` guarantees at
+    #: most one queued wake per node.
+    callback = _dispatch_next
 
     def _complete(self, _event) -> None:
         """Service interval elapsed: record the outcome, serve the next."""
@@ -392,7 +421,7 @@ class Node:
             self._sleep = env._sleep(left, self._on_complete)
         elif self._heap and not self._wake_pending:
             self._wake_pending = True
-            env._urgent.append(self._wake_event)
+            env._urgent.append(self)
         listener = self._outstanding_listener
         if listener is not None:
             listener(index)
@@ -435,6 +464,6 @@ class Node:
 
     def __repr__(self) -> str:
         return (
-            f"<Node {self.index} policy={self.queue.policy.name} "
-            f"queued={len(self.queue)} busy={self._busy}>"
+            f"<Node {self.index} policy={self._policy.name} "
+            f"queued={len(self._heap)} busy={self._busy}>"
         )

@@ -447,14 +447,22 @@ class LeastOutstandingPlacement(PlacementPolicy):
         if node_count:
             fleet = self.nodes[0].metrics.fleet
             self._fleet = fleet
+            # Every node starts in the 0 bucket, built in O(n): a
+            # Fenwick tree whose leaves are all 1 holds ``i & -i`` at
+            # position ``i``.  A node that already holds work (never so
+            # in a fresh simulation) moves to its own bucket through the
+            # listener, which reconciles against the fleet arrays.
+            self._bucket_tree[0] = [i & -i for i in range(node_count + 1)]
+            self._bucket_size[0] = node_count
+            self._heap_all.append(0)
+            self._heap_all_member.add(0)
             queue_value = fleet.queue_value
             busy_value = fleet.busy_value
             touch = self._touch
             for index, node in enumerate(self.nodes):
-                count = int(queue_value[index] + busy_value[index])
-                self._counts[index] = count
-                self._bucket_insert(count, index)
                 node._outstanding_listener = touch
+                if queue_value[index] or busy_value[index]:
+                    touch(index)
 
     def attach_live_set(self, live) -> None:
         self.live = live

@@ -38,10 +38,11 @@ Like its base class, the server is a callback state machine.  Dispatch
 schedules a pooled, *cancellable* completion timer
 (:meth:`repro.sim._engine._Sleep.cancel`); preemption cancels it, computes
 the remaining demand, re-enqueues the unit, and re-dispatches, all in one
-urgent callback.  The idle wake-up is a NORMAL-priority heap entry, which
-consumes one event-list sequence number, and the preemption poke rides
-the kernel's urgent deque (see :mod:`repro.sim._engine`); the golden
-determinism gate pins that event order.
+urgent callback.  The idle wake-up is the node itself as a NORMAL-priority
+heap entry, which consumes one event-list sequence number, and the
+preemption poke rides the kernel's urgent deque (see
+:mod:`repro.sim._engine`); the golden determinism gate pins that event
+order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
 from .overload import OverloadPolicy
-from .schedulers import SchedulingPolicy
+from .schedulers import FifoCounter, SchedulingPolicy
 from .work import WorkUnit
 
 
@@ -65,7 +66,7 @@ class PreemptiveNode(Node):
     __slots__ = (
         "_remaining", "_preemptions", "_preempt_pending",
         "_service_began", "_service_demand",
-        "_preempt_counts", "_on_preempt", "_poke",
+        "_preempt_counts", "_poke",
     )
 
     def __init__(
@@ -76,6 +77,7 @@ class PreemptiveNode(Node):
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
+        fifo: Optional[FifoCounter] = None,
     ) -> None:
         #: Remaining service demand (in demand units, not wall time) of
         #: units that have been preempted at least once, keyed by unit
@@ -92,14 +94,15 @@ class PreemptiveNode(Node):
         self._sleep = None
         self._service_began = 0.0
         self._service_demand = 0.0
-        super().__init__(env, index, policy, metrics, overload_policy, speed)
+        super().__init__(
+            env, index, policy, metrics, overload_policy, speed, fifo
+        )
         self._preempt_counts = metrics.node_preemptions
-        self._on_preempt = self._preempt
         # The urgent preemption poke, pooled: one bare kernel call per
         # node, reused for every schedule (the callback slot is never
         # detached, so there is nothing to re-arm).  ``_preempt_pending``
         # guarantees at most one outstanding schedule, so reuse is safe.
-        self._poke = _Call(self._on_preempt)
+        self._poke = _Call(self._preempt)
 
     @property
     def preemptions(self) -> int:
@@ -148,13 +151,13 @@ class PreemptiveNode(Node):
         if not self._busy:
             # Deferred dispatch, one NORMAL event: same-instant
             # submissions are scheduled as a batch, ordered by the policy.
-            # Inlined NORMAL-priority _schedule_call with the pooled wake
-            # event (the generator server's wakeup fired at NORMAL, and
-            # the golden gate pins that ordering): same time and sequence
-            # consumption, no allocation.
+            # Inlined NORMAL-priority _schedule_call with the node as its
+            # own wake event (the generator server's wakeup fired at
+            # NORMAL, and the golden gate pins that ordering): same time
+            # and sequence consumption, no allocation.
             if not self._wake_pending and self._up:
                 self._wake_pending = True
-                heappush(env._queue, (now, env._next_seq(), self._wake_event))
+                heappush(env._queue, (now, env._next_seq(), self))
             return
         serving = self._serving
         if serving is not None and not self._preempt_pending:
@@ -271,6 +274,10 @@ class PreemptiveNode(Node):
             self._sleep = sleep
             return
 
+    #: The node is its own idle wake-up event (see ``Node.callback``);
+    #: redeclared so the wake runs this class's dispatch step.
+    callback = _dispatch_next
+
     def _preempt(self, _event) -> None:
         """Urgent preemption poke: revoke the completion timer, bookkeep
         the remaining demand, re-enqueue the preempted unit, re-dispatch.
@@ -308,11 +315,11 @@ class PreemptiveNode(Node):
             metrics._tracer.record(now, "preempt", unit, index)
         # Put the preempted unit back; the newcomer (already queued by
         # submit) wins the re-dispatch.  Preemption is not the per-unit
-        # hot path, so this takes the readable queue API rather than
+        # hot path, so this takes the ``_push`` helper rather than
         # submit's inlined copy -- same arithmetic.  The
         # outstanding count is unchanged (busy -1, queue +1), so no
         # listener notification is needed.
-        self.queue.push(unit)
+        self._push(unit)
         self._queue_increment(1, now)
         self._dispatch_next()
 
@@ -363,7 +370,7 @@ class PreemptiveNode(Node):
                 held = unit
         Node.crash(self)  # _busy is False now: handles the queue drop only
         if held is not None:
-            self.queue.push(held)
+            self._push(held)
             self._queue_increment(1, now)
             # The base-class crash already notified the listener; notify
             # again so the re-queued frozen unit is counted (the touch
@@ -379,16 +386,14 @@ class PreemptiveNode(Node):
         env = self.env
         if self._heap and not self._wake_pending:
             self._wake_pending = True
-            heappush(
-                env._queue, (env._now, env._next_seq(), self._wake_event)
-            )
+            heappush(env._queue, (env._now, env._next_seq(), self))
         listener = self._outstanding_listener
         if listener is not None:
             listener(self.index)
 
     def __repr__(self) -> str:
         return (
-            f"<PreemptiveNode {self.index} policy={self.queue.policy.name} "
-            f"queued={len(self.queue)} busy={self._busy} "
+            f"<PreemptiveNode {self.index} policy={self._policy.name} "
+            f"queued={len(self._heap)} busy={self._busy} "
             f"preemptions={self._preemptions}>"
         )

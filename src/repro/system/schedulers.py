@@ -21,6 +21,10 @@ So the ready queue is a binary heap and dispatch is O(log n).  Keys are
 tuples ``(priority_class, policy_key, seq)``: the leading priority class
 implements Globals-First (elevated work always wins), and the trailing
 sequence number breaks ties FIFO, keeping runs deterministic.
+
+:class:`ReadyQueue` is the reference implementation of that heap.  The
+nodes inline it (see :mod:`repro.system.node`) and draw their sequence
+numbers from one :class:`FifoCounter` per simulation.
 """
 
 from __future__ import annotations
@@ -107,12 +111,35 @@ def get_policy(name: str) -> SchedulingPolicy:
         raise ValueError(f"unknown scheduling policy {name!r}; known: {known}")
 
 
+class FifoCounter(itertools.count):
+    """The FIFO tie-break counter that all nodes of one simulation share.
+
+    Heap entries are only compared within one node's heap, and a shared
+    counter is still monotone within each heap, so sharing it leaves
+    every dispatch order unchanged -- and saves each node a counter of
+    its own.
+
+    Pickles by its position: pickling an ``itertools.count`` is
+    deprecated since Python 3.12 (and goes in 3.14).  ``count`` shows
+    its position only in its repr, ``FifoCounter(n)``; reading it there
+    leaves the live counter untouched.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        text = repr(self)
+        return (FifoCounter, (int(text[text.index("(") + 1:-1]),))
+
+
 class ReadyQueue:
     """Priority-ordered ready queue of work units.
 
-    A thin heap wrapper so :class:`~repro.system.node.Node` stays focused
-    on service mechanics.  Keys are computed at insertion (valid for all
-    shipped policies; see module docstring).
+    The reference for the ready queue that :class:`~repro.system.node.Node`
+    inlines (the node keeps the heap in its own slots and shares one
+    :class:`FifoCounter` with its simulation's other nodes); tests pin the
+    nodes' dispatch order against it.  Keys are computed at insertion
+    (valid for all shipped policies; see module docstring).
     """
 
     __slots__ = ("_policy", "_key", "_heap", "_seq")

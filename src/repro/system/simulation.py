@@ -37,7 +37,7 @@ from .placement import (
 from .preemptive import PreemptiveNode
 from .overload import get_overload_policy
 from .process_manager import ProcessManager
-from .schedulers import get_policy
+from .schedulers import FifoCounter, get_policy
 from .tracing import TraceLog
 from .workload import (
     GlobalTaskFactory,
@@ -71,6 +71,7 @@ class Simulation:
         overload = get_overload_policy(config.overload_policy)
         speeds = config.node_speed_factors
         node_type = PreemptiveNode if config.preemptive else Node
+        fifo = FifoCounter()
         self.nodes: List[Node] = [
             node_type(
                 env=self.env,
@@ -79,6 +80,7 @@ class Simulation:
                 metrics=self.metrics,
                 overload_policy=overload,
                 speed=1.0 if speeds is None else speeds[i],
+                fifo=fifo,
             )
             for i in range(config.node_count)
         ]

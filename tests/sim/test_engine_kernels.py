@@ -392,6 +392,21 @@ class TestPooledSleepContract:
         assert env._sleep_pool == pool_before
         assert env.peek() == float("inf")
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+    def test_nan_sleep_delay_rejected(self, pooled):
+        """A NaN delay passes a ``delay < 0`` test; queued, it would fire
+        first, set the clock to NaN, and let a later sleep move the
+        clock back."""
+        env = Environment()
+        if pooled:
+            env._sleep(1.0, lambda e: None)
+            env.run()
+        pool_before = list(env._sleep_pool)
+        with pytest.raises(ValueError, match="NaN"):
+            env._sleep(float("nan"), lambda e: None)
+        assert env._sleep_pool == pool_before
+        assert env.peek() == float("inf")
+
     def test_sleep_callback_may_rearm_the_same_object(self):
         """The run loop recycles a sleep *before* calling its callback,
         so a callback that sleeps again gets the very object back."""

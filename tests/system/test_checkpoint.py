@@ -12,6 +12,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -32,6 +33,7 @@ from repro.checkpoint import (
     read_checkpoint_header,
     save_checkpoint,
 )
+from repro.scenarios import get_scenario
 from repro.system.config import baseline_config
 from repro.system.simulation import Simulation, simulate
 
@@ -175,8 +177,8 @@ class TestHeaderContract:
             read_checkpoint_header(path)
 
     @pytest.mark.parametrize(
-        "version", [CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1],
-        ids=["newer", "older"],
+        "version", [CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1, 2],
+        ids=["newer", "older", "v2"],
     )
     def test_future_version_is_refused(self, tmp_path, version):
         """Any other payload layout is refused from the header, before
@@ -304,6 +306,63 @@ class TestSaveLoadRoundtrip:
         restored = load_checkpoint(path)
         assert not restored._warmup_done
         assert restored.run() == straight
+
+
+class _ItertoolsFinder(pickle.Pickler):
+    """Pickles to nowhere, recording every ``itertools`` object it meets."""
+
+    def __init__(self) -> None:
+        super().__init__(io.BytesIO(), protocol=4)
+        self.found = []
+
+    def reducer_override(self, obj):
+        if type(obj).__module__ == "itertools":
+            self.found.append(type(obj).__name__)
+        return NotImplemented
+
+
+def _mid_run(config, until: float = 300.0) -> Simulation:
+    sim = Simulation(config)
+    sim.env.run(until=until)
+    return sim
+
+
+class TestPayloadPicklesNoItertools:
+    """Pickling an ``itertools`` object is deprecated since Python 3.12
+    (and goes in 3.14), so the payload must hold none: the nodes' shared
+    FIFO counter pickles by its position."""
+
+    @pytest.mark.parametrize("kind", ["baseline", "preemptive-faults-detector"])
+    def test_payload_holds_no_itertools_object(self, kind):
+        if kind == "baseline":
+            config = baseline_config(
+                sim_time=SIM_TIME, warmup_time=WARMUP, seed=5
+            )
+        else:
+            config = get_scenario("detector-preemptive").to_config(
+                sim_time=SIM_TIME, warmup_time=WARMUP, seed=5,
+                strategy="EQF",
+            )
+        sim = _mid_run(config)
+        assert sim.config.preemptive == (kind != "baseline")
+        finder = _ItertoolsFinder()
+        finder.dump({"simulation": sim})
+        assert finder.found == []
+
+    def test_restored_nodes_share_one_counter_at_its_position(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "fifo.ckpt")
+        sim = _mid_run(
+            baseline_config(sim_time=SIM_TIME, warmup_time=WARMUP, seed=5)
+        )
+        save_checkpoint(sim, path)
+        restored = load_checkpoint(path)
+        counters = {id(node._queue_seq) for node in restored.nodes}
+        assert len(counters) == 1
+        assert next(restored.nodes[0]._queue_seq) == next(
+            sim.nodes[0]._queue_seq
+        )
 
 
 class TestPeriodicTriggers:
