@@ -382,6 +382,124 @@ class TestFaultInjectionGolden:
         assert simulate(config) == lossy_result
 
 
+def _least_outstanding_lossy_parallel_config():
+    """Parallel DIV-1 fans, least-outstanding placement, lossy crashes:
+    failure-aware ``pick_distinct`` with down nodes that still hold
+    queued work."""
+    from repro.system.faults import FaultSpec
+
+    return baseline_config(
+        sim_time=SIM_TIME, warmup_time=WARMUP, seed=23,
+        task_structure="parallel", strategy="DIV-1",
+        placement="least-outstanding",
+        faults=FaultSpec(mttf=300.0, mttr=20.0, in_flight="lost",
+                         retry_limit=3),
+    )
+
+
+class TestLeastOutstandingGolden:
+    """Exact values for join-the-shortest-queue placement.
+
+    The policy's tie-breaks draw from its own ``"placement-lo"`` stream
+    (one ``randrange`` per multi-way tie, none for a singleton), so any
+    change to how it finds the least-loaded nodes must reproduce these
+    trajectories bit for bit.  Three shapes: serial ``pick_one`` on the
+    library scenario, failure-aware ``pick_distinct`` under lossy
+    crashes, and a 2,000-node global-only fan of 4 (the ``fleet-fanout``
+    benchmark's shape, where nearly every decision is a tie among idle
+    nodes).
+    """
+
+    @pytest.fixture(scope="class")
+    def smart_result(self):
+        from repro.scenarios import get_scenario
+
+        config = get_scenario("smart-routing").to_config(
+            sim_time=SIM_TIME, warmup_time=WARMUP, seed=19, strategy="EQF",
+        )
+        return simulate(config)
+
+    def test_smart_routing_counts(self, smart_result):
+        assert smart_result.local.completed == 5124
+        assert smart_result.local.missed == 1151
+        assert smart_result.local.aborted == 0
+        assert smart_result.global_.completed == 437
+        assert smart_result.global_.missed == 55
+        assert smart_result.global_.aborted == 0
+
+    def test_smart_routing_means_exact(self, smart_result):
+        assert smart_result.local.mean_response == 1.7381167973270717
+        assert smart_result.global_.mean_response == 5.761364340617822
+        assert smart_result.global_.mean_lateness == -3.844152196985957
+
+    def test_smart_routing_per_node_dispatch_counts(self, smart_result):
+        assert [n.dispatched for n in smart_result.per_node] == [
+            1134, 1153, 1163, 1147, 1144, 1133,
+        ]
+
+    @pytest.fixture(scope="class")
+    def lossy_parallel_result(self):
+        return simulate(_least_outstanding_lossy_parallel_config())
+
+    def test_lossy_parallel_counts(self, lossy_parallel_result):
+        result = lossy_parallel_result
+        assert result.local.completed == 5101
+        assert result.local.missed == 1572
+        assert result.local.aborted == 13
+        assert result.global_.completed == 379
+        assert result.global_.missed == 30
+        assert result.global_.failed == 0
+        assert result.total_crashes == 42
+        assert result.total_lost == 21
+        assert result.retries == 8
+
+    def test_lossy_parallel_means_exact(self, lossy_parallel_result):
+        result = lossy_parallel_result
+        assert result.local.mean_response == 4.2202980862859745
+        assert result.global_.mean_response == 3.060356041331957
+        assert result.global_.mean_lateness == -2.316791801177041
+
+    def test_lossy_parallel_per_node_dispatch_counts(
+        self, lossy_parallel_result
+    ):
+        assert [n.dispatched for n in lossy_parallel_result.per_node] == [
+            1122, 1109, 1104, 1087, 1098, 1115,
+        ]
+
+    @pytest.fixture(scope="class")
+    def fleet_result(self):
+        from repro.system.config import parallel_baseline_config
+
+        return simulate(
+            parallel_baseline_config(
+                node_count=2_000, frac_local=0.0, load=20.0 / 2_000,
+                subtask_count=4, strategy="DIV-1",
+                placement="least-outstanding",
+                sim_time=400.0, warmup_time=40.0, seed=29,
+            )
+        )
+
+    def test_fleet_fan_counts_and_means_exact(self, fleet_result):
+        assert fleet_result.local.completed == 0
+        assert fleet_result.global_.completed == 1801
+        assert fleet_result.global_.missed == 0
+        assert fleet_result.global_.mean_response == 2.070364424626258
+        assert fleet_result.global_.mean_lateness == -3.106397128369612
+
+    def test_fleet_fan_per_node_dispatch_counts(self, fleet_result):
+        dispatched = [n.dispatched for n in fleet_result.per_node]
+        assert dispatched[:12] == [5, 5, 6, 5, 3, 4, 4, 5, 0, 4, 5, 4]
+        histogram: dict = {}
+        for count in dispatched:
+            histogram[count] = histogram.get(count, 0) + 1
+        assert sorted(histogram.items()) == [
+            (0, 43), (1, 182), (2, 370), (3, 431), (4, 391), (5, 278),
+            (6, 182), (7, 70), (8, 38), (9, 11), (10, 3), (12, 1),
+        ]
+        # Index-weighted sum: moves if any subtask lands elsewhere.
+        assert sum(i * d for i, d in enumerate(dispatched)) == 7_185_394
+
+
 class TestDetectorOracleDefaultGolden:
     """Detector-off configs must not move a single pinned bit.
 
@@ -484,6 +602,20 @@ class TestCheckpointResumeGolden:
         )
         straight = simulate(config)
         path = str(tmp_path / "churn.ckpt")
+        _checkpoint_at(config, 1_200.0, path)
+        assert load_checkpoint(path).run() == straight
+
+    def test_least_outstanding_fault_resume_is_bit_identical(
+        self, tmp_path
+    ):
+        """The least-outstanding placement's load lists and tie-break
+        stream ride the snapshot: a lossy parallel run resumed mid-way
+        equals the straight-through run."""
+        from repro.checkpoint import load_checkpoint
+
+        config = _least_outstanding_lossy_parallel_config()
+        straight = simulate(config)
+        path = str(tmp_path / "least-outstanding.ckpt")
         _checkpoint_at(config, 1_200.0, path)
         assert load_checkpoint(path).run() == straight
 
