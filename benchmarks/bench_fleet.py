@@ -1,12 +1,14 @@
 """Fleet-scale benchmark tier: per-event cost versus node count.
 
 The acceptance bar for the fleet-state refactor (array-backed node
-state, pooled work units, O(log n) placement): simulating one event
-must not get meaningfully more expensive as the fleet grows.
+state, pooled work units, placement without fleet rescans): simulating
+one event must not get meaningfully more expensive as the fleet grows.
 Concretely, the event-loop cost per event at 10,000 nodes stays within
-2x of the 10-node cost for both the least-outstanding (incremental
-count buckets) and zipf (Fenwick/alias samplers) placements, and a
-100,000-node scenario constructs and runs to completion.
+2x of the 10-node cost for both the least-outstanding (sorted lists of
+the nodes holding work: O(log a) per decision, O(a) per update, a the
+busy-node count, which the pinned total rate keeps small at any fleet
+size) and zipf (Fenwick/alias samplers) placements, and a 100,000-node
+scenario constructs and runs to completion.
 
 Methodology: every cell runs the same *total* workload -- the global
 subtask arrival rate is pinned at :data:`SUBTASK_RATE` per time unit

@@ -58,7 +58,9 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: ``FleetState``/``Node`` slots are the per-metric-schema ones.
 #: Version 3: nodes own no ``ReadyQueue`` and no wake event (a node is
 #: its own wake entry), and share one pickled-by-position FIFO counter.
-CHECKPOINT_VERSION = 3
+#: Version 4: the least-outstanding placement keeps sorted active and
+#: per-count member lists instead of per-count Fenwick trees and heaps.
+CHECKPOINT_VERSION = 4
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

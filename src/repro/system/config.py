@@ -219,12 +219,27 @@ class SystemConfig:
             raise ValueError(
                 f"frac_local must lie in [0, 1], got {self.frac_local}"
             )
-        if self.mu_local <= 0 or self.mu_subtask <= 0:
-            raise ValueError("service rates must be positive")
-        if self.slack_range[0] < 0 or self.slack_range[1] < self.slack_range[0]:
+        # Real-valued knobs are checked as NOT (finite and in range), so
+        # NaN and infinities are rejected here rather than slipping past
+        # a plain ``<= 0`` and failing later in the distribution code.
+        if not all(
+            math.isfinite(mu) and mu > 0
+            for mu in (self.mu_local, self.mu_subtask)
+        ):
+            raise ValueError(
+                f"service rates must be finite and positive, got "
+                f"{self.mu_local} / {self.mu_subtask}"
+            )
+        slack_lo, slack_hi = self.slack_range
+        if not (
+            math.isfinite(slack_lo) and math.isfinite(slack_hi)
+            and 0 <= slack_lo <= slack_hi
+        ):
             raise ValueError(f"bad slack range {self.slack_range}")
-        if self.rel_flex < 0:
-            raise ValueError(f"rel_flex must be non-negative: {self.rel_flex}")
+        if not (math.isfinite(self.rel_flex) and self.rel_flex >= 0):
+            raise ValueError(
+                f"rel_flex must be finite and non-negative: {self.rel_flex}"
+            )
         if not 0.0 <= self.pex_error < 1.0:
             raise ValueError(f"pex_error must lie in [0, 1): {self.pex_error}")
         if self.overload_policy not in OVERLOAD_POLICIES:
@@ -265,14 +280,20 @@ class SystemConfig:
                 f"unknown arrival_model {self.arrival_model!r}; "
                 f"expected one of {_ARRIVAL_MODELS}"
             )
-        if self.arrival_model == "hyperexp" and self.arrival_cv2 < 1.0:
+        if self.arrival_model == "hyperexp" and not (
+            math.isfinite(self.arrival_cv2) and self.arrival_cv2 >= 1.0
+        ):
             raise ValueError(
-                f"arrival_cv2 must be >= 1 for hyperexp, got {self.arrival_cv2}"
+                f"arrival_cv2 must be finite and >= 1 for hyperexp, got "
+                f"{self.arrival_cv2}"
             )
         if self.arrival_model == "mmpp2":
-            if self.arrival_burst_ratio < 1.0:
+            if not (
+                math.isfinite(self.arrival_burst_ratio)
+                and self.arrival_burst_ratio >= 1.0
+            ):
                 raise ValueError(
-                    f"arrival_burst_ratio must be >= 1, got "
+                    f"arrival_burst_ratio must be finite and >= 1, got "
                     f"{self.arrival_burst_ratio}"
                 )
             if not 0.0 < self.arrival_burst_fraction < 1.0:
@@ -280,9 +301,12 @@ class SystemConfig:
                     f"arrival_burst_fraction must lie in (0, 1), got "
                     f"{self.arrival_burst_fraction}"
                 )
-            if self.arrival_cycle_time <= 0:
+            if not (
+                math.isfinite(self.arrival_cycle_time)
+                and self.arrival_cycle_time > 0
+            ):
                 raise ValueError(
-                    f"arrival_cycle_time must be positive, got "
+                    f"arrival_cycle_time must be finite and positive, got "
                     f"{self.arrival_cycle_time}"
                 )
         if self.service_model not in _SERVICE_MODELS:
@@ -290,13 +314,19 @@ class SystemConfig:
                 f"unknown service_model {self.service_model!r}; "
                 f"expected one of {_SERVICE_MODELS}"
             )
-        if self.service_model == "pareto" and self.service_shape <= 1.0:
+        if self.service_model == "pareto" and not (
+            math.isfinite(self.service_shape) and self.service_shape > 1.0
+        ):
             raise ValueError(
-                f"service_shape must exceed 1, got {self.service_shape}"
+                f"service_shape must be finite and exceed 1, got "
+                f"{self.service_shape}"
             )
-        if self.service_model == "lognormal" and self.service_sigma <= 0:
+        if self.service_model == "lognormal" and not (
+            math.isfinite(self.service_sigma) and self.service_sigma > 0
+        ):
             raise ValueError(
-                f"service_sigma must be positive, got {self.service_sigma}"
+                f"service_sigma must be finite and positive, got "
+                f"{self.service_sigma}"
             )
         if self.placement not in _PLACEMENT_MODELS:
             raise ValueError(

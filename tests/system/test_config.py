@@ -201,6 +201,25 @@ class TestValidation:
             {"sim_time": float("inf")},
             {"warmup_time": float("nan")},
             {"warmup_time": float("inf")},
+            {"mu_subtask": float("nan")},
+            {"mu_subtask": float("inf")},
+            {"mu_local": float("nan")},
+            {"mu_local": float("inf")},
+            {"rel_flex": float("nan")},
+            {"rel_flex": float("inf")},
+            {"slack_range": (float("nan"), 1.0)},
+            {"slack_range": (1.0, float("nan"))},
+            {"slack_range": (1.0, float("inf"))},
+            {"arrival_model": "hyperexp", "arrival_cv2": float("nan")},
+            {"arrival_model": "hyperexp", "arrival_cv2": float("inf")},
+            {"arrival_model": "mmpp2", "arrival_burst_ratio": float("nan")},
+            {"arrival_model": "mmpp2", "arrival_burst_ratio": float("inf")},
+            {"arrival_model": "mmpp2", "arrival_cycle_time": float("nan")},
+            {"arrival_model": "mmpp2", "arrival_cycle_time": float("inf")},
+            {"service_model": "pareto", "service_shape": float("nan")},
+            {"service_model": "pareto", "service_shape": float("inf")},
+            {"service_model": "lognormal", "service_sigma": float("nan")},
+            {"service_model": "lognormal", "service_sigma": float("inf")},
         ],
     )
     def test_rejects_bad_settings(self, overrides):

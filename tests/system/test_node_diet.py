@@ -7,8 +7,8 @@ cheap.  These tests pin that budget and the equivalences it rests on:
 
 * the inlined ready queue, drawing from a counter the nodes share,
   dispatches in :class:`ReadyQueue`'s pop order;
-* the least-outstanding placement's O(n) all-idle build equals the
-  incremental one;
+* the least-outstanding placement files nodes that already hold work
+  under their counts;
 * the positional ``NodeStats`` rows of a snapshot map every counter to
   its own field.
 """
@@ -149,31 +149,6 @@ def test_dispatch_order_equals_ready_queue_pop_order(node_cls, policy):
 # -- least-outstanding placement --------------------------------------------
 
 
-@pytest.mark.parametrize("node_count", [1, 2, 7, 8, 1023, 1024])
-def test_linear_placement_build_equals_incremental(node_count):
-    env = Environment()
-    metrics = MetricsCollector(node_count)
-    policy = EarliestDeadlineFirst()
-    fifo = FifoCounter()
-    nodes = [
-        Node(env, i, policy, metrics, fifo=fifo) for i in range(node_count)
-    ]
-    built = LeastOutstandingPlacement(nodes, StreamFactory(seed=1))
-
-    incremental = LeastOutstandingPlacement(nodes, StreamFactory(seed=1))
-    incremental._bucket_tree.clear()
-    incremental._bucket_size.clear()
-    incremental._heap_all.clear()
-    incremental._heap_all_member.clear()
-    for index in range(node_count):
-        incremental._bucket_insert(0, index)
-
-    assert built._bucket_tree == incremental._bucket_tree
-    assert built._bucket_size == incremental._bucket_size
-    assert built._heap_all == incremental._heap_all
-    assert built._counts == [0] * node_count
-
-
 def test_placement_over_busy_nodes_moves_them_to_their_buckets():
     env = Environment()
     metrics = MetricsCollector(3)
@@ -183,7 +158,8 @@ def test_placement_over_busy_nodes_moves_them_to_their_buckets():
                               priority=PriorityClass.NORMAL))
     placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=1))
     assert placement._counts == [0, 0, 2]
-    assert placement._bucket_size == {0: 2, 2: 1}
+    assert placement._active == [2]
+    assert placement._members == {2: [2]}
     assert placement.pick_distinct(3)[2] == 2
 
 

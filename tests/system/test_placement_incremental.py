@@ -9,12 +9,17 @@ variant) and assert two invariants after every step:
 
 * *count consistency*: the incrementally maintained outstanding counts
   equal a from-scratch recompute over the nodes (queue length + one if
-  serving) and the fleet signal arrays;
+  serving) and the fleet signal arrays, and the sorted active and
+  per-count member lists (and the down sets) file every node under its
+  count;
 * *decision equivalence*: ``pick_one``/``pick_distinct`` return exactly
   what the historical argmin-rescan implementation returns when run
   against a cloned tie-break stream, consuming exactly the same draws
   (stream states must match afterwards -- the draw trajectory is what
   the golden determinism gate pins).
+
+Fleets of 1, 8 and 64 nodes cover an empty idle bucket (every node
+holding work), long active lists, and fan exclusions among idle nodes.
 """
 
 from __future__ import annotations
@@ -37,18 +42,26 @@ from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst
 from repro.system.work import WorkUnit
 
-NODE_COUNT = 8
+NODE_COUNTS = [1, 8, 64]
 
-#: One step of the interleaving.  Time advances are coarse fixed deltas:
-#: the point is event-order diversity, not float torture.
-ops = st.one_of(
-    st.tuples(st.just("submit"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("advance"), st.sampled_from([0.1, 0.7, 1.9, 4.0])),
-    st.tuples(st.just("crash"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("recover"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("pick_one"), st.just(0)),
-    st.tuples(st.just("pick_distinct"), st.integers(1, NODE_COUNT)),
-)
+
+def _ops(node_count):
+    """One step of the interleaving.  Time advances are coarse fixed
+    deltas: the point is event-order diversity, not float torture.  A
+    flood submits one unit to each of ``k`` consecutive nodes (cyclic),
+    so large fleets reach long active lists and an empty idle bucket."""
+    node = st.integers(0, node_count - 1)
+    return st.one_of(
+        st.tuples(st.just("submit"), node),
+        st.tuples(
+            st.just("flood"), st.tuples(node, st.integers(1, node_count))
+        ),
+        st.tuples(st.just("advance"), st.sampled_from([0.1, 0.7, 1.9, 4.0])),
+        st.tuples(st.just("crash"), node),
+        st.tuples(st.just("recover"), node),
+        st.tuples(st.just("pick_one"), st.just(0)),
+        st.tuples(st.just("pick_distinct"), st.integers(1, node_count)),
+    )
 
 
 def _reference_pick(placement, outstanding, excluded, rng):
@@ -97,38 +110,58 @@ def _check_counts(placement, metrics):
     recomputed = placement._outstanding()
     assert placement._counts == recomputed
     fleet = metrics.fleet
-    for i in range(NODE_COUNT):
-        assert recomputed[i] == int(
-            fleet.queue_value[i] + fleet.busy_value[i]
-        )
+    members: dict = {}
+    downs: dict = {}
+    live = placement.live
+    for i, count in enumerate(recomputed):
+        assert count == int(fleet.queue_value[i] + fleet.busy_value[i])
+        if count:
+            members.setdefault(count, []).append(i)
+        if live is not None and i not in live:
+            downs.setdefault(count, set()).add(i)
+    assert placement._active == [i for i, c in enumerate(recomputed) if c]
+    assert placement._members == members
+    assert placement._bucket_down == downs
 
 
+def _submit(nodes, env, op, arg):
+    if op == "submit":
+        nodes[arg].submit(_unit(env, arg, env.now))
+    else:  # flood
+        start, k = arg
+        for offset in range(k):
+            index = (start + offset) % len(nodes)
+            nodes[index].submit(_unit(env, index, env.now))
+
+
+@pytest.mark.parametrize("node_count", NODE_COUNTS)
 @pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
 @pytest.mark.parametrize(
     "lose_in_flight,drop_queued",
     [(False, False), (True, False), (True, True)],
 )
 @settings(max_examples=40, deadline=None)
-@given(steps=st.lists(ops, min_size=1, max_size=40))
+@given(data=st.data())
 def test_incremental_counts_and_decisions_match_rescan(
-    node_cls, lose_in_flight, drop_queued, steps
+    node_count, node_cls, lose_in_flight, drop_queued, data
 ):
+    steps = data.draw(st.lists(_ops(node_count), min_size=1, max_size=40))
     env = Environment()
-    metrics = MetricsCollector(NODE_COUNT)
+    metrics = MetricsCollector(node_count)
     policy = EarliestDeadlineFirst()
     nodes = [
         node_cls(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(NODE_COUNT)
+        for i in range(node_count)
     ]
     for node in nodes:
         node.configure_fault_semantics(lose_in_flight, drop_queued)
     placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=17))
-    live = LiveSet(NODE_COUNT)
+    live = LiveSet(node_count)
     placement.attach_live_set(live)
 
     for op, arg in steps:
-        if op == "submit":
-            nodes[arg].submit(_unit(env, arg, env.now))
+        if op in ("submit", "flood"):
+            _submit(nodes, env, op, arg)
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "crash":
@@ -164,31 +197,34 @@ def test_incremental_counts_and_decisions_match_rescan(
 
     # Drain everything still in flight: the incremental state must stay
     # consistent through the tail of completions too.
-    for i in range(NODE_COUNT):
+    for i in range(node_count):
         if i not in live:
             live.mark_up(i)
             nodes[i].recover()
             _check_counts(placement, metrics)
     env.run(until=env.now + 1_000.0)
     _check_counts(placement, metrics)
-    assert placement._counts == [0] * NODE_COUNT
+    assert placement._counts == [0] * node_count
+    assert placement._active == []
 
 
+@pytest.mark.parametrize("node_count", NODE_COUNTS)
 @settings(max_examples=20, deadline=None)
-@given(steps=st.lists(ops, min_size=1, max_size=30))
-def test_incremental_counts_without_live_set(steps):
+@given(data=st.data())
+def test_incremental_counts_without_live_set(node_count, data):
     """Fault-oblivious configs (live never attached) stay consistent."""
+    steps = data.draw(st.lists(_ops(node_count), min_size=1, max_size=30))
     env = Environment()
-    metrics = MetricsCollector(NODE_COUNT)
+    metrics = MetricsCollector(node_count)
     policy = EarliestDeadlineFirst()
     nodes = [
         Node(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(NODE_COUNT)
+        for i in range(node_count)
     ]
     placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=23))
     for op, arg in steps:
-        if op == "submit":
-            nodes[arg].submit(_unit(env, arg, env.now))
+        if op in ("submit", "flood"):
+            _submit(nodes, env, op, arg)
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "pick_one":
