@@ -360,7 +360,7 @@ class ZipfPlacement(PlacementPolicy):
         return chosen
 
 
-#: Shared empty exclusions: ``pick_one`` allocates nothing per call.
+#: Shared empty exclusion set: ``pick_one`` allocates nothing per call.
 _NO_EXCLUSIONS: frozenset = frozenset()
 
 
