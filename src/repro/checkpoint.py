@@ -55,12 +55,16 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: Payload layout version, bumped whenever a pickled class changes its
 #: slots.  Version 2: the engine's events are only ``_Sleep``/``_Call``,
 #: work units carry no ``env`` or completion-event slot, and the
-#: ``FleetState``/``Node`` slots are the per-metric-schema ones.
+#: per-node signal-array and ``Node`` slots are the per-metric-schema
+#: ones.
 #: Version 3: nodes own no ``ReadyQueue`` and no wake event (a node is
 #: its own wake entry), and share one pickled-by-position FIFO counter.
 #: Version 4: the least-outstanding placement keeps sorted active and
 #: per-count member lists instead of per-count Fenwick trees and heaps.
-CHECKPOINT_VERSION = 4
+#: Version 5: each node holds its busy, queue and down signals as float
+#: slots (there are no fleet-wide signal lists), and the metrics
+#: collector lists its nodes instead of holding the signal lists.
+CHECKPOINT_VERSION = 5
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

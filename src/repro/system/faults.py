@@ -455,8 +455,9 @@ class FaultInjector:
             live.mark_down(index)
             self.crashes += 1
             metrics.node_crashes[index] += 1
-            metrics.node_down[index].update(1.0, now)
-            self.nodes[index].crash()
+            node = self.nodes[index]
+            node.set_down_signal(1.0, now)
+            node.crash()
             if detector is not None:
                 detector.on_node_crash(index, now)
             clock.arm_repair()
@@ -466,8 +467,9 @@ class FaultInjector:
         now = self.env._now
         live.mark_up(index)
         self.recoveries += 1
-        self.metrics.node_down[index].update(0.0, now)
-        self.nodes[index].recover()
+        node = self.nodes[index]
+        node.set_down_signal(0.0, now)
+        node.recover()
         if self.detector is not None:
             self.detector.on_node_recover(index, now)
         self._clocks[index].arm_failure()

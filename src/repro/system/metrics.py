@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.task import TaskClass
 from ..sim.monitor import DecayedMean, DecayedRate, MeanTally
 from ..sim.sketch import QuantileSketch
-from .fleet import FleetState, SignalViews
 from .work import WorkUnit
 
 #: The singleton ``nan`` used for "no observations" fields.  One shared
@@ -595,14 +594,14 @@ class WindowedSignals:
     invisible to the golden determinism gate.
     """
 
-    __slots__ = ("tau", "local", "global_", "nodes", "_queue_values")
+    __slots__ = ("tau", "local", "global_", "nodes", "_servers")
 
     def __init__(
         self,
         node_count: int,
         tau: float = DEFAULT_WINDOW_TAU,
         start_time: float = 0.0,
-        queue_values: Optional[List[float]] = None,
+        servers: Optional[List[Any]] = None,
     ) -> None:
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
@@ -616,10 +615,10 @@ class WindowedSignals:
             [] if node_count > PER_NODE_DETAIL_THRESHOLD
             else [_NodeWindow(tau, i, start_time) for i in range(node_count)]
         )
-        #: The collector's live queue-length array (``FleetState.queue_value``),
-        #: sampled for the decayed queue-depth estimate (may be None
-        #: standalone).
-        self._queue_values = queue_values
+        #: The collector's registered nodes, whose queue-length signal
+        #: (``_q_value``) feeds the decayed queue-depth estimate (may be
+        #: None standalone).
+        self._servers = servers
 
     def record_unit(self, unit: WorkUnit, now: Optional[float]) -> None:
         """Fold one finished work unit (any class) into the signals."""
@@ -637,9 +636,11 @@ class WindowedSignals:
         if nodes:
             node = nodes[unit.node_index]
             node.throughput.tick(completed_at)
-            values = self._queue_values
-            if values is not None:
-                node.queue.observe(values[unit.node_index], completed_at)
+            servers = self._servers
+            if servers is not None:
+                node.queue.observe(
+                    servers[unit.node_index]._q_value, completed_at
+                )
         if unit.task_class is _LOCAL:
             self.local.record(
                 1.0 if completed_at > timing.dl else 0.0,
@@ -685,19 +686,12 @@ class MetricsCollector:
         # Bound once: accumulators are reset in place, never replaced.
         self._local_acc = self._classes[TaskClass.LOCAL]
         self._global_acc = self._classes[TaskClass.GLOBAL]
-        #: Flat array-backed per-node signals plus one flat list per
-        #: event counter, so a 100k-node collector is 17 list allocations
-        #: instead of 300k ``TimeWeighted`` objects.  Node server loops
-        #: bind and mutate the raw lists; the ``node_busy`` /
-        #: ``node_queue`` / ``node_down`` attributes below are
-        #: ``TimeWeighted``-compatible views for the cold paths.
-        self.fleet = FleetState(node_count)
-        self.node_busy = SignalViews(self.fleet, "busy")
-        self.node_queue = SignalViews(self.fleet, "queue")
-        #: Per-node 0/1 down signal (1.0 while crashed); ``reset`` keeps
-        #: the current value, so a node down across the warm-up boundary
-        #: keeps accruing downtime in the measured window.
-        self.node_down = SignalViews(self.fleet, "down")
+        self.node_count = node_count
+        #: The nodes, in index order: each node registers itself at
+        #: construction (``Node.__init__``).  Their busy, queue and down
+        #: signals are slots on the node; ``reset`` and ``snapshot`` walk
+        #: this list, and ``per_node`` has one row per registered node.
+        self.nodes: List[Any] = []
         #: Per-node event counters, one ``node_<name>`` list per entry of
         #: :data:`NODE_COUNTERS` (``node_dispatched``, ``node_crashes``,
         #: ...).  Nodes, the fault injector and the detector increment
@@ -753,10 +747,10 @@ class MetricsCollector:
         window = self._window
         if window is None or window.tau != tau:
             window = WindowedSignals(
-                node_count=self.fleet.node_count,
+                node_count=self.node_count,
                 tau=tau,
                 start_time=now,
-                queue_values=self.fleet.queue_value,
+                servers=self.nodes,
             )
             self._window = window
         return window
@@ -875,9 +869,12 @@ class MetricsCollector:
             acc.reset()
         # Signal resets keep the current value: a node busy -- or down --
         # across the warm-up boundary stays so in the measured window.
-        self.fleet.reset_signals(now)
+        # The window start of every signal is ``_warmup_end``.
+        for node in self.nodes:
+            node._b_area = node._q_area = node._d_area = 0.0
+            node._b_last = node._q_last = node._d_last = now
         # In place: node server loops hold references to these lists.
-        zeros = [0] * self.fleet.node_count
+        zeros = [0] * self.node_count
         for name in NODE_COUNTERS:
             getattr(self, f"node_{name}")[:] = zeros
         for name, zero in _RUN_COUNTERS:
@@ -888,47 +885,27 @@ class MetricsCollector:
 
     def snapshot(self, now: float) -> RunResult:
         """Freeze current statistics into a :class:`RunResult`."""
-        fleet = self.fleet
-        b_value, b_area, b_last, b_start = (
-            fleet.busy_value, fleet.busy_area, fleet.busy_last,
-            fleet.busy_start,
-        )
-        q_value, q_area, q_last, q_start = (
-            fleet.queue_value, fleet.queue_area, fleet.queue_last,
-            fleet.queue_start,
-        )
-        d_value, d_area, d_last, d_start = (
-            fleet.down_value, fleet.down_area, fleet.down_last,
-            fleet.down_start,
-        )
         dispatched, preemptions, crashes, lost, suspicions = (
             self.node_dispatched, self.node_preemptions, self.node_crashes,
             self.node_lost, self.node_suspicions,
         )
+        # Every signal's window starts at the warm-up end.
+        elapsed = now - self._warmup_end
         per_node = []
-        for i in range(fleet.node_count):
+        for i, node in enumerate(self.nodes):
             # Inlined ``TimeWeighted.mean_at`` per signal (identical
             # arithmetic; ``_NAN`` is the shared empty-window singleton).
-            elapsed = now - b_start[i]
             if elapsed <= 0:
-                utilization = _NAN
+                utilization = mean_queue = downtime = _NAN
             else:
                 utilization = (
-                    b_area[i] + b_value[i] * (now - b_last[i])
+                    node._b_area + node._b_value * (now - node._b_last)
                 ) / elapsed
-            elapsed = now - q_start[i]
-            if elapsed <= 0:
-                mean_queue = _NAN
-            else:
                 mean_queue = (
-                    q_area[i] + q_value[i] * (now - q_last[i])
+                    node._q_area + node._q_value * (now - node._q_last)
                 ) / elapsed
-            elapsed = now - d_start[i]
-            if elapsed <= 0:
-                downtime = _NAN
-            else:
                 downtime = (
-                    d_area[i] + d_value[i] * (now - d_last[i])
+                    node._d_area + node._d_value * (now - node._d_last)
                 ) / elapsed
             # Positional, in NodeStats field order: a keyword call costs
             # about 30% more per row, and a fleet snapshot builds one row

@@ -38,6 +38,9 @@ a simulation, and the node is its own wake-up event: its class-level
 the kernel's urgent deque (or, for the preemptive node, the heap).  Every
 tracked object a node adds is one more object each full collection
 walks, and it moves the point where the next full collection lands.
+The node's time-weighted signals (queue length, busy, down) are float
+slots on the node itself, which the collector reads through
+``metrics.nodes``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ class Node:
         "_lose_in_flight", "_drop_queued",
         "_q_value", "_q_area", "_q_last",
         "_b_value", "_b_area", "_b_last",
+        "_d_value", "_d_area", "_d_last",
         "_outstanding_listener",
         "_policy", "_heap", "_queue_key", "_queue_seq",
         "_on_complete", "_abort_check",
@@ -108,17 +112,14 @@ class Node:
         self._frozen_left = -1.0  # >= 0 while a frozen unit awaits recovery
         self._lose_in_flight = True
         self._drop_queued = False
-        # The flat per-node signal arrays (FleetState), bound once: the
-        # hot loops below update them with the exact arithmetic the old
-        # inlined TimeWeighted updates performed, minus the per-signal
-        # object indirection.
-        fleet = metrics.fleet
-        self._q_value = fleet.queue_value
-        self._q_area = fleet.queue_area
-        self._q_last = fleet.queue_last
-        self._b_value = fleet.busy_value
-        self._b_area = fleet.busy_area
-        self._b_last = fleet.busy_last
+        # The node's time-weighted signals (queue length, busy, down) as
+        # float slots: value, area since the warm-up end, time of the
+        # last update.  The hot loops below update them with the exact
+        # arithmetic of the inlined ``TimeWeighted`` updates; the
+        # collector reads and resets them through ``metrics.nodes``.
+        self._q_value = self._q_area = self._q_last = 0.0
+        self._b_value = self._b_area = self._b_last = 0.0
+        self._d_value = self._d_area = self._d_last = 0.0
         #: Outstanding-count change hook (``None`` keeps the hot path at
         #: one pointer check, the tracer discipline).  An incremental
         #: placement policy (least-outstanding) binds this to learn of
@@ -143,6 +144,16 @@ class Node:
             if type(overload) is NoAbort
             else overload.should_abort_at_dispatch
         )
+        # Register last, so a node that fails to build is never listed.
+        # The collector's per-node counters and ``per_node`` rows are
+        # positional, so registration order must be index order.
+        nodes = metrics.nodes
+        if index != len(nodes):
+            raise ValueError(
+                f"node {index} registered out of order: the collector "
+                f"expects node {len(nodes)} next"
+            )
+        nodes.append(self)
 
     # -- submission ---------------------------------------------------------
 
@@ -170,12 +181,11 @@ class Node:
         )
         now = self.env._now
         index = self.index
-        # Inlined queue increment(1, now) against the flat arrays.
-        q_value = self._q_value
-        old = q_value[index]
-        self._q_area[index] += old * (now - self._q_last[index])
-        self._q_last[index] = now
-        q_value[index] = old + 1.0
+        # Inlined queue increment(1, now).
+        old = self._q_value
+        self._q_area += old * (now - self._q_last)
+        self._q_last = now
+        self._q_value = old + 1.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "submit", unit, index)
@@ -241,18 +251,15 @@ class Node:
         env = self.env
         index = self.index
         metrics = self.metrics
-        q_value = self._q_value
-        q_area = self._q_area
-        q_last = self._q_last
         abort_check = self._abort_check
         while heap:
             unit = heappop(heap)[3]
             now = env._now
             # Inlined queue increment(-1, now).
-            old = q_value[index]
-            q_area[index] += old * (now - q_last[index])
-            q_last[index] = now
-            q_value[index] = old - 1.0
+            old = self._q_value
+            self._q_area += old * (now - self._q_last)
+            self._q_last = now
+            self._q_value = old - 1.0
             metrics.node_dispatched[index] += 1
             timing = unit.timing
 
@@ -276,11 +283,10 @@ class Node:
 
             self._busy = True
             self._serving = unit
-            # Inlined busy update(1, now) against the flat arrays: the
-            # 0 -> 1 edge adds no area (the signal was 0), so only the
-            # bookkeeping fields move.
-            self._b_last[index] = now
-            self._b_value[index] = 1.0
+            # Inlined busy update(1, now): the 0 -> 1 edge adds no area
+            # (the signal was 0), so only the bookkeeping fields move.
+            self._b_last = now
+            self._b_value = 1.0
             timing.started_at = now
             if metrics._tracer is not None:
                 metrics._tracer.record(now, "dispatch", unit, index)
@@ -326,9 +332,9 @@ class Node:
         self._busy = False
         # Inlined busy update(0, now): the 1 -> 0 edge accumulates one
         # service interval of area (1.0 * dt == dt exactly).
-        self._b_area[index] += now - self._b_last[index]
-        self._b_last[index] = now
-        self._b_value[index] = 0.0
+        self._b_area += now - self._b_last
+        self._b_last = now
+        self._b_value = 0.0
         if metrics._tracer is not None:
             metrics._tracer.record(now, "complete", unit, index)
         metrics.record_unit_completion(unit, now)
@@ -380,9 +386,9 @@ class Node:
             self._busy = False
             # Inlined busy update(0, now): the 1 -> 0 edge accumulates the
             # partial service interval of area.
-            self._b_area[index] += now - self._b_last[index]
-            self._b_last[index] = now
-            self._b_value[index] = 0.0
+            self._b_area += now - self._b_last
+            self._b_last = now
+            self._b_value = 0.0
             unit = self._serving
             if self._lose_in_flight:
                 self._serving = None
@@ -415,8 +421,8 @@ class Node:
             self._frozen_left = -1.0
             self._busy = True
             # Inlined busy update(1, now): 0 -> 1 edge adds no area.
-            self._b_last[index] = now
-            self._b_value[index] = 1.0
+            self._b_last = now
+            self._b_value = 1.0
             self._service_end = now + left
             self._sleep = env._sleep(left, self._on_complete)
         elif self._heap and not self._wake_pending:
@@ -429,15 +435,28 @@ class Node:
     def _queue_increment(self, delta: float, now: float) -> None:
         """Shift the queue-length signal by ``delta`` (cold paths).
 
-        Exact ``TimeWeighted.increment`` arithmetic against the flat
-        arrays; the hot loops inline this instead of calling it.
+        Exact ``TimeWeighted.increment`` arithmetic; the hot loops inline
+        this instead of calling it.
         """
-        index = self.index
-        q_value = self._q_value
-        old = q_value[index]
-        self._q_area[index] += old * (now - self._q_last[index])
-        self._q_last[index] = now
-        q_value[index] = old + delta
+        old = self._q_value
+        self._q_area += old * (now - self._q_last)
+        self._q_last = now
+        self._q_value = old + delta
+
+    def set_down_signal(self, value: float, now: float) -> None:
+        """Set the 0/1 down signal to ``value`` at ``now``.
+
+        Exact ``TimeWeighted.update`` arithmetic, called by the fault
+        injector around ``crash``/``recover``.
+        """
+        last = self._d_last
+        if now < last:
+            raise ValueError(
+                f"time went backwards: {now} < {last} in node {self.index}"
+            )
+        self._d_area += self._d_value * (now - last)
+        self._d_last = now
+        self._d_value = value
 
     def _discard_lost(self, unit: WorkUnit, now: float) -> None:
         """Account a crash-discarded unit and hand it to its continuation.

@@ -384,8 +384,8 @@ class LeastOutstandingPlacement(PlacementPolicy):
     takes the first bucket with an eligible member.  The historical draw
     trajectory -- ties scanned in ascending index order, one
     ``randrange`` per multi-way tie, none for singletons -- is
-    reproduced exactly.  Counts derive from the fleet's flat signal
-    arrays (queue + busy), which move in exact ``+-1.0`` steps.
+    reproduced exactly.  Counts derive from each node's queue and busy
+    signals, which move in exact ``+-1.0`` steps.
 
     Cost, with ``a`` the number of nodes holding work: a decision is a
     few O(log a) binary searches (one more per skipped member); an
@@ -406,32 +406,28 @@ class LeastOutstandingPlacement(PlacementPolicy):
         node_count = len(self.nodes)
         self._node_count = node_count
         self._counts: List[int] = [0] * node_count
-        self._down: List[bool] = [False] * node_count
+        #: Per-node down flags, allocated by ``attach_live_set``: only
+        #: failure-aware runs read them.
+        self._down: List[bool] = []
         #: Sorted indices of the nodes holding work (count > 0).
         self._active: List[int] = []
         #: count > 0 -> sorted indices of the nodes holding that count.
         self._members: Dict[int, List[int]] = {}
         #: count -> down nodes holding it (live tracking only).
         self._bucket_down: Dict[int, Set[int]] = {}
-        self._fleet = None
-        if node_count:
-            fleet = self.nodes[0].metrics.fleet
-            self._fleet = fleet
-            # Every node starts idle; one that already holds work (never
-            # so in a fresh simulation) moves to its own bucket through
-            # the listener, which reconciles against the fleet arrays.
-            queue_value = fleet.queue_value
-            busy_value = fleet.busy_value
-            touch = self._touch
-            for index, node in enumerate(self.nodes):
-                node._outstanding_listener = touch
-                if queue_value[index] or busy_value[index]:
-                    touch(index)
+        # Every node starts idle; one that already holds work (never so
+        # in a fresh simulation) moves to its own bucket through the
+        # listener, which reconciles against the node's signals.
+        touch = self._touch
+        for index, node in enumerate(self.nodes):
+            node._outstanding_listener = touch
+            if node._q_value or node._b_value:
+                touch(index)
 
     def attach_live_set(self, live) -> None:
         self.live = live
         counts = self._counts
-        down = self._down
+        self._down = down = [False] * self._node_count
         bucket_down = self._bucket_down
         bucket_down.clear()
         for index in range(self._node_count):
@@ -449,15 +445,15 @@ class LeastOutstandingPlacement(PlacementPolicy):
     # -- incremental maintenance ------------------------------------------
 
     def _touch(self, index: int) -> None:
-        """Reconcile one node's bucket membership with the fleet arrays.
+        """Reconcile one node's bucket membership with its signals.
 
         Called by the nodes after every outstanding-count transition
         (submit/dispatch-abort/complete/crash/recover); also absorbs
         liveness flips, since the fault injector updates the live set
         before invoking ``crash()``/``recover()``.
         """
-        fleet = self._fleet
-        value = int(fleet.queue_value[index] + fleet.busy_value[index])
+        node = self.nodes[index]
+        value = int(node._q_value + node._b_value)
         counts = self._counts
         old = counts[index]
         if value != old:

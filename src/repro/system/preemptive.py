@@ -136,12 +136,11 @@ class PreemptiveNode(Node):
         env = self.env
         now = env._now
         index = self.index
-        # Inlined queue increment(1, now) against the flat arrays.
-        q_value = self._q_value
-        old = q_value[index]
-        self._q_area[index] += old * (now - self._q_last[index])
-        self._q_last[index] = now
-        q_value[index] = old + 1.0
+        # Inlined queue increment(1, now).
+        old = self._q_value
+        self._q_area += old * (now - self._q_last)
+        self._q_last = now
+        self._q_value = old + 1.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "submit", unit, index)
@@ -208,19 +207,16 @@ class PreemptiveNode(Node):
         metrics = self.metrics
         tracer = metrics._tracer
         dispatched = metrics.node_dispatched
-        q_value = self._q_value
-        q_area = self._q_area
-        q_last = self._q_last
         abort_check = self._abort_check
         remaining = self._remaining
         while heap:
             unit = heappop(heap)[3]
             now = env._now
             # Inlined queue increment(-1, now).
-            old = q_value[index]
-            q_area[index] += old * (now - q_last[index])
-            q_last[index] = now
-            q_value[index] = old - 1.0
+            old = self._q_value
+            self._q_area += old * (now - self._q_last)
+            self._q_last = now
+            self._q_value = old - 1.0
             dispatched[index] += 1
             timing = unit.timing
 
@@ -248,8 +244,8 @@ class PreemptiveNode(Node):
             self._serving = unit
             # Inlined busy update(1, now): the 0 -> 1 edge adds no area
             # (the signal was 0), so only the bookkeeping fields move.
-            self._b_last[index] = now
-            self._b_value[index] = 1.0
+            self._b_last = now
+            self._b_value = 1.0
             if tracer is not None:
                 tracer.record(now, "dispatch", unit, index)
             self._service_began = now
@@ -307,9 +303,9 @@ class PreemptiveNode(Node):
         index = self.index
         # Inlined busy update(0, now): the 1 -> 0 edge accumulates one
         # partial service interval of area (1.0 * dt == dt exactly).
-        self._b_area[index] += now - self._b_last[index]
-        self._b_last[index] = now
-        self._b_value[index] = 0.0
+        self._b_area += now - self._b_last
+        self._b_last = now
+        self._b_value = 0.0
         metrics = self.metrics
         if metrics._tracer is not None:
             metrics._tracer.record(now, "preempt", unit, index)
@@ -355,9 +351,9 @@ class PreemptiveNode(Node):
             self._busy = False
             # Inlined busy update(0, now): 1 -> 0 edge accumulates the
             # partial service interval of area.
-            self._b_area[index] += now - self._b_last[index]
-            self._b_last[index] = now
-            self._b_value[index] = 0.0
+            self._b_area += now - self._b_last
+            self._b_last = now
+            self._b_value = 0.0
             if self._lose_in_flight:
                 self._remaining.pop(unit.id, None)
                 self._discard_lost(unit, now)

@@ -229,18 +229,20 @@ class TestDamagedPayload:
 
     def test_older_class_layout_is_refused(self, tmp_path):
         """A payload pickled by a build whose slotted classes had other
-        attributes (here a ``FleetState`` with the removed extrema
-        lists) fails on restore, and says so."""
-        from repro.system.fleet import FleetState
+        attributes (here a ``Node`` with the removed ``_wake_event``
+        slot) fails on restore, and says so."""
+        import copyreg
 
-        class OldFleet:
+        from repro.system.node import Node
+
+        class OldNode:
             def __reduce__(self):
-                return (FleetState, (1,),
-                        (None, {"node_count": 1, "busy_min": [0.0]}))
+                return (copyreg._reconstructor, (Node, object, None),
+                        (None, {"index": 0, "_wake_event": None}))
 
         header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
                   "seed": 1, "config": "old", "now": 0.0}
-        payload = {"simulation": OldFleet(), "unit_counter": 0,
+        payload = {"simulation": OldNode(), "unit_counter": 0,
                    "global_counter": 0}
         path = tmp_path / "old.ckpt"
         path.write_bytes(pickle.dumps(header, protocol=4)

@@ -9,6 +9,8 @@ import pytest
 from repro.core.task import TaskClass
 from repro.core.timing import TimingRecord
 from repro.system.metrics import ClassStats, MetricsCollector
+from repro.system.node import Node
+from repro.system.schedulers import EarliestDeadlineFirst
 from repro.system.work import WorkUnit
 
 
@@ -20,6 +22,20 @@ def finished_unit(env, task_class=TaskClass.LOCAL, ar=0.0, ex=1.0, dl=5.0,
     timing.aborted = aborted
     return WorkUnit(name="u", task_class=task_class,
                     node_index=0, timing=timing)
+
+
+def register_nodes(env, collector, count):
+    """Build ``count`` real nodes, which register with ``collector``."""
+    return [Node(env, i, EarliestDeadlineFirst(), collector)
+            for i in range(count)]
+
+
+def keep_busy(env, node, ex=1000.0):
+    """Submit one long unit at the current time and let it enter service."""
+    timing = TimingRecord(ar=env.now, ex=ex, dl=env.now + ex)
+    node.submit(WorkUnit(name="long", task_class=TaskClass.LOCAL,
+                         node_index=node.index, timing=timing))
+    env.run(until=env.now)
 
 
 class TestClassStats:
@@ -104,8 +120,10 @@ class TestGlobalRecording:
 class TestWarmupReset:
     def test_reset_discards_counts(self, env):
         collector = MetricsCollector(node_count=2)
+        nodes = register_nodes(env, collector, 2)
         collector.record_unit_completion(finished_unit(env))
-        collector.node_busy[0].update(1, now=0.0)
+        keep_busy(env, nodes[0])
+        env.run(until=100.0)
         collector.reset(now=100.0)
         snapshot = collector.snapshot(200.0)
         assert snapshot.local.completed == 0
@@ -115,6 +133,7 @@ class TestWarmupReset:
 
     def test_dispatch_counters_reset(self, env):
         collector = MetricsCollector(node_count=1)
+        register_nodes(env, collector, 1)
         collector.count_dispatch(0)
         collector.reset(now=10.0)
         assert collector.snapshot(20.0).per_node[0].dispatched == 0
@@ -134,8 +153,10 @@ class TestRunResult:
 
     def test_mean_utilization_averages_nodes(self, env):
         collector = MetricsCollector(node_count=2)
-        collector.node_busy[0].update(1, now=0.0)   # busy whole window
+        nodes = register_nodes(env, collector, 2)
+        keep_busy(env, nodes[0])   # busy whole window
         # node 1 stays idle
+        env.run(until=10.0)
         result = collector.snapshot(10.0)
         assert result.mean_utilization == pytest.approx(0.5)
 
@@ -432,12 +453,13 @@ class TestMetricTable:
         )
         assert estimate.p99_late == r.global_.p99_lateness
 
-    def test_snapshot_and_reset_cover_every_counter(self):
+    def test_snapshot_and_reset_cover_every_counter(self, env):
         """Each per-node counter list and run counter the table creates
         reaches the snapshot, and the warm-up reset zeroes it."""
         from repro.system.metrics import NODE_COUNTERS, METRICS, RUN
 
         collector = MetricsCollector(node_count=2)
+        register_nodes(env, collector, 2)
         for k, name in enumerate(NODE_COUNTERS, start=1):
             getattr(collector, f"node_{name}")[1] = k
         run_counters = [row.name for row in METRICS

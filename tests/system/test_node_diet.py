@@ -2,11 +2,16 @@
 
 A node costs three objects the garbage collector tracks (the node, its
 ready heap and its bound completion callback; two more for the
-preemptive node's pooled poke), so building a 100k-node fleet stays
-cheap.  These tests pin that budget and the equivalences it rests on:
+preemptive node's pooled poke) and holds its busy, queue and down
+signals as float slots, so building a 100k-node fleet stays cheap.
+These tests pin that budget (tracked objects and traced bytes per node)
+and the equivalences it rests on:
 
 * the inlined ready queue, drawing from a counter the nodes share,
   dispatches in :class:`ReadyQueue`'s pop order;
+* the node's signal slots reproduce :class:`TimeWeighted` exactly,
+  through service, preemption, crashes, recoveries and a warm-up reset;
+* nodes register with their collector in index order;
 * the least-outstanding placement files nodes that already hold work
   under their counts;
 * the positional ``NodeStats`` rows of a snapshot map every counter to
@@ -17,6 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +33,7 @@ from repro.core.task import TaskClass
 from repro.core.timing import TimingRecord
 from repro.scenarios import get_scenario
 from repro.sim.core import Environment
+from repro.sim.monitor import TimeWeighted
 from repro.sim.rng import StreamFactory
 from repro.system.config import parallel_baseline_config
 from repro.system.faults import IN_FLIGHT_LOST
@@ -71,9 +80,31 @@ def _tracked_per_node(node_count: int, **overrides) -> float:
     return added / node_count
 
 
+def _bytes_per_node(node_count: int) -> float:
+    Simulation(_fleet_config(50))  # import-time caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simulation = Simulation(_fleet_config(node_count))
+        gc.collect()
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(simulation.nodes) == node_count
+    return added / node_count
+
+
 class TestTrackedObjectBudget:
     def test_node_costs_three_tracked_objects(self):
         assert _tracked_per_node(5000) <= 3.1
+
+    def test_fleet_set_up_costs_at_most_530_bytes_per_node(self):
+        # Everything a least-outstanding, fault-free simulation allocates
+        # per node: the slotted node with its float signals, its heap
+        # and bound callback, the collector's counter entries and the
+        # placement's count entry.
+        assert _bytes_per_node(5000) <= 530
 
     def test_preemptive_node_costs_five_tracked_objects(self):
         assert _tracked_per_node(5000, preemptive=True) <= 5.1
@@ -146,6 +177,128 @@ def test_dispatch_order_equals_ready_queue_pop_order(node_cls, policy):
         assert [u.name for u in served] == [u.name for u in expected]
 
 
+# -- signal slots ------------------------------------------------------------
+
+
+class _SignalReference:
+    """:class:`TimeWeighted` references for one node's signals.
+
+    ``poll`` runs at every trace point and after every driver action.
+    Busy and queue values come from what the node exposes (``busy``,
+    ``queue_length``), fed at the instants the node moves the signal (a
+    new ``_b_last``/``_q_last``) or changes its value.  An update within
+    an instant adds no area, so only the instants matter for exactness.
+    The down signal is fed by the driver, as the fault injector does.
+    """
+
+    def __init__(self, node):
+        self.node = node
+        self.busy = TimeWeighted("busy")
+        self.queue = TimeWeighted("queue")
+        self.down = TimeWeighted("down")
+        self._seen = {"busy": (0.0, 0.0), "queue": (0.0, 0.0)}
+
+    def record(self, time, kind, unit, node_index):
+        self.poll(time)
+
+    def poll(self, now):
+        node = self.node
+        for name, signal, value, last in (
+            ("busy", self.busy, float(node.busy), node._b_last),
+            ("queue", self.queue, float(node.queue_length), node._q_last),
+        ):
+            if (value, last) != self._seen[name]:
+                signal.update(value, now)
+                self._seen[name] = (value, last)
+
+    def reset(self, now):
+        for signal in (self.busy, self.queue, self.down):
+            signal.reset(now)
+        node = self.node
+        self._seen = {"busy": (float(node.busy), now),
+                      "queue": (float(node.queue_length), now)}
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "lose_in_flight,drop_queued",
+    [(True, False), (False, False), (True, True), (False, True)],
+    ids=["lost", "resume", "lost-dropped", "resume-dropped"],
+)
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_signal_slots_equal_time_weighted_reference(
+    node_cls, lose_in_flight, drop_queued, seed
+):
+    """Over a seeded random run of submissions, completions, preemptions
+    (preemptive node), crashes, recoveries and a warm-up reset, every
+    snapshot's utilization, mean queue length and downtime equals the
+    reference signals exactly."""
+    rng = random.Random(seed)
+    env = Environment()
+    metrics = MetricsCollector(1)
+    node = node_cls(env, 0, EarliestDeadlineFirst(), metrics)
+    node.configure_fault_semantics(lose_in_flight, drop_queued)
+    reference = _SignalReference(node)
+    metrics.tracer = reference
+    reset_step = rng.randrange(50, 150)
+    checks = 0
+    for step in range(300):
+        now = env.now
+        op = rng.random()
+        if step == reset_step:
+            metrics.reset(now)
+            reference.reset(now)
+        elif op < 0.3:
+            timing = TimingRecord(
+                ar=now, ex=rng.choice([0.5, 1.0, 1.5, 2.5]),
+                dl=now + rng.uniform(1.0, 20.0),
+            )
+            node.submit(WorkUnit(f"u{step}", TaskClass.LOCAL, 0, timing))
+        elif op < 0.8:
+            env.run(until=now + rng.choice([0.25, 0.5, 1.5, 3.0]))
+        elif op < 0.84:
+            if node.up:
+                # Fault events are heap events: the urgent deque (a
+                # pending preemption poke) drains before they run.
+                env.run(until=now)
+                node.set_down_signal(1.0, now)
+                reference.down.update(1.0, now)
+                node.crash()
+        elif op < 0.96:
+            if not node.up:
+                node.set_down_signal(0.0, now)
+                reference.down.update(0.0, now)
+                node.recover()
+        else:
+            row = metrics.snapshot(now).per_node[0]
+            assert _same(row.utilization, reference.busy.mean_at(now))
+            assert _same(
+                row.mean_queue_length, reference.queue.mean_at(now)
+            )
+            assert _same(row.downtime, reference.down.mean_at(now))
+            checks += 1
+        reference.poll(env.now)
+    if not node.up:
+        node.set_down_signal(0.0, env.now)
+        reference.down.update(0.0, env.now)
+        node.recover()
+        reference.poll(env.now)
+    env.run()
+    assert not node.busy and not node.queue_length
+    now = env.now + 1.0
+    row = metrics.snapshot(now).per_node[0]
+    assert row.utilization == reference.busy.mean_at(now)
+    assert row.mean_queue_length == reference.queue.mean_at(now)
+    assert row.downtime == reference.down.mean_at(now)
+    assert checks > 0
+    if node_cls is PreemptiveNode:
+        assert node.preemptions > 0
+
+
 # -- least-outstanding placement --------------------------------------------
 
 
@@ -166,6 +319,16 @@ def test_placement_over_busy_nodes_moves_them_to_their_buckets():
 # -- positional snapshot rows -----------------------------------------------
 
 
+def _as_time_weighted(node, kind: str, start: float) -> TimeWeighted:
+    """One of ``node``'s signals (``kind`` "b", "q" or "d") loaded into
+    the reference :class:`TimeWeighted`."""
+    signal = TimeWeighted(start_time=start)
+    signal._value = getattr(node, f"_{kind}_value")
+    signal._area = getattr(node, f"_{kind}_area")
+    signal._last_time = getattr(node, f"_{kind}_last")
+    return signal
+
+
 def test_positional_snapshot_maps_every_counter_to_its_field():
     config = get_scenario("detector-preemptive").to_config(
         sim_time=2000.0, warmup_time=200.0, seed=3, strategy="EQF",
@@ -180,24 +343,42 @@ def test_positional_snapshot_maps_every_counter_to_its_field():
     for name in NODE_COUNTERS:
         assert sum(getattr(metrics, f"node_{name}")) > 0, name
 
+    start = metrics._warmup_end
     expected = [
         NodeStats(
             index=i,
-            utilization=metrics.node_busy[i].mean_at(now),
-            mean_queue_length=metrics.node_queue[i].mean_at(now),
+            utilization=_as_time_weighted(node, "b", start).mean_at(now),
+            mean_queue_length=_as_time_weighted(
+                node, "q", start
+            ).mean_at(now),
             dispatched=metrics.node_dispatched[i],
             preemptions=metrics.node_preemptions[i],
             crashes=metrics.node_crashes[i],
             lost=metrics.node_lost[i],
-            downtime=metrics.node_down[i].mean_at(now),
+            downtime=_as_time_weighted(node, "d", start).mean_at(now),
             suspicions=metrics.node_suspicions[i],
         )
-        for i in range(config.node_count)
+        for i, node in enumerate(simulation.nodes)
     ]
     assert metrics.snapshot(now).per_node == expected
 
 
 # -- guards -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+def test_out_of_order_registration_is_rejected(env, node_cls):
+    metrics = MetricsCollector(3)
+    policy = EarliestDeadlineFirst()
+    with pytest.raises(ValueError, match="out of order"):
+        node_cls(env, 1, policy, metrics)
+    first = node_cls(env, 0, policy, metrics)
+    with pytest.raises(ValueError, match="out of order"):
+        node_cls(env, 0, policy, metrics)
+    with pytest.raises(ValueError, match="out of order"):
+        node_cls(env, 2, policy, metrics)
+    assert metrics.nodes == [first]
+    assert len(metrics.snapshot(1.0).per_node) == 1
 
 
 @pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])

@@ -10,9 +10,9 @@ after every step:
 
 * *count consistency*: the incrementally maintained outstanding counts
   equal a from-scratch recompute over the nodes (queue length + one if
-  serving) and the fleet signal arrays, and the sorted active and
-  per-count member lists (and the down sets) file every node under its
-  count;
+  serving) and the nodes' queue and busy signals, and the sorted
+  active and per-count member lists (and the down sets) file every
+  node under its count;
 * *decision equivalence*: ``pick_one``/``pick_distinct`` return exactly
   what the historical argmin-rescan implementation returns when run
   against a cloned tie-break stream, consuming exactly the same draws
@@ -107,15 +107,15 @@ def _unit(env, node_index, now):
     return WorkUnit(None, TaskClass.LOCAL, node_index, timing)
 
 
-def _check_counts(placement, metrics):
+def _check_counts(placement):
     recomputed = placement._outstanding()
     assert placement._counts == recomputed
-    fleet = metrics.fleet
+    nodes = placement.nodes
     members: dict = {}
     downs: dict = {}
     live = placement.live
     for i, count in enumerate(recomputed):
-        assert count == int(fleet.queue_value[i] + fleet.busy_value[i])
+        assert count == int(nodes[i]._q_value + nodes[i]._b_value)
         if count:
             members.setdefault(count, []).append(i)
         if live is not None and i not in live:
@@ -194,7 +194,7 @@ def test_incremental_counts_and_decisions_match_rescan(
                 expected.append(pick)
             assert placement.pick_distinct(arg) == expected
             assert placement._stream.getstate() == clone.getstate()
-        _check_counts(placement, metrics)
+        _check_counts(placement)
 
     # Drain everything still in flight: the incremental state must stay
     # consistent through the tail of completions too.
@@ -202,9 +202,9 @@ def test_incremental_counts_and_decisions_match_rescan(
         if i not in live:
             live.mark_up(i)
             nodes[i].recover()
-            _check_counts(placement, metrics)
+            _check_counts(placement)
     env.run(until=env.now + 1_000.0)
-    _check_counts(placement, metrics)
+    _check_counts(placement)
     assert placement._counts == [0] * node_count
 
 
@@ -247,4 +247,4 @@ def test_incremental_counts_without_live_set(node_count, data):
             assert placement.pick_distinct(arg) == expected
             assert placement._stream.getstate() == clone.getstate()
         # crash/recover ops are no-ops in the fault-oblivious variant
-        _check_counts(placement, metrics)
+        _check_counts(placement)
