@@ -4,7 +4,8 @@ Two collector flavors, mirroring classic simulation-language monitors
 (DeNet, SIMSCRIPT):
 
 * :class:`Tally` -- observation-based statistics (one value per completed
-  task): count, mean, variance, min/max, via Welford's online algorithm.
+  task): count, mean, variance, min/max, via a compensated sum and a
+  shifted Welford update.
 * :class:`TimeWeighted` -- time-weighted statistics for piecewise-constant
   signals such as queue length or server utilization.
 
@@ -34,10 +35,11 @@ class MeanTally:
     waiting statistics behind :class:`~repro.system.metrics.ClassStats`):
     the variance/min/max/total bookkeeping is real arithmetic on the
     per-completion hot path, and maintaining it for nobody is the most
-    expensive no-op in the engine.  The mean update is Welford's, bit
-    for bit the same as :class:`Tally`'s, so swapping the two never
-    perturbs a pinned result.  Use :class:`Tally` anywhere a spread
-    statistic might be wanted.
+    expensive no-op in the engine.  The mean update is Welford's, which
+    can lose low-order digits when observations cancel; :class:`Tally`
+    keeps a compensated sum instead, so the two agree bit for bit only
+    where the running sums are exact.  Use :class:`Tally` anywhere a
+    spread statistic or a mean of cancelling values is wanted.
     """
 
     __slots__ = ("name", "count", "_mean")
@@ -68,26 +70,33 @@ class MeanTally:
 
 
 class Tally:
-    """Streaming summary of individual observations (Welford's algorithm)."""
+    """Streaming summary of individual observations.
 
-    __slots__ = ("name", "count", "_mean", "_m2", "min", "max", "total")
+    The mean is the compensated (Neumaier) sum over the count: ``total`` is
+    the plain running sum and ``_comp`` collects the low-order bits each
+    addition rounds away, so a mean of values that cancel keeps its
+    digits.  The squared deviations ``_m2`` follow Welford's update on the
+    observations shifted by the first one (``_shift``; ``_smean`` is the
+    mean of the shifted values), so values that sit close together far
+    from zero keep their spread: each ``value - _shift`` is then exact.
+    """
+
+    __slots__ = ("name", "count", "_comp", "_shift", "_smean", "_m2", "min", "max", "total")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
+        self.reset()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
+        if not self.count:
+            self._shift = value
         self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._add(value, 0.0)
+        shifted = value - self._shift
+        delta = shifted - self._smean
+        self._smean += delta / self.count
+        self._m2 += delta * (shifted - self._smean)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -96,7 +105,7 @@ class Tally:
     @property
     def mean(self) -> float:
         """Sample mean (``nan`` with no observations)."""
-        return self._mean if self.count else math.nan
+        return (self.total + self._comp) / self.count if self.count else math.nan
 
     @property
     def variance(self) -> float:
@@ -114,11 +123,23 @@ class Tally:
     def reset(self) -> None:
         """Discard everything recorded so far (warm-up truncation)."""
         self.count = 0
-        self._mean = 0.0
+        self.total = 0.0
+        self._comp = 0.0
+        self._shift = 0.0
+        self._smean = 0.0
         self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.total = 0.0
+
+    def _add(self, value: float, comp: float) -> None:
+        """Add ``value`` (carrying low-order part ``comp``) to the sum."""
+        total = self.total
+        new = total + value
+        if abs(total) >= abs(value):
+            self._comp += (total - new) + value + comp
+        else:
+            self._comp += (value - new) + total + comp
+        self.total = new
 
     def merge(self, other: "Tally") -> None:
         """Fold another tally into this one (parallel-batch combination)."""
@@ -126,19 +147,21 @@ class Tally:
             return
         if self.count == 0:
             self.count = other.count
-            self._mean = other._mean
+            self.total = other.total
+            self._comp = other._comp
+            self._shift = other._shift
+            self._smean = other._smean
             self._m2 = other._m2
             self.min = other.min
             self.max = other.max
-            self.total = other.total
             return
         n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
+        delta = (other._shift - self._shift) + (other._smean - self._smean)
         total_n = n1 + n2
-        self._mean += delta * n2 / total_n
+        self._smean += delta * n2 / total_n
         self._m2 += other._m2 + delta * delta * n1 * n2 / total_n
         self.count = total_n
-        self.total += other.total
+        self._add(other.total, other._comp)
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
 
