@@ -1,8 +1,8 @@
 """Fleet-scale benchmark tier: per-event cost versus node count.
 
 The acceptance bar for the fleet-scale structures (small slotted
-nodes, pooled work units, placement without fleet rescans): simulating
-one event must not get meaningfully more expensive as the fleet grows.
+nodes, placement without fleet rescans): simulating one event must not
+get meaningfully more expensive as the fleet grows.
 Concretely, the event-loop cost per event at 10,000 nodes stays within
 2x of the 10-node cost for both the least-outstanding (sorted lists of
 the nodes holding work: O(log a) per decision, O(a) per update, a the

@@ -64,7 +64,9 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: Version 5: each node holds its busy, queue and down signals as float
 #: slots (there are no fleet-wide signal lists), and the metrics
 #: collector lists its nodes instead of holding the signal lists.
-CHECKPOINT_VERSION = 5
+#: Version 6: work units have no ``pool`` slot, and nothing is pickled
+#: by reference to a unit pool.
+CHECKPOINT_VERSION = 6
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

@@ -595,26 +595,17 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def _print_resource_footprint() -> None:
-    """Footprint lines for instrumented (``--metrics-out``) runs.
+    """Footprint line for instrumented (``--metrics-out``) runs.
 
     Peak RSS is the fleet-scale capacity number (can the config fit on
-    this box?); the unit-pool high-water mark is the true concurrent
-    work-unit population across the in-process replications -- the
-    allocation load the free list absorbed.  ``ru_maxrss`` is kibibytes
-    on Linux, bytes on macOS.
+    this box?).  ``ru_maxrss`` is kibibytes on Linux, bytes on macOS.
     """
     import resource
-
-    from .system.work import UNIT_POOL
 
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024
     print(f"peak RSS: {peak / 1024:.1f} MiB", file=sys.stderr)
-    print(
-        f"unit pool high-water: {UNIT_POOL.high_water} units",
-        file=sys.stderr,
-    )
 
 
 def _run_scenario_with_metrics(spec, strategy, scale, seed, metrics_out):

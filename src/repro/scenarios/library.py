@@ -330,11 +330,10 @@ DETECTOR_PREEMPTIVE = ScenarioSpec(
 )
 
 #: Fleet scale: 10,000 nodes fed purely by the global stream (no local
-#: sources), exercising the array-backed node state, pooled work units,
-#: and O(log n) placement at fleet cardinality.  The load keeps the
-#: *global* task rate modest (load * k * mu / E[m] = 5 tasks per time
-#: unit) so runs stay quick while every per-node structure carries the
-#: full node count.
+#: sources), exercising the slotted node state and O(log n) placement
+#: at fleet cardinality.  The load keeps the *global* task rate modest
+#: (load * k * mu / E[m] = 5 tasks per time unit) so runs stay quick
+#: while every per-node structure carries the full node count.
 FLEET_UNIFORM = ScenarioSpec(
     name="fleet-uniform",
     description=(

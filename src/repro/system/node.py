@@ -9,8 +9,8 @@ matching the paper's "open system" assumption.
 The server sleeps while the queue is empty, picks the highest-priority
 unit otherwise, optionally consults the overload policy
 (abort-at-dispatch), serves the unit for its *real* execution time, and
-schedules the unit's ``on_done`` continuation (or recycles a unit that
-has none).
+schedules the unit's ``on_done`` continuation (a unit without one is
+dropped once its outcome is recorded).
 
 Hot-path notes
 --------------
@@ -276,9 +276,6 @@ class Node:
                     env._schedule_call(
                         on_done, value=unit, priority=NORMAL
                     )
-                elif unit.pool is not None:
-                    # Fire-and-forget unit: recycle.
-                    unit.release()
                 continue
 
             self._busy = True
@@ -347,10 +344,6 @@ class Node:
             # continuation cannot reorder the node's own next dispatch or
             # any other same-instant event.
             env._schedule_call(on_done, value=unit, priority=NORMAL)
-        elif unit.pool is not None:
-            # Fire-and-forget unit: recycle.  The tracer and metrics
-            # copied everything they need above.
-            unit.release()
         self._dispatch_next()
 
     # -- fault machinery ------------------------------------------------------
@@ -477,9 +470,6 @@ class Node:
         on_done = unit.on_done
         if on_done is not None:
             self.env._schedule_call(on_done, value=unit, priority=NORMAL)
-        elif unit.pool is not None:
-            # Fire-and-forget unit: recycle.
-            unit.release()
 
     def __repr__(self) -> str:
         return (

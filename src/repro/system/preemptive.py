@@ -232,9 +232,6 @@ class PreemptiveNode(Node):
                 on_done = unit.on_done
                 if on_done is not None:
                     env._schedule_call(on_done, value=unit, priority=NORMAL)
-                elif unit.pool is not None:
-                    # Fire-and-forget unit: recycle.
-                    unit.release()
                 continue
 
             demand = remaining.get(unit.id, timing.ex)

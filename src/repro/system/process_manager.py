@@ -58,7 +58,7 @@ from ..core.timing import fast_timing
 from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
-from .work import WorkUnit, acquire_unit
+from .work import WorkUnit
 
 _global_counter = itertools.count(1)
 
@@ -74,14 +74,7 @@ class _Continuation:
     __slots__ = ()
 
     def _on_unit(self, event: _Call) -> None:
-        unit = event._value
-        aborted = unit.timing.aborted
-        # This frame is the single consumer of a pool-acquired subtask
-        # unit: recycle it now that the outcome is read.  ``_FAILED`` and
-        # hand-built units (pool None) are left alone.
-        if unit.pool is not None:
-            unit.release()
-        self.child_done(aborted)
+        self.child_done(event._value.timing.aborted)
 
 
 class _TaskRun(_Continuation):
@@ -278,8 +271,6 @@ class _FailedResult:
 
     timing = _Timing()
     lost = True
-    #: Never pooled: continuation frames check ``pool`` before recycling.
-    pool = None
 
     def __reduce__(self) -> str:
         # Pickle by global reference so a restored checkpoint keeps the
@@ -390,16 +381,11 @@ class _LeafAttempt:
             ar=env._now, ex=leaf.ex, pex=leaf.pex, dl=self.deadline
         )
         leaf.timing = timing
-        unit = acquire_unit(
-            name=leaf.name,
-            task_class=TaskClass.GLOBAL,
-            node_index=node_index,
-            timing=timing,
-            priority_class=manager._priority_class,
-            global_id=run.global_id,
-            stage=self.stage,
-            natural_deadline=run.deadline,
-            on_done=self.on_unit,
+        # Positional, as in ProcessManager._submit_leaf.
+        unit = WorkUnit(
+            leaf.name, TaskClass.GLOBAL, node_index, timing,
+            manager._priority_class, run.global_id, self.stage, run.deadline,
+            self.on_unit,
         )
         self.current = unit
         retry = manager._retry
@@ -425,10 +411,7 @@ class _LeafAttempt:
     def _unit_done(self, event: _Call) -> None:
         unit = event._value
         if unit is not self.current:
-            # A timed-out attempt completing late: already retried.  This
-            # shim is the orphaned unit's only consumer, so recycle here.
-            if unit.pool is not None:
-                unit.release()
+            # A timed-out attempt completing late: already retried.
             return
         self.current = None
         timer = self.timer
@@ -436,12 +419,9 @@ class _LeafAttempt:
             timer.cancel()
             self.timer = None
         if unit.lost and self.manager._retry is not None:
-            # The lost unit never reaches the parent frame; recycle it
-            # before scheduling the retry.  (Without a retry layer --
-            # detector-only mode -- the loss passes through below as the
-            # abort it is.)
-            if unit.pool is not None:
-                unit.release()
+            # The lost unit never reaches the parent frame.  (Without a
+            # retry layer -- detector-only mode -- the loss passes through
+            # below as the abort it is.)
             self._retry_or_fail()
             return
         self.parent_on_done(event)
@@ -607,16 +587,12 @@ class ProcessManager:
             dl=deadline,
         )
         leaf.timing = timing
-        unit = acquire_unit(
-            name=leaf.name,
-            task_class=TaskClass.GLOBAL,
-            node_index=node_index,
-            timing=timing,
-            priority_class=self._priority_class,
-            global_id=run.global_id,
-            stage=stage,
-            natural_deadline=run.deadline,
-            on_done=on_done,
+        # Positional: a keyword call to a class builds a kwargs dict
+        # (CPython 3.11), which doubles the cost of this per-subtask call.
+        unit = WorkUnit(
+            leaf.name, TaskClass.GLOBAL, node_index, timing,
+            self._priority_class, run.global_id, stage, run.deadline,
+            on_done,
         )
         self.nodes[node_index].submit(unit)
 

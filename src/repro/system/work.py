@@ -23,44 +23,6 @@ from ..core.timing import TimingRecord
 _unit_counter = itertools.count(1)
 
 
-class UnitPool:
-    """Free-list recycler for :class:`WorkUnit` (cf. ``_Sleep`` pooling).
-
-    At fleet scale every simulated task would otherwise allocate (and
-    collect) a fresh 12-slot object; the pool keeps released units on a
-    plain list and the workload sources re-stamp every slot on acquire.
-    ``in_use``/``high_water`` are diagnostics only (surfaced by
-    ``scenarios run --metrics-out``); they are approximate after a
-    checkpoint restore, where live units re-enter a fresh process-global
-    pool that never saw their acquisition.
-    """
-
-    __slots__ = ("free", "in_use", "high_water")
-
-    def __init__(self) -> None:
-        self.free: list = []
-        self.in_use = 0
-        self.high_water = 0
-
-    def __reduce__(self):
-        # Pickle by reference, like the ``_FAILED`` singleton: units in a
-        # checkpoint point at the restoring process's pool, and the free
-        # list itself is never serialized.
-        return "UNIT_POOL"
-
-    def __repr__(self) -> str:
-        return (
-            f"<UnitPool free={len(self.free)} in_use={self.in_use} "
-            f"high_water={self.high_water}>"
-        )
-
-
-#: The process-global unit pool.  Single simulation runs recycle through
-#: it; sweep workers each have their own (fork/spawn gives each process
-#: a fresh module global).
-UNIT_POOL = UnitPool()
-
-
 class WorkUnit:
     """One schedulable unit of work at one node."""
 
@@ -76,7 +38,6 @@ class WorkUnit:
         "stage",
         "natural_deadline",
         "lost",
-        "pool",
     )
 
     def __init__(
@@ -106,7 +67,8 @@ class WorkUnit:
         #: continuation): when set, the node schedules it as a bare
         #: single-callback event at completion/discard time, with the unit
         #: as the event's ``_value``.  Units without one (the local task
-        #: sources' fire-and-forget work) go back to their pool instead.
+        #: sources' fire-and-forget work) get no callback: the node records
+        #: their outcome and drops them.
         self.on_done = on_done
         #: True when a node crash discarded this unit (as opposed to an
         #: overload-policy abort).  The process manager's retry layer only
@@ -124,9 +86,6 @@ class WorkUnit:
         self.natural_deadline = (
             natural_deadline if natural_deadline is not None else timing.dl
         )
-        #: Owning :class:`UnitPool`, or ``None`` for hand-built units
-        #: (tests, blockers) that are never recycled.
-        self.pool = None
 
     @property
     def name(self) -> str:
@@ -146,80 +105,9 @@ class WorkUnit:
         """True for subtasks of global tasks (vs. locally generated work)."""
         return self.task_class is TaskClass.GLOBAL
 
-    def release(self) -> None:
-        """Return this unit to its pool (single owner only).
-
-        Callable only on pool-acquired units whose outcome nobody still
-        needs: the node loops release fire-and-forget units (no
-        ``on_done``) right after recording their outcome, and the process
-        manager's continuation releases its subtask units after consuming
-        theirs.  A parked unit has no timing record, so a double release
-        raises instead of corrupting the next tenant.
-        """
-        if self.timing is None:
-            raise RuntimeError(f"work unit {self.id} released twice")
-        pool = self.pool
-        self.on_done = None
-        # Drop the timing record: the outcome was already copied into the
-        # metrics/trace layers, and a stale reader failing loudly on None
-        # beats silently reading the next tenant's record.
-        self.timing = None
-        pool.in_use -= 1
-        pool.free.append(self)
-
     def __repr__(self) -> str:
         return (
             f"<WorkUnit {self.name!r} class={self.task_class.value} "
             f"node={self.node_index} dl={self.timing.dl:.4g}>"
         )
 
-
-def acquire_unit(
-    name: Optional[str],
-    task_class: TaskClass,
-    node_index: int,
-    timing: TimingRecord,
-    priority_class: int = PriorityClass.NORMAL,
-    global_id: Optional[int] = None,
-    stage: Optional[int] = None,
-    natural_deadline: Optional[float] = None,
-    on_done: Optional[Callable[[Any], None]] = None,
-) -> WorkUnit:
-    """Pool-recycling equivalent of ``WorkUnit(...)``.
-
-    Pops a released unit from :data:`UNIT_POOL` (or allocates on a dry
-    pool) and re-stamps every slot, so a recycled unit is
-    indistinguishable from a fresh one -- ids stay monotone via the
-    shared counter.  The workload sources inline this per-arrival; the
-    process manager calls it per subtask.
-    """
-    if timing.dl is None:
-        raise ValueError(
-            f"work unit {name!r} submitted without a deadline; the SDA "
-            "strategy must assign one before submission"
-        )
-    pool = UNIT_POOL
-    free = pool.free
-    if free:
-        unit = free.pop()
-    else:
-        unit = WorkUnit.__new__(WorkUnit)
-        unit.pool = pool
-    in_use = pool.in_use + 1
-    pool.in_use = in_use
-    if in_use > pool.high_water:
-        pool.high_water = in_use
-    unit.id = next(_unit_counter)
-    unit._name = name
-    unit.task_class = task_class
-    unit.node_index = node_index
-    unit.timing = timing
-    unit.priority_class = priority_class
-    unit.on_done = on_done
-    unit.lost = False
-    unit.global_id = global_id
-    unit.stage = stage
-    unit.natural_deadline = (
-        natural_deadline if natural_deadline is not None else timing.dl
-    )
-    return unit

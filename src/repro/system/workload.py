@@ -52,7 +52,7 @@ from ..sim.rng import StreamFactory
 from .node import Node
 from .placement import PlacementPolicy, UniformPlacement
 from .process_manager import ProcessManager
-from .work import UNIT_POOL, WorkUnit, _unit_counter
+from .work import WorkUnit, _unit_counter
 
 _LOCAL = TaskClass.LOCAL
 _PRIORITY_NORMAL = PriorityClass.NORMAL
@@ -242,20 +242,7 @@ class LocalTaskSource(_RebindSamplers):
         timing.completed_at = None
         timing.started_at = None
         timing.aborted = False
-        # Inlined work.acquire_unit: recycle a released unit from the
-        # free list (every slot re-stamped, id from the shared monotone
-        # counter), allocating only when the pool runs dry.
-        unit_pool = UNIT_POOL
-        free = unit_pool.free
-        if free:
-            unit = free.pop()
-        else:
-            unit = WorkUnit.__new__(WorkUnit)
-            unit.pool = unit_pool
-        in_use = unit_pool.in_use + 1
-        unit_pool.in_use = in_use
-        if in_use > unit_pool.high_water:
-            unit_pool.high_water = in_use
+        unit = WorkUnit.__new__(WorkUnit)
         unit.id = next(_unit_counter)
         unit._name = None
         unit.task_class = _LOCAL
@@ -298,18 +285,7 @@ class LocalTaskSource(_RebindSamplers):
         timing.completed_at = None
         timing.started_at = None
         timing.aborted = False
-        # Inlined work.acquire_unit (cf. _arrive).
-        unit_pool = UNIT_POOL
-        free = unit_pool.free
-        if free:
-            unit = free.pop()
-        else:
-            unit = WorkUnit.__new__(WorkUnit)
-            unit.pool = unit_pool
-        in_use = unit_pool.in_use + 1
-        unit_pool.in_use = in_use
-        if in_use > unit_pool.high_water:
-            unit_pool.high_water = in_use
+        unit = WorkUnit.__new__(WorkUnit)
         unit.id = next(_unit_counter)
         unit._name = None
         unit.task_class = _LOCAL

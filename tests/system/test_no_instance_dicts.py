@@ -11,7 +11,7 @@ from repro.system.metrics import MetricsCollector, NodeStats
 from repro.system.node import Node
 from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst, ReadyQueue
-from repro.system.work import UNIT_POOL, WorkUnit
+from repro.system.work import WorkUnit
 
 
 def _noop(_event) -> None:
@@ -38,7 +38,6 @@ def _instances(env):
         "_Sleep": env._sleep(1.0, _noop),
         "_Call": _Call(_noop),
         "Environment": env,
-        "UnitPool": UNIT_POOL,
     }
 
 
@@ -46,7 +45,7 @@ def _instances(env):
     "name",
     [
         "Node", "PreemptiveNode", "NodeStats", "WorkUnit", "TimingRecord",
-        "ReadyQueue", "_Sleep", "_Call", "Environment", "UnitPool",
+        "ReadyQueue", "_Sleep", "_Call", "Environment",
     ],
 )
 def test_no_instance_dict(env, name):

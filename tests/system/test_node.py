@@ -13,7 +13,7 @@ from repro.system.node import Node
 from repro.system.overload import AbortTardyAtDispatch
 from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst
-from repro.system.work import UNIT_POOL, WorkUnit, acquire_unit
+from repro.system.work import WorkUnit
 
 
 @pytest.fixture
@@ -165,8 +165,9 @@ class TestAbortAtDispatch:
 
 class TestCompletionChannel:
     """``on_done`` is a unit's only completion channel: every way a node
-    finishes with a unit hands it to that callback exactly once, and a
-    unit without one goes back to ``UNIT_POOL`` exactly once."""
+    finishes with a unit hands it to that callback exactly once, a unit
+    without one gets no callback, and either way the unit's outcome is
+    recorded exactly once."""
 
     #: When the target unit (ex 1, dl 5, submitted at 0) is handed back.
     HANDED_BACK_AT = {
@@ -176,14 +177,24 @@ class TestCompletionChannel:
         "crash-dropped-queued": 0.5,
     }
 
-    @pytest.mark.parametrize("channel", ["on_done", "pool"])
+    @pytest.mark.parametrize("channel", ["on_done", "none"])
     @pytest.mark.parametrize("scenario", list(HANDED_BACK_AT))
     @pytest.mark.parametrize(
         "node_cls", [Node, PreemptiveNode], ids=["node", "preemptive"]
     )
     def test_unit_handed_back_exactly_once(
-        self, env, metrics, node_cls, scenario, channel
+        self, env, metrics, node_cls, scenario, channel, monkeypatch
     ):
+        recorded = []
+        record = MetricsCollector.record_unit_completion
+
+        def recording(collector, unit, now=None):
+            recorded.append(unit)
+            record(collector, unit, now)
+
+        monkeypatch.setattr(
+            MetricsCollector, "record_unit_completion", recording
+        )
         node = node_cls(
             env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics,
             overload_policy=(
@@ -198,8 +209,7 @@ class TestCompletionChannel:
             # Hand-built and earliest-deadline: served ahead of the target.
             submit(env, node, ex=10.0, dl=2.0, name="blocker")
         handed_back = []
-        baseline = UNIT_POOL.in_use
-        unit = acquire_unit(
+        unit = WorkUnit(
             name="target", task_class=TaskClass.LOCAL, node_index=0,
             timing=TimingRecord(ar=0.0, ex=1.0, dl=5.0),
             on_done=(
@@ -214,11 +224,8 @@ class TestCompletionChannel:
         env.run(until=50.0)
         if channel == "on_done":
             assert handed_back == [(self.HANDED_BACK_AT[scenario], unit)]
-            assert unit.timing.aborted is (scenario != "completion")
-            assert unit.lost is scenario.startswith("crash")
-            # The callback's owner consumes the unit: the node never
-            # recycles a unit that has a listener.
-            assert UNIT_POOL.in_use == baseline + 1
-            unit.release()
-        assert UNIT_POOL.in_use == baseline
-        assert UNIT_POOL.free.count(unit) == 1
+        else:
+            assert handed_back == []
+        assert recorded.count(unit) == 1
+        assert unit.timing.aborted is (scenario != "completion")
+        assert unit.lost is scenario.startswith("crash")

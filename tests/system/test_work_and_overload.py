@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.task import TaskClass
 from repro.core.timing import TimingRecord
+from repro.system.config import baseline_config
+from repro.system.faults import FaultSpec
+from repro.system.node import Node
 from repro.system.overload import (
     OVERLOAD_POLICIES,
     AbortTardyAtDispatch,
@@ -13,6 +18,7 @@ from repro.system.overload import (
     NoAbort,
     get_overload_policy,
 )
+from repro.system.simulation import Simulation
 from repro.system.work import WorkUnit
 
 
@@ -39,7 +45,8 @@ class TestWorkUnit:
         assert not make_unit(env, task_class=TaskClass.LOCAL).is_global_subtask
 
     def test_ids_unique(self, env):
-        assert make_unit(env).id != make_unit(env).id
+        first, second = make_unit(env), make_unit(env)
+        assert second.id > first.id  # one shared monotone counter
 
     def test_repr(self, env):
         text = repr(make_unit(env))
@@ -110,79 +117,96 @@ class TestRegistry:
             get_overload_policy("panic")
 
 
-class TestUnitPool:
-    """The free-list recycling contract of ``acquire_unit``/``release``."""
+class TestLocalSourceUnits:
+    """The local task sources build units without the constructor; every
+    slot must still hold what ``WorkUnit.__init__`` would store."""
 
-    def _acquire(self, env, dl=10.0):
-        from repro.system.work import acquire_unit
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"load_profile": ((0.5, 0.5), (0.5, 1.5))}],
+        ids=["stationary", "modulated"],
+    )
+    def test_slots_match_the_constructor(self, monkeypatch, overrides):
+        stamped = []
+        submit = Node.submit
 
-        timing = TimingRecord(ar=0.0, ex=1.0, dl=dl)
-        return acquire_unit(
-            name=None, task_class=TaskClass.LOCAL, node_index=0,
-            timing=timing,
-        )
+        def recording(node, unit):
+            if unit.task_class is TaskClass.LOCAL and len(stamped) < 20:
+                stamped.append(
+                    (unit, {slot: getattr(unit, slot)
+                            for slot in WorkUnit.__slots__})
+                )
+            submit(node, unit)
 
-    def test_acquire_requires_deadline(self, env):
-        from repro.system.work import acquire_unit
-
-        with pytest.raises(ValueError, match="without a deadline"):
-            acquire_unit(
+        monkeypatch.setattr(Node, "submit", recording)
+        Simulation(baseline_config(
+            sim_time=200.0, warmup_time=20.0, seed=4, **overrides
+        )).run()
+        assert len(stamped) == 20
+        for unit, slots in stamped:
+            built = WorkUnit(
                 name=None, task_class=TaskClass.LOCAL,
-                node_index=0, timing=TimingRecord(ar=0.0, ex=1.0),
+                node_index=slots["node_index"], timing=slots["timing"],
             )
+            expected = {
+                slot: getattr(built, slot) for slot in WorkUnit.__slots__
+            }
+            assert slots["id"] < built.id  # same monotone counter
+            del slots["id"], expected["id"]
+            assert slots == expected
 
-    def test_release_recycles_the_object(self, env):
-        first = self._acquire(env)
-        first.release()
-        second = self._acquire(env)
-        assert second is first  # LIFO free list hands the object back
 
-    def test_ids_stay_monotone_through_recycling(self, env):
-        unit = self._acquire(env)
-        first_id = unit.id
-        unit.release()
-        recycled = self._acquire(env)
-        assert recycled.id > first_id
-        assert make_unit(env).id > recycled.id  # shared counter
+class TestUnitLifetime:
+    """Nothing keeps a work unit alive once its run is dropped: each
+    unit is freed when its last owner (queue, event, frame) lets go."""
 
-    def test_double_release_raises(self, env):
-        unit = self._acquire(env)
-        unit.release()
-        with pytest.raises(RuntimeError, match="released twice"):
-            unit.release()
-
-    def test_release_drops_run_references(self, env):
-        unit = self._acquire(env)
-        unit.release()
-        assert unit.timing is None
-        assert unit.on_done is None
-        assert not hasattr(unit, "env")
-
-    def test_recycled_unit_is_fully_restamped(self, env):
-        stale = self._acquire(env)
-        stale.lost = True
-        stale.release()
-        fresh = self._acquire(env, dl=7.0)
-        assert fresh is stale
-        assert fresh.lost is False
-        assert fresh.timing.dl == 7.0
-        assert fresh.natural_deadline == 7.0
-        assert fresh.on_done is None
-        fresh.release()  # the restamped timing re-arms the release guard
-
-    def test_in_use_and_high_water_accounting(self, env):
-        from repro.system.work import UNIT_POOL
-
-        base_in_use = UNIT_POOL.in_use
-        units = [self._acquire(env) for _ in range(4)]
-        assert UNIT_POOL.in_use == base_in_use + 4
-        assert UNIT_POOL.high_water >= base_in_use + 4
-        high = UNIT_POOL.high_water
-        for unit in units:
-            unit.release()
-        assert UNIT_POOL.in_use == base_in_use
-        assert UNIT_POOL.high_water == high  # high-water never recedes
-
-    def test_hand_built_units_stay_out_of_the_pool(self, env):
-        unit = make_unit(env)
-        assert unit.pool is None
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"preemptive": True},
+            {"task_structure": "parallel"},
+            # Lossy crashes with a short retry timeout: lost units take
+            # the retry path, and late completions of timed-out attempts
+            # reach their attempt as orphans.
+            {
+                "strategy": "EQF",
+                "faults": FaultSpec(
+                    mttf=300.0, mttr=20.0, in_flight="lost",
+                    retry_limit=2, retry_timeout=3.0,
+                ),
+            },
+            # Overload aborts at dispatch, on both node kinds: aborted
+            # units without a listener are dropped by the server loop.
+            {"overload_policy": "abort-tardy"},
+            {"preemptive": True, "overload_policy": "abort-tardy"},
+            # Crashes that discard the ready queue as well.
+            {
+                "faults": FaultSpec(
+                    mttf=300.0, mttr=20.0, queued="dropped",
+                ),
+            },
+            # Time-varying load: the modulated local arrival path.
+            {"load_profile": ((0.5, 0.5), (0.5, 1.5))},
+        ],
+        ids=[
+            "baseline", "preemptive", "parallel", "lossy-retry",
+            "abort-tardy", "preemptive-abort-tardy", "crash-dropped-queued",
+            "load-profile",
+        ],
+    )
+    def test_no_unit_outlives_a_dropped_run(self, env, overrides):
+        # Units are numbered from one global counter: every unit this run
+        # builds has a larger id than ``floor``, whatever other tests keep.
+        floor = make_unit(env).id
+        sim = Simulation(baseline_config(
+            sim_time=1500.0, warmup_time=150.0, seed=4, **overrides
+        ))
+        sim.run()
+        del sim
+        gc.collect()
+        survivors = [
+            obj for obj in gc.get_objects()
+            if type(obj) is WorkUnit and obj.id > floor
+        ]
+        assert survivors == []

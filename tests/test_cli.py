@@ -386,7 +386,6 @@ class TestScenarioRunMetricsFlag:
         captured = capsys.readouterr()
         assert captured.out == plain  # serial in-process run, same numbers
         assert "peak RSS:" in captured.err
-        assert "unit pool high-water:" in captured.err
         from repro.system.emission import read_metrics_series
 
         assert read_metrics_series(path)[-1]["type"] == "final"
@@ -395,7 +394,6 @@ class TestScenarioRunMetricsFlag:
         assert main(self._BASE) == 0
         err = capsys.readouterr().err
         assert "peak RSS:" not in err
-        assert "unit pool high-water:" not in err
 
     def test_metrics_out_rejects_journal(self, capsys, tmp_path):
         assert main(
