@@ -13,6 +13,8 @@ changelog note), not a silent drift.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -25,6 +27,10 @@ from repro.system.simulation import simulate
 #: what this test checks).
 SIM_TIME = 2_500.0
 WARMUP = 250.0
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,11 @@ class TestSerialBaselineGolden:
         node0 = serial_result.per_node[0]
         assert node0.utilization == 0.5153333521237488
         assert node0.mean_queue_length == 0.4392931486126085
+
+    def test_record_bytes_exact(self, serial_result):
+        # The whole journaled record, every float to the last bit.
+        assert _sha256(json.dumps(serial_result.to_dict(), sort_keys=True)) \
+            == "e43ba3fc7d651571f91adb9416bd7a0af65b288a1849899b2c26823ea1fecb4a"
 
 
 class TestParallelStructureGolden:
@@ -498,6 +509,19 @@ class TestLeastOutstandingGolden:
         ]
         # Index-weighted sum: moves if any subtask lands elsewhere.
         assert sum(i * d for i, d in enumerate(dispatched)) == 7_185_394
+
+    def test_fleet_fan_node_rows_exact(self, fleet_result):
+        # Every row of every node, floats to the last bit.
+        assert _sha256(repr(fleet_result.per_node)) == (
+            "a5b424f361472024f819dc14672615385f5225909afe28e10b0d085c8ec0be52"
+        )
+        assert fleet_result.mean_utilization == 0.009965784924681299
+
+    def test_fleet_fan_aggregate_record_exact(self, fleet_result):
+        record = fleet_result.to_dict(aggregate_nodes=True)
+        assert _sha256(json.dumps(record, sort_keys=True)) == (
+            "ab1e06761c56497706626acd8791bc60d4ecb0716214e03f5343a6da7c2a22c3"
+        )
 
 
 class TestDetectorOracleDefaultGolden:
