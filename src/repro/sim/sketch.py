@@ -44,7 +44,10 @@ DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
 #: Observations buffered between marker commits.  Streams up to this
 #: length are answered exactly; the commit cost (one sort + a handful of
-#: marker nudges) amortizes to well under 0.1 us per observation.
+#: marker nudges) amortizes to well under 0.1 us per observation.  A
+#: power of two: recorders that append to the buffer themselves test
+#: their count against ``CHUNK - 1`` to know when to call
+#: :meth:`QuantileSketch.commit_chunk`.
 CHUNK = 512
 
 
@@ -99,9 +102,19 @@ class QuantileSketch:
         buffer = self._buffer
         buffer.append(value)
         if len(buffer) >= CHUNK:
-            self._commit(buffer)
-            self._buffer = []
-            self._committed += CHUNK
+            self.commit_chunk()
+
+    def commit_chunk(self) -> None:
+        """Fold the pending buffer, a full :data:`CHUNK` of observations,
+        into the markers and start an empty one.
+
+        ``observe`` calls this when the buffer fills.  A hot-path recorder
+        may append to ``_buffer`` directly instead, and then must call
+        this on every ``CHUNK``-th observation.
+        """
+        self._commit(self._buffer)
+        self._buffer = []
+        self._committed += CHUNK
 
     def _commit(self, block: List[float]) -> None:
         """Fold one full block into the marker state (sorts ``block``)."""

@@ -14,7 +14,13 @@ from .config import (
 )
 from .detector import DetectorSpec, FailureDetector, SuspicionView
 from .faults import FaultInjector, FaultSpec, LiveSet
-from .metrics import ClassStats, MetricsCollector, NodeStats, RunResult
+from .metrics import (
+    ClassStats,
+    MetricsCollector,
+    NodeStats,
+    NodeTable,
+    RunResult,
+)
 from .node import Node
 from .preemptive import PreemptiveNode
 from .overload import (
@@ -64,6 +70,7 @@ __all__ = [
     "NoAbort",
     "Node",
     "NodeStats",
+    "NodeTable",
     "OVERLOAD_POLICIES",
     "OverloadPolicy",
     "PARALLEL",

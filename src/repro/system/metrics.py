@@ -16,12 +16,17 @@ the window grows.)
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..core.task import TaskClass
 from ..sim.monitor import DecayedMean, DecayedRate, MeanTally
-from ..sim.sketch import QuantileSketch
+from ..sim.sketch import CHUNK, QuantileSketch
 from .work import WorkUnit
 
 #: The singleton ``nan`` used for "no observations" fields.  One shared
@@ -46,9 +51,9 @@ PER_NODE_DETAIL_THRESHOLD = 256
 # NodeStats ("node") or RunResult ("run") declared with ``metric(...)``;
 # :data:`METRICS` collects those declarations into one table, and the
 # cold code -- record (de)serialization, node totals and summaries, the
-# collector's run counters, replication folds, the sweep-report columns
-# -- is driven by it.  The hot paths (per-completion recording, the node
-# loops' array writes, the per-node snapshot loop) name their fields.
+# collector's run and node counters, replication folds, the sweep-report
+# columns -- is driven by it.  The hot paths (per-completion recording,
+# the node loops' counter writes) name their fields.
 
 #: Scopes: where a metric is measured.
 CLASS, NODE, RUN = "class", "node", "run"
@@ -169,8 +174,9 @@ class ClassStats:
     #: of ``aborted`` -- failed tasks are counted in both.
     failed: int = metric(0, fold=SUM, label="fail")
     #: Streaming percentile estimates of response time and lateness,
-    #: from O(1)-memory P² sketches (:mod:`repro.sim.sketch`): exact for
-    #: up to five completions, Jain/Chlamtac marker estimates beyond.
+    #: from O(1)-memory P² sketches (:mod:`repro.sim.sketch`): exact
+    #: (nearest rank) for up to ``CHUNK`` = 512 completions,
+    #: Jain/Chlamtac marker estimates beyond.
     #: ``nan`` when nothing completed.  The global p99 lateness is the
     #: tail the paper's mean-based measures hide (P² sketches do not
     #: merge, so replications are averaged, not pooled).
@@ -239,27 +245,107 @@ class NodeStats:
 
 #: The per-node event counters, in field order: each is a ``node_<name>``
 #: list on :class:`MetricsCollector` (incremented inline by the nodes,
-#: the fault injector and the detector), a ``RunResult.total_<name>``
-#: and a total in the aggregated ``node_summary``.
+#: the fault injector and the detector), an ``array('q')`` column of the
+#: snapshot's :class:`NodeTable`, a ``RunResult.total_<name>`` and a
+#: total in the aggregated ``node_summary``.
 NODE_COUNTERS: Tuple[str, ...] = tuple(
     f.name for f in fields(NodeStats)
     if _ROW in f.metadata and f.type == "int"
 )
 
+#: ``NodeStats`` field names, in field (and :class:`NodeTable` column)
+#: order.
+_NODE_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(NodeStats))
+_NODE_COLUMN = {name: i for i, name in enumerate(_NODE_FIELDS)}
+_row_values = attrgetter(*_NODE_FIELDS)
 
-def _node_mean(per_node: Sequence[NodeStats], name: str) -> float:
-    return sum(getattr(n, name) for n in per_node) / len(per_node)
+
+def _same_column(a: Sequence[Any], b: Sequence[Any]) -> bool:
+    # Columns of one field can differ in type (a snapshot's ``array``, a
+    # converted table's tuple); compare their values as rows would, with
+    # the list comparison's identity shortcut for the ``_NAN`` singleton.
+    return a == b or list(a) == list(b)
 
 
-def _mean_active_utilization(per_node: Sequence[NodeStats]) -> float:
+class NodeTable(SequenceABC):
+    """The per-node results of one run: an immutable sequence of
+    :class:`NodeStats` rows, held as one column per field.
+
+    A fleet snapshot builds no per-node objects: the index column is a
+    ``range``, the signal means are ``array('d')`` columns and the
+    counters ``array('q')`` copies of the collector's lists (a table
+    converted from rows keeps each column as a tuple of the row values).
+    A row is built only when one is asked for -- by indexing or by
+    iterating, 3-5 us per row -- and consumers that fold over the nodes
+    read :meth:`column` instead.  Equality, ``repr`` and pickling
+    behave as for the list of rows, so a table equals the rows it holds
+    and ``repr(table) == repr(list(table))``.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns: Sequence[Any]) -> None:
+        if len(columns) != len(_NODE_FIELDS):
+            raise ValueError(
+                f"expected {len(_NODE_FIELDS)} columns, got {len(columns)}"
+            )
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("node table columns differ in length")
+        self._columns = columns
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[NodeStats]) -> "NodeTable":
+        """The table holding ``rows``, in order."""
+        columns = tuple(zip(*map(_row_values, rows)))
+        return cls(*(columns or ((),) * len(_NODE_FIELDS)))
+
+    def column(self, name: str) -> Sequence[Any]:
+        """The values of the ``NodeStats`` field ``name``, in node order.
+
+        The column itself, not a copy: read it, do not mutate it.
+        """
+        return self._columns[_NODE_COLUMN[name]]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[NodeStats]:
+        return map(NodeStats, *self._columns)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return NodeTable(*[column[key] for column in self._columns])
+        return NodeStats(*[column[key] for column in self._columns])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeTable):
+            return all(map(_same_column, self._columns, other._columns))
+        if isinstance(other, SequenceABC):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return (NodeTable, self._columns)
+
+
+def _node_mean(per_node: NodeTable, name: str) -> float:
+    return sum(per_node.column(name)) / len(per_node)
+
+
+def _mean_active_utilization(per_node: NodeTable) -> float:
     total = 0.0
-    for n in per_node:
-        uptime = 1.0 - n.downtime
-        total += n.utilization / uptime if uptime > 0.0 else 0.0
+    for utilization, downtime in zip(
+        per_node.column("utilization"), per_node.column("downtime")
+    ):
+        uptime = 1.0 - downtime
+        total += utilization / uptime if uptime > 0.0 else 0.0
     return total / len(per_node)
 
 
-def _summarize_nodes(per_node: Sequence[NodeStats]) -> Dict[str, Any]:
+def _summarize_nodes(per_node: NodeTable) -> Dict[str, Any]:
     """Fold per-node detail into the bounded aggregate record.
 
     Shares its folds with the ``RunResult`` node properties, so a result
@@ -269,7 +355,7 @@ def _summarize_nodes(per_node: Sequence[NodeStats]) -> Dict[str, Any]:
     if count == 0:
         return {"count": 0}
     # Extrema skip ``nan`` (a node with an empty window).
-    utils = [n.utilization for n in per_node if not math.isnan(n.utilization)]
+    utils = [u for u in per_node.column("utilization") if not math.isnan(u)]
     summary = {
         "count": count,
         "utilization_mean": _node_mean(per_node, "utilization"),
@@ -280,7 +366,7 @@ def _summarize_nodes(per_node: Sequence[NodeStats]) -> Dict[str, Any]:
         "downtime_mean": _node_mean(per_node, "downtime"),
     }
     for name in NODE_COUNTERS:
-        summary[name] = sum(getattr(n, name) for n in per_node)
+        summary[name] = sum(per_node.column(name))
     return summary
 
 
@@ -296,7 +382,9 @@ class RunResult:
     sim_time: float
     warmup: float
     per_class: Dict[str, ClassStats]
-    per_node: List[NodeStats]
+    #: One row per node; a list of :class:`NodeStats` is converted to a
+    #: :class:`NodeTable` at construction.
+    per_node: NodeTable
     #: Leaf resubmissions by the process manager's retry layer within the
     #: measured window (0 unless a retry-enabled :class:`FaultSpec` is set).
     retries: int = metric(0, fold=SUM, label="retry")
@@ -322,6 +410,12 @@ class RunResult:
     #: drop per-node detail from serialized forms).  ``None`` on results
     #: snapshotted in-process, which keep full :attr:`per_node` detail.
     node_summary: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.per_node, NodeTable):
+            object.__setattr__(
+                self, "per_node", NodeTable.from_rows(self.per_node)
+            )
 
     @property
     def local(self) -> ClassStats:
@@ -388,7 +482,7 @@ class RunResult:
         ``node_summary`` of an aggregated record)."""
         if not self.per_node and self.node_summary:
             return self.node_summary.get(name, 0)
-        return sum(getattr(n, name) for n in self.per_node)
+        return sum(self.per_node.column(name))
 
     def to_dict(self, aggregate_nodes: bool = False) -> Dict[str, Any]:
         """JSON-serializable form; exact inverse of :meth:`from_dict`.
@@ -407,10 +501,10 @@ class RunResult:
         data["per_class"] = {
             name: stats.to_dict() for name, stats in self.per_class.items()
         }
-        data["per_node"] = (
-            [] if aggregate_nodes
-            else [stats.to_dict() for stats in self.per_node]
-        )
+        data["per_node"] = [] if aggregate_nodes else [
+            dict(zip(_NODE_FIELDS, values))
+            for values in zip(*map(self.per_node.column, _NODE_FIELDS))
+        ]
         summary = self.node_summary
         if aggregate_nodes and summary is None:
             summary = _summarize_nodes(self.per_node)
@@ -675,6 +769,10 @@ class WindowedSignals:
 
 _LOCAL = TaskClass.LOCAL
 
+#: ``count & _CHUNK_MASK == 0`` on every ``CHUNK``-th observation
+#: (``CHUNK`` is a power of two).
+_CHUNK_MASK = CHUNK - 1
+
 
 class MetricsCollector:
     """Central sink for task outcomes and node load signals."""
@@ -808,8 +906,13 @@ class MetricsCollector:
         tally.count = count
         tally._mean += (lateness - tally._mean) / count
 
-        acc.response_sketch.observe(response)
-        acc.lateness_sketch.observe(lateness)
+        # The sketches' ``observe``, inlined: both hold one value per
+        # tally count, so every CHUNK-th completion fills both buffers.
+        acc.response_sketch._buffer.append(response)
+        acc.lateness_sketch._buffer.append(lateness)
+        if not count & _CHUNK_MASK:
+            acc.response_sketch.commit_chunk()
+            acc.lateness_sketch.commit_chunk()
 
         started_at = timing.started_at
         if started_at is not None:
@@ -850,8 +953,12 @@ class MetricsCollector:
             acc.missed += 1
         acc.response.observe(response_time)
         acc.lateness.observe(lateness)
-        acc.response_sketch.observe(response_time)
-        acc.lateness_sketch.observe(lateness)
+        # Inlined sketch ``observe``, as in ``record_unit_completion``.
+        acc.response_sketch._buffer.append(response_time)
+        acc.lateness_sketch._buffer.append(lateness)
+        if not acc.response.count & _CHUNK_MASK:
+            acc.response_sketch.commit_chunk()
+            acc.lateness_sketch.commit_chunk()
         if window is not None and now is not None:
             window.record_global(
                 1.0 if timing_missed else 0.0, response_time, now
@@ -885,35 +992,43 @@ class MetricsCollector:
 
     def snapshot(self, now: float) -> RunResult:
         """Freeze current statistics into a :class:`RunResult`."""
-        dispatched, preemptions, crashes, lost, suspicions = (
-            self.node_dispatched, self.node_preemptions, self.node_crashes,
-            self.node_lost, self.node_suspicions,
-        )
+        nodes = self.nodes
+        count = len(nodes)
         # Every signal's window starts at the warm-up end.
         elapsed = now - self._warmup_end
-        per_node = []
-        for i, node in enumerate(self.nodes):
-            # Inlined ``TimeWeighted.mean_at`` per signal (identical
-            # arithmetic; ``_NAN`` is the shared empty-window singleton).
-            if elapsed <= 0:
-                utilization = mean_queue = downtime = _NAN
-            else:
-                utilization = (
-                    node._b_area + node._b_value * (now - node._b_last)
-                ) / elapsed
-                mean_queue = (
-                    node._q_area + node._q_value * (now - node._q_last)
-                ) / elapsed
-                downtime = (
-                    node._d_area + node._d_value * (now - node._d_last)
-                ) / elapsed
-            # Positional, in NodeStats field order: a keyword call costs
-            # about 30% more per row, and a fleet snapshot builds one row
-            # per node.
-            per_node.append(NodeStats(
-                i, utilization, mean_queue, dispatched[i], preemptions[i],
-                crashes[i], lost[i], downtime, suspicions[i],
+        if elapsed <= 0:
+            # ``_NAN`` is the shared empty-window singleton.
+            utilization = mean_queue = downtime = (_NAN,) * count
+        else:
+            # ``TimeWeighted.mean_at``'s arithmetic, term for term.  A
+            # generator reading the slots builds a column about twice as
+            # fast as ``map`` over ``attrgetter``s and a mean function;
+            # a list comprehension's temporary list would raise the
+            # run's peak memory, which a fleet run reaches here.
+            utilization = array("d", (
+                (n._b_area + n._b_value * (now - n._b_last)) / elapsed
+                for n in nodes
             ))
+            mean_queue = array("d", (
+                (n._q_area + n._q_value * (now - n._q_last)) / elapsed
+                for n in nodes
+            ))
+            downtime = array("d", (
+                (n._d_area + n._d_value * (now - n._d_last)) / elapsed
+                for n in nodes
+            ))
+        columns: Dict[str, Sequence[Any]] = {
+            "index": range(count),
+            "utilization": utilization,
+            "mean_queue_length": mean_queue,
+            "downtime": downtime,
+        }
+        for name in NODE_COUNTERS:
+            counter = getattr(self, f"node_{name}")
+            columns[name] = array(
+                "q", counter if len(counter) == count else counter[:count]
+            )
+        per_node = NodeTable(*map(columns.__getitem__, _NODE_FIELDS))
         per_class = {
             cls.value: acc.snapshot() for cls, acc in self._classes.items()
         }

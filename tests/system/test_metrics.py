@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -482,3 +483,152 @@ class TestMetricTable:
                    for name in NODE_COUNTERS)
         assert all(getattr(cleared, name) == 0 for name in run_counters)
         assert math.isnan(cleared.detection_latency)
+
+
+class TestNodeTable:
+    """The snapshot's columnar ``per_node`` behaves as its list of rows."""
+
+    def test_repr_is_the_row_list_repr(self, faulty_result):
+        table = faulty_result.per_node
+        assert repr(table) == repr(list(table))
+
+    def test_equals_its_rows_both_ways(self, faulty_result):
+        table = faulty_result.per_node
+        rows = list(table)
+        assert table == rows
+        assert rows == table
+        assert table == tuple(rows)
+        changed = rows[:-1] + [
+            dataclasses.replace(rows[-1], dispatched=rows[-1].dispatched + 1)
+        ]
+        assert table != changed
+        assert changed != table
+        assert table != rows[:-1]
+        assert table != "not rows"
+
+    def test_int_negative_and_slice_indexing(self, faulty_result):
+        from repro.system.metrics import NodeStats, NodeTable
+
+        table = faulty_result.per_node
+        rows = list(table)
+        assert type(table[0]) is NodeStats
+        assert table[2] == rows[2]
+        assert table[-1] == rows[-1]
+        assert table[-len(rows)] == rows[0]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+        assert type(table[1:4]) is NodeTable
+        assert table[1:4] == rows[1:4]
+        assert table[::-2] == rows[::-2]
+        assert len(table[5:]) == len(rows[5:])
+
+    def test_columns_hold_the_row_values(self, faulty_result):
+        table = faulty_result.per_node
+        for f in dataclasses.fields(table[0]):
+            assert list(table.column(f.name)) == [
+                getattr(row, f.name) for row in table
+            ], f.name
+
+    def test_pickle_round_trip(self, faulty_result):
+        import pickle
+
+        table = faulty_result.per_node
+        loaded = pickle.loads(pickle.dumps(table))
+        assert loaded == table
+        assert repr(loaded) == repr(table)
+        # ``nan`` class fields unpickle as new objects, so compare reprs.
+        result = pickle.loads(pickle.dumps(faulty_result))
+        assert result.per_node == table
+        assert repr(result) == repr(faulty_result)
+
+    def test_record_round_trip(self, faulty_result):
+        from repro.system.metrics import RunResult
+
+        record = faulty_result.to_dict()
+        assert record["per_node"] == [row.to_dict() for row in faulty_result.per_node]
+        assert RunResult.from_dict(record) == faulty_result
+
+    def test_result_built_from_rows_holds_a_table(self, faulty_result):
+        from repro.system.metrics import NodeTable, RunResult
+
+        rows = list(faulty_result.per_node)
+        result = dataclasses.replace(faulty_result, per_node=rows)
+        assert type(result.per_node) is NodeTable
+        assert result == faulty_result
+        assert result.mean_utilization == faulty_result.mean_utilization
+        assert result.total_crashes == faulty_result.total_crashes
+        empty = RunResult(sim_time=1.0, warmup=0.0, per_class={}, per_node=[])
+        assert type(empty.per_node) is NodeTable
+        assert len(empty.per_node) == 0 and empty.per_node == []
+
+    def test_empty_window_rows_carry_the_nan_singleton(self, env):
+        from repro.system.metrics import _NAN, NodeStats
+
+        collector = MetricsCollector(node_count=3)
+        register_nodes(env, collector, 3)
+        collector.reset(5.0)
+        collector.node_dispatched[2] = 4
+        table = collector.snapshot(5.0).per_node
+        assert table == [
+            NodeStats(i, _NAN, _NAN, 4 if i == 2 else 0, 0, 0, 0, _NAN, 0)
+            for i in range(3)
+        ]
+        assert all(row.utilization is _NAN for row in table)
+        assert collector.snapshot(5.0) == collector.snapshot(5.0)
+
+
+class TestCountTriggeredSketchCommit:
+    """The completion paths append to the sketch buffers and commit every
+    ``CHUNK``-th completion: the same state as ``observe``."""
+
+    def test_chunk_is_a_power_of_two(self):
+        from repro.sim.sketch import CHUNK
+
+        assert CHUNK > 1 and CHUNK & (CHUNK - 1) == 0
+
+    def _reference(self, values):
+        from repro.sim.sketch import QuantileSketch
+
+        sketch = QuantileSketch()
+        for value in values:
+            sketch.observe(value)
+        return sketch.state()
+
+    def test_local_path_matches_observe(self, env):
+        from repro.sim.sketch import CHUNK
+
+        collector = MetricsCollector(node_count=1)
+        responses, lateness = [], []
+        for i in range(2 * CHUNK + 37):
+            ar, done, dl = float(i), i + 1.0 + (i * 7919 % 13), i + 6.0
+            collector.record_unit_completion(
+                finished_unit(env, ar=ar, started=ar, completed=done, dl=dl)
+            )
+            responses.append(done - ar)
+            lateness.append(done - dl)
+        acc = collector._local_acc
+        assert acc.response_sketch.state() == self._reference(responses)
+        assert acc.lateness_sketch.state() == self._reference(lateness)
+        assert acc.response_sketch._committed == 2 * CHUNK
+
+    def test_global_path_matches_observe(self):
+        from repro.sim.sketch import CHUNK
+
+        collector = MetricsCollector(node_count=1)
+        responses, lateness = [], []
+        for i in range(CHUNK + 5):
+            response, late = 1.0 + (i * 104729 % 17), (i % 11) - 5.0
+            collector.record_global_completion(
+                timing_missed=late > 0, aborted=False,
+                response_time=response, lateness=late,
+            )
+            if i % 3 == 0:
+                collector.record_global_completion(
+                    timing_missed=True, aborted=True
+                )
+            responses.append(response)
+            lateness.append(late)
+        acc = collector._global_acc
+        assert acc.response_sketch.state() == self._reference(responses)
+        assert acc.lateness_sketch.state() == self._reference(lateness)
+        assert acc.response_sketch._committed == CHUNK

@@ -15,7 +15,9 @@ and the equivalences it rests on:
 * the least-outstanding placement files nodes that already hold work
   under their counts;
 * the positional ``NodeStats`` rows of a snapshot map every counter to
-  its own field.
+  its own field;
+* the snapshot holds its node rows as columns, within a byte and a
+  tracked-object budget.
 """
 
 from __future__ import annotations
@@ -114,6 +116,48 @@ class TestTrackedObjectBudget:
         counters = {id(node._queue_seq) for node in simulation.nodes}
         assert len(counters) == 1
         assert type(simulation.nodes[0]._queue_seq) is FifoCounter
+
+
+# -- snapshot budget ----------------------------------------------------------
+
+
+def _ran_fleet(node_count: int):
+    """A finished ``fleet-fanout``-shaped run and its end instant."""
+    simulation = Simulation(_fleet_config(node_count))
+    simulation.run()
+    metrics = simulation.metrics
+    metrics.snapshot(simulation.env.now)  # import-time caches
+    return metrics, simulation.env.now
+
+
+class TestSnapshotBudget:
+    """The end-of-run snapshot stores per-node results as columns: eight
+    8-byte values per node and no per-node objects."""
+
+    def test_snapshot_retains_at_most_80_bytes_per_node(self):
+        metrics, now = _ran_fleet(5000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = metrics.snapshot(now)
+            gc.collect()
+            added = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.per_node) == 5000
+        assert added / 5000 <= 80
+
+    @pytest.mark.parametrize("node_count", [500, 5000])
+    def test_snapshot_adds_at_most_50_tracked_objects(self, node_count):
+        metrics, now = _ran_fleet(node_count)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = metrics.snapshot(now)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert len(result.per_node) == node_count
+        assert added <= 50
 
 
 # -- dispatch order ---------------------------------------------------------
