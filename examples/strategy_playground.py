@@ -42,7 +42,7 @@ def walk_assignments(tree: TaskNode, deadline: float, strategy: str):
             flexibility = slack / node.pex if node.pex else float("inf")
             rows.append(
                 [
-                    f"{indent}{node.name}",
+                    f"{indent}{node.notation()}",
                     f"{now:.2f}",
                     f"{node.pex:.2f}",
                     f"{window_deadline:.2f}",

@@ -17,9 +17,9 @@ A checkpoint file is two consecutive pickle frames written atomically:
    ``config``, ``now``) that is read and validated *before* the payload
    is touched, so a mismatched file fails with a clear error instead of
    an obscure unpickling one;
-2. the **payload**: the simulation object graph plus the positions of
-   the module-level id counters (work-unit ids, global-task ids), which
-   trace labels derive from.
+2. the **payload**: the simulation object graph.  It includes the
+   run's work-unit id counter, which trace labels derive from, so a
+   restored run continues its own numbering and no other simulation's.
 
 Older files may carry a ``kernel`` header field.  ``"python"`` (or no
 field) loads as usual.  ``"compiled"`` marks a file written by the
@@ -41,14 +41,13 @@ methods of picklable objects.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import os
 import pickle
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: First bytes of every checkpoint file (as a pickled header field).
 CHECKPOINT_MAGIC = "repro-checkpoint"
@@ -66,7 +65,10 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: collector lists its nodes instead of holding the signal lists.
 #: Version 6: work units have no ``pool`` slot, and nothing is pickled
 #: by reference to a unit pool.
-CHECKPOINT_VERSION = 6
+#: Version 7: work units carry no global-task id or stage index, unit
+#: ids come from a per-simulation counter pickled with the sources and
+#: the process manager, and the payload carries no counter positions.
+CHECKPOINT_VERSION = 7
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.
@@ -245,37 +247,12 @@ class _Trigger:
         self._last_wall = time.monotonic()
 
 
-def _counter_positions() -> Tuple[int, int]:
-    """Snapshot the module-level id counters without perturbing them.
-
-    ``itertools.count`` cannot be read non-destructively, so each
-    counter is drawn once and replaced by a fresh counter starting at
-    the drawn value.  ``workload`` imports ``_unit_counter`` by name, so
-    the *same* fresh object must be rebound into both module namespaces.
-    """
-    from .system import process_manager, work, workload
-
-    unit = next(work._unit_counter)
-    fresh_unit = itertools.count(unit)
-    work._unit_counter = fresh_unit
-    workload._unit_counter = fresh_unit
-
-    global_ = next(process_manager._global_counter)
-    process_manager._global_counter = itertools.count(global_)
-    return unit, global_
-
-
-def _restore_counters(unit: int, global_: int) -> None:
-    from .system import process_manager, work, workload
-
-    fresh_unit = itertools.count(unit)
-    work._unit_counter = fresh_unit
-    workload._unit_counter = fresh_unit
-    process_manager._global_counter = itertools.count(global_)
-
-
 def save_checkpoint(simulation: Any, path: Any) -> None:
-    """Atomically snapshot ``simulation`` (and the id counters) to ``path``."""
+    """Atomically snapshot ``simulation`` to ``path``.
+
+    Reads the simulation without changing it (or anything else): the
+    run's id counters pickle with it by position.
+    """
     header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -283,12 +260,7 @@ def save_checkpoint(simulation: Any, path: Any) -> None:
         "config": simulation.config.describe(),
         "now": simulation.env.now,
     }
-    unit, global_ = _counter_positions()
-    payload = {
-        "simulation": simulation,
-        "unit_counter": unit,
-        "global_counter": global_,
-    }
+    payload = {"simulation": simulation}
     buffer = io.BytesIO()
     pickle.dump(header, buffer, protocol=_PROTOCOL)
     pickle.dump(payload, buffer, protocol=_PROTOCOL)
@@ -345,10 +317,11 @@ def load_checkpoint(path: Any) -> Any:
 
     Returns the :class:`~repro.system.simulation.Simulation`, ready for
     ``run()`` (which finishes the run exactly as the uninterrupted one
-    would have, bit for bit).  Also restores the module-level id
-    counters, so trace labels continue the original numbering.  Raises
-    :class:`CheckpointError` when the file is not a checkpoint or its
-    payload is damaged or was written by an incompatible build.
+    would have, bit for bit), trace labels included: the run's unit id
+    counter is part of the payload, so loading renumbers no other live
+    simulation.  Raises :class:`CheckpointError` when the file is not a
+    checkpoint or its payload is damaged or was written by an
+    incompatible build.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -362,11 +335,9 @@ def load_checkpoint(path: Any) -> Any:
         try:
             payload = pickle.load(handle)
             simulation = payload["simulation"]
-            counters = payload["unit_counter"], payload["global_counter"]
         except _PAYLOAD_ERRORS as exc:
             raise CheckpointError(
                 f"{path}: damaged or incompatible checkpoint payload "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
-    _restore_counters(*counters)
     return simulation

@@ -23,13 +23,10 @@ nodes.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence
 
 from .timing import TimingRecord
-
-_task_counter = itertools.count(1)
 
 
 class TaskClass(Enum):
@@ -45,8 +42,9 @@ class TaskNode:
     kind: str = "abstract"
 
     def __init__(self, name: Optional[str] = None) -> None:
-        self.id = next(_task_counter)
-        self.name = name or f"{type(self).__name__}-{self.id}"
+        #: Display name, or ``None``: a work unit built from an unnamed
+        #: leaf is labelled by its simulation's unit counter instead.
+        self.name = name
         self.parent: Optional["TaskNode"] = None
         #: Timing attributes; ``ar``/``dl`` of inner nodes describe the
         #: node's *window* (assigned recursively by the combined strategy).
@@ -145,7 +143,9 @@ class SimpleTask(TaskNode):
         return self.ex
 
     def notation(self) -> str:
-        return self.name
+        if self.name is not None:
+            return self.name
+        return f"{self.ex:g}"
 
     def validate(self) -> None:
         super().validate()
@@ -223,8 +223,7 @@ class LocalTask:
     def __init__(self, ex: float, node_index: int, name: Optional[str] = None) -> None:
         if ex < 0:
             raise ValueError(f"negative execution time: {ex}")
-        self.id = next(_task_counter)
-        self.name = name or f"LocalTask-{self.id}"
+        self.name = name
         self.ex = float(ex)
         self.node_index = node_index
 

@@ -148,12 +148,17 @@ def _from_record(cls: type, data: Dict[str, Any]) -> Any:
     Tolerant of older records: a key written before its field existed
     loads with the field's default (a missing required key raises
     ``KeyError``), and unknown keys are ignored -- so sweep journals from
-    any prior release stay loadable.
+    any prior release stay loadable.  A ``nan`` loads as the shared
+    ``_NAN``: result equality relies on that identity, and ``json``'s
+    ``NaN`` is another object.
     """
     kwargs = {}
     for f in fields(cls):
         if f.name in data:
-            kwargs[f.name] = data[f.name]
+            value = data[f.name]
+            if type(value) is float and value != value:
+                value = _NAN
+            kwargs[f.name] = value
         elif f.default is MISSING:
             raise KeyError(f.name)
     return cls(**kwargs)

@@ -80,9 +80,9 @@ class PreemptiveNode(Node):
         fifo: Optional[FifoCounter] = None,
     ) -> None:
         #: Remaining service demand (in demand units, not wall time) of
-        #: units that have been preempted at least once, keyed by unit
-        #: id.  Units never seen here still need their full ``timing.ex``.
-        self._remaining: dict[int, float] = {}
+        #: units that have been preempted at least once, keyed by the
+        #: unit.  Units never seen here still need their full ``timing.ex``.
+        self._remaining: dict[WorkUnit, float] = {}
         self._preemptions = 0
         #: True between scheduling the urgent preemption poke and handling
         #: it.  Guards against the double-interrupt bug: two same-instant
@@ -222,7 +222,7 @@ class PreemptiveNode(Node):
 
             if abort_check is not None and abort_check(unit, now):
                 timing.aborted = True
-                remaining.pop(unit.id, None)
+                remaining.pop(unit, None)
                 if tracer is not None:
                     tracer.record(now, "abort", unit, index)
                 metrics.record_unit_completion(unit, now)
@@ -234,7 +234,7 @@ class PreemptiveNode(Node):
                     env._schedule_call(on_done, value=unit, priority=NORMAL)
                 continue
 
-            demand = remaining.get(unit.id, timing.ex)
+            demand = remaining.get(unit, timing.ex)
             if timing.started_at is None:
                 timing.started_at = now
             self._busy = True
@@ -295,7 +295,7 @@ class PreemptiveNode(Node):
         # instant, ``now - began`` can exceed the demand by a float ulp,
         # and a negative remainder would become a negative timer delay.
         left = self._service_demand - consumed
-        self._remaining[unit.id] = left if left > 0.0 else 0.0
+        self._remaining[unit] = left if left > 0.0 else 0.0
         self._busy = False
         index = self.index
         # Inlined busy update(0, now): the 1 -> 0 edge accumulates one
@@ -320,7 +320,7 @@ class PreemptiveNode(Node):
         """Service interval elapsed: scrub the preemption bookkeeping,
         then record the outcome and serve the next like the base class."""
         self._sleep = None
-        self._remaining.pop(self._serving.id, None)
+        self._remaining.pop(self._serving, None)
         Node._complete(self, _event)
 
     # -- fault machinery ------------------------------------------------------
@@ -352,14 +352,13 @@ class PreemptiveNode(Node):
             self._b_last = now
             self._b_value = 0.0
             if self._lose_in_flight:
-                self._remaining.pop(unit.id, None)
                 self._discard_lost(unit, now)
             else:
                 speed = self.speed
                 elapsed = now - self._service_began
                 consumed = elapsed if speed == 1.0 else elapsed * speed
                 left = self._service_demand - consumed
-                self._remaining[unit.id] = left if left > 0.0 else 0.0
+                self._remaining[unit] = left if left > 0.0 else 0.0
                 held = unit
         Node.crash(self)  # _busy is False now: handles the queue drop only
         if held is not None:
@@ -371,6 +370,13 @@ class PreemptiveNode(Node):
             listener = self._outstanding_listener
             if listener is not None:
                 listener(index)
+
+    def _discard_lost(self, unit: WorkUnit, now: float) -> None:
+        """Scrub the unit's preemption bookkeeping, then discard it like
+        the base class.  Covers queued drops too: ``_remaining`` is keyed
+        by the unit, so a stale entry would keep a lost unit alive."""
+        self._remaining.pop(unit, None)
+        Node._discard_lost(self, unit, now)
 
     def recover(self) -> None:
         """Bring the node back up; queued work (including any frozen unit,

@@ -49,7 +49,6 @@ consumption can be considered as additional subtasks"); neither do we.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from ..core.strategies import DeadlineAssigner
@@ -58,9 +57,8 @@ from ..core.timing import fast_timing
 from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
+from .schedulers import FifoCounter
 from .work import WorkUnit
-
-_global_counter = itertools.count(1)
 
 
 class _Continuation:
@@ -84,7 +82,6 @@ class _TaskRun(_Continuation):
         "manager",
         "tree",
         "deadline",
-        "global_id",
         "arrival",
         "failed",
         "on_unit",
@@ -99,7 +96,6 @@ class _TaskRun(_Continuation):
         self.manager = manager
         self.tree = tree
         self.deadline = deadline
-        self.global_id = next(_global_counter)
         self.arrival = 0.0  # stamped when the start kick fires
         #: Latched by a leaf's retry shim when its budget is exhausted,
         #: turning the recorded outcome into the "failed" disposition.
@@ -117,7 +113,7 @@ class _TaskRun(_Continuation):
         manager = self.manager
         arrival = manager.env._now
         self.arrival = arrival
-        manager._execute(self.tree, arrival, self.deadline, self, 0, self)
+        manager._execute(self.tree, arrival, self.deadline, self, self)
 
     def child_done(self, aborted: bool) -> None:
         """The whole tree finished (or a subtask was discarded): record."""
@@ -155,7 +151,6 @@ class _SerialFrame(_Continuation):
         "index",
         "window_arrival",
         "window_deadline",
-        "stage_base",
         "on_unit",
     )
 
@@ -167,7 +162,6 @@ class _SerialFrame(_Continuation):
         parent: _Continuation,
         window_arrival: float,
         window_deadline: float,
-        stage_base: int,
     ) -> None:
         self.manager = manager
         self.run = run
@@ -183,7 +177,6 @@ class _SerialFrame(_Continuation):
         self.index = 0
         self.window_arrival = window_arrival
         self.window_deadline = window_deadline
-        self.stage_base = stage_base
         self.on_unit = self._on_unit  # bound once; reused per stage
 
     def child_done(self, aborted: bool) -> None:
@@ -213,16 +206,13 @@ class _SerialFrame(_Continuation):
         if type(child) is SimpleTask:
             # Direct leaf call: no child frame on the dominant
             # serial-chain-of-leaves structure.
-            manager._submit_leaf(
-                child, deadline, self.run, self.stage_base + i, self.on_unit
-            )
+            manager._submit_leaf(child, deadline, self.run, self.on_unit)
         else:
             manager._execute(
                 child,
                 window_arrival=env._now,
                 window_deadline=deadline,
                 run=self.run,
-                stage=self.stage_base + i,
                 parent=self,
             )
 
@@ -312,7 +302,6 @@ class _LeafAttempt:
         "leaf",
         "deadline",
         "run",
-        "stage",
         "parent_on_done",
         "node_index",
         "current",
@@ -331,14 +320,12 @@ class _LeafAttempt:
         leaf: SimpleTask,
         deadline: float,
         run: _TaskRun,
-        stage: int,
         parent_on_done,
     ) -> None:
         self.manager = manager
         self.leaf = leaf
         self.deadline = deadline
         self.run = run
-        self.stage = stage
         self.parent_on_done = parent_on_done
         self.node_index = leaf.node_index
         self.current: Optional[WorkUnit] = None
@@ -376,7 +363,6 @@ class _LeafAttempt:
                 self._bounce(None)
             return
         leaf = self.leaf
-        run = self.run
         timing = fast_timing(
             ar=env._now, ex=leaf.ex, pex=leaf.pex, dl=self.deadline
         )
@@ -384,8 +370,8 @@ class _LeafAttempt:
         # Positional, as in ProcessManager._submit_leaf.
         unit = WorkUnit(
             leaf.name, TaskClass.GLOBAL, node_index, timing,
-            manager._priority_class, run.global_id, self.stage, run.deadline,
-            self.on_unit,
+            manager._priority_class, self.run.deadline, self.on_unit,
+            next(manager._unit_ids),
         )
         self.current = unit
         retry = manager._retry
@@ -485,6 +471,7 @@ class ProcessManager:
         retry_stream=None,
         detector_spec=None,
         detector_stream=None,
+        unit_ids: Optional[FifoCounter] = None,
     ) -> None:
         self.env = env
         self.nodes = list(nodes)
@@ -494,6 +481,9 @@ class ProcessManager:
         self._priority_class = assigner.psp.priority_class
         self._serial_deadline = assigner.serial_deadline
         self._parallel_deadline = assigner.parallel_deadline
+        # Work-unit ids (display labels), shared with the simulation's
+        # local sources; a manager built alone numbers its own.
+        self._unit_ids = FifoCounter(1) if unit_ids is None else unit_ids
         # Retry layer: armed only by a retry-enabled FaultSpec; the
         # fault-free (and retry-free) leaf path costs one None check.
         # ``live_set`` is whatever liveness view the simulation routes
@@ -542,19 +532,17 @@ class ProcessManager:
         window_arrival: float,
         window_deadline: float,
         run: _TaskRun,
-        stage: int,
         parent: _Continuation,
     ) -> None:
         """Launch one subtree; ``parent.child_done`` fires when it ends."""
         if isinstance(node, SimpleTask):
-            self._submit_leaf(node, window_deadline, run, stage, parent.on_unit)
+            self._submit_leaf(node, window_deadline, run, parent.on_unit)
         elif isinstance(node, SerialTask):
             _SerialFrame(
-                self, node, run, parent, window_arrival, window_deadline,
-                stage,
+                self, node, run, parent, window_arrival, window_deadline
             )._advance()
         elif isinstance(node, ParallelTask):
-            self._fork_parallel(node, window_deadline, run, stage, parent)
+            self._fork_parallel(node, window_deadline, run, parent)
         else:
             raise TypeError(
                 f"cannot execute task node of type {type(node).__name__}"
@@ -565,7 +553,6 @@ class ProcessManager:
         leaf: SimpleTask,
         deadline: float,
         run: _TaskRun,
-        stage: int,
         on_done,
     ) -> None:
         """Turn a leaf into a work unit at its node; ``on_done`` fires at
@@ -577,7 +564,7 @@ class ProcessManager:
                 "factory must route every simple subtask"
             )
         if self._retry is not None or self._detector is not None:
-            _LeafAttempt(self, leaf, deadline, run, stage, on_done).launch()
+            _LeafAttempt(self, leaf, deadline, run, on_done).launch()
             return
         env = self.env
         timing = fast_timing(
@@ -591,8 +578,8 @@ class ProcessManager:
         # (CPython 3.11), which doubles the cost of this per-subtask call.
         unit = WorkUnit(
             leaf.name, TaskClass.GLOBAL, node_index, timing,
-            self._priority_class, run.global_id, stage, run.deadline,
-            on_done,
+            self._priority_class, run.deadline, on_done,
+            next(self._unit_ids),
         )
         self.nodes[node_index].submit(unit)
 
@@ -601,7 +588,6 @@ class ProcessManager:
         node: ParallelTask,
         window_deadline: float,
         run: _TaskRun,
-        stage: int,
         parent: _Continuation,
     ) -> None:
         """Fork all branches at once under a counting join."""
@@ -621,13 +607,12 @@ class ProcessManager:
                 window_deadline=window_deadline,
             )
             if is_leaf:
-                self._submit_leaf(child, deadline, run, stage + i, on_unit)
+                self._submit_leaf(child, deadline, run, on_unit)
             else:
                 self._execute(
                     child,
                     window_arrival=fork_time,
                     window_deadline=deadline,
                     run=run,
-                    stage=stage + i,
                     parent=frame,
                 )

@@ -112,7 +112,8 @@ def get_policy(name: str) -> SchedulingPolicy:
 
 
 class FifoCounter(itertools.count):
-    """The FIFO tie-break counter that all nodes of one simulation share.
+    """A per-simulation counter: the FIFO tie-break counter that all
+    nodes of one simulation share, and the run's work-unit ids.
 
     Heap entries are only compared within one node's heap, and a shared
     counter is still monotone within each heap, so sharing it leaves

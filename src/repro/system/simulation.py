@@ -72,6 +72,9 @@ class Simulation:
         speeds = config.node_speed_factors
         node_type = PreemptiveNode if config.preemptive else Node
         fifo = FifoCounter()
+        # One work-unit id counter per run: the local sources and the
+        # process manager draw trace labels from it.
+        unit_ids = FifoCounter(1)
         self.nodes: List[Node] = [
             node_type(
                 env=self.env,
@@ -134,6 +137,7 @@ class Simulation:
                 self.streams.get("detector-route")
                 if detector_spec is not None else None
             ),
+            unit_ids=unit_ids,
         )
 
         estimator = config.make_estimator()
@@ -156,6 +160,7 @@ class Simulation:
                     streams=self.streams,
                     estimator=estimator,
                     profile=profile,
+                    unit_ids=unit_ids,
                 )
             )
 

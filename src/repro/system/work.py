@@ -13,14 +13,11 @@ subtasks, or segments of global tasks, instead of complete tasks".
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional
 
 from ..core.strategies.base import PriorityClass
 from ..core.task import TaskClass
 from ..core.timing import TimingRecord
-
-_unit_counter = itertools.count(1)
 
 
 class WorkUnit:
@@ -34,8 +31,6 @@ class WorkUnit:
         "timing",
         "priority_class",
         "on_done",
-        "global_id",
-        "stage",
         "natural_deadline",
         "lost",
     )
@@ -47,17 +42,18 @@ class WorkUnit:
         node_index: int,
         timing: TimingRecord,
         priority_class: int = PriorityClass.NORMAL,
-        global_id: Optional[int] = None,
-        stage: Optional[int] = None,
         natural_deadline: Optional[float] = None,
         on_done: Optional[Callable[[Any], None]] = None,
+        unit_id: int = 0,
     ) -> None:
         if timing.dl is None:
             raise ValueError(
                 f"work unit {name!r} submitted without a deadline; the SDA "
                 "strategy must assign one before submission"
             )
-        self.id = next(_unit_counter)
+        #: Display label only, drawn from its simulation's unit counter
+        #: (nothing schedules by it; a unit built alone keeps 0).
+        self.id = unit_id
         self._name = name
         self.task_class = task_class
         self.node_index = node_index
@@ -74,10 +70,6 @@ class WorkUnit:
         #: overload-policy abort).  The process manager's retry layer only
         #: retries crash losses, never policy aborts.
         self.lost = False
-        #: Id of the enclosing global task, if any (for tracing).
-        self.global_id = global_id
-        #: Stage index within the enclosing global task (for tracing).
-        self.stage = stage
         #: The deadline after which this work is genuinely worthless: for a
         #: local task its own deadline, for a global subtask the *end-to-end*
         #: deadline of its global task.  Firm overload policies that discard

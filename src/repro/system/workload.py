@@ -52,7 +52,8 @@ from ..sim.rng import StreamFactory
 from .node import Node
 from .placement import PlacementPolicy, UniformPlacement
 from .process_manager import ProcessManager
-from .work import WorkUnit, _unit_counter
+from .schedulers import FifoCounter
+from .work import WorkUnit
 
 _LOCAL = TaskClass.LOCAL
 _PRIORITY_NORMAL = PriorityClass.NORMAL
@@ -176,6 +177,7 @@ class LocalTaskSource(_RebindSamplers):
         "_node_index",
         "_on_arrive",
         "_profile",
+        "_unit_ids",
     )
 
     def __init__(
@@ -188,6 +190,7 @@ class LocalTaskSource(_RebindSamplers):
         streams: StreamFactory,
         estimator: Optional[Estimator] = None,
         profile: Optional[PiecewiseProfile] = None,
+        unit_ids: Optional[FifoCounter] = None,
     ) -> None:
         self.env = env
         self.node = node
@@ -211,6 +214,10 @@ class LocalTaskSource(_RebindSamplers):
         self._submit = node.submit
         self._node_index = node.index
         self._profile = profile
+        # Work-unit ids (display labels), shared with the simulation's
+        # other sources and its process manager; a source built alone
+        # numbers its own.
+        self._unit_ids = FifoCounter(1) if unit_ids is None else unit_ids
         # Bound once; reused per arrival.  The stationary path keeps the
         # original callback untouched (zero overhead when no profile).
         self._on_arrive = (
@@ -243,15 +250,13 @@ class LocalTaskSource(_RebindSamplers):
         timing.started_at = None
         timing.aborted = False
         unit = WorkUnit.__new__(WorkUnit)
-        unit.id = next(_unit_counter)
+        unit.id = next(self._unit_ids)
         unit._name = None
         unit.task_class = _LOCAL
         unit.node_index = self._node_index
         unit.timing = timing
         unit.priority_class = _PRIORITY_NORMAL
         unit.on_done = None
-        unit.global_id = None
-        unit.stage = None
         unit.natural_deadline = dl
         unit.lost = False
         self._submit(unit)
@@ -286,15 +291,13 @@ class LocalTaskSource(_RebindSamplers):
         timing.started_at = None
         timing.aborted = False
         unit = WorkUnit.__new__(WorkUnit)
-        unit.id = next(_unit_counter)
+        unit.id = next(self._unit_ids)
         unit._name = None
         unit.task_class = _LOCAL
         unit.node_index = self._node_index
         unit.timing = timing
         unit.priority_class = _PRIORITY_NORMAL
         unit.on_done = None
-        unit.global_id = None
-        unit.stage = None
         unit.natural_deadline = dl
         unit.lost = False
         self._submit(unit)
@@ -371,20 +374,19 @@ class SerialChainFactory(GlobalTaskFactory):
         m = int(self._next_count())
         if m < 1:
             raise ValueError(f"subtask count must be >= 1, got {m}")
-        leaves = [self._make_leaf(i) for i in range(m)]
+        leaves = [self._make_leaf() for _ in range(m)]
         tree: TaskNode = SerialTask(leaves) if m > 1 else leaves[0]
         total_ex = sum(leaf.ex for leaf in leaves)
         deadline = now + total_ex + self._next_slack()
         return tree, deadline
 
-    def _make_leaf(self, index: int) -> SimpleTask:
+    def _make_leaf(self) -> SimpleTask:
         ex = self._next_execution()
         predict = self._predict
         return SimpleTask(
             ex=ex,
             pex=ex if predict is None else predict(ex, self._estimate_stream),
             node_index=self._pick_one(),
-            name=f"stage-{index}",
         )
 
 
@@ -439,7 +441,7 @@ class ParallelFanFactory(GlobalTaskFactory):
         nodes = self._pick_distinct(self.fan_out)
         predict = self._predict
         leaves = []
-        for i, node_index in enumerate(nodes):
+        for node_index in nodes:
             ex = self._next_execution()
             leaves.append(
                 SimpleTask(
@@ -449,7 +451,6 @@ class ParallelFanFactory(GlobalTaskFactory):
                         else predict(ex, self._estimate_stream)
                     ),
                     node_index=node_index,
-                    name=f"branch-{i}",
                 )
             )
         tree: TaskNode = ParallelTask(leaves) if self.fan_out > 1 else leaves[0]
@@ -512,10 +513,10 @@ class SerialParallelFactory(GlobalTaskFactory):
     def build(self, now: float) -> Tuple[TaskNode, float]:
         predict = self._predict
         stage_nodes: List[TaskNode] = []
-        for s in range(self.stages):
+        for _ in range(self.stages):
             leaves = []
             node_indices = self._pick_distinct(self.width)
-            for b, node_index in enumerate(node_indices):
+            for node_index in node_indices:
                 ex = self._next_execution()
                 leaves.append(
                     SimpleTask(
@@ -525,7 +526,6 @@ class SerialParallelFactory(GlobalTaskFactory):
                             else predict(ex, self._estimate_stream)
                         ),
                         node_index=node_index,
-                        name=f"stage-{s}-branch-{b}",
                     )
                 )
             stage_nodes.append(

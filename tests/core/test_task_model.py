@@ -52,9 +52,11 @@ class TestSimpleTask:
         with pytest.raises(ValueError):
             leaf.validate()
 
-    def test_unique_ids(self):
-        a, b = SimpleTask(1.0), SimpleTask(1.0)
-        assert a.id != b.id
+    def test_unnamed_leaf_keeps_no_name_and_renders_its_time(self):
+        leaf = SimpleTask(2.5)
+        assert leaf.name is None
+        assert leaf.notation() == "2.5"
+        assert chain_of([1.0, 2.0]).notation() == "[1 2]"
 
 
 class TestSerialTask:

@@ -200,12 +200,8 @@ class TestStepMatchesRunLoop:
         stepped_result = stepped.metrics.snapshot(env.now)
 
         def key(event):
-            # Everything but unit_name: the lazy display name embeds the
-            # process-global unit id, which keeps counting across the two
-            # back-to-back simulations (the ordering-relevant identity --
-            # time, kind, node, class, deadline -- is all here).
             return (
-                event.time, event.kind, event.node_index,
+                event.time, event.kind, event.unit_name, event.node_index,
                 event.task_class, event.deadline,
             )
 

@@ -242,8 +242,7 @@ class TestDamagedPayload:
 
         header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
                   "seed": 1, "config": "old", "now": 0.0}
-        payload = {"simulation": OldNode(), "unit_counter": 0,
-                   "global_counter": 0}
+        payload = {"simulation": OldNode()}
         path = tmp_path / "old.ckpt"
         path.write_bytes(pickle.dumps(header, protocol=4)
                          + pickle.dumps(payload, protocol=4))
@@ -464,8 +463,9 @@ print(json.dumps({
 class TestKillMinusNineResume:
     """The acceptance scenario: SIGKILL a checkpointed run mid-flight,
     resume from the surviving file, and the traced event stream (labels
-    included -- the id counters must continue the original numbering)
-    matches the uninterrupted run exactly."""
+    included -- the run's unit id counter is restored with it, so the
+    numbering continues where it stopped) matches the uninterrupted run
+    exactly."""
 
     def _run(self, script, *argv, check=True):
         env = dict(os.environ)

@@ -228,6 +228,22 @@ class TestNodeCrashResume:
         assert unit.lost
         assert handed_back == [(3.0, unit)]
 
+    def test_preemptive_queued_drop_scrubs_remaining_demand(
+        self, env, metrics
+    ):
+        """A preempted unit waits in the queue with remaining-demand
+        bookkeeping; dropping it at a crash scrubs that entry too."""
+        node = make_node(env, metrics, preemptive=True)
+        node.configure_fault_semantics(lose_in_flight=True, drop_queued=True)
+        first = submit(env, node, ex=4.0, dl=100.0)
+        env.run(until=1.0)
+        submit(env, node, ex=4.0, dl=10.0)  # earlier deadline: preempts
+        env.run(until=2.0)
+        assert len(node._remaining) == 1
+        node.crash()
+        assert first.lost
+        assert node._remaining == {}
+
 
 class TestFaultInjector:
     def test_requires_enabled_spec(self, env, streams, metrics):

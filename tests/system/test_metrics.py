@@ -542,11 +542,25 @@ class TestNodeTable:
         assert repr(result) == repr(faulty_result)
 
     def test_record_round_trip(self, faulty_result):
+        import json
+
+        from repro.system.config import baseline_config
         from repro.system.metrics import RunResult
+        from repro.system.simulation import Simulation
 
         record = faulty_result.to_dict()
         assert record["per_node"] == [row.to_dict() for row in faulty_result.per_node]
         assert RunResult.from_dict(record) == faulty_result
+        # Through JSON text too, as a journal stores it: the global
+        # class's ``mean_waiting`` is ``nan``, and ``json`` loads it as
+        # another object than the snapshot's.
+        baseline = Simulation(
+            baseline_config(sim_time=300.0, warmup_time=30.0, seed=3)
+        ).run()
+        assert math.isnan(baseline.global_.mean_waiting)
+        for result in (faulty_result, baseline):
+            text = json.dumps(result.to_dict())
+            assert RunResult.from_dict(json.loads(text)) == result
 
     def test_result_built_from_rows_holds_a_table(self, faulty_result):
         from repro.system.metrics import NodeTable, RunResult

@@ -44,9 +44,32 @@ class TestWorkUnit:
         assert make_unit(env, task_class=TaskClass.GLOBAL).is_global_subtask
         assert not make_unit(env, task_class=TaskClass.LOCAL).is_global_subtask
 
-    def test_ids_unique(self, env):
-        first, second = make_unit(env), make_unit(env)
-        assert second.id > first.id  # one shared monotone counter
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"task_structure": "parallel"}],
+        ids=["serial", "parallel"],
+    )
+    def test_ids_number_the_run_from_one(self, monkeypatch, overrides):
+        """The local sources and the process manager draw from one
+        counter per simulation: a run's units are numbered 1, 2, ... in
+        submission order, whatever ran before it."""
+        submitted = []
+        submit = Node.submit
+
+        def recording(node, unit):
+            submitted.append(unit)
+            submit(node, unit)
+
+        monkeypatch.setattr(Node, "submit", recording)
+        for _ in range(2):
+            submitted.clear()
+            Simulation(baseline_config(
+                sim_time=200.0, warmup_time=20.0, seed=4, **overrides
+            )).run()
+            classes = {unit.task_class for unit in submitted}
+            assert classes == {TaskClass.LOCAL, TaskClass.GLOBAL}
+            assert [unit.id for unit in submitted] == list(
+                range(1, len(submitted) + 1)
+            )
 
     def test_repr(self, env):
         text = repr(make_unit(env))
@@ -143,16 +166,17 @@ class TestLocalSourceUnits:
             sim_time=200.0, warmup_time=20.0, seed=4, **overrides
         )).run()
         assert len(stamped) == 20
+        ids = [slots["id"] for _, slots in stamped]
+        assert ids == sorted(set(ids))  # drawn from the run's counter
         for unit, slots in stamped:
             built = WorkUnit(
                 name=None, task_class=TaskClass.LOCAL,
                 node_index=slots["node_index"], timing=slots["timing"],
+                unit_id=slots["id"],
             )
             expected = {
                 slot: getattr(built, slot) for slot in WorkUnit.__slots__
             }
-            assert slots["id"] < built.id  # same monotone counter
-            del slots["id"], expected["id"]
             assert slots == expected
 
 
@@ -195,10 +219,11 @@ class TestUnitLifetime:
             "load-profile",
         ],
     )
-    def test_no_unit_outlives_a_dropped_run(self, env, overrides):
-        # Units are numbered from one global counter: every unit this run
-        # builds has a larger id than ``floor``, whatever other tests keep.
-        floor = make_unit(env).id
+    def test_no_unit_outlives_a_dropped_run(self, overrides):
+        # Units that other tests keep alive are held here, so no unit
+        # this run builds can reuse one of their addresses.
+        before = [obj for obj in gc.get_objects() if type(obj) is WorkUnit]
+        known = {id(obj) for obj in before}
         sim = Simulation(baseline_config(
             sim_time=1500.0, warmup_time=150.0, seed=4, **overrides
         ))
@@ -207,6 +232,6 @@ class TestUnitLifetime:
         gc.collect()
         survivors = [
             obj for obj in gc.get_objects()
-            if type(obj) is WorkUnit and obj.id > floor
+            if type(obj) is WorkUnit and id(obj) not in known
         ]
         assert survivors == []

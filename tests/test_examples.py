@@ -125,3 +125,20 @@ class TestWebPipelineHelpers:
         monkeypatch.setattr(web, "WARMUP_MS", 600.0)
         result = web.run_service("DIV-1")
         assert result.global_.completed > 0
+
+
+class TestTraceDebugging:
+    @pytest.mark.parametrize("strategy", ["UD", "EQF"])
+    def test_global_submits_have_distinct_names(self, strategy):
+        """The example pairs each submit with its dispatch by
+        ``(unit_name, node)``; a repeated name would pair a dispatch
+        with another unit's submit and skew the printed waits."""
+        tracing = load_example("trace_debugging")
+        sim, _ = tracing.trace_run(strategy)
+        keys = [
+            (event.unit_name, event.node_index)
+            for event in sim.trace_log.events
+            if event.kind == "submit" and event.task_class == "global"
+        ]
+        assert len(keys) > 20
+        assert len(set(keys)) == len(keys)
