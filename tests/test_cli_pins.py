@@ -1,0 +1,44 @@
+"""Byte-for-byte pins of the experiment CLI's stdout.
+
+Each case runs one ``repro-experiments`` command at smoke scale and
+compares its stdout with the file of the same name under ``tests/pins``.
+The pins cover the three grid builders behind the reports: a paper
+figure (load x strategy), a model variation (setting x strategy) and a
+scenario sweep (scenario x strategy).  Any change to a seed rule, a cell
+order or a rendered column shows up here as a diff.
+
+Regenerate a pin only when a change is meant to alter the output::
+
+    PYTHONPATH=src python -m repro.cli run Fig2 --scale smoke \\
+        > tests/pins/run_fig2_smoke.txt
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+PINS = Path(__file__).parent / "pins"
+
+CASES = {
+    "run_fig2_smoke": ["run", "Fig2", "--scale", "smoke"],
+    "run_v2_smoke": ["run", "V2", "--scale", "smoke"],
+    "scenarios_sweep_seed17": [
+        "scenarios", "sweep",
+        "--scenario", "baseline",
+        "--scenario", "smart-routing",
+        "--scenario", "steady-churn",
+        "--strategies", "UD", "EQF",
+        "--scale", "smoke", "--seed", "17",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_pin(name, capsys):
+    assert main(CASES[name]) == 0
+    expected = (PINS / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
