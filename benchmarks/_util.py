@@ -120,4 +120,4 @@ def record_obs_bench(name: str, benchmark) -> Path | None:
 
 def series_end(figure, strategy: str, metric: str = "global") -> float:
     """Miss ratio of ``strategy`` at the last (highest) x value."""
-    return figure.sweep.series(strategy, metric)[-1]
+    return figure.grid.series(strategy, metric)[-1]

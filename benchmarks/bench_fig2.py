@@ -20,13 +20,13 @@ def test_fig2_ssp_strategies_vs_load(benchmark):
     figure = benchmark.pedantic(
         lambda: fig2(scale=QUICK), rounds=1, iterations=1
     )
-    sweep = figure.sweep
+    grid = figure.grid
 
     # -- Fig. 2b shape at the highest load ---------------------------------
-    ud = sweep.point(0.5, "UD").estimate
-    ed = sweep.point(0.5, "ED").estimate
-    eqs = sweep.point(0.5, "EQS").estimate
-    eqf = sweep.point(0.5, "EQF").estimate
+    ud = grid.cell(0.5, "UD").estimate
+    ed = grid.cell(0.5, "ED").estimate
+    eqs = grid.cell(0.5, "EQS").estimate
+    eqf = grid.cell(0.5, "EQF").estimate
 
     # UD discriminates against globals: point A (~40%) vs point B (~24%).
     assert ud.md_global.mean > 1.4 * ud.md_local.mean
@@ -40,19 +40,19 @@ def test_fig2_ssp_strategies_vs_load(benchmark):
 
     # -- Fig. 2a shape: locals barely affected ------------------------------
     locals_at_half = [
-        sweep.point(0.5, s).estimate.md_local.mean
+        grid.cell(0.5, s).estimate.md_local.mean
         for s in ("UD", "ED", "EQS", "EQF")
     ]
     assert max(locals_at_half) - min(locals_at_half) < 0.05
 
     # -- monotone in load for every strategy --------------------------------
-    for strategy in sweep.strategies:
-        series = sweep.series(strategy, "global")
+    for strategy in grid.strategies:
+        series = grid.series(strategy, "global")
         assert series[0] < series[-1]
 
     # -- light load: strategies indistinguishable ----------------------------
-    lightest = [sweep.point(0.1, s).estimate.md_global.mean
-                for s in sweep.strategies]
+    lightest = [grid.cell(0.1, s).estimate.md_global.mean
+                for s in grid.strategies]
     assert max(lightest) - min(lightest) < 0.04
 
     text = figure.render()

@@ -20,12 +20,12 @@ def test_fig3_frac_local_sweep(benchmark):
     figure = benchmark.pedantic(
         lambda: fig3(scale=QUICK), rounds=1, iterations=1
     )
-    sweep = figure.sweep
+    grid = figure.grid
 
-    ud_global = sweep.series("UD", "global")
-    ud_local = sweep.series("UD", "local")
-    eqf_global = sweep.series("EQF", "global")
-    eqf_local = sweep.series("EQF", "local")
+    ud_global = grid.series("UD", "global")
+    ud_local = grid.series("UD", "local")
+    eqf_global = grid.series("EQF", "global")
+    eqf_local = grid.series("EQF", "local")
 
     # UD's global miss ratio grows markedly across the sweep.
     assert ud_global[-1] > ud_global[0] + 0.05

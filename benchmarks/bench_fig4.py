@@ -21,8 +21,8 @@ def test_fig4_psp_strategies_vs_load(benchmark):
     figure = benchmark.pedantic(
         lambda: fig4(scale=QUICK), rounds=1, iterations=1
     )
-    sweep = figure.sweep
-    at_top = {s: sweep.point(0.5, s).estimate for s in sweep.strategies}
+    grid = figure.grid
+    at_top = {s: grid.cell(0.5, s).estimate for s in grid.strategies}
 
     ud = at_top["UD"]
     div1 = at_top["DIV-1"]
@@ -46,8 +46,8 @@ def test_fig4_psp_strategies_vs_load(benchmark):
     assert gf.md_global.mean < div1.md_global.mean * 0.85
 
     # Miss ratios grow with load for every strategy.
-    for strategy in sweep.strategies:
-        series = sweep.series(strategy, "global")
+    for strategy in grid.strategies:
+        series = grid.series(strategy, "global")
         assert series[0] < series[-1]
 
     text = figure.render()

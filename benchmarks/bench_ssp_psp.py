@@ -21,11 +21,11 @@ def test_sec6_combined_strategies(benchmark):
     figure = benchmark.pedantic(
         lambda: ssp_psp(scale=QUICK), rounds=1, iterations=1
     )
-    sweep = figure.sweep
+    grid = figure.grid
     # The paper's "high load" is the Table 1 baseline (0.5); the sweep also
     # includes an overloaded point (0.7) where *relative* orderings must
     # still hold even though nobody stays close to the locals anymore.
-    at_half = {s: sweep.point(0.5, s).estimate for s in sweep.strategies}
+    at_half = {s: grid.cell(0.5, s).estimate for s in grid.strategies}
 
     udud = at_half["UD-UD"]
     uddiv = at_half["UD-DIV1"]
@@ -49,9 +49,9 @@ def test_sec6_combined_strategies(benchmark):
 
     # At every load the combined strategy shrinks UD-UD's class gap
     # substantially (at least 40%), including the overloaded point.
-    for load in sweep.x_values:
-        base = sweep.point(load, "UD-UD").estimate
-        combo = sweep.point(load, "EQF-DIV1").estimate
+    for load in grid.rows:
+        base = grid.cell(load, "UD-UD").estimate
+        combo = grid.cell(load, "EQF-DIV1").estimate
         assert combo.gap < 0.6 * base.gap + 0.02
 
     text = figure.render()

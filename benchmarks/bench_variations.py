@@ -33,8 +33,8 @@ SCALE = RunScale(sim_time=24_000.0, warmup_time=2_400.0, replications=1,
 
 def gap(result, setting):
     """MD_global(UD) - MD_global(EQF) at one setting."""
-    ud = result.row(setting, "UD").estimate.md_global.mean
-    eqf = result.row(setting, "EQF").estimate.md_global.mean
+    ud = result.grid.cell(setting, "UD").estimate.md_global.mean
+    eqf = result.grid.cell(setting, "EQF").estimate.md_global.mean
     return ud - eqf
 
 
@@ -114,7 +114,7 @@ def test_v6_slack_sweep(benchmark):
     assert moderate > tight - 0.02
     assert moderate > loose
     # At very loose slack everyone meets deadlines: tiny miss ratios.
-    eqf_loose = result.row("rel_flex=8", "EQF").estimate.md_global.mean
+    eqf_loose = result.grid.cell("rel_flex=8", "EQF").estimate.md_global.mean
     assert eqf_loose < 0.05
     text = result.table()
     save_artifact("v6_slack_sweep", text)

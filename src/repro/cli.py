@@ -6,7 +6,6 @@ Usage::
     repro-experiments table1
     repro-experiments run Fig2 --scale quick
     repro-experiments run Fig2 --scale full --workers 0   # all CPU cores
-    repro-experiments run Fig2 --workers 4 --batch-size 5 # 5 runs/dispatch
     repro-experiments run V6 --scale smoke
     repro-experiments simulate --strategy EQF --load 0.5 --structure serial
     repro-experiments simulate --strategy EQF --checkpoint run.ckpt
@@ -21,8 +20,8 @@ Usage::
     repro-experiments scenarios sweep --scale smoke --journal sweep.json
 
 Every experiment id in ``repro-experiments list`` maps to one table/figure
-of the paper (see DESIGN.md's experiment index); ``scenarios`` drives the
-declarative workload library of :mod:`repro.scenarios`.  Every result
+of the paper (see :mod:`repro.experiments.registry`); ``scenarios`` drives
+the declarative workload library of :mod:`repro.scenarios`.  Every result
 printout echoes the resolved seed, so any printed line is reproducible
 verbatim.
 """
@@ -38,12 +37,7 @@ from typing import Optional, Sequence
 from .checkpoint import CheckpointError, CheckpointPolicy, load_checkpoint
 from .experiments.figures import FigureResult
 from .experiments.registry import EXPERIMENTS, get_experiment
-from .experiments.runner import (
-    SCALES,
-    JournalError,
-    resolve_batch_size,
-    resolve_workers,
-)
+from .experiments.runner import SCALES, JournalError, resolve_workers
 from .experiments.variations import VariationResult
 from .scenarios import (
     DEFAULT_STRATEGIES,
@@ -110,16 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "process-pool workers for the experiment's simulation grid "
             "(default: 1 = serial, 0 = all CPU cores)"
-        ),
-    )
-    run.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help=(
-            "grid runs executed back to back in one warm worker process "
-            "per pool dispatch (default: 0 = auto, about four batches per "
-            "worker; 1 = one run per dispatch)"
         ),
     )
 
@@ -303,12 +287,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help="process-pool workers (default: 1 = serial, 0 = all CPU cores)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help="runs per warm-worker pool dispatch (default: 0 = auto)",
-    )
-    parser.add_argument(
         "--journal",
         metavar="PATH",
         default=None,
@@ -356,16 +334,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scale = SCALES[args.scale]
     try:
         workers = resolve_workers(args.workers)
-        # Validation only (runs/workers placeholders): reject a negative
-        # --batch-size up front with the canonical error message.
-        resolve_batch_size(args.batch_size, runs=1, workers=1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"running {entry.experiment_id} ({entry.paper_artifact}) at "
-          f"scale={scale.label} workers={workers} "
-          f"batch-size={args.batch_size or 'auto'} ...", file=sys.stderr)
-    result = entry.run(scale, workers=workers, batch_size=args.batch_size)
+          f"scale={scale.label} workers={workers} ...", file=sys.stderr)
+    result = entry.run(scale, workers=workers)
     if isinstance(result, FigureResult):
         print(result.render())
     elif isinstance(result, VariationResult):
@@ -511,16 +485,6 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_grid_arguments(args: argparse.Namespace):
-    """Validate the shared grid knobs; returns (scale, workers) or an error
-    message."""
-    scale = SCALES[args.scale]
-    workers = resolve_workers(args.workers)
-    # Validation only (runs/workers placeholders), as in `run`.
-    resolve_batch_size(args.batch_size, runs=1, workers=1)
-    return scale, workers
-
-
 def _validate_strategies(names) -> None:
     """Fail fast on a typoed strategy flag, before any simulation runs."""
     from .core.strategies import parse_assigner
@@ -536,7 +500,8 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
-        scale, workers = _resolve_grid_arguments(args)
+        scale = SCALES[args.scale]
+        workers = resolve_workers(args.workers)
         _validate_strategies([args.strategy])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -560,7 +525,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                 scale=scale,
                 seed=args.seed,
                 workers=workers,
-                batch_size=args.batch_size,
                 journal=args.journal,
             )
     except JournalError as exc:
@@ -633,7 +597,7 @@ def _run_scenario_with_metrics(spec, strategy, scale, seed, metrics_out):
             else None
         )
         results.append(run_simulation(rep_config, emit=emit))
-    return _aggregate(config, results, level=0.95)
+    return _aggregate(config, results)
 
 
 def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
@@ -647,7 +611,8 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
-        scale, workers = _resolve_grid_arguments(args)
+        scale = SCALES[args.scale]
+        workers = resolve_workers(args.workers)
         _validate_strategies(args.strategies)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -655,7 +620,7 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
     print(
         f"sweeping {len(specs)} scenario(s) x {len(args.strategies)} "
         f"strategies at scale={scale.label} workers={workers} "
-        f"batch-size={args.batch_size or 'auto'} seed={args.seed} ...",
+        f"seed={args.seed} ...",
         file=sys.stderr,
     )
     journal = args.journal
@@ -671,15 +636,14 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
             scale=scale,
             seed=args.seed,
             workers=workers,
-            batch_size=args.batch_size,
             journal=journal,
         )
-    except JournalError as exc:
+    except (JournalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if result.journal_restored:
+    if result.grid.journal_restored:
         print(
-            f"journal: restored {result.journal_restored} completed "
+            f"journal: restored {result.grid.journal_restored} completed "
             "run(s); skipped re-running them",
             file=sys.stderr,
         )

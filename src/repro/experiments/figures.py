@@ -27,7 +27,7 @@ from ..system.config import (
     parallel_baseline_config,
     serial_parallel_config,
 )
-from .runner import QUICK, RunScale, SweepResult, sweep
+from .runner import QUICK, RunScale, StrategyGrid, sweep
 
 #: Load axis of Fig. 2 ("load varies from 0.1 to 0.5").
 FIG2_LOADS: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -51,37 +51,37 @@ SSP_PSP_STRATEGIES: Sequence[str] = ("UD-UD", "UD-DIV1", "EQF-UD", "EQF-DIV1")
 
 @dataclass(frozen=True)
 class FigureResult:
-    """A regenerated paper figure: sweep data plus rendering helpers."""
+    """A regenerated paper figure: its sweep grid plus rendering helpers."""
 
     figure_id: str
     title: str
     x_name: str
-    sweep: SweepResult
+    grid: StrategyGrid
 
     def table(self) -> str:
         """Numeric table: one row per x value, MD columns per strategy."""
         headers = [self.x_name]
-        for strategy in self.sweep.strategies:
+        for strategy in self.grid.strategies:
             headers.append(f"MD_loc[{strategy}]")
             headers.append(f"MD_glo[{strategy}]")
         rows: List[List[object]] = []
-        for x in self.sweep.x_values:
+        for x in self.grid.rows:
             row: List[object] = [x]
-            for strategy in self.sweep.strategies:
-                point = self.sweep.point(x, strategy)
-                row.append(format_percent(point.estimate.md_local.mean))
-                row.append(format_percent(point.estimate.md_global.mean))
+            for strategy in self.grid.strategies:
+                estimate = self.grid.cell(x, strategy).estimate
+                row.append(format_percent(estimate.md_local.mean))
+                row.append(format_percent(estimate.md_global.mean))
             rows.append(row)
         return render_table(headers, rows, title=f"{self.figure_id}: {self.title}")
 
     def chart(self, metric: str = "global") -> str:
         """ASCII chart of the ``metric`` miss ratio vs. the sweep axis."""
         series: Dict[str, List[float]] = {
-            strategy: self.sweep.series(strategy, metric)
-            for strategy in self.sweep.strategies
+            strategy: self.grid.series(strategy, metric)
+            for strategy in self.grid.strategies
         }
         return render_chart(
-            list(self.sweep.x_values),
+            list(self.grid.rows),
             series,
             title=f"{self.figure_id} ({metric} tasks): {self.title}",
             x_label=self.x_name,
@@ -96,8 +96,7 @@ class FigureResult:
 
 
 def fig2(
-    scale: RunScale = QUICK, seed: int = 1, workers: int = 1,
-    batch_size: int = 0,
+    scale: RunScale = QUICK, seed: int = 1, workers: int = 1
 ) -> FigureResult:
     """Fig. 2: SSP strategies on serial tasks as load varies.
 
@@ -106,26 +105,23 @@ def fig2(
     UD worst, EQF/EQS best, ED in between (2b); at load 0.5,
     ``MD_global(UD) ~ 40%`` vs ``MD_local(UD) ~ 24%``.
     """
-    result = sweep(
-        base=baseline_config(seed=seed),
-        parameter="load",
-        values=FIG2_LOADS,
-        strategies=FIG2_STRATEGIES,
-        scale=scale,
-        workers=workers,
-        batch_size=batch_size,
-    )
     return FigureResult(
         figure_id="Fig2",
         title="SSP strategies vs load (serial global tasks)",
         x_name="load",
-        sweep=result,
+        grid=sweep(
+            base=baseline_config(seed=seed),
+            parameter="load",
+            values=FIG2_LOADS,
+            strategies=FIG2_STRATEGIES,
+            scale=scale,
+            workers=workers,
+        ),
     )
 
 
 def fig3(
-    scale: RunScale = QUICK, seed: int = 2, workers: int = 1,
-    batch_size: int = 0,
+    scale: RunScale = QUICK, seed: int = 2, workers: int = 1
 ) -> FigureResult:
     """Fig. 3: effect of the local-task fraction under UD and EQF.
 
@@ -134,20 +130,18 @@ def fig3(
     competition); ``MD_local(UD)`` grows mildly; both EQF curves stay
     nearly flat -- EQF does not discriminate.
     """
-    result = sweep(
-        base=baseline_config(seed=seed),
-        parameter="frac_local",
-        values=FIG3_FRACTIONS,
-        strategies=FIG3_STRATEGIES,
-        scale=scale,
-        workers=workers,
-        batch_size=batch_size,
-    )
     return FigureResult(
         figure_id="Fig3",
         title="Effect of varying the fraction of local tasks (load 0.5)",
         x_name="frac_local",
-        sweep=result,
+        grid=sweep(
+            base=baseline_config(seed=seed),
+            parameter="frac_local",
+            values=FIG3_FRACTIONS,
+            strategies=FIG3_STRATEGIES,
+            scale=scale,
+            workers=workers,
+        ),
     )
 
 
@@ -156,7 +150,6 @@ def fig4(
     seed: int = 3,
     include_gf: bool = True,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> FigureResult:
     """Fig. 4: PSP strategies on parallel tasks as load varies.
 
@@ -166,26 +159,23 @@ def fig4(
     load; GF (Sec. 5.3) cuts the global miss ratio significantly further.
     """
     strategies = list(FIG4_STRATEGIES if include_gf else FIG4_STRATEGIES[:3])
-    result = sweep(
-        base=parallel_baseline_config(seed=seed),
-        parameter="load",
-        values=FIG4_LOADS,
-        strategies=strategies,
-        scale=scale,
-        workers=workers,
-        batch_size=batch_size,
-    )
     return FigureResult(
         figure_id="Fig4",
         title="PSP strategies vs load (parallel global tasks)",
         x_name="load",
-        sweep=result,
+        grid=sweep(
+            base=parallel_baseline_config(seed=seed),
+            parameter="load",
+            values=FIG4_LOADS,
+            strategies=strategies,
+            scale=scale,
+            workers=workers,
+        ),
     )
 
 
 def ssp_psp(
-    scale: RunScale = QUICK, seed: int = 4, workers: int = 1,
-    batch_size: int = 0,
+    scale: RunScale = QUICK, seed: int = 4, workers: int = 1
 ) -> FigureResult:
     """Sec. 6: the four SSP x PSP combinations on serial-parallel tasks.
 
@@ -194,18 +184,16 @@ def ssp_psp(
     a mild local increase; applying both keeps ``MD_global`` close to
     ``MD_local`` even under high load -- the benefits are additive.
     """
-    result = sweep(
-        base=serial_parallel_config(seed=seed),
-        parameter="load",
-        values=SSP_PSP_LOADS,
-        strategies=SSP_PSP_STRATEGIES,
-        scale=scale,
-        workers=workers,
-        batch_size=batch_size,
-    )
     return FigureResult(
         figure_id="Sec6",
         title="SSP+PSP combinations (serial-parallel global tasks)",
         x_name="load",
-        sweep=result,
+        grid=sweep(
+            base=serial_parallel_config(seed=seed),
+            parameter="load",
+            values=SSP_PSP_LOADS,
+            strategies=SSP_PSP_STRATEGIES,
+            scale=scale,
+            workers=workers,
+        ),
     )

@@ -1,8 +1,8 @@
-"""Registry mapping DESIGN.md experiment ids to runnable definitions.
+"""Registry mapping experiment ids to runnable definitions.
 
 Gives the CLI and the benchmark harness one place to look up "everything
-the paper reports": ``python -m repro.cli run Fig2`` or iterating the whole
-table for EXPERIMENTS.md regeneration.
+the paper reports": ``python -m repro.cli run Fig2`` or iterating the
+whole table.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
 from .figures import fig2, fig3, fig4, ssp_psp
-from .runner import QUICK, RunScale
+from .runner import QUICK
 from .variations import VARIATIONS
 
 
@@ -19,10 +19,9 @@ from .variations import VARIATIONS
 class ExperimentDefinition:
     """One reproducible artifact of the paper.
 
-    ``run`` accepts ``(scale, workers, batch_size)``; ``workers`` fans the
+    ``run`` accepts ``(scale, workers)``; ``workers`` fans the
     experiment's whole simulation grid out over a process pool (``0`` =
-    all cores) and ``batch_size`` groups the grid into warm-interpreter
-    batches (``0`` = auto).
+    all cores).
     """
 
     experiment_id: str
@@ -31,55 +30,43 @@ class ExperimentDefinition:
     run: Callable[..., object]
 
 
-def _figure_entry(experiment_id, artifact, description, fn) -> ExperimentDefinition:
+def _entry(experiment_id, artifact, description, fn) -> ExperimentDefinition:
     return ExperimentDefinition(
         experiment_id=experiment_id,
         paper_artifact=artifact,
         description=description,
-        run=lambda scale=QUICK, workers=1, batch_size=0: fn(
-            scale=scale, workers=workers, batch_size=batch_size
-        ),
-    )
-
-
-def _variation_entry(experiment_id, description, fn) -> ExperimentDefinition:
-    return ExperimentDefinition(
-        experiment_id=experiment_id,
-        paper_artifact="Sec. 4.3 narrative",
-        description=description,
-        run=lambda scale=QUICK, workers=1, batch_size=0: fn(
-            scale=scale, workers=workers, batch_size=batch_size
-        ),
+        run=lambda scale=QUICK, workers=1: fn(scale=scale, workers=workers),
     )
 
 
 EXPERIMENTS: Dict[str, ExperimentDefinition] = {
     entry.experiment_id: entry
     for entry in [
-        _figure_entry(
+        _entry(
             "Fig2", "Fig. 2a/2b",
             "SSP strategies (UD/ED/EQS/EQF) vs load, serial tasks", fig2,
         ),
-        _figure_entry(
+        _entry(
             "Fig3", "Fig. 3",
             "UD vs EQF while varying frac_local", fig3,
         ),
-        _figure_entry(
+        _entry(
             "Fig4", "Fig. 4 + Sec. 5.3",
             "PSP strategies (UD/DIV-1/DIV-2/GF) vs load, parallel tasks", fig4,
         ),
-        _figure_entry(
+        _entry(
             "Sec6", "Sec. 6 narrative",
             "SSP x PSP combinations on serial-parallel tasks", ssp_psp,
         ),
+    ] + [
+        _entry(
+            experiment_id,
+            "Sec. 4.3 narrative",
+            fn.__doc__.splitlines()[0] if fn.__doc__ else experiment_id,
+            fn,
+        )
+        for experiment_id, fn in VARIATIONS.items()
     ]
-} | {
-    experiment_id: _variation_entry(
-        experiment_id,
-        fn.__doc__.splitlines()[0] if fn.__doc__ else experiment_id,
-        fn,
-    )
-    for experiment_id, fn in VARIATIONS.items()
 }
 
 

@@ -12,8 +12,12 @@ point, so the harness supports three scales:
 * ``FULL``   -- the paper's own setting (two runs of 1e6 time units); hours
   of wall clock in pure Python, available for final validation.
 
-Each replication gets an independent seed derived from the base seed, and
-every estimate carries a Student-t confidence interval.
+Every result the paper reports compares deadline-assignment strategies
+across a grid of rows (a load or ``frac_local`` value, a model variation,
+a scenario); :func:`strategy_grid` builds that (row x strategy) grid for
+figures, variations and scenario sweeps alike, and owns the seed rule.
+Each replication gets an independent seed derived from its cell's seed,
+and every estimate carries a 95% Student-t confidence interval.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..checkpoint import atomic_write
 from ..stats.confidence import IntervalEstimate, interval_from_samples
@@ -46,11 +51,11 @@ def run_config(config: SystemConfig) -> RunResult:
 def run_config_batch(configs: Sequence[SystemConfig]) -> List[RunResult]:
     """Run a batch of simulations back to back in one worker process.
 
-    The in-process batch executor behind ``run_grid(batch_size=...)``:
-    one pool task carries a whole slice of the grid, so the worker's warm
-    interpreter is amortized over the slice and the pool exchanges one
-    pickled config list and one result vector per batch instead of one
-    round trip per run.  Module-level so it pickles for multiprocessing
+    The in-process batch executor behind :func:`run_grid`: one pool task
+    carries a whole slice of the grid, so the worker's warm interpreter
+    is amortized over the slice and the pool exchanges one pickled
+    config list and one result vector per batch instead of one round
+    trip per run.  Module-level so it pickles for multiprocessing
     workers; runs strictly in order, which keeps grid results positional.
     """
     return [Simulation(config).run() for config in configs]
@@ -63,22 +68,6 @@ def resolve_workers(workers: int) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
-
-
-def resolve_batch_size(batch_size: int, runs: int, workers: int) -> int:
-    """Normalize a ``batch_size`` argument for a pool of ``workers``.
-
-    ``0`` (the default everywhere) means "auto": slice the ``runs`` into
-    about four batches per worker -- large enough to amortize dispatch
-    and IPC, small enough that heterogeneous cell costs still balance
-    across the pool.  Any positive value is used as-is (``1`` recovers
-    one-run-per-dispatch).
-    """
-    if batch_size == 0:
-        return max(1, -(-runs // (workers * 4)))
-    if batch_size < 0:
-        raise ValueError(f"batch_size must be >= 0, got {batch_size}")
-    return batch_size
 
 
 @dataclass(frozen=True)
@@ -172,9 +161,10 @@ def _replication_configs(
 
 
 def _aggregate(
-    config: SystemConfig, results: Sequence[RunResult], level: float
+    config: SystemConfig, results: Sequence[RunResult]
 ) -> PointEstimate:
-    """Fold the replications of one data point into a :class:`PointEstimate`."""
+    """Fold the replications of one data point into a :class:`PointEstimate`
+    (95% intervals)."""
     md_locals: List[float] = []
     md_globals: List[float] = []
     utilizations: List[float] = []
@@ -188,8 +178,8 @@ def _aggregate(
         global_completed += result.global_.completed
     return PointEstimate(
         config=config,
-        md_local=interval_from_samples(md_locals, level),
-        md_global=interval_from_samples(md_globals, level),
+        md_local=interval_from_samples(md_locals),
+        md_global=interval_from_samples(md_globals),
         utilization=sum(utilizations) / len(utilizations),
         local_completed=local_completed,
         global_completed=global_completed,
@@ -366,31 +356,29 @@ class GridRunReport:
     journal_restored: int = 0
 
 
-def run_grid_report(
+def run_grid(
     configs: Sequence[SystemConfig],
     replications: int,
     workers: int = 1,
     runner: Optional[Callable[[SystemConfig], RunResult]] = None,
-    level: float = 0.95,
-    batch_size: int = 0,
     journal: Optional[str] = None,
 ) -> GridRunReport:
     """Run every grid cell in ``configs``, each ``replications`` times.
 
-    This is the shared engine behind :func:`replicate`, :func:`sweep`, and
-    the variation grids.  With ``workers > 1`` the *entire*
+    This is the shared engine behind :func:`replicate` and
+    :func:`strategy_grid`.  With ``workers > 1`` the *entire*
     (cell x replication) grid is flattened into one process pool and
-    sliced into per-worker batches of ``batch_size`` runs (``0`` = auto,
-    about four batches per worker; see :func:`resolve_batch_size`): each
-    batch executes back to back in one warm worker interpreter
-    (:func:`run_config_batch`), so the pool pays one dispatch and one
-    result vector per batch instead of one IPC round trip per run.
-    Results are deterministic regardless of ``workers`` or ``batch_size``:
-    every run's seed is fixed up front, results are collected in
-    submission order, and batches are contiguous slices of the flattened
-    grid.  A worker dying mid-sweep does not lose the grid: the failed
-    batches are resubmitted once, then fall back to in-process execution
-    (see :func:`_run_batches_resilient`); the report lists every run a
+    sliced into about four batches per worker: each batch executes back
+    to back in one warm worker interpreter (:func:`run_config_batch`),
+    so the pool pays one dispatch and one result vector per batch
+    instead of one IPC round trip per run, while heterogeneous cell
+    costs still balance across the pool.  Results are deterministic
+    regardless of ``workers``: every run's seed is fixed up front,
+    results are collected in submission order, and batches are
+    contiguous slices of the flattened grid.  A worker dying mid-sweep
+    does not lose the grid: the failed batches are resubmitted once,
+    then fall back to in-process execution (see
+    :func:`_run_batches_resilient`); the report lists every run a
     fallback touched.
 
     ``journal`` makes the grid *restart-safe*: each completed run is
@@ -439,7 +427,8 @@ def run_grid_report(
     # CPU-bound pool only adds fork/IPC overhead.
     processes = min(workers, len(pending), multiprocessing.cpu_count())
     if processes > 1 and runner is None:
-        size = resolve_batch_size(batch_size, len(pending), processes)
+        # About four batches per worker (rounded up).
+        size = -(-len(pending) // (processes * 4))
         index_slices = [
             pending[i:i + size] for i in range(0, len(pending), size)
         ]
@@ -462,11 +451,7 @@ def run_grid_report(
             if journal is not None:
                 journal_runs([index], [result])
     estimates = [
-        _aggregate(
-            config,
-            flat_results[i * replications:(i + 1) * replications],
-            level,
-        )
+        _aggregate(config, flat_results[i * replications:(i + 1) * replications])
         for i, config in enumerate(configs)
     ]
     return GridRunReport(
@@ -477,34 +462,11 @@ def run_grid_report(
     )
 
 
-def run_grid(
-    configs: Sequence[SystemConfig],
-    replications: int,
-    workers: int = 1,
-    runner: Optional[Callable[[SystemConfig], RunResult]] = None,
-    level: float = 0.95,
-    batch_size: int = 0,
-    journal: Optional[str] = None,
-) -> List[PointEstimate]:
-    """:func:`run_grid_report`, returning just the estimates (see there)."""
-    return run_grid_report(
-        configs,
-        replications,
-        workers=workers,
-        runner=runner,
-        level=level,
-        batch_size=batch_size,
-        journal=journal,
-    ).estimates
-
-
 def replicate(
     config: SystemConfig,
     replications: int = 2,
-    level: float = 0.95,
     runner: Optional[Callable[[SystemConfig], RunResult]] = None,
     workers: int = 1,
-    batch_size: int = 0,
     journal: Optional[str] = None,
 ) -> PointEstimate:
     """Estimate one data point from ``replications`` independent runs.
@@ -524,60 +486,111 @@ def replicate(
     closures generally do not pickle.
     """
     return run_grid(
-        [config], replications, workers=workers, runner=runner, level=level,
-        batch_size=batch_size, journal=journal,
-    )[0]
+        [config], replications, workers=workers, runner=runner,
+        journal=journal,
+    ).estimates[0]
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One cell of a sweep: (x value, strategy) -> estimates."""
+class GridCell:
+    """One (row, strategy) cell of a :class:`StrategyGrid`."""
 
-    x: float
+    row: Hashable
     strategy: str
     estimate: PointEstimate
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """A full parameter sweep over (x values x strategies)."""
+class StrategyGrid:
+    """Estimates of every (row x strategy) cell, row-major.
 
-    parameter: str
-    x_values: Sequence[float]
+    A row label is whatever the caller named the row: a swept parameter
+    value for a figure, a setting for a variation, a scenario name for a
+    scenario sweep.
+    """
+
+    rows: Sequence[Hashable]
     strategies: Sequence[str]
-    points: Sequence[SweepPoint]
+    cells: Sequence[GridCell]
     #: Runs re-executed by the pool's degradation paths (empty normally).
     recovered: Tuple[RecoveredCell, ...] = ()
     #: Runs restored from a sweep journal instead of being re-run.
     journal_restored: int = 0
 
     @cached_property
-    def _index(self) -> Dict[Tuple[float, str], SweepPoint]:
-        """Points keyed by ``(x, strategy)``, built once on first lookup.
+    def _index(self) -> Dict[Tuple[Hashable, str], GridCell]:
+        return {(cell.row, cell.strategy): cell for cell in self.cells}
 
-        ``point()``/``series()`` used to scan ``points`` linearly per call;
-        rendering a figure table made that O(grid^2).
-        """
-        return {(p.x, p.strategy): p for p in self.points}
+    def cell(self, row: Hashable, strategy: str) -> GridCell:
+        try:
+            return self._index[(row, strategy)]
+        except KeyError:
+            raise KeyError(
+                f"no cell for row={row!r}, strategy={strategy!r}"
+            ) from None
 
     def series(self, strategy: str, metric: str = "global") -> List[float]:
-        """Miss-ratio series of one strategy along the sweep axis.
+        """Miss-ratio series of one strategy along the rows.
 
         ``metric`` is ``"global"`` or ``"local"``.
         """
-        index = self._index
-        points = [index[(x, strategy)] for x in self.x_values]
+        estimates = [self.cell(row, strategy).estimate for row in self.rows]
         if metric == "global":
-            return [p.estimate.md_global.mean for p in points]
-        return [p.estimate.md_local.mean for p in points]
+            return [estimate.md_global.mean for estimate in estimates]
+        return [estimate.md_local.mean for estimate in estimates]
 
-    def point(self, x: float, strategy: str) -> SweepPoint:
-        try:
-            return self._index[(x, strategy)]
-        except KeyError:
-            raise KeyError(
-                f"no point for x={x}, strategy={strategy!r}"
-            ) from None
+
+def strategy_grid(
+    rows: Sequence[Tuple[Hashable, SystemConfig]],
+    strategies: Sequence[str],
+    scale: RunScale = QUICK,
+    seed: int = 1,
+    workers: int = 1,
+    runner: Optional[Callable[[SystemConfig], RunResult]] = None,
+    journal: Optional[str] = None,
+) -> StrategyGrid:
+    """Run every strategy on every row's config.
+
+    ``rows`` is a list of ``(label, config)`` pairs; a repeated row label
+    or strategy raises :class:`ValueError`, since a cell is looked up by
+    the pair.  Cell ``(ri, si)``
+    runs ``rows[ri]``'s config under ``strategies[si]`` at ``scale``.
+    This is the one place the cells' seed rule lives: the base seed
+    steps by 1,000 per row and by one per strategy, so the cells are
+    statistically independent and any printed number is reproducible
+    from the echoed seed.  ``workers`` (``0`` = all cores) fans the whole
+    (row x strategy x replication) grid out over one process pool;
+    results are identical to a single-worker run.  ``runner`` may be
+    injected for tests (serial), and ``journal`` makes the grid
+    restart-safe (see :func:`run_grid`).
+    """
+    labels = [label for label, _ in rows]
+    for name, keys in (("row labels", labels), ("strategies", strategies)):
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"{name} must be distinct, got {list(keys)}")
+    configs = [
+        scale.apply(
+            config.with_(strategy=strategy, seed=seed + 1_000 * ri + si)
+        )
+        for ri, (_, config) in enumerate(rows)
+        for si, strategy in enumerate(strategies)
+    ]
+    report = run_grid(
+        configs, scale.replications, workers=workers, runner=runner,
+        journal=journal,
+    )
+    return StrategyGrid(
+        rows=labels,
+        strategies=list(strategies),
+        cells=[
+            GridCell(row=label, strategy=strategy, estimate=estimate)
+            for (label, strategy), estimate in zip(
+                product(labels, strategies), report.estimates
+            )
+        ],
+        recovered=report.recovered,
+        journal_restored=report.journal_restored,
+    )
 
 
 def sweep(
@@ -588,46 +601,16 @@ def sweep(
     scale: RunScale = QUICK,
     runner: Optional[Callable[[SystemConfig], RunResult]] = None,
     workers: int = 1,
-    batch_size: int = 0,
     journal: Optional[str] = None,
-) -> SweepResult:
-    """Run a grid of (parameter value x strategy) data points.
+) -> StrategyGrid:
+    """The (parameter value x strategy) grid over ``base``.
 
     ``parameter`` must be a field of :class:`SystemConfig` (e.g., ``load``
-    or ``frac_local``).  Each grid cell gets a distinct base seed so the
-    cells are statistically independent.  ``workers`` (``0`` = all cores)
-    parallelizes the *whole* (value x strategy x replication) grid in one
-    process pool, sliced into warm-interpreter batches of ``batch_size``
-    runs (``0`` = auto; see :func:`run_grid`); results are identical to a
-    single-worker run.  ``journal`` makes the sweep restart-safe (see
-    :func:`run_grid_report`).
+    or ``frac_local``); the rows are labelled by the values, and the base
+    seed is ``base.seed`` (see :func:`strategy_grid`).
     """
-    cells: List[Tuple[float, str]] = []
-    configs: List[SystemConfig] = []
-    for vi, value in enumerate(values):
-        for si, strategy in enumerate(strategies):
-            cells.append((value, strategy))
-            configs.append(
-                scale.apply(
-                    base.with_(
-                        **{parameter: value},
-                        strategy=strategy,
-                        seed=base.seed + 1_000 * vi + si,
-                    )
-                )
-            )
-    report = run_grid_report(
-        configs, scale.replications, workers=workers, runner=runner,
-        batch_size=batch_size, journal=journal,
-    )
-    return SweepResult(
-        parameter=parameter,
-        x_values=list(values),
-        strategies=list(strategies),
-        points=[
-            SweepPoint(x=value, strategy=strategy, estimate=estimate)
-            for (value, strategy), estimate in zip(cells, report.estimates)
-        ],
-        recovered=report.recovered,
-        journal_restored=report.journal_restored,
+    return strategy_grid(
+        [(value, base.with_(**{parameter: value})) for value in values],
+        strategies, scale=scale, seed=base.seed, workers=workers,
+        runner=runner, journal=journal,
     )

@@ -2,8 +2,8 @@
 experiments in which these assumptions are relaxed").
 
 The paper summarizes six robustness checks without plots; each function
-here runs one of them and returns a :class:`VariationResult` whose rows can
-be printed, asserted on, and archived in EXPERIMENTS.md:
+here runs one of them and returns a :class:`VariationResult` whose grid can
+be printed and asserted on:
 
 * V1 :func:`pex_error_sweep`       -- random error in execution estimates;
 * V2 :func:`abort_policy_comparison` -- tardy tasks aborted at dispatch;
@@ -21,90 +21,57 @@ still beats UD on global miss ratio under every variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 from ..stats.tables import format_percent, render_table
 from ..system.config import SystemConfig, baseline_config
-from .runner import QUICK, PointEstimate, RunScale, run_grid
-
-
-@dataclass(frozen=True)
-class VariationRow:
-    """One (setting, strategy) cell of a variation experiment."""
-
-    setting: str
-    strategy: str
-    estimate: PointEstimate
+from .runner import QUICK, RunScale, StrategyGrid, strategy_grid
 
 
 @dataclass(frozen=True)
 class VariationResult:
-    """All rows of a variation experiment plus rendering."""
+    """A variation experiment's (setting x strategy) grid plus rendering."""
 
     variation_id: str
     title: str
-    rows: Sequence[VariationRow]
+    grid: StrategyGrid
 
     def table(self) -> str:
         headers = ["setting", "strategy", "MD_local", "MD_global", "gap"]
         body: List[List[object]] = [
             [
-                row.setting,
-                row.strategy,
-                format_percent(row.estimate.md_local.mean),
-                format_percent(row.estimate.md_global.mean),
-                format_percent(row.estimate.gap),
+                cell.row,
+                cell.strategy,
+                format_percent(cell.estimate.md_local.mean),
+                format_percent(cell.estimate.md_global.mean),
+                format_percent(cell.estimate.gap),
             ]
-            for row in self.rows
+            for cell in self.grid.cells
         ]
         return render_table(headers, body, title=f"{self.variation_id}: {self.title}")
-
-    def row(self, setting: str, strategy: str) -> VariationRow:
-        for row in self.rows:
-            if row.setting == setting and row.strategy == strategy:
-                return row
-        raise KeyError(f"no row for setting={setting!r}, strategy={strategy!r}")
 
 
 def _run_grid(
     variation_id: str,
     title: str,
-    settings: Sequence[tuple],
+    settings: Sequence[Tuple[str, Callable[[SystemConfig], SystemConfig]]],
     strategies: Sequence[str],
     scale: RunScale,
-    base: Optional[SystemConfig] = None,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
-    """Run a (setting x strategy) grid.
+    """Run a (setting x strategy) grid over the Table 1 baseline.
 
     ``settings`` is a list of ``(label, config_transform)`` pairs where the
-    transform maps a base config to the varied config.  ``workers``
-    (``0`` = all cores) fans the whole grid out over one process pool,
-    sliced into warm-interpreter batches of ``batch_size`` runs (``0`` =
-    auto; see :func:`repro.experiments.runner.run_grid`).
+    transform maps the baseline config to the varied config.  ``workers``
+    (``0`` = all cores) fans the whole grid out over one process pool (see
+    :func:`repro.experiments.runner.strategy_grid`).
     """
-    base = base or baseline_config()
-    cells: List[tuple] = []
-    configs: List[SystemConfig] = []
-    for si, (label, transform) in enumerate(settings):
-        for ti, strategy in enumerate(strategies):
-            cells.append((label, strategy))
-            configs.append(
-                scale.apply(
-                    transform(base).with_(
-                        strategy=strategy, seed=base.seed + 1_000 * si + ti
-                    )
-                )
-            )
-    estimates = run_grid(
-        configs, scale.replications, workers=workers, batch_size=batch_size
+    base = baseline_config()
+    grid = strategy_grid(
+        [(label, transform(base)) for label, transform in settings],
+        strategies, scale=scale, seed=base.seed, workers=workers,
     )
-    rows = [
-        VariationRow(setting=label, strategy=strategy, estimate=estimate)
-        for (label, strategy), estimate in zip(cells, estimates)
-    ]
-    return VariationResult(variation_id=variation_id, title=title, rows=rows)
+    return VariationResult(variation_id=variation_id, title=title, grid=grid)
 
 
 def pex_error_sweep(
@@ -112,7 +79,6 @@ def pex_error_sweep(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V1: random error in execution-time predictions.
 
@@ -124,7 +90,7 @@ def pex_error_sweep(
     ]
     return _run_grid(
         "V1", "random error in execution time estimates",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -132,7 +98,6 @@ def abort_policy_comparison(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V2: firm overload management (tardy tasks aborted at dispatch).
 
@@ -150,7 +115,7 @@ def abort_policy_comparison(
     ]
     return _run_grid(
         "V2", "overload policy: no-abort vs abort-tardy vs abort-virtual",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -158,7 +123,6 @@ def scheduler_comparison(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V3: minimum-laxity-first (and FCFS control) local schedulers."""
     settings = [
@@ -168,7 +132,7 @@ def scheduler_comparison(
     ]
     return _run_grid(
         "V3", "local scheduling algorithm",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -176,7 +140,6 @@ def variable_subtasks(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V4: global tasks with a random number of subtasks (U{2..6})."""
     settings = [
@@ -185,7 +148,7 @@ def variable_subtasks(
     ]
     return _run_grid(
         "V4", "variable number of subtasks per global task",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -193,7 +156,6 @@ def heterogeneous_nodes(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V5: some nodes carry higher local loads than others.
 
@@ -207,7 +169,7 @@ def heterogeneous_nodes(
     ]
     return _run_grid(
         "V5", "heterogeneous per-node local loads",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -216,7 +178,6 @@ def slack_sweep(
     strategies: Sequence[str] = ("UD", "EQF"),
     scale: RunScale = QUICK,
     workers: int = 1,
-    batch_size: int = 0,
 ) -> VariationResult:
     """V6: EQF's advantage across slack tightness (``rel_flex`` sweep).
 
@@ -230,7 +191,7 @@ def slack_sweep(
     ]
     return _run_grid(
         "V6", "EQF gain across slack tightness",
-        settings, strategies, scale, workers=workers, batch_size=batch_size,
+        settings, strategies, scale, workers=workers,
     )
 
 
@@ -243,7 +204,7 @@ def _setter(**overrides) -> Callable[[SystemConfig], SystemConfig]:
     return transform
 
 
-#: All variations keyed by their DESIGN.md id.
+#: All variations keyed by their experiment id.
 VARIATIONS = {
     "V1": pex_error_sweep,
     "V2": abort_policy_comparison,

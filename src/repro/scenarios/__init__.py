@@ -26,11 +26,9 @@ from .registry import (
 )
 from .report import (
     DEFAULT_STRATEGIES,
-    ScenarioCell,
     ScenarioSweepResult,
     run_scenario,
     run_scenario_sweep,
-    scenario_grid_configs,
 )
 from .spec import ArrivalSpec, PlacementSpec, ScenarioSpec, ServiceSpec
 
@@ -40,7 +38,6 @@ __all__ = [
     "LIBRARY",
     "PlacementSpec",
     "SCENARIOS",
-    "ScenarioCell",
     "ScenarioSpec",
     "ScenarioSweepResult",
     "ServiceSpec",
@@ -48,6 +45,5 @@ __all__ = [
     "register_scenario",
     "run_scenario",
     "run_scenario_sweep",
-    "scenario_grid_configs",
     "scenario_names",
 ]

@@ -6,10 +6,10 @@ the method of *independent replications*: each data point is estimated from
 ``n`` runs with different seeds, and the half-width comes from the
 Student-t distribution with ``n - 1`` degrees of freedom.
 
-``scipy`` supplies the t quantile when available; otherwise Hill's series
-approximation keeps the package usable in a bare environment (relative
-error below 1% for dof >= 3 at the usual levels; ~4% in the worst corner,
-dof = 2 at the 99% level).
+The t quantile is exact for every integer number of degrees of freedom:
+the closed-form distribution function (Abramowitz & Stegun 26.7.3 and
+26.7.4) inverted by bisection, in pure Python, so an interval does not
+depend on which packages are installed.
 """
 
 from __future__ import annotations
@@ -19,65 +19,43 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-try:  # pragma: no cover - import guard
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
-
 
 def t_quantile(p: float, dof: int) -> float:
     """Two-sided Student-t critical value: ``P(|T| <= t) = p``.
 
     ``p`` is the confidence level (e.g., 0.95), ``dof`` the degrees of
-    freedom.
+    freedom.  Bisects the angle ``theta = atan(t / sqrt(dof))`` until it
+    stops moving, so the result is as exact as the float grid allows.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {p}")
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    upper_tail = (1.0 + p) / 2.0
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(upper_tail, dof))
-    return _t_quantile_approx(upper_tail, dof)
+    low, high = 0.0, math.pi / 2.0
+    while True:
+        theta = 0.5 * (low + high)
+        if theta in (low, high):
+            return math.sqrt(dof) * math.tan(theta)
+        if _t_coverage(theta, dof) < p:
+            low = theta
+        else:
+            high = theta
 
 
-def _t_quantile_approx(q: float, dof: int) -> float:
-    """Hill's approximation of the t quantile (no scipy fallback)."""
-    z = _normal_quantile(q)
-    g1 = (z**3 + z) / 4.0
-    g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
-    g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
-    g4 = (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160.0
-    n = float(dof)
-    return z + g1 / n + g2 / n**2 + g3 / n**3 + g4 / n**4
-
-
-def _normal_quantile(q: float) -> float:
-    """Acklam's rational approximation of the standard normal quantile."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
-    # Coefficients for the central and tail regions.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-               ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    if q > 1.0 - p_low:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-                ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    u = q - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+def _t_coverage(theta: float, dof: int) -> float:
+    """``P(|T| <= sqrt(dof) * tan(theta))`` for ``T`` Student-t with an
+    integer ``dof``: Abramowitz & Stegun 26.7.3 (odd ``dof``) and 26.7.4
+    (even), each a sum of ``dof // 2`` terms in powers of ``cos(theta)``."""
+    odd = dof % 2
+    cos2 = math.cos(theta) ** 2
+    term = math.cos(theta) if odd else 1.0
+    total = 0.0
+    for k in range(1, dof // 2 + 1):
+        total += term
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * total)
+    return math.sin(theta) * total
 
 
 @dataclass(frozen=True)

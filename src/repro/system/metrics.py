@@ -155,13 +155,26 @@ def _from_record(cls: type, data: Dict[str, Any]) -> Any:
     kwargs = {}
     for f in fields(cls):
         if f.name in data:
-            value = data[f.name]
-            if type(value) is float and value != value:
-                value = _NAN
-            kwargs[f.name] = value
+            kwargs[f.name] = _shared_nan(data[f.name])
         elif f.default is MISSING:
             raise KeyError(f.name)
     return cls(**kwargs)
+
+
+def _shared_nan(value: Any) -> Any:
+    """``value``, with a ``nan`` float replaced by the shared ``_NAN``."""
+    if type(value) is float and value != value:
+        return _NAN
+    return value
+
+
+def _setstate(self: Any, state: Dict[str, Any]) -> None:
+    """Unpickle a result with its ``nan`` fields as the shared ``_NAN``
+    (pickle loads each ``nan`` as a new float, and result equality
+    relies on the identity)."""
+    self.__dict__.update(
+        {name: _shared_nan(value) for name, value in state.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,7 @@ class ClassStats:
         return asdict(self)
 
     from_dict = classmethod(_from_record)
+    __setstate__ = _setstate
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,6 +545,8 @@ class RunResult:
             },
             per_node=[NodeStats.from_dict(stats) for stats in data["per_node"]],
         ))
+
+    __setstate__ = _setstate
 
 
 for _name in NODE_COUNTERS:

@@ -30,25 +30,27 @@ class TestFigureDefinitions:
     def test_fig2_structure(self):
         result = fig2(scale=TINY)
         assert isinstance(result, FigureResult)
-        assert result.sweep.strategies == ["UD", "ED", "EQS", "EQF"]
-        assert len(result.sweep.points) == 5 * 4
+        assert result.grid.strategies == ["UD", "ED", "EQS", "EQF"]
+        assert len(result.grid.cells) == 5 * 4
 
     def test_fig3_structure(self):
         result = fig3(scale=TINY)
-        assert result.sweep.parameter == "frac_local"
-        assert result.sweep.strategies == ["UD", "EQF"]
+        assert result.grid.rows == [0.1, 0.3, 0.5, 0.75, 0.9, 0.95]
+        for cell in result.grid.cells:
+            assert cell.estimate.config.frac_local == cell.row
+        assert result.grid.strategies == ["UD", "EQF"]
 
     def test_fig4_structure(self):
         result = fig4(scale=TINY)
-        assert result.sweep.strategies == ["UD", "DIV-1", "DIV-2", "GF"]
+        assert result.grid.strategies == ["UD", "DIV-1", "DIV-2", "GF"]
 
     def test_fig4_without_gf(self):
         result = fig4(scale=TINY, include_gf=False)
-        assert result.sweep.strategies == ["UD", "DIV-1", "DIV-2"]
+        assert result.grid.strategies == ["UD", "DIV-1", "DIV-2"]
 
     def test_ssp_psp_structure(self):
         result = ssp_psp(scale=TINY)
-        assert result.sweep.strategies == ["UD-UD", "UD-DIV1", "EQF-UD", "EQF-DIV1"]
+        assert result.grid.strategies == ["UD-UD", "UD-DIV1", "EQF-UD", "EQF-DIV1"]
 
     def test_figure_rendering(self):
         result = fig3(scale=TINY)
@@ -75,10 +77,9 @@ class TestVariationDefinitions:
     def test_variation_runs(self, fn, expected_settings):
         result = fn(scale=TINY)
         assert isinstance(result, VariationResult)
-        settings = {row.setting for row in result.rows}
-        assert len(settings) == expected_settings
+        assert len(set(result.grid.rows)) == expected_settings
         # Two strategies per setting by default.
-        assert len(result.rows) == expected_settings * 2
+        assert len(result.grid.cells) == expected_settings * 2
 
     def test_variation_table_renders(self):
         result = abort_policy_comparison(scale=TINY)
@@ -88,10 +89,11 @@ class TestVariationDefinitions:
 
     def test_row_lookup(self):
         result = abort_policy_comparison(scale=TINY)
-        row = result.row("no-abort", "UD")
-        assert row.strategy == "UD"
+        cell = result.grid.cell("abort-tardy", "UD")
+        assert cell.strategy == "UD"
+        assert cell.estimate.config.overload_policy == "abort-tardy"
         with pytest.raises(KeyError):
-            result.row("nonexistent", "UD")
+            result.grid.cell("nonexistent", "UD")
 
 
 class TestRegistry:

@@ -1,4 +1,4 @@
-"""Tests for restart-safe sweep journals (runner.run_grid_report).
+"""Tests for restart-safe sweep journals (runner.run_grid).
 
 A journal makes a sweep resumable: completed runs land in a JSON file
 (written atomically per cell) and a re-run with the same journal skips
@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     JournalError,
     RunScale,
     run_config,
-    run_grid_report,
+    run_grid,
 )
 from repro.system.config import baseline_config
 
@@ -39,7 +39,7 @@ def _configs(seeds=(201, 202)):
 class TestJournalRoundtrip:
     def test_fresh_run_writes_journal(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        report = run_grid_report(_configs(), replications=2, journal=journal)
+        report = run_grid(_configs(), replications=2, journal=journal)
         assert report.journal_path == journal
         assert report.journal_restored == 0
         data = json.loads(open(journal).read())
@@ -48,7 +48,7 @@ class TestJournalRoundtrip:
 
     def test_rerun_restores_everything_and_runs_nothing(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        first = run_grid_report(_configs(), replications=2, journal=journal)
+        first = run_grid(_configs(), replications=2, journal=journal)
 
         calls = []
 
@@ -56,7 +56,7 @@ class TestJournalRoundtrip:
             calls.append(config.seed)
             raise AssertionError("journal should have skipped this run")
 
-        second = run_grid_report(
+        second = run_grid(
             _configs(), replications=2, runner=forbidden, journal=journal
         )
         assert calls == []
@@ -65,7 +65,7 @@ class TestJournalRoundtrip:
 
     def test_partial_journal_reruns_only_missing_cells(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        first = run_grid_report(_configs(), replications=2, journal=journal)
+        first = run_grid(_configs(), replications=2, journal=journal)
 
         data = json.loads(open(journal).read())
         data["cells"] = {
@@ -79,7 +79,7 @@ class TestJournalRoundtrip:
             calls.append(config.seed)
             return run_config(config)
 
-        second = run_grid_report(
+        second = run_grid(
             _configs(), replications=2, runner=counting, journal=journal
         )
         assert len(calls) == 2  # only the two deleted entries
@@ -91,17 +91,16 @@ class TestJournalRoundtrip:
 
     def test_journal_works_through_the_process_pool(self, tmp_path):
         journal = str(tmp_path / "pooled.json")
-        serial = run_grid_report(_configs(), replications=2)
-        pooled = run_grid_report(
+        serial = run_grid(_configs(), replications=2)
+        pooled = run_grid(
             _configs(),
             replications=2,
             workers=2,
-            batch_size=1,
             journal=journal,
         )
         assert pooled.estimates == serial.estimates
         assert len(json.loads(open(journal).read())["cells"]) == 4
-        resumed = run_grid_report(
+        resumed = run_grid(
             _configs(), replications=2, workers=2, journal=journal
         )
         assert resumed.journal_restored == 4
@@ -111,38 +110,38 @@ class TestJournalRoundtrip:
 class TestJournalGuards:
     def test_different_grid_is_refused(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        run_grid_report(_configs(), replications=2, journal=journal)
+        run_grid(_configs(), replications=2, journal=journal)
         with pytest.raises(JournalError, match="different sweep"):
-            run_grid_report(
+            run_grid(
                 _configs(seeds=(301, 302)), replications=2, journal=journal
             )
 
     def test_different_replication_count_is_refused(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        run_grid_report(_configs(), replications=2, journal=journal)
+        run_grid(_configs(), replications=2, journal=journal)
         with pytest.raises(JournalError, match="different sweep"):
-            run_grid_report(_configs(), replications=3, journal=journal)
+            run_grid(_configs(), replications=3, journal=journal)
 
     def test_unreadable_file_is_refused(self, tmp_path):
         journal = tmp_path / "sweep.json"
         journal.write_text("{not json")
         with pytest.raises(JournalError, match="unreadable"):
-            run_grid_report(_configs(), replications=1, journal=str(journal))
+            run_grid(_configs(), replications=1, journal=str(journal))
 
     def test_foreign_json_is_refused(self, tmp_path):
         journal = tmp_path / "sweep.json"
         journal.write_text(json.dumps({"hello": "world"}))
         with pytest.raises(JournalError, match="not a sweep journal"):
-            run_grid_report(_configs(), replications=1, journal=str(journal))
+            run_grid(_configs(), replications=1, journal=str(journal))
 
     def test_future_version_is_refused(self, tmp_path):
         journal = str(tmp_path / "sweep.json")
-        run_grid_report(_configs(), replications=1, journal=journal)
+        run_grid(_configs(), replications=1, journal=journal)
         data = json.loads(open(journal).read())
         data["version"] = 999
         open(journal, "w").write(json.dumps(data))
         with pytest.raises(JournalError, match="version"):
-            run_grid_report(_configs(), replications=1, journal=journal)
+            run_grid(_configs(), replications=1, journal=journal)
 
 
 #: Sweeps two scenarios x two strategies serially with a journal, and
@@ -199,7 +198,7 @@ result = run_scenario_sweep(
 )
 print(json.dumps({
     "table": result.table(),
-    "restored": result.journal_restored,
+    "restored": result.grid.journal_restored,
     "ran": calls[0],
 }))
 """

@@ -17,6 +17,7 @@ from repro.experiments.runner import (
     SMOKE,
     RunScale,
     replicate,
+    strategy_grid,
     sweep,
 )
 from repro.system.config import baseline_config
@@ -153,23 +154,6 @@ class TestReplicate:
 
 
 class TestBatchExecutor:
-    def test_resolve_batch_size_auto(self):
-        from repro.experiments.runner import resolve_batch_size
-
-        # ~4 batches per worker: 40 runs / (2 workers * 4) = 5 per batch.
-        assert resolve_batch_size(0, runs=40, workers=2) == 5
-        # Rounds up so no runs are dropped.
-        assert resolve_batch_size(0, runs=41, workers=2) == 6
-        # Never below one run per batch.
-        assert resolve_batch_size(0, runs=3, workers=4) == 1
-
-    def test_resolve_batch_size_explicit_and_invalid(self):
-        from repro.experiments.runner import resolve_batch_size
-
-        assert resolve_batch_size(7, runs=40, workers=2) == 7
-        with pytest.raises(ValueError):
-            resolve_batch_size(-1, runs=40, workers=2)
-
     def test_run_config_batch_preserves_order(self):
         """One warm-interpreter batch returns results positionally."""
         from repro.experiments.runner import run_config_batch
@@ -185,31 +169,34 @@ class TestBatchExecutor:
     def test_batched_pool_matches_serial(self, monkeypatch):
         """Force the process-pool branch and check the batched grid --
         including the batch slicing and result flattening -- reproduces
-        the serial sweep bit for bit at several batch sizes."""
+        the serial sweep bit for bit when the batches hold several runs."""
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(
             runner_mod.multiprocessing, "cpu_count", lambda: 2
         )
+        batch_sizes = []
+        run_batches = runner_mod._run_batches_resilient
+
+        def spy(batches, processes, on_batch=None):
+            batch_sizes.extend(len(batch) for batch in batches)
+            return run_batches(batches, processes, on_batch)
+
+        monkeypatch.setattr(runner_mod, "_run_batches_resilient", spy)
         scale = RunScale(sim_time=400.0, warmup_time=40.0, replications=2)
         kwargs = dict(
             base=baseline_config(),
             parameter="load",
-            values=[0.2, 0.4],
-            strategies=["UD"],
+            values=[0.2, 0.3, 0.4],
+            strategies=["UD", "EQF"],
             scale=scale,
         )
         serial = sweep(**kwargs)
-        for batch_size in (0, 1, 3, 100):
-            batched = sweep(**kwargs, workers=2, batch_size=batch_size)
-            for s, p in zip(serial.points, batched.points):
-                assert (s.x, s.strategy) == (p.x, p.strategy)
-                assert s.estimate.md_local.mean == p.estimate.md_local.mean
-                assert s.estimate.md_global.mean == p.estimate.md_global.mean
-                assert (
-                    s.estimate.local_completed == p.estimate.local_completed
-                )
-
+        assert batch_sizes == []
+        batched = sweep(**kwargs, workers=2)
+        # 12 runs on 2 workers: about four batches per worker.
+        assert batch_sizes == [2] * 6
+        assert batched.cells == serial.cells
 
 class TestSweep:
     def test_grid_shape(self):
@@ -221,8 +208,8 @@ class TestSweep:
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=lambda c: fake_result(),
         )
-        assert len(result.points) == 4
-        assert result.x_values == [0.1, 0.3]
+        assert len(result.cells) == 4
+        assert result.rows == [0.1, 0.3]
         assert result.strategies == ["UD", "EQF"]
 
     def test_config_carries_parameters(self):
@@ -269,9 +256,9 @@ class TestSweep:
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=lambda c: fake_result(),
         )
-        assert result.point(0.1, "UD").strategy == "UD"
+        assert result.cell(0.1, "UD").strategy == "UD"
         with pytest.raises(KeyError):
-            result.point(0.9, "UD")
+            result.cell(0.9, "UD")
 
     def test_distinct_seeds_across_grid(self):
         seeds = []
@@ -298,8 +285,49 @@ class TestSweep:
         )
         serial = sweep(**kwargs)
         parallel = sweep(**kwargs, workers=4)
-        for s, p in zip(serial.points, parallel.points):
-            assert (s.x, s.strategy) == (p.x, p.strategy)
-            assert s.estimate.md_local.mean == p.estimate.md_local.mean
-            assert s.estimate.md_global.mean == p.estimate.md_global.mean
-            assert s.estimate.local_completed == p.estimate.local_completed
+        assert parallel.cells == serial.cells
+
+
+class TestStrategyGrid:
+    def test_seed_rule_and_row_configs(self):
+        """Cell (ri, si) runs row ri's config under strategy si with base
+        seed ``seed + 1_000 * ri + si``, in row-major order."""
+        seen = []
+
+        def runner(config):
+            seen.append((config.load, config.strategy, config.seed))
+            return fake_result()
+
+        grid = strategy_grid(
+            [("light", baseline_config(load=0.1)),
+             ("heavy", baseline_config(load=0.5))],
+            ["UD", "EQF", "ED"],
+            scale=RunScale(sim_time=10, warmup_time=0, replications=1),
+            seed=7,
+            runner=runner,
+        )
+        assert seen == [
+            (0.1, "UD", 70_000), (0.1, "EQF", 80_000), (0.1, "ED", 90_000),
+            (0.5, "UD", 10_070_000), (0.5, "EQF", 10_080_000),
+            (0.5, "ED", 10_090_000),
+        ]
+        assert grid.rows == ["light", "heavy"]
+        assert grid.strategies == ["UD", "EQF", "ED"]
+        assert [(c.row, c.strategy) for c in grid.cells] == [
+            ("light", "UD"), ("light", "EQF"), ("light", "ED"),
+            ("heavy", "UD"), ("heavy", "EQF"), ("heavy", "ED"),
+        ]
+        assert grid.cell("heavy", "EQF") is grid.cells[4]
+        assert grid.cell("heavy", "EQF").estimate.config.seed == 1_008
+
+    def test_repeated_row_or_strategy_rejected(self):
+        """Cells are looked up by (row, strategy): a repeat would hide a
+        cell behind its twin."""
+        scale = RunScale(sim_time=10, warmup_time=0, replications=1)
+        config = baseline_config()
+        with pytest.raises(ValueError, match="row labels"):
+            strategy_grid([("a", config), ("a", config)], ["UD"], scale,
+                          runner=lambda c: fake_result())
+        with pytest.raises(ValueError, match="strategies"):
+            strategy_grid([("a", config)], ["UD", "UD"], scale,
+                          runner=lambda c: fake_result())

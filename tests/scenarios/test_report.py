@@ -6,10 +6,10 @@ import pytest
 
 from repro.experiments.runner import RunScale
 from repro.scenarios import (
+    LIBRARY,
     ScenarioSpec,
     get_scenario,
     run_scenario_sweep,
-    scenario_grid_configs,
 )
 
 TINY = RunScale(sim_time=800.0, warmup_time=100.0, replications=1, label="tiny")
@@ -24,31 +24,41 @@ def sweep_result():
 
 
 class TestGridConfigs:
-    def test_row_major_and_scale_applied(self):
-        configs = scenario_grid_configs(SPECS, STRATEGIES, TINY, seed=11)
+    def test_row_major_and_scale_applied(self, sweep_result):
+        configs = [cell.estimate.config for cell in sweep_result.grid.cells]
         assert len(configs) == 4
         assert [c.strategy for c in configs] == ["UD", "EQF", "UD", "EQF"]
         assert all(c.sim_time == TINY.sim_time for c in configs)
+        assert configs[2] == TINY.apply(
+            SPECS[1].to_config(strategy="UD", seed=1_011)
+        )
 
-    def test_cells_get_distinct_seeds(self):
-        configs = scenario_grid_configs(SPECS, STRATEGIES, TINY, seed=11)
-        seeds = [c.seed for c in configs]
+    def test_cells_get_distinct_seeds(self, sweep_result):
+        seeds = [cell.estimate.config.seed for cell in sweep_result.grid.cells]
         assert len(set(seeds)) == len(seeds)
         assert seeds[0] == 11
         assert seeds[2] == 1_011  # scenario index advances by 1_000
+
+    @pytest.mark.parametrize("spec", LIBRARY, ids=lambda spec: spec.name)
+    def test_run_overrides_equal_a_later_with(self, spec):
+        """The sweep stamps strategy and seed on ``spec.to_config()``; that
+        must be the config the spec builds with them as overrides."""
+        assert spec.to_config(strategy="EQF", seed=1_011) == (
+            spec.to_config().with_(strategy="EQF", seed=1_011)
+        )
 
 
 class TestSweepResult:
     def test_every_cell_present(self, sweep_result):
         for spec in SPECS:
             for strategy in STRATEGIES:
-                cell = sweep_result.cell(spec.name, strategy)
-                assert cell.scenario == spec.name
+                cell = sweep_result.grid.cell(spec.name, strategy)
+                assert cell.row == spec.name
                 assert cell.strategy == strategy
 
     def test_missing_cell_raises(self, sweep_result):
         with pytest.raises(KeyError):
-            sweep_result.cell("baseline", "nope")
+            sweep_result.grid.cell("baseline", "nope")
 
     def test_ranking_sorted_by_global_miss_ratio(self, sweep_result):
         for spec in SPECS:
@@ -79,12 +89,12 @@ class TestSweepResult:
         these non-preemptive scenarios, > 0 for preemptive ones)."""
         table = sweep_result.table()
         assert "preempt" in table
-        for cell in sweep_result.cells:
+        for cell in sweep_result.grid.cells:
             assert cell.estimate.preemptions == 0
 
     def test_deterministic_across_invocations(self, sweep_result):
         again = run_scenario_sweep(SPECS, STRATEGIES, scale=TINY, seed=11)
-        for cell, cell2 in zip(sweep_result.cells, again.cells):
+        for cell, cell2 in zip(sweep_result.grid.cells, again.grid.cells):
             assert cell.estimate.md_global.mean == cell2.estimate.md_global.mean
             assert cell.estimate.md_local.mean == cell2.estimate.md_local.mean
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from repro.stats.confidence import (
     IntervalEstimate,
-    _t_quantile_approx,
     interval_from_samples,
     t_quantile,
 )
+
+LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 class TestTQuantile:
@@ -30,20 +31,27 @@ class TestTQuantile:
     def test_matches_published_tables(self, level, dof, expected):
         assert t_quantile(level, dof) == pytest.approx(expected, abs=2e-3)
 
-    def test_approximation_agrees_with_scipy(self):
-        """The no-scipy fallback stays close to the real quantile.
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_exact_at_one_and_two_dof(self, level):
+        """dof 1 (Cauchy) and dof 2 have closed-form quantiles; the two
+        replications of QUICK and FULL scale give dof 1."""
+        q = (1 + level) / 2
+        assert t_quantile(level, 1) == pytest.approx(
+            math.tan(math.pi * (q - 0.5)), rel=1e-12
+        )
+        assert t_quantile(level, 2) == pytest.approx(
+            (2 * q - 1) / math.sqrt(2 * q * (1 - q)), rel=1e-12
+        )
 
-        Hill's expansion is weakest at very low degrees of freedom combined
-        with extreme levels (dof=2 @ 0.99 is ~4% off), hence the looser
-        tolerance there.
-        """
-        pytest.importorskip("scipy")
-        for dof in (2, 5, 10, 30, 100):
-            for level in (0.90, 0.95, 0.99):
-                exact = t_quantile(level, dof)
-                approx = _t_quantile_approx((1 + level) / 2, dof)
-                tolerance = 0.05 if dof < 3 else 0.01
-                assert approx == pytest.approx(exact, rel=tolerance)
+    def test_approximation_agrees_with_scipy(self):
+        """Bisection on the closed-form distribution function matches
+        scipy's quantile to near machine precision."""
+        stats = pytest.importorskip("scipy.stats")
+        for dof in [*range(1, 60), 100, 200, 500, 1000]:
+            for level in LEVELS:
+                assert t_quantile(level, dof) == pytest.approx(
+                    float(stats.t.ppf((1 + level) / 2, dof)), rel=1e-9
+                )
 
     def test_bad_level_rejected(self):
         for bad in (0.0, 1.0, -0.5):

@@ -446,7 +446,7 @@ class TestMetricTable:
                 for name, stats in r.per_class.items()
             },
         )
-        estimate = _aggregate(None, [r, empty], level=0.95)
+        estimate = _aggregate(None, [r, empty])
         assert estimate.crashes == 2 * r.total_crashes
         assert estimate.detections == r.detections
         assert estimate.detect_latency == pytest.approx(
@@ -536,10 +536,9 @@ class TestNodeTable:
         loaded = pickle.loads(pickle.dumps(table))
         assert loaded == table
         assert repr(loaded) == repr(table)
-        # ``nan`` class fields unpickle as new objects, so compare reprs.
         result = pickle.loads(pickle.dumps(faulty_result))
         assert result.per_node == table
-        assert repr(result) == repr(faulty_result)
+        assert result == faulty_result
 
     def test_record_round_trip(self, faulty_result):
         import json

@@ -142,11 +142,12 @@ class TestScenarios:
         assert main(["scenarios", "run", "no-such"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_run_rejects_negative_batch_size(self, capsys):
+    def test_sweep_rejects_a_repeated_scenario(self, capsys):
         assert main([
-            "scenarios", "run", "baseline", "--batch-size", "-1",
+            "scenarios", "sweep", "--scenario", "baseline",
+            "--scenario", "baseline", "--scale", "smoke",
         ]) == 2
-        assert "batch_size" in capsys.readouterr().err
+        assert "must be distinct" in capsys.readouterr().err
 
     def test_sweep_ranks_strategies_per_scenario(self, capsys):
         assert main([
