@@ -4,7 +4,8 @@ Each case runs one ``repro-experiments`` command at smoke scale and
 compares its stdout with the file of the same name under ``tests/pins``.
 The pins cover the three grid builders behind the reports: a paper
 figure (load x strategy), a model variation (setting x strategy) and a
-scenario sweep (scenario x strategy).  Any change to a seed rule, a cell
+scenario sweep (scenario x strategy); a fourth pins the scenario
+library listing, one ``describe()`` line per scenario.  Any change to a seed rule, a cell
 order or a rendered column shows up here as a diff.
 
 Regenerate a pin only when a change is meant to alter the output::
@@ -26,6 +27,7 @@ PINS = Path(__file__).parent / "pins"
 CASES = {
     "run_fig2_smoke": ["run", "Fig2", "--scale", "smoke"],
     "run_v2_smoke": ["run", "V2", "--scale", "smoke"],
+    "scenarios_list": ["scenarios", "list"],
     "scenarios_sweep_seed17": [
         "scenarios", "sweep",
         "--scenario", "baseline",
