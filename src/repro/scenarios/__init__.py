@@ -4,10 +4,11 @@ The paper's evaluation fixes one stylized model (homogeneous nodes,
 Poisson arrivals, exponential service, uniform placement).  This package
 layers a scenario subsystem on top of the fast engine:
 
-* :class:`ScenarioSpec` -- frozen, JSON/dict-round-trippable description
-  composing a :class:`~repro.system.config.SystemConfig` with bursty
-  arrivals, heavy-tailed service, heterogeneous node speeds, pluggable
-  placement, and time-varying load;
+* :class:`ScenarioSpec` -- frozen, JSON/dict-round-trippable description:
+  a name plus one mapping of :class:`~repro.system.config.SystemConfig`
+  overrides (bursty arrivals, heavy-tailed service, heterogeneous node
+  speeds, pluggable placement, time-varying load, faults, failure
+  detection, the overload policy, or any other field);
 * a curated library of named scenarios (:data:`LIBRARY`) with a registry
   (:func:`get_scenario`, :func:`register_scenario`);
 * a sweep runner (:func:`run_scenario_sweep`) that pushes the whole
@@ -30,17 +31,14 @@ from .report import (
     run_scenario,
     run_scenario_sweep,
 )
-from .spec import ArrivalSpec, PlacementSpec, ScenarioSpec, ServiceSpec
+from .spec import ScenarioSpec
 
 __all__ = [
-    "ArrivalSpec",
     "DEFAULT_STRATEGIES",
     "LIBRARY",
-    "PlacementSpec",
     "SCENARIOS",
     "ScenarioSpec",
     "ScenarioSweepResult",
-    "ServiceSpec",
     "get_scenario",
     "register_scenario",
     "run_scenario",

@@ -1,11 +1,13 @@
 """The curated scenario library: named workloads beyond the paper's model.
 
-Each scenario turns exactly the knobs its name promises and keeps the
-rest at the paper's Table 1 baseline, so strategy rankings are
-attributable to the dimension under study.  All scenarios are validated
-stable (worst-case normalized load below 1; see
-:attr:`~repro.scenarios.spec.ScenarioSpec.peak_load`) by the property
-tests in ``tests/scenarios``.
+Each scenario is a name plus the :class:`~repro.system.config.SystemConfig`
+fields it overrides: it turns exactly the knobs its name promises and
+keeps the rest at the paper's Table 1 baseline, so strategy rankings are
+attributable to the dimension under study.  A fault or detector model
+shared by several scenarios is declared once, as a module constant.
+All scenarios are validated stable (worst-case normalized load below 1;
+see :attr:`~repro.scenarios.spec.ScenarioSpec.peak_load`) by the
+property tests in ``tests/scenarios``.
 
 ``baseline`` is special: it reduces to the plain ``SystemConfig()`` path
 and is pinned bit-identical to the pre-scenario engine by the golden
@@ -18,7 +20,7 @@ from typing import Tuple
 
 from ..system.detector import DetectorSpec
 from ..system.faults import FaultSpec
-from .spec import ArrivalSpec, PlacementSpec, ScenarioSpec, ServiceSpec
+from .spec import ScenarioSpec
 
 #: The Table 1 model, untouched (the control every comparison needs).
 BASELINE = ScenarioSpec(
@@ -31,7 +33,7 @@ BASELINE = ScenarioSpec(
 BURSTY_HYPEREXP = ScenarioSpec(
     name="bursty-hyperexp",
     description="Bursty arrivals: hyperexponential interarrivals, CV^2=4.",
-    arrival=ArrivalSpec(model="hyperexp", cv2=4.0),
+    overrides=dict(arrival_model="hyperexp", arrival_cv2=4.0),
 )
 
 #: Bursty arrivals via a 2-state MMPP: calm traffic with sustained burst
@@ -39,8 +41,11 @@ BURSTY_HYPEREXP = ScenarioSpec(
 BURSTY_MMPP = ScenarioSpec(
     name="bursty-mmpp",
     description="Markov-modulated bursts: 4x arrival rate 20% of the time.",
-    arrival=ArrivalSpec(
-        model="mmpp2", burst_ratio=4.0, burst_fraction=0.2, cycle_time=200.0
+    overrides=dict(
+        arrival_model="mmpp2",
+        arrival_burst_ratio=4.0,
+        arrival_burst_fraction=0.2,
+        arrival_cycle_time=200.0,
     ),
 )
 
@@ -49,35 +54,35 @@ BURSTY_MMPP = ScenarioSpec(
 HEAVY_TAIL_PARETO = ScenarioSpec(
     name="heavy-tail-pareto",
     description="Pareto service times (shape 2.2), same mean demand.",
-    service=ServiceSpec(model="pareto", shape=2.2),
+    overrides=dict(service_model="pareto", service_shape=2.2),
 )
 
 #: Lognormal service with log-sigma 1.2 (CV^2 ~ 3.2, skewed).
 HEAVY_TAIL_LOGNORMAL = ScenarioSpec(
     name="heavy-tail-lognormal",
     description="Lognormal service times (sigma 1.2), same mean demand.",
-    service=ServiceSpec(model="lognormal", sigma=1.2),
+    overrides=dict(service_model="lognormal", service_sigma=1.2),
 )
 
 #: Zipf-skewed hotspot placement: low-index nodes absorb most subtasks.
 HOTSPOT_ZIPF = ScenarioSpec(
     name="hotspot-zipf",
     description="Zipf-skewed subtask placement (s=1.2): a hotspot node.",
-    placement=PlacementSpec(model="zipf", zipf_s=1.2),
+    overrides=dict(placement="zipf", placement_zipf_s=1.2),
 )
 
 #: Join-the-shortest-queue routing of subtasks (the load-balancer model).
 SMART_ROUTING = ScenarioSpec(
     name="smart-routing",
     description="Least-outstanding subtask placement (join shortest queue).",
-    placement=PlacementSpec(model="least-outstanding"),
+    overrides=dict(placement="least-outstanding"),
 )
 
 #: Heterogeneous hardware: two fast, two stock, two slow nodes.
 SLOW_NODES = ScenarioSpec(
     name="slow-nodes",
     description="Heterogeneous node speeds 1.3/1.0/0.7 (two of each).",
-    node_speed_factors=(1.3, 1.3, 1.0, 1.0, 0.7, 0.7),
+    overrides=dict(node_speed_factors=(1.3, 1.3, 1.0, 1.0, 0.7, 0.7)),
 )
 
 #: Rush hour: load ramps to 1.4x the stationary rate for the middle half
@@ -85,7 +90,7 @@ SLOW_NODES = ScenarioSpec(
 RUSH_HOUR = ScenarioSpec(
     name="rush-hour",
     description="Time-varying load: 0.6x / 1.4x / 0.6x piecewise profile.",
-    load_profile=((0.25, 0.6), (0.5, 1.4), (0.25, 0.6)),
+    overrides=dict(load_profile=((0.25, 0.6), (0.5, 1.4), (0.25, 0.6))),
 )
 
 #: Everything at once at elevated load: the stress test.
@@ -95,10 +100,15 @@ STRESS_MIX = ScenarioSpec(
         "Combined stress: bursty arrivals, Pareto service, Zipf hotspot, "
         "load 0.55."
     ),
-    arrival=ArrivalSpec(model="hyperexp", cv2=2.0),
-    service=ServiceSpec(model="pareto", shape=2.2),
-    placement=PlacementSpec(model="zipf", zipf_s=1.0),
-    base={"load": 0.55},
+    overrides=dict(
+        arrival_model="hyperexp",
+        arrival_cv2=2.0,
+        service_model="pareto",
+        service_shape=2.2,
+        placement="zipf",
+        placement_zipf_s=1.0,
+        load=0.55,
+    ),
 )
 
 #: Parallel fans under smart routing: distinct-node placement where the
@@ -106,8 +116,7 @@ STRESS_MIX = ScenarioSpec(
 PARALLEL_SMART = ScenarioSpec(
     name="parallel-smart",
     description="Parallel fans (Sec. 5.2 structure) with least-outstanding placement.",
-    placement=PlacementSpec(model="least-outstanding"),
-    base={"task_structure": "parallel"},
+    overrides=dict(placement="least-outstanding", task_structure="parallel"),
 )
 
 #: The non-preemption ablation, otherwise untouched: how much of the
@@ -116,7 +125,7 @@ PARALLEL_SMART = ScenarioSpec(
 PREEMPTIVE_BASELINE = ScenarioSpec(
     name="preemptive-baseline",
     description="Table 1 model on preemptive-resume servers (ablation).",
-    base={"preemptive": True},
+    overrides=dict(preemptive=True),
 )
 
 #: Preemption on heterogeneous hardware: remaining demand is rescaled by
@@ -127,8 +136,9 @@ PREEMPTIVE_HETERO_SPEEDS = ScenarioSpec(
         "Preemptive-resume servers with node speeds 1.3/1.0/0.7 (two of "
         "each)."
     ),
-    node_speed_factors=(1.3, 1.3, 1.0, 1.0, 0.7, 0.7),
-    base={"preemptive": True},
+    overrides=dict(
+        node_speed_factors=(1.3, 1.3, 1.0, 1.0, 0.7, 0.7), preemptive=True
+    ),
 )
 
 #: Preemption against heavy tails: urgent arrivals no longer wait behind
@@ -138,29 +148,41 @@ PREEMPTIVE_HEAVY_TAIL = ScenarioSpec(
     description=(
         "Preemptive-resume servers under Pareto service times (shape 2.2)."
     ),
-    service=ServiceSpec(model="pareto", shape=2.2),
-    base={"preemptive": True},
+    overrides=dict(service_model="pareto", service_shape=2.2, preemptive=True),
 )
 
 #: Steady node churn: frequent independent crashes with quick repairs
 #: (availability ~95%).  Gentle semantics (frozen in-flight work resumes,
 #: queues survive) isolate the *latency* cost of downtime; the retry
-#: layer re-routes subtasks that time out on a dead node.
+#: layer re-routes subtasks that time out on a dead node.  Shared by
+#: every churn scenario below.
+STEADY_CHURN_FAULTS = FaultSpec(
+    mttf=400.0,
+    mttr=20.0,
+    in_flight="resume",
+    queued="preserved",
+    retry_limit=2,
+    retry_timeout=30.0,
+    retry_backoff=1.0,
+)
+
+#: A realistic heartbeat channel: a timeout detector over delayed (mean
+#: 0.5), 10%-lossy links.  Shared by the observed-churn scenarios.
+LOSSY_TIMEOUT_DETECTOR = DetectorSpec(
+    kind="timeout",
+    heartbeat_interval=2.0,
+    timeout=6.0,
+    delay_mean=0.5,
+    loss_probability=0.1,
+)
+
 STEADY_CHURN = ScenarioSpec(
     name="steady-churn",
     description=(
         "Steady node churn: MTTF 400, MTTR 20 per node; frozen work "
         "resumes; timed-out subtasks retried on live nodes."
     ),
-    faults=FaultSpec(
-        mttf=400.0,
-        mttr=20.0,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=2,
-        retry_timeout=30.0,
-        retry_backoff=1.0,
-    ),
+    overrides=dict(faults=STEADY_CHURN_FAULTS),
 )
 
 #: Correlated outage bursts: rarer failures, but each takes half the
@@ -173,15 +195,17 @@ OUTAGE_BURST = ScenarioSpec(
         "Correlated outages: each failure downs 3 of 6 nodes for MTTR 60 "
         "(MTTF 1500); frozen work resumes; retries re-route."
     ),
-    faults=FaultSpec(
-        mttf=1500.0,
-        mttr=60.0,
-        blast_radius=3,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=3,
-        retry_timeout=45.0,
-        retry_backoff=2.0,
+    overrides=dict(
+        faults=FaultSpec(
+            mttf=1500.0,
+            mttr=60.0,
+            blast_radius=3,
+            in_flight="resume",
+            queued="preserved",
+            retry_limit=3,
+            retry_timeout=45.0,
+            retry_backoff=2.0,
+        ),
     ),
 )
 
@@ -194,14 +218,16 @@ LOSSY_RECOVERY = ScenarioSpec(
         "Lossy crashes: in-flight and queued work destroyed (MTTF 600, "
         "MTTR 25); lost subtasks retried up to 3 times with backoff."
     ),
-    faults=FaultSpec(
-        mttf=600.0,
-        mttr=25.0,
-        in_flight="lost",
-        queued="dropped",
-        retry_limit=3,
-        retry_backoff=0.5,
-        retry_backoff_factor=2.0,
+    overrides=dict(
+        faults=FaultSpec(
+            mttf=600.0,
+            mttr=25.0,
+            in_flight="lost",
+            queued="dropped",
+            retry_limit=3,
+            retry_backoff=0.5,
+            retry_backoff_factor=2.0,
+        ),
     ),
 )
 
@@ -214,16 +240,7 @@ CHURN_PREEMPTIVE = ScenarioSpec(
         "Steady node churn (MTTF 400, MTTR 20) on preemptive-resume "
         "servers."
     ),
-    faults=FaultSpec(
-        mttf=400.0,
-        mttr=20.0,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=2,
-        retry_timeout=30.0,
-        retry_backoff=1.0,
-    ),
-    base={"preemptive": True},
+    overrides=dict(faults=STEADY_CHURN_FAULTS, preemptive=True),
 )
 
 #: Steady churn observed through a realistic heartbeat channel: delayed
@@ -237,21 +254,8 @@ LOSSY_HEARTBEATS = ScenarioSpec(
         "Steady churn (MTTF 400, MTTR 20) seen through a timeout "
         "detector over delayed (mean 0.5), 10%-lossy heartbeat links."
     ),
-    faults=FaultSpec(
-        mttf=400.0,
-        mttr=20.0,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=2,
-        retry_timeout=30.0,
-        retry_backoff=1.0,
-    ),
-    detector=DetectorSpec(
-        kind="timeout",
-        heartbeat_interval=2.0,
-        timeout=6.0,
-        delay_mean=0.5,
-        loss_probability=0.1,
+    overrides=dict(
+        faults=STEADY_CHURN_FAULTS, detector=LOSSY_TIMEOUT_DETECTOR
     ),
 )
 
@@ -265,21 +269,15 @@ SLOW_DETECTOR_CHURN = ScenarioSpec(
         "Steady churn under a sluggish detector (timeout 15 vs MTTR "
         "20): missed detections and misrouted submits dominate."
     ),
-    faults=FaultSpec(
-        mttf=400.0,
-        mttr=20.0,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=2,
-        retry_timeout=30.0,
-        retry_backoff=1.0,
-    ),
-    detector=DetectorSpec(
-        kind="timeout",
-        heartbeat_interval=3.0,
-        timeout=15.0,
-        delay_mean=1.0,
-        loss_probability=0.05,
+    overrides=dict(
+        faults=STEADY_CHURN_FAULTS,
+        detector=DetectorSpec(
+            kind="timeout",
+            heartbeat_interval=3.0,
+            timeout=15.0,
+            delay_mean=1.0,
+            loss_probability=0.05,
+        ),
     ),
 )
 
@@ -293,11 +291,13 @@ PARANOID_DETECTOR = ScenarioSpec(
         "No faults at all: a paranoid phi-accrual detector (threshold "
         "1.5) over a 30%-lossy channel falsely suspects live nodes."
     ),
-    detector=DetectorSpec(
-        kind="phi",
-        heartbeat_interval=2.0,
-        phi_threshold=1.5,
-        loss_probability=0.3,
+    overrides=dict(
+        detector=DetectorSpec(
+            kind="phi",
+            heartbeat_interval=2.0,
+            phi_threshold=1.5,
+            loss_probability=0.3,
+        ),
     ),
 )
 
@@ -310,23 +310,11 @@ DETECTOR_PREEMPTIVE = ScenarioSpec(
         "Steady churn behind a timeout detector on preemptive-resume "
         "servers."
     ),
-    faults=FaultSpec(
-        mttf=400.0,
-        mttr=20.0,
-        in_flight="resume",
-        queued="preserved",
-        retry_limit=2,
-        retry_timeout=30.0,
-        retry_backoff=1.0,
+    overrides=dict(
+        faults=STEADY_CHURN_FAULTS,
+        detector=LOSSY_TIMEOUT_DETECTOR,
+        preemptive=True,
     ),
-    detector=DetectorSpec(
-        kind="timeout",
-        heartbeat_interval=2.0,
-        timeout=6.0,
-        delay_mean=0.5,
-        loss_probability=0.1,
-    ),
-    base={"preemptive": True},
 )
 
 #: Fleet scale: 10,000 nodes fed purely by the global stream (no local
@@ -339,7 +327,7 @@ FLEET_UNIFORM = ScenarioSpec(
     description=(
         "Fleet scale: 10,000 nodes, global-only load, uniform placement."
     ),
-    base={"node_count": 10_000, "frac_local": 0.0, "load": 0.002},
+    overrides=dict(node_count=10_000, frac_local=0.0, load=0.002),
 )
 
 #: Fleet scale with a Zipf hotspot: over 10k nodes at s=1.2, node 0
@@ -352,8 +340,13 @@ FLEET_SKEWED = ScenarioSpec(
         "Fleet scale: 10,000 nodes, Zipf-skewed placement (s=1.2), "
         "global-only load sized for a stable hotspot."
     ),
-    placement=PlacementSpec(model="zipf", zipf_s=1.2),
-    base={"node_count": 10_000, "frac_local": 0.0, "load": 0.0003},
+    overrides=dict(
+        placement="zipf",
+        placement_zipf_s=1.2,
+        node_count=10_000,
+        frac_local=0.0,
+        load=0.0003,
+    ),
 )
 
 #: The firm-deadline overload policy as a scenario dimension: tardy work
@@ -364,8 +357,7 @@ FIRM_OVERLOAD = ScenarioSpec(
         "Firm deadlines: abort-tardy overload policy at elevated load "
         "0.55."
     ),
-    overload="abort-tardy",
-    base={"load": 0.55},
+    overrides=dict(overload_policy="abort-tardy", load=0.55),
 )
 
 #: Library order is presentation order (baseline first).

@@ -1,24 +1,20 @@
-"""Declarative workload scenarios: frozen, JSON/dict-round-trippable specs.
+"""Declarative workload scenarios: a name plus ``SystemConfig`` overrides.
 
 The paper evaluates its SSP/PSP strategies under one stylized model --
 homogeneous nodes, Poisson arrivals, exponential service, uniform-random
-placement.  A :class:`ScenarioSpec` composes a
-:class:`~repro.system.config.SystemConfig` with the workload dimensions
-the scenario subsystem adds on top:
-
-* :class:`ArrivalSpec`   -- bursty arrivals (hyperexponential, 2-state
-  MMPP);
-* :class:`ServiceSpec`   -- heavy-tailed service (Pareto, lognormal);
-* :class:`PlacementSpec` -- subtask placement (uniform, round-robin,
-  Zipf hotspot, least-outstanding);
-* heterogeneous per-node speed factors;
-* a piecewise time-varying load profile.
+placement.  Every way a scenario departs from it (bursty arrivals,
+heavy-tailed service, placement, node speeds, a time-varying load, node
+faults, failure detection, the overload policy, or any plain knob such
+as the load) is already a validated
+:class:`~repro.system.config.SystemConfig` field, so a
+:class:`ScenarioSpec` is a name, a description and one mapping of
+``SystemConfig`` overrides.
 
 Specs are immutable descriptions, not runnable objects: ``to_config()``
 produces the :class:`SystemConfig` the engine runs, and
 ``to_dict()``/``from_dict()`` round-trip through plain JSON-serializable
-dicts (tuples become lists and back), so scenarios can live in files,
-CLI args, or experiment archives.
+dicts (tuples become lists and specs become objects, and back), so
+scenarios can live in files, CLI args, or experiment archives.
 
 Every dimension draws from its own named RNG stream (see
 :mod:`repro.system.placement` and :mod:`repro.sim.rng`), so adding or
@@ -29,26 +25,37 @@ plain ``SystemConfig()`` path, pinned by the golden determinism gate.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Mapping, Tuple
 
 from ..system.config import SystemConfig
 from ..system.detector import DetectorSpec
 from ..system.faults import FaultSpec
 
-#: SystemConfig field names, for validating base overrides.
+#: SystemConfig field names, for validating overrides.
 _CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
 
-#: Scenario-dimension fields a spec owns; base overrides must not collide.
-_DIMENSION_FIELDS = {
-    "arrival_model", "arrival_cv2", "arrival_burst_ratio",
-    "arrival_burst_fraction", "arrival_cycle_time",
-    "service_model", "service_shape", "service_sigma",
-    "placement", "placement_zipf_s",
-    "node_speed_factors", "load_profile",
-    "faults", "detector", "overload_policy",
-}
+#: Overrides whose value is a spec object (a mapping in JSON).
+_SPECS = {"faults": FaultSpec, "detector": DetectorSpec}
+
+#: The paper's model: a dimension is described only where a spec leaves it.
+_PAPER = SystemConfig()
+
+#: ``describe()`` labels, one row per scenario dimension in listing
+#: order: the field that selects the dimension, its label, and the
+#: fields that only parameterize it (described by the label alone).
+_DIMENSIONS = (
+    ("arrival_model", "arrival={}".format,
+     ("arrival_cv2", "arrival_burst_ratio", "arrival_burst_fraction",
+      "arrival_cycle_time")),
+    ("service_model", "service={}".format, ("service_shape", "service_sigma")),
+    ("placement", "placement={}".format, ("placement_zipf_s",)),
+    ("faults", lambda spec: spec.describe() if spec.enabled else None, ()),
+    ("detector", lambda spec: spec.describe() if spec.enabled else None, ()),
+    ("overload_policy", "overload={}".format, ()),
+    ("node_speed_factors", lambda _: "heterogeneous-speeds", ()),
+    ("load_profile", lambda _: "time-varying-load", ()),
+)
 
 
 def _tuplize(value):
@@ -58,135 +65,50 @@ def _tuplize(value):
     return value
 
 
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Arrival-process dimension of a scenario.
-
-    ``model`` selects the family; the other fields parameterize it (the
-    irrelevant ones are ignored and keep their defaults, so equality and
-    round-trips stay simple).
-    """
-
-    model: str = "poisson"
-    #: Squared coefficient of variation ("hyperexp").
-    cv2: float = 1.0
-    #: Burst-state rate multiplier ("mmpp2").
-    burst_ratio: float = 4.0
-    #: Stationary fraction of time bursting ("mmpp2").
-    burst_fraction: float = 0.2
-    #: Mean calm+burst cycle duration ("mmpp2").
-    cycle_time: float = 200.0
-
-    def config_fields(self) -> Dict[str, object]:
-        return {
-            "arrival_model": self.model,
-            "arrival_cv2": self.cv2,
-            "arrival_burst_ratio": self.burst_ratio,
-            "arrival_burst_fraction": self.burst_fraction,
-            "arrival_cycle_time": self.cycle_time,
-        }
+def _listify(value):
+    """Inverse of :func:`_tuplize`, specs becoming their dict form."""
+    if isinstance(value, tuple):
+        return [_listify(item) for item in value]
+    if isinstance(value, (FaultSpec, DetectorSpec)):
+        return value.to_dict()
+    return value
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
-    """Service-time dimension of a scenario (mean always ``1/mu``)."""
-
-    model: str = "exponential"
-    #: Pareto tail index ("pareto").
-    shape: float = 2.2
-    #: Log-space sigma ("lognormal").
-    sigma: float = 1.0
-
-    def config_fields(self) -> Dict[str, object]:
-        return {
-            "service_model": self.model,
-            "service_shape": self.shape,
-            "service_sigma": self.sigma,
-        }
-
-
-@dataclass(frozen=True)
-class PlacementSpec:
-    """Subtask-placement dimension of a scenario."""
-
-    model: str = "uniform"
-    #: Skew exponent ("zipf").
-    zipf_s: float = 1.0
-
-    def config_fields(self) -> Dict[str, object]:
-        return {
-            "placement": self.model,
-            "placement_zipf_s": self.zipf_s,
-        }
+def _normalize(overrides) -> Tuple[Tuple[str, object], ...]:
+    """Sorted ``(field, value)`` pairs from a mapping or a pair sequence."""
+    items = overrides.items() if isinstance(overrides, Mapping) else overrides
+    normalized: Dict[str, object] = {}
+    for key, value in items:
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"unknown SystemConfig field {key!r}")
+        if key in normalized:
+            raise ValueError(f"override {key!r} given more than once")
+        if key in _SPECS and isinstance(value, Mapping):
+            value = _SPECS[key].from_dict(value)
+        normalized[key] = _tuplize(value)
+    return tuple(sorted(normalized.items()))
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One named workload scenario: dimensions plus base-config overrides.
+    """One named workload scenario: overrides of :class:`SystemConfig`.
 
-    ``base`` holds overrides for plain :class:`SystemConfig` fields (load,
-    structure, node count, ...), normalized to a sorted tuple of
-    ``(field, value)`` pairs so the spec stays frozen and hashable; pass a
-    mapping and it is converted.  Construction validates eagerly by
-    building a probe config, so a bad spec fails at definition time with
-    the scenario's name in the message.
+    ``overrides`` is normalized to a sorted tuple of ``(field, value)``
+    pairs so the spec stays frozen and hashable; pass a mapping and it is
+    converted.  Construction validates eagerly by building the config,
+    so a bad spec fails at definition time with the scenario's name in
+    the message.
     """
 
     name: str
     description: str = ""
-    arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    service: ServiceSpec = field(default_factory=ServiceSpec)
-    placement: PlacementSpec = field(default_factory=PlacementSpec)
-    #: Node-failure dimension (crash/recovery processes, retry knobs;
-    #: see :mod:`repro.system.faults`).  ``None`` = perfectly reliable
-    #: nodes (the paper's model).
-    faults: Optional[FaultSpec] = None
-    #: Failure-detection dimension (heartbeats, suspicion, misroute
-    #: recovery; see :mod:`repro.system.detector`).  ``None`` = the
-    #: oracle liveness view.
-    detector: Optional[DetectorSpec] = None
-    #: Overload-policy dimension: "no-abort" (the paper), "abort-tardy",
-    #: or "abort-virtual" (see :mod:`repro.system.overload`).
-    overload: str = "no-abort"
-    node_speed_factors: Optional[Tuple[float, ...]] = None
-    load_profile: Optional[Tuple[Tuple[float, float], ...]] = None
-    base: Tuple[Tuple[str, object], ...] = ()
+    overrides: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
-        base = self.base
-        items = base.items() if isinstance(base, Mapping) else base
-        base = tuple(
-            sorted(
-                ((k, _tuplize(v)) for k, v in items),
-                key=lambda pair: pair[0],
-            )
-        )
-        object.__setattr__(self, "base", base)
-        if isinstance(self.faults, Mapping):
-            object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
-        if isinstance(self.detector, Mapping):
-            object.__setattr__(
-                self, "detector", DetectorSpec.from_dict(self.detector)
-            )
-        object.__setattr__(
-            self, "node_speed_factors", _tuplize(self.node_speed_factors)
-        )
-        object.__setattr__(self, "load_profile", _tuplize(self.load_profile))
-        for key, _ in base:
-            if key in _DIMENSION_FIELDS:
-                raise ValueError(
-                    f"scenario {self.name!r}: override {key!r} belongs to a "
-                    "scenario dimension; set it through the arrival/service/"
-                    "placement spec instead"
-                )
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(
-                    f"scenario {self.name!r}: unknown SystemConfig field "
-                    f"{key!r}"
-                )
         try:
+            object.__setattr__(self, "overrides", _normalize(self.overrides))
             self.to_config()
         except ValueError as exc:
             raise ValueError(f"scenario {self.name!r} is invalid: {exc}") from exc
@@ -197,22 +119,12 @@ class ScenarioSpec:
         """Build the :class:`SystemConfig` this scenario describes.
 
         ``run_overrides`` (strategy, seed, sim_time, ...) win over the
-        spec's base overrides -- they are the per-run knobs the experiment
-        harness stamps on.  A spec with all-default dimensions and no base
-        overrides yields exactly ``SystemConfig(**run_overrides)``: the
-        ``baseline`` scenario reduces to the paper's model.
+        spec's overrides -- they are the per-run knobs the experiment
+        harness stamps on.  A spec without overrides yields exactly
+        ``SystemConfig(**run_overrides)``: the ``baseline`` scenario
+        reduces to the paper's model.
         """
-        settings: Dict[str, object] = dict(self.base)
-        settings.update(self.arrival.config_fields())
-        settings.update(self.service.config_fields())
-        settings.update(self.placement.config_fields())
-        settings["faults"] = self.faults
-        settings["detector"] = self.detector
-        settings["overload_policy"] = self.overload
-        settings["node_speed_factors"] = self.node_speed_factors
-        settings["load_profile"] = self.load_profile
-        settings.update(run_overrides)
-        return SystemConfig(**settings)
+        return SystemConfig(**{**dict(self.overrides), **run_overrides})
 
     @property
     def peak_load(self) -> float:
@@ -223,74 +135,34 @@ class ScenarioSpec:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form; JSON-serializable (tuples become lists)."""
-
-        def listify(value):
-            if isinstance(value, tuple):
-                return [listify(item) for item in value]
-            return value
-
         return {
             "name": self.name,
             "description": self.description,
-            "arrival": dataclasses.asdict(self.arrival),
-            "service": dataclasses.asdict(self.service),
-            "placement": dataclasses.asdict(self.placement),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "detector": (
-                None if self.detector is None else self.detector.to_dict()
-            ),
-            "overload": self.overload,
-            "node_speed_factors": listify(self.node_speed_factors),
-            "load_profile": listify(self.load_profile),
-            "base": {key: listify(value) for key, value in self.base},
+            "overrides": {key: _listify(value) for key, value in self.overrides},
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (tolerates JSON's lists-for-tuples)."""
-        speeds = data.get("node_speed_factors")
-        profile = data.get("load_profile")
-        faults = data.get("faults")
-        detector = data.get("detector")
-        return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            arrival=ArrivalSpec(**data.get("arrival", {})),
-            service=ServiceSpec(**data.get("service", {})),
-            placement=PlacementSpec(**data.get("placement", {})),
-            faults=None if faults is None else FaultSpec.from_dict(faults),
-            detector=(
-                None if detector is None else DetectorSpec.from_dict(detector)
-            ),
-            overload=data.get("overload", "no-abort"),
-            node_speed_factors=(
-                None if speeds is None else _tuplize(speeds)
-            ),
-            load_profile=(
-                None if profile is None else _tuplize(profile)
-            ),
-            base=dict(data.get("base", {})),
-        )
+        """Inverse of :meth:`to_dict`; rejects unknown keys loudly."""
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
+        return cls(**data)
 
     def describe(self) -> str:
-        """Compact one-line dimension summary for listings."""
+        """Compact one-line summary for listings.
+
+        One label per dimension the spec moves off the paper's model, then
+        every other override as ``key=value``, sorted.
+        """
+        rest = dict(self.overrides)
         parts = []
-        if self.arrival.model != "poisson":
-            parts.append(f"arrival={self.arrival.model}")
-        if self.service.model != "exponential":
-            parts.append(f"service={self.service.model}")
-        if self.placement.model != "uniform":
-            parts.append(f"placement={self.placement.model}")
-        if self.faults is not None and self.faults.enabled:
-            parts.append(self.faults.describe())
-        if self.detector is not None and self.detector.enabled:
-            parts.append(self.detector.describe())
-        if self.overload != "no-abort":
-            parts.append(f"overload={self.overload}")
-        if self.node_speed_factors is not None:
-            parts.append("heterogeneous-speeds")
-        if self.load_profile is not None:
-            parts.append("time-varying-load")
-        for key, value in self.base:
-            parts.append(f"{key}={value}")
-        return ", ".join(parts) if parts else "paper baseline"
+        for key, label, parameters in _DIMENSIONS:
+            paper = getattr(_PAPER, key)
+            value = rest.pop(key, paper)
+            for parameter in parameters:
+                rest.pop(parameter, None)
+            if value != paper:
+                parts.append(label(value))
+        parts.extend(f"{key}={value}" for key, value in rest.items())
+        return ", ".join(part for part in parts if part) or "paper baseline"

@@ -5,29 +5,26 @@ Public surface:
 * :class:`Environment` -- the simulation clock and event list;
 * :class:`StreamFactory` -- reproducible named random streams;
 * the distribution classes in :mod:`repro.sim.distributions`;
-* :class:`Tally`, :class:`TimeWeighted`, :class:`Series` -- monitors;
+* :class:`Tally`, :class:`MeanTally`, :class:`TimeWeighted` -- monitors;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
 from .core import Environment
 from .distributions import (
-    Choice,
     Deterministic,
     DiscreteUniform,
     Distribution,
     Erlang,
     Exponential,
-    LognormalErrorFactor,
     Uniform,
     UniformErrorFactor,
     exponential_interarrival,
 )
 from .errors import EventLifecycleError, SimulationError, StopSimulation
-from .monitor import MeanTally, Series, Tally, TimeWeighted
+from .monitor import MeanTally, Tally, TimeWeighted
 from .rng import StreamFactory
 
 __all__ = [
-    "Choice",
     "Deterministic",
     "DiscreteUniform",
     "Distribution",
@@ -35,9 +32,7 @@ __all__ = [
     "Erlang",
     "EventLifecycleError",
     "Exponential",
-    "LognormalErrorFactor",
     "MeanTally",
-    "Series",
     "SimulationError",
     "StopSimulation",
     "StreamFactory",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -210,29 +209,6 @@ class DiscreteUniform(Distribution):
 
 
 @dataclass(frozen=True)
-class Choice(Distribution):
-    """Uniform choice from an explicit sequence of values."""
-
-    values: tuple
-
-    def __init__(self, values: Sequence) -> None:
-        object.__setattr__(self, "values", tuple(values))
-        if not self.values:
-            raise ValueError("Choice needs at least one value")
-        for value in self.values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"Choice values must be numbers, got {value!r}")
-            _require_finite("Choice value", value)
-
-    def sample(self, stream: random.Random):
-        return stream.choice(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-
-@dataclass(frozen=True)
 class UniformErrorFactor(Distribution):
     """Multiplicative estimation-error factor ``U[1 - e, 1 + e]``.
 
@@ -256,32 +232,6 @@ class UniformErrorFactor(Distribution):
     @property
     def mean(self) -> float:
         return 1.0
-
-
-@dataclass(frozen=True)
-class LognormalErrorFactor(Distribution):
-    """Multiplicative error factor that is lognormal with median 1.
-
-    ``sigma`` is the standard deviation of the underlying normal; larger
-    values give heavier-tailed over/under-estimation.  An alternative error
-    model for robustness experiments (always positive, skewed).
-    """
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        _require_finite("sigma", self.sigma)
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative: {self.sigma}")
-
-    def sample(self, stream: random.Random) -> float:
-        if self.sigma == 0.0:
-            return 1.0
-        return stream.lognormvariate(0.0, self.sigma)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.sigma ** 2 / 2.0)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ inside checkpoints.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
 
 
 class MeanTally:
@@ -364,32 +363,3 @@ class DecayedRate:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecayedRate({self.name!r}, tau={self.tau})"
 
-
-class Series:
-    """Optional raw-observation recorder (kept out of hot paths by default).
-
-    Stores ``(time, value)`` pairs for post-hoc analysis or plotting.  The
-    simulation façade only attaches these when tracing is requested, since
-    recording every task would dominate memory for long runs.
-    """
-
-    __slots__ = ("name", "times", "values", "limit")
-
-    def __init__(self, name: str = "", limit: Optional[int] = None) -> None:
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-        self.limit = limit
-
-    def record(self, time: float, value: float) -> None:
-        """Append one observation, honoring the optional ``limit``."""
-        if self.limit is not None and len(self.times) >= self.limit:
-            return
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __repr__(self) -> str:
-        return f"Series({self.name!r}, n={len(self.times)})"

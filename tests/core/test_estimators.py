@@ -11,7 +11,7 @@ from repro.core.estimators import (
     PerfectEstimator,
     uniform_error_estimator,
 )
-from repro.sim.distributions import LognormalErrorFactor, UniformErrorFactor
+from repro.sim.distributions import UniformErrorFactor
 
 
 class TestPerfectEstimator:
@@ -41,7 +41,7 @@ class TestNoisyEstimator:
         assert mean == pytest.approx(1.0, abs=0.01)
 
     def test_never_negative(self):
-        estimator = NoisyEstimator(LognormalErrorFactor(1.0))
+        estimator = NoisyEstimator(UniformErrorFactor(0.9))
         stream = random.Random(3)
         assert all(estimator.predict(1.0, stream) >= 0 for _ in range(1000))
 

@@ -104,7 +104,7 @@ class TestRegistry:
     def test_register_and_remove_new_scenario(self):
         from repro.scenarios import SCENARIOS
 
-        spec = ScenarioSpec(name="test-only", base={"load": 0.4})
+        spec = ScenarioSpec(name="test-only", overrides={"load": 0.4})
         try:
             register_scenario(spec)
             assert get_scenario("test-only") == spec
@@ -132,10 +132,10 @@ class TestRegistryCaseConsistency:
             register_scenario,
         )
 
-        spec = ScenarioSpec(name="Test-Case", base={"load": 0.4})
+        spec = ScenarioSpec(name="Test-Case", overrides={"load": 0.4})
         try:
             register_scenario(spec)
-            variant = ScenarioSpec(name="TEST-CASE", base={"load": 0.3})
+            variant = ScenarioSpec(name="TEST-CASE", overrides={"load": 0.3})
             register_scenario(variant, replace=True)
             assert get_scenario("test-case") == variant
             assert "Test-Case" not in SCENARIOS  # old key removed

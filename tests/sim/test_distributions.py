@@ -8,12 +8,10 @@ import random
 import pytest
 
 from repro.sim.distributions import (
-    Choice,
     Deterministic,
     DiscreteUniform,
     Erlang,
     Exponential,
-    LognormalErrorFactor,
     Uniform,
     UniformErrorFactor,
     exponential_interarrival,
@@ -132,20 +130,6 @@ class TestDiscreteUniform:
             DiscreteUniform(5, 2)
 
 
-class TestChoice:
-    def test_only_listed_values(self):
-        stream = random.Random(5)
-        dist = Choice([1, 5, 9])
-        assert {dist.sample(stream) for _ in range(500)} == {1, 5, 9}
-
-    def test_mean(self):
-        assert Choice([1, 5, 9]).mean == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Choice([])
-
-
 class TestErrorFactors:
     def test_uniform_error_bounds(self):
         stream = random.Random(6)
@@ -165,23 +149,6 @@ class TestErrorFactors:
     def test_bad_error_rejected(self, bad):
         with pytest.raises(ValueError):
             UniformErrorFactor(bad)
-
-    def test_lognormal_median_one(self):
-        stream = random.Random(7)
-        dist = LognormalErrorFactor(0.5)
-        values = sorted(dist.sample(stream) for _ in range(20_001))
-        assert values[10_000] == pytest.approx(1.0, abs=0.05)
-
-    def test_lognormal_zero_sigma(self):
-        assert LognormalErrorFactor(0.0).sample(random.Random(0)) == 1.0
-
-    def test_lognormal_mean(self):
-        assert LognormalErrorFactor(0.5).mean == pytest.approx(math.exp(0.125))
-
-    def test_lognormal_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            LognormalErrorFactor(-0.5)
-
 
 class TestInterarrivalHelper:
     def test_rate_to_mean(self):
@@ -369,14 +336,6 @@ class TestUniformValidation:
         with pytest.raises(ValueError):
             Erlang(True, 1.0)
 
-    def test_choice_non_numeric_rejected(self):
-        with pytest.raises(ValueError, match="two"):
-            Choice([1, "two"])
-
-    def test_choice_nan_rejected(self):
-        with pytest.raises(ValueError):
-            Choice([1.0, math.nan])
-
     def test_discrete_uniform_non_integer_rejected(self):
         with pytest.raises(ValueError, match="1.5"):
             DiscreteUniform(1.5, 3)
@@ -391,7 +350,6 @@ class TestUniformValidation:
             lambda: Deterministic(math.nan),
             lambda: Erlang(2, math.nan),
             lambda: UniformErrorFactor(math.nan),
-            lambda: LognormalErrorFactor(math.nan),
         ],
     )
     def test_non_finite_parameters_rejected(self, build):

@@ -11,7 +11,6 @@ from repro.sim.monitor import (
     DecayedMean,
     DecayedRate,
     MeanTally,
-    Series,
     Tally,
     TimeWeighted,
 )
@@ -149,25 +148,6 @@ class TestTimeWeighted:
         busy.update(1, now=4.0)   # serve [4, 5)
         busy.update(0, now=5.0)
         assert busy.mean_at(10.0) == pytest.approx(0.3)
-
-
-class TestSeries:
-    def test_records_pairs(self):
-        series = Series("s")
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.times == [1.0, 2.0]
-        assert series.values == [10.0, 20.0]
-        assert len(series) == 2
-
-    def test_limit_truncates(self):
-        series = Series("s", limit=2)
-        for i in range(5):
-            series.record(float(i), float(i))
-        assert len(series) == 2
-
-    def test_repr(self):
-        assert "n=0" in repr(Series("x"))
 
 
 class TestDecayedMean:

@@ -257,7 +257,7 @@ class TestScenarioIntegration:
             "paranoid-detector", "detector-preemptive",
         ):
             spec = get_scenario(name)
-            assert spec.detector is not None and spec.detector.enabled
+            assert dict(spec.overrides)["detector"].enabled
             clone = ScenarioSpec.from_dict(
                 json.loads(json.dumps(spec.to_dict()))
             )
@@ -274,10 +274,12 @@ class TestScenarioIntegration:
     def test_mapping_detector_is_converted(self):
         spec = ScenarioSpec(
             name="adhoc",
-            detector={"heartbeat_interval": 2.0, "timeout": 5.0},
+            overrides={"detector": {"heartbeat_interval": 2.0, "timeout": 5.0}},
         )
-        assert isinstance(spec.detector, DetectorSpec)
-        assert spec.detector.timeout == 5.0
+        detector = dict(spec.overrides)["detector"]
+        assert isinstance(detector, DetectorSpec)
+        assert detector.timeout == 5.0
+        assert spec.to_config().detector is detector
 
 
 class TestCheckpointResume:
