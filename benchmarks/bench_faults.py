@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro.core.task import TaskClass
 from repro.core.timing import TimingRecord
+from repro.scenarios.library import LOSSY_TIMEOUT_DETECTOR, STEADY_CHURN_FAULTS
 from repro.sim.core import Environment
 from repro.system.config import baseline_config
 from repro.system.detector import DetectorSpec
@@ -56,23 +57,10 @@ BENCH_FAULTS_JSON = Path(__file__).parent.parent / "BENCH_faults.json"
 #: Shared run length (same convention as bench_preemptive.py).
 _RUN = dict(sim_time=1_500.0, warmup_time=150.0)
 
-#: The steady-churn fault process (cf. the library scenario).
-_CHURN = FaultSpec(
-    mttf=400.0, mttr=20.0, in_flight="resume", queued="preserved",
-    retry_limit=2, retry_timeout=30.0, retry_backoff=1.0,
-)
-
 #: Lossy crashes with aggressive retries: the heaviest fault path.
 _LOSSY = FaultSpec(
     mttf=150.0, mttr=15.0, in_flight="lost", queued="dropped",
     retry_limit=3, retry_timeout=20.0, retry_backoff=0.5,
-)
-
-#: The lossy-heartbeats detector (cf. the library scenario): delayed,
-#: lossy channel over the steady-churn fault process.
-_DETECTOR = DetectorSpec(
-    kind="timeout", heartbeat_interval=2.0, timeout=6.0,
-    delay_mean=0.5, loss_probability=0.1,
 )
 
 
@@ -96,7 +84,9 @@ def run_zero_rate() -> int:
 
 def run_steady_churn() -> int:
     """Resume/preserved churn with retries: the gentle fault mode."""
-    result = simulate(baseline_config(seed=13, faults=_CHURN, **_RUN))
+    result = simulate(
+        baseline_config(seed=13, faults=STEADY_CHURN_FAULTS, **_RUN)
+    )
     return result.local.completed
 
 
@@ -121,7 +111,12 @@ def run_detector_churn() -> int:
     whole detector stack (heartbeat emitters, expiry timers, suspicion
     routing, misroute bounces) in end-to-end context."""
     result = simulate(
-        baseline_config(seed=13, faults=_CHURN, detector=_DETECTOR, **_RUN)
+        baseline_config(
+            seed=13,
+            faults=STEADY_CHURN_FAULTS,
+            detector=LOSSY_TIMEOUT_DETECTOR,
+            **_RUN,
+        )
     )
     return result.local.completed
 

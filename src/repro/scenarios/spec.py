@@ -69,7 +69,7 @@ def _listify(value):
     """Inverse of :func:`_tuplize`, specs becoming their dict form."""
     if isinstance(value, tuple):
         return [_listify(item) for item in value]
-    if isinstance(value, (FaultSpec, DetectorSpec)):
+    if isinstance(value, tuple(_SPECS.values())):
         return value.to_dict()
     return value
 
