@@ -5,10 +5,11 @@ homogeneous nodes, Poisson arrivals, exponential service, uniform-random
 placement.  Every way a scenario departs from it (bursty arrivals,
 heavy-tailed service, placement, node speeds, a time-varying load, node
 faults, failure detection, the overload policy, or any plain knob such
-as the load) is already a validated
-:class:`~repro.system.config.SystemConfig` field, so a
-:class:`ScenarioSpec` is a name, a description and one mapping of
-``SystemConfig`` overrides.
+as the load) is already a :class:`~repro.system.config.SystemConfig`
+field, so a :class:`ScenarioSpec` is a name, a description and one
+mapping of ``SystemConfig`` overrides.  The config's field table,
+:data:`~repro.system.config.DOMAINS`, validates them and labels them in
+:meth:`ScenarioSpec.describe`.
 
 Specs are immutable descriptions, not runnable objects: ``to_config()``
 produces the :class:`SystemConfig` the engine runs, and
@@ -28,33 +29,25 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Tuple
 
-from ..system.config import SystemConfig
-from ..system.detector import DetectorSpec
-from ..system.faults import FaultSpec
-
-#: SystemConfig field names, for validating overrides.
-_CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
+from ..system.config import DOMAINS, SystemConfig
 
 #: Overrides whose value is a spec object (a mapping in JSON).
-_SPECS = {"faults": FaultSpec, "detector": DetectorSpec}
+_SPECS = {
+    name: domain.kind for name, domain in DOMAINS.items()
+    if hasattr(domain.kind, "from_dict")
+}
 
-#: The paper's model: a dimension is described only where a spec leaves it.
-_PAPER = SystemConfig()
-
-#: ``describe()`` labels, one row per scenario dimension in listing
-#: order: the field that selects the dimension, its label, and the
-#: fields that only parameterize it (described by the label alone).
-_DIMENSIONS = (
-    ("arrival_model", "arrival={}".format,
-     ("arrival_cv2", "arrival_burst_ratio", "arrival_burst_fraction",
-      "arrival_cycle_time")),
-    ("service_model", "service={}".format, ("service_shape", "service_sigma")),
-    ("placement", "placement={}".format, ("placement_zipf_s",)),
-    ("faults", lambda spec: spec.describe() if spec.enabled else None, ()),
-    ("detector", lambda spec: spec.describe() if spec.enabled else None, ()),
-    ("overload_policy", "overload={}".format, ()),
-    ("node_speed_factors", lambda _: "heterogeneous-speeds", ()),
-    ("load_profile", lambda _: "time-varying-load", ()),
+#: ``describe()``'s dimensions from the field table, in listing order:
+#: each selector field, its domain (the paper's value is the default),
+#: and the fields whose ``when`` ties them to it (described by the
+#: selector's label alone).
+_LABELS = tuple(
+    (name, domain, tuple(
+        other for other, guarded in DOMAINS.items()
+        if guarded.when is not None and guarded.when[0] == name
+    ))
+    for name, domain in sorted(DOMAINS.items(), key=lambda kv: kv[1].rank)
+    if domain.label is not None
 )
 
 
@@ -79,7 +72,7 @@ def _normalize(overrides) -> Tuple[Tuple[str, object], ...]:
     items = overrides.items() if isinstance(overrides, Mapping) else overrides
     normalized: Dict[str, object] = {}
     for key, value in items:
-        if key not in _CONFIG_FIELDS:
+        if key not in DOMAINS:
             raise ValueError(f"unknown SystemConfig field {key!r}")
         if key in normalized:
             raise ValueError(f"override {key!r} given more than once")
@@ -157,12 +150,11 @@ class ScenarioSpec:
         """
         rest = dict(self.overrides)
         parts = []
-        for key, label, parameters in _DIMENSIONS:
-            paper = getattr(_PAPER, key)
-            value = rest.pop(key, paper)
+        for key, domain, parameters in _LABELS:
+            value = rest.pop(key, domain.default)
             for parameter in parameters:
                 rest.pop(parameter, None)
-            if value != paper:
-                parts.append(label(value))
+            if value != domain.default:
+                parts.append(domain.label(value))
         parts.extend(f"{key}={value}" for key, value in rest.items())
         return ", ".join(part for part in parts if part) or "paper baseline"

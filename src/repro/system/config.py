@@ -27,19 +27,27 @@ flexibility ratio at ``rel_flex``.  With the baseline numbers the global
 slack range is ``[1.0, 10.0]``.  For parallel fans the paper instead fixes
 the slack range at ``[1.25, 5.0]`` (Sec. 5.2), which we honor by default
 and expose as ``parallel_slack_range``.
+
+Each field is declared with :func:`param`, giving its :class:`Domain`
+(the values it accepts; a scenario dimension's label) in the table
+:data:`DOMAINS`.  Construction walks the table, so a bad value fails
+there, naming its field; only the rules that tie fields together are
+written out.  ``ScenarioSpec.describe`` takes its labels from the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.estimators import Estimator, uniform_error_estimator
+from ..core.strategies import parse_assigner
 from ..sim.distributions import (
     Deterministic,
     DiscreteUniform,
     Distribution,
+    Exponential,
     Hyperexponential,
     Lognormal,
     MMPP2Interarrival,
@@ -51,24 +59,139 @@ from .detector import DetectorSpec
 from .faults import FaultSpec
 from .overload import OVERLOAD_POLICIES
 from .placement import PLACEMENT_POLICIES
+from .schedulers import get_policy
 
 #: Task-structure selectors (which experiment family a config runs).
 SERIAL = "serial"
 PARALLEL = "parallel"
 SERIAL_PARALLEL = "serial-parallel"
 
-_STRUCTURES = (SERIAL, PARALLEL, SERIAL_PARALLEL)
+#: Domain kinds beyond the ``int``/``float``/``bool``/``str`` of a default.
+PAIR = "pair"
+PER_NODE = "per-node"
+PROFILE = "profile"
 
-#: Arrival-process selectors (scenario subsystem; "poisson" is the paper).
-_ARRIVAL_MODELS = ("poisson", "hyperexp", "mmpp2")
+#: ``when`` guards of the arrival-model parameters.
+_HYPEREXP = ("arrival_model", "hyperexp")
+_MMPP2 = ("arrival_model", "mmpp2")
 
-#: Service-time selectors (scenario subsystem; "exponential" is the paper).
-_SERVICE_MODELS = ("exponential", "pareto", "lognormal")
+#: What each kind of domain accepts, for error messages.
+_EXPECTS = {
+    int: "an int",
+    float: "a real",
+    bool: "a bool",
+    PAIR: "a (lo, hi) pair of {d.of.__name__}s, lo <= hi,",
+    PER_NODE: "a tuple of {d.noun}s",
+    PROFILE: "a non-empty tuple of (duration_fraction, rate_multiplier) "
+    "pairs, fractions and multipliers",
+}
 
-#: Subtask placement selectors (scenario subsystem; "uniform" is the
-#: paper).  Aliased from the policy module that implements them, so the
-#: validated names and the wired policies cannot drift apart.
-_PLACEMENT_MODELS = PLACEMENT_POLICIES
+
+@dataclass
+class Domain:
+    """The values one :class:`SystemConfig` field accepts.
+
+    ``kind`` is ``int`` or ``float`` (a bool is neither), ``bool``,
+    ``str`` (one of ``choices``, or a name ``check`` accepts: it raises
+    ``ValueError`` on any other), :data:`PAIR` (a ``(lo, hi)`` tuple of
+    ``of``), :data:`PER_NODE` (one real per node, each a ``noun``),
+    :data:`PROFILE` (``(duration_fraction, rate_multiplier)`` pairs) or
+    a spec class.  Numbers, inside tuples too, lie in the interval
+    ``bounds``, e.g. ``"[0, 1)"``; a real is finite.  ``None`` is
+    accepted where it is the default.  A ``when=(selector, value)``
+    domain applies only while the selector field holds that value.  A
+    scenario dimension's selector has the ``describe`` ``label`` of a
+    value (``None`` prints nothing) and the label's ``rank``.
+    """
+
+    kind: Any
+    default: Any = None
+    bounds: str = ""
+    choices: Any = ()
+    check: Optional[Callable[[str], Any]] = None
+    of: type = float
+    noun: str = ""
+    when: Optional[Tuple[str, Any]] = None
+    label: Optional[Callable[[Any], Optional[str]]] = None
+    rank: int = 0
+
+    def __post_init__(self) -> None:
+        ends = self.bounds[1:-1].split(",") if self.bounds else ("-inf", "inf")
+        self.lo, self.hi = (float(end) for end in ends)
+        self.lo_open = self.bounds.startswith("(")
+        self.hi_open = self.bounds.endswith(")")
+
+    def accepts(self, value: Any) -> bool:
+        """Whether ``value`` lies in the domain; a ``check`` raises its
+        own ``ValueError`` instead of returning ``False``."""
+        kind = self.kind
+        if kind is float or kind is int:
+            return self._number(value, kind)
+        if value is None:
+            return self.default is None
+        if kind is str:
+            if self.check is not None and isinstance(value, str):
+                self.check(value)
+                return True
+            return isinstance(value, str) and value in self.choices
+        if kind is bool:
+            return isinstance(value, bool)
+        if kind == PAIR:
+            return (
+                isinstance(value, tuple) and len(value) == 2
+                and all(self._number(item, self.of) for item in value)
+                and value[0] <= value[1]
+            )
+        if kind == PER_NODE:
+            return isinstance(value, tuple) and all(
+                self._number(item, float) for item in value
+            )
+        if kind == PROFILE:
+            return isinstance(value, tuple) and len(value) > 0 and all(
+                isinstance(segment, tuple) and len(segment) == 2
+                and all(self._number(item, float) for item in segment)
+                for segment in value
+            )
+        return isinstance(value, kind)
+
+    def _number(self, value: Any, kind: type) -> bool:
+        if isinstance(value, bool) or not isinstance(
+            value, int if kind is int else (int, float)
+        ):
+            return False
+        return (
+            (self.lo < value if self.lo_open else self.lo <= value)
+            and (value < self.hi if self.hi_open else value <= self.hi)
+            and (isinstance(value, int) or math.isfinite(value))
+        )
+
+    def expects(self) -> str:
+        """What the domain accepts, for error messages."""
+        if self.kind is str:
+            text = "a str" if self.check else f"one of {tuple(self.choices)}"
+        else:
+            text = _EXPECTS.get(self.kind, "a {d.kind.__name__}").format(d=self)
+        text += f" in {self.bounds}" if self.bounds else ""
+        return text if self.default is not None else f"{text} or None"
+
+
+#: Metadata key of a field's :class:`Domain`.
+_DOMAIN = "domain"
+
+
+def param(default: Any, bounds: str = "", **domain: Any) -> Any:
+    """A :class:`SystemConfig` field: ``default`` is the field default,
+    the rest its :class:`Domain`, whose ``kind`` defaults to the
+    default's type."""
+    domain.setdefault("kind", type(default))
+    domain = Domain(default=default, bounds=bounds, **domain)
+    return field(default=default, metadata={_DOMAIN: domain})
+
+
+def _spec_label(spec: Any) -> Optional[str]:
+    """A fault or detector spec's label: its summary, if it wires
+    anything."""
+    return spec.describe() if spec.enabled else None
 
 
 def harmonic(n: int) -> float:
@@ -84,336 +207,182 @@ class SystemConfig:
     """Complete description of one simulation run.
 
     Defaults reproduce Table 1 (the baseline experiment) with serial global
-    tasks and the UD strategy.
+    tasks and the UD strategy.  Each field's :class:`Domain` is declared
+    with it; see :data:`DOMAINS`.
     """
 
     # -- Table 1 ----------------------------------------------------------
     #: Number of homogeneous nodes ``k``.
-    node_count: int = 6
+    node_count: int = param(6, "[1, inf)")
     #: Subtasks per global task ``m`` (fixed unless ``subtask_count_range``).
-    subtask_count: int = 4
+    subtask_count: int = param(4, "[1, inf)")
     #: Normalized system load (0 <= load < 1 for stability).
-    load: float = 0.5
+    load: float = param(0.5, "[0, 1)")
     #: Fraction of the load contributed by local tasks.
-    frac_local: float = 0.75
+    frac_local: float = param(0.75, "[0, 1]")
     #: Local-task service *rate* ``mu_local`` (mean ex = 1/mu_local).
-    mu_local: float = 1.0
+    mu_local: float = param(1.0, "(0, inf)")
     #: Subtask service *rate* ``mu_subtask``.
-    mu_subtask: float = 1.0
+    mu_subtask: float = param(1.0, "(0, inf)")
     #: Local-task slack range ``[Smin, Smax]``.
-    slack_range: Tuple[float, float] = (0.25, 2.5)
+    slack_range: Tuple[float, float] = param(
+        (0.25, 2.5), "[0, inf)", kind=PAIR
+    )
     #: Relative flexibility of global vs. local tasks.
-    rel_flex: float = 1.0
+    rel_flex: float = param(1.0, "[0, inf)")
     #: Relative error of execution-time prediction (0 = perfect, Table 1).
-    pex_error: float = 0.0
+    pex_error: float = param(0.0, "[0, 1)")
     #: Local scheduling policy: "EDF", "MLF", or "FCFS".
-    scheduler: str = "EDF"
+    scheduler: str = param("EDF", check=get_policy)
     #: Overload policy: "no-abort" (Table 1), "abort-tardy", or
     #: "abort-virtual".
-    overload_policy: str = "no-abort"
+    overload_policy: str = param(
+        "no-abort", choices=OVERLOAD_POLICIES, label="overload={}".format,
+        rank=5,
+    )
     #: Preemptive-resume servers instead of the paper's non-preemptive ones
     #: (extension; see :mod:`repro.system.preemptive`).
-    preemptive: bool = False
+    preemptive: bool = param(False)
     #: Record an execution trace (see :mod:`repro.system.tracing`).  Off by
     #: default: traces grow with every unit executed.
-    trace: bool = False
+    trace: bool = param(False)
 
     # -- SDA strategy -------------------------------------------------------
     #: Strategy name: an SSP name ("UD", "ED", "EQS", "EQF"), a PSP name
     #: ("DIV-1", "GF", ...), or a combination ("EQF-DIV1").
-    strategy: str = "UD"
+    strategy: str = param("UD", check=parse_assigner)
 
     # -- global task shape ---------------------------------------------------
     #: One of "serial", "parallel", "serial-parallel".
-    task_structure: str = SERIAL
+    task_structure: str = param(SERIAL, choices=(SERIAL, PARALLEL, SERIAL_PARALLEL))
     #: For serial-parallel trees: number of serial stages.
-    stages: int = 2
+    stages: int = param(2, "[1, inf)")
     #: For serial-parallel trees: parallel width of each stage.
-    stage_width: int = 2
+    stage_width: int = param(2, "[1, inf)")
     #: Slack range of parallel fans (Sec. 5.2 baseline).
-    parallel_slack_range: Tuple[float, float] = (1.25, 5.0)
+    parallel_slack_range: Tuple[float, float] = param(
+        (1.25, 5.0), "[0, inf)", kind=PAIR
+    )
     #: If set, the number of subtasks of each serial task is drawn uniformly
     #: from this inclusive integer range (Sec. 4.3 variation).
-    subtask_count_range: Optional[Tuple[int, int]] = None
+    subtask_count_range: Optional[Tuple[int, int]] = param(
+        None, "[1, inf)", kind=PAIR, of=int
+    )
 
     # -- heterogeneity (Sec. 4.3 variation) -----------------------------------
     #: Optional per-node weights for the local arrival rates.  ``None``
     #: means homogeneous.  Weights are normalized; total local load is kept.
-    local_load_weights: Optional[Tuple[float, ...]] = None
+    local_load_weights: Optional[Tuple[float, ...]] = param(
+        None, "[0, inf)", kind=PER_NODE, noun="weight"
+    )
 
     # -- scenario dimensions (repro.scenarios; defaults = the paper) ----------
     #: Arrival-process family for local and global streams: "poisson"
     #: (the paper), "hyperexp" (bursty, CV^2 > 1), or "mmpp2" (2-state
     #: Markov-modulated bursts).
-    arrival_model: str = "poisson"
+    arrival_model: str = param(
+        "poisson", choices=("poisson", "hyperexp", "mmpp2"),
+        label="arrival={}".format, rank=0,
+    )
     #: Squared coefficient of variation of hyperexponential interarrivals.
-    arrival_cv2: float = 1.0
+    arrival_cv2: float = param(1.0, "[1, inf)", when=_HYPEREXP)
     #: MMPP2: arrival-rate multiplier of the burst state (>= 1).
-    arrival_burst_ratio: float = 4.0
+    arrival_burst_ratio: float = param(4.0, "[1, inf)", when=_MMPP2)
     #: MMPP2: stationary fraction of time spent in the burst state.
-    arrival_burst_fraction: float = 0.2
+    arrival_burst_fraction: float = param(0.2, "(0, 1)", when=_MMPP2)
     #: MMPP2: mean duration of one calm+burst cycle (simulated time).
-    arrival_cycle_time: float = 200.0
+    arrival_cycle_time: float = param(200.0, "(0, inf)", when=_MMPP2)
     #: Service-time family for local tasks and subtasks: "exponential"
     #: (the paper), "pareto", or "lognormal".  Means are pinned to
     #: ``1/mu`` so the load arithmetic is unchanged.
-    service_model: str = "exponential"
+    service_model: str = param(
+        "exponential", choices=("exponential", "pareto", "lognormal"),
+        label="service={}".format, rank=1,
+    )
     #: Pareto shape (tail index) when ``service_model == "pareto"``.
-    service_shape: float = 2.2
+    service_shape: float = param(
+        2.2, "(1, inf)", when=("service_model", "pareto")
+    )
     #: Log-space sigma when ``service_model == "lognormal"``.
-    service_sigma: float = 1.0
+    service_sigma: float = param(
+        1.0, "(0, inf)", when=("service_model", "lognormal")
+    )
     #: Subtask placement policy: "uniform" (the paper), "round-robin",
     #: "zipf" (hotspot), or "least-outstanding" (join-shortest-queue).
-    placement: str = "uniform"
+    #: The choices are the policy module's own, so the validated names
+    #: and the wired policies cannot drift apart.
+    placement: str = param(
+        "uniform", choices=PLACEMENT_POLICIES, label="placement={}".format,
+        rank=2,
+    )
     #: Zipf skew exponent when ``placement == "zipf"`` (0 = uniform).
-    placement_zipf_s: float = 1.0
+    placement_zipf_s: float = param(
+        1.0, "[0, inf)", when=("placement", "zipf")
+    )
     #: Optional per-node service-speed factors (heterogeneous hardware):
     #: node ``i`` serves in ``ex / factor_i`` time.  ``None`` = homogeneous.
-    node_speed_factors: Optional[Tuple[float, ...]] = None
+    node_speed_factors: Optional[Tuple[float, ...]] = param(
+        None, "(0, inf)", kind=PER_NODE, noun="speed factor",
+        label=lambda _: "heterogeneous-speeds", rank=6,
+    )
     #: Optional piecewise time-varying load: ``((duration_fraction,
     #: rate_multiplier), ...)`` segments spanning ``sim_time`` in order;
     #: arrival rates are scaled by the active segment's multiplier (the
     #: last segment persists past the end).  ``None`` = stationary.
-    load_profile: Optional[Tuple[Tuple[float, float], ...]] = None
+    load_profile: Optional[Tuple[Tuple[float, float], ...]] = param(
+        None, "(0, inf)", kind=PROFILE, label=lambda _: "time-varying-load",
+        rank=7,
+    )
     #: Optional node-failure model (crash/recovery processes, crash
     #: semantics, retry/backoff knobs; see :mod:`repro.system.faults`).
     #: ``None`` -- and any spec with ``mttf == 0`` -- wires nothing, so
     #: fault-free runs stay bit-identical to the pre-fault engine.
-    faults: Optional[FaultSpec] = None
+    faults: Optional[FaultSpec] = param(
+        None, kind=FaultSpec, label=_spec_label, rank=3
+    )
     #: Optional failure-detection model (heartbeats over lossy/delayed
     #: links feeding a timeout or phi-accrual detector; see
     #: :mod:`repro.system.detector`).  ``None`` -- and any spec with
     #: ``heartbeat_interval == 0`` -- wires nothing: placement and retry
     #: keep consulting the oracle live set, bit-identical to before.
-    detector: Optional[DetectorSpec] = None
+    detector: Optional[DetectorSpec] = param(
+        None, kind=DetectorSpec, label=_spec_label, rank=4
+    )
 
     # -- run control ----------------------------------------------------------
     #: Length of one run in simulated time units (the paper used 1e6).
-    sim_time: float = 20_000.0
+    sim_time: float = param(20_000.0, "(0, inf)")
     #: Transient phase discarded before statistics start.
-    warmup_time: float = 2_000.0
+    warmup_time: float = param(2_000.0, "[0, inf)")
     #: Master random seed.
-    seed: int = 1
+    seed: int = param(1)
 
     # -- validation ------------------------------------------------------------
 
     def __post_init__(self) -> None:
-        # Fleet-scale configs (10^4 - 10^5 nodes) are first-class:
-        # validation stays O(1) in the node count except where a
-        # per-node tuple (speeds, weights) is actually supplied.  The
-        # strict int check matters at that scale -- a float node count
-        # (e.g. 1e5) would slip past a ``< 1`` bound and break every
-        # ``range(node_count)`` downstream.
-        if not isinstance(self.node_count, int) or self.node_count < 1:
-            raise ValueError(
-                f"node_count must be an int >= 1, got {self.node_count!r}"
-            )
-        if not isinstance(self.subtask_count, int) or self.subtask_count < 1:
-            raise ValueError(
-                f"subtask_count must be an int >= 1, got "
-                f"{self.subtask_count!r}"
-            )
-        if not 0.0 <= self.load < 1.0:
-            raise ValueError(f"load must lie in [0, 1), got {self.load}")
-        if not 0.0 <= self.frac_local <= 1.0:
-            raise ValueError(
-                f"frac_local must lie in [0, 1], got {self.frac_local}"
-            )
-        # Real-valued knobs are checked as NOT (finite and in range), so
-        # NaN and infinities are rejected here rather than slipping past
-        # a plain ``<= 0`` and failing later in the distribution code.
-        if not all(
-            math.isfinite(mu) and mu > 0
-            for mu in (self.mu_local, self.mu_subtask)
-        ):
-            raise ValueError(
-                f"service rates must be finite and positive, got "
-                f"{self.mu_local} / {self.mu_subtask}"
-            )
-        slack_lo, slack_hi = self.slack_range
-        if not (
-            math.isfinite(slack_lo) and math.isfinite(slack_hi)
-            and 0 <= slack_lo <= slack_hi
-        ):
-            raise ValueError(f"bad slack range {self.slack_range}")
-        if not (math.isfinite(self.rel_flex) and self.rel_flex >= 0):
-            raise ValueError(
-                f"rel_flex must be finite and non-negative: {self.rel_flex}"
-            )
-        if not 0.0 <= self.pex_error < 1.0:
-            raise ValueError(f"pex_error must lie in [0, 1): {self.pex_error}")
-        if self.overload_policy not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"unknown overload_policy {self.overload_policy!r}; "
-                f"expected one of {tuple(OVERLOAD_POLICIES)}"
-            )
-        if self.task_structure not in _STRUCTURES:
-            raise ValueError(
-                f"unknown task_structure {self.task_structure!r}; "
-                f"expected one of {_STRUCTURES}"
-            )
-        if not (
-            math.isfinite(self.warmup_time) and math.isfinite(self.sim_time)
-        ) or self.warmup_time < 0 or self.sim_time <= self.warmup_time:
-            raise ValueError(
-                f"need finite 0 <= warmup_time < sim_time, got "
-                f"{self.warmup_time} / {self.sim_time}"
-            )
-        if self.subtask_count_range is not None:
-            lo, hi = self.subtask_count_range
-            if lo < 1 or hi < lo:
-                raise ValueError(
-                    f"bad subtask_count_range {self.subtask_count_range}"
-                )
-        if self.local_load_weights is not None:
-            if len(self.local_load_weights) != self.node_count:
-                raise ValueError(
-                    "local_load_weights must have one weight per node "
-                    f"({self.node_count}), got {len(self.local_load_weights)}"
-                )
-            if any(w < 0 for w in self.local_load_weights):
-                raise ValueError("local load weights must be non-negative")
-            if sum(self.local_load_weights) == 0:
-                raise ValueError("local load weights must not all be zero")
-        if self.arrival_model not in _ARRIVAL_MODELS:
-            raise ValueError(
-                f"unknown arrival_model {self.arrival_model!r}; "
-                f"expected one of {_ARRIVAL_MODELS}"
-            )
-        if self.arrival_model == "hyperexp" and not (
-            math.isfinite(self.arrival_cv2) and self.arrival_cv2 >= 1.0
-        ):
-            raise ValueError(
-                f"arrival_cv2 must be finite and >= 1 for hyperexp, got "
-                f"{self.arrival_cv2}"
-            )
-        if self.arrival_model == "mmpp2":
-            if not (
-                math.isfinite(self.arrival_burst_ratio)
-                and self.arrival_burst_ratio >= 1.0
+        # One walk over the field table, then the rules that tie fields
+        # together.  A field still holding its default object is skipped:
+        # every default lies in its domain.  Fleet-scale configs (10^5
+        # nodes) are first-class: validation is O(1) in the node count
+        # unless a per-node tuple is actually supplied.
+        for name, domain in DOMAINS.items():
+            value = getattr(self, name)
+            if value is domain.default or (
+                domain.when is not None
+                and getattr(self, domain.when[0]) != domain.when[1]
             ):
+                continue
+            try:
+                accepted = domain.accepts(value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+            if not accepted:
                 raise ValueError(
-                    f"arrival_burst_ratio must be finite and >= 1, got "
-                    f"{self.arrival_burst_ratio}"
+                    f"{name} must be {domain.expects()}, got {value!r}"
                 )
-            if not 0.0 < self.arrival_burst_fraction < 1.0:
-                raise ValueError(
-                    f"arrival_burst_fraction must lie in (0, 1), got "
-                    f"{self.arrival_burst_fraction}"
-                )
-            if not (
-                math.isfinite(self.arrival_cycle_time)
-                and self.arrival_cycle_time > 0
-            ):
-                raise ValueError(
-                    f"arrival_cycle_time must be finite and positive, got "
-                    f"{self.arrival_cycle_time}"
-                )
-        if self.service_model not in _SERVICE_MODELS:
-            raise ValueError(
-                f"unknown service_model {self.service_model!r}; "
-                f"expected one of {_SERVICE_MODELS}"
-            )
-        if self.service_model == "pareto" and not (
-            math.isfinite(self.service_shape) and self.service_shape > 1.0
-        ):
-            raise ValueError(
-                f"service_shape must be finite and exceed 1, got "
-                f"{self.service_shape}"
-            )
-        if self.service_model == "lognormal" and not (
-            math.isfinite(self.service_sigma) and self.service_sigma > 0
-        ):
-            raise ValueError(
-                f"service_sigma must be finite and positive, got "
-                f"{self.service_sigma}"
-            )
-        if self.placement not in _PLACEMENT_MODELS:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"expected one of {_PLACEMENT_MODELS}"
-            )
-        if self.placement == "zipf" and not (
-            math.isfinite(self.placement_zipf_s) and self.placement_zipf_s >= 0
-        ):
-            raise ValueError(
-                f"placement_zipf_s must be finite and non-negative, got "
-                f"{self.placement_zipf_s}"
-            )
-        if self.node_speed_factors is not None:
-            if len(self.node_speed_factors) != self.node_count:
-                raise ValueError(
-                    "node_speed_factors must have one factor per node "
-                    f"({self.node_count}), got {len(self.node_speed_factors)}"
-                )
-            # NOT-greater-than comparisons, so NaN factors are rejected
-            # too (NaN would otherwise slip past `f <= 0` and poison the
-            # event clock via ex / speed).
-            if not all(
-                math.isfinite(f) and f > 0 for f in self.node_speed_factors
-            ):
-                raise ValueError(
-                    f"node speed factors must be finite and positive, got "
-                    f"{self.node_speed_factors}"
-                )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise ValueError(
-                f"faults must be a FaultSpec or None, got "
-                f"{type(self.faults).__name__}"
-            )
-        if self.detector is not None and not isinstance(
-            self.detector, DetectorSpec
-        ):
-            raise ValueError(
-                f"detector must be a DetectorSpec or None, got "
-                f"{type(self.detector).__name__}"
-            )
-        if self.load_profile is not None:
-            if not self.load_profile:
-                raise ValueError("load_profile must have at least one segment")
-            for segment in self.load_profile:
-                if len(segment) != 2:
-                    raise ValueError(
-                        f"load_profile segments are (duration_fraction, "
-                        f"multiplier) pairs, got {segment!r}"
-                    )
-                fraction, multiplier = segment
-                if not (math.isfinite(fraction) and fraction > 0):
-                    raise ValueError(
-                        f"load_profile duration fractions must be finite "
-                        f"and positive, got {fraction}"
-                    )
-                if not (math.isfinite(multiplier) and multiplier > 0):
-                    raise ValueError(
-                        f"load_profile multipliers must be finite and "
-                        f"positive, got {multiplier}"
-                    )
-            total = sum(fraction for fraction, _ in self.load_profile)
-            if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError(
-                    f"load_profile duration fractions must sum to 1, got "
-                    f"{total}"
-                )
-        if self.peak_load >= 1.0 and self.load > 0:
-            raise ValueError(
-                f"peak normalized load {self.peak_load:.3f} >= 1 "
-                "(unstable): lower load, flatten the load_profile, or "
-                "raise the slowest node's speed factor"
-            )
-        if self.task_structure == PARALLEL and (
-            self.subtask_count > self.node_count
-        ):
-            raise ValueError(
-                f"parallel fan-out {self.subtask_count} exceeds node count "
-                f"{self.node_count}"
-            )
-        if self.task_structure == SERIAL_PARALLEL and (
-            self.stage_width > self.node_count
-        ):
-            raise ValueError(
-                f"stage width {self.stage_width} exceeds node count "
-                f"{self.node_count}"
-            )
+        for holds, problem in _RULES:
+            if not holds(self):
+                raise ValueError(problem.format(c=self))
 
     # -- derived workload parameters -----------------------------------------
 
@@ -453,11 +422,6 @@ class SystemConfig:
         total = sum(self.local_load_weights)
         scale = self.node_count / total
         return tuple(base * w * scale for w in self.local_load_weights)
-
-    @property
-    def mean_global_execution(self) -> float:
-        """Expected total service demand of one global task."""
-        return self.mean_subtask_count / self.mu_subtask
 
     @property
     def mean_critical_path(self) -> float:
@@ -512,7 +476,7 @@ class SystemConfig:
             return Pareto(1.0 / rate, self.service_shape)
         if self.service_model == "lognormal":
             return Lognormal(1.0 / rate, self.service_sigma)
-        return _exponential_with_rate(rate)
+        return Exponential(1.0 / rate)
 
     def interarrival_distribution(self, rate: float) -> Distribution:
         """Interarrival distribution for a stream of mean rate ``rate``
@@ -561,10 +525,38 @@ class SystemConfig:
         )
 
 
-def _exponential_with_rate(rate: float) -> Distribution:
-    from ..sim.distributions import Exponential
+#: Every field's :class:`Domain`, in field order.
+DOMAINS: Dict[str, Domain] = {
+    f.name: f.metadata[_DOMAIN] for f in fields(SystemConfig)
+}
 
-    return Exponential(1.0 / rate)
+#: The rules that tie fields together: ``(holds(config), message)``.
+_RULES: Tuple[Tuple[Callable[[SystemConfig], bool], str], ...] = (
+    (lambda c: c.warmup_time < c.sim_time,
+     "need warmup_time < sim_time, got {c.warmup_time} / {c.sim_time}"),
+    (lambda c: c.local_load_weights is None
+     or len(c.local_load_weights) == c.node_count,
+     "local_load_weights must have one weight per node ({c.node_count})"),
+    (lambda c: c.node_speed_factors is None
+     or len(c.node_speed_factors) == c.node_count,
+     "node_speed_factors must have one speed factor per node "
+     "({c.node_count})"),
+    (lambda c: c.local_load_weights is None or any(c.local_load_weights),
+     "local_load_weights must not all be zero"),
+    (lambda c: c.load_profile is None or math.isclose(
+        sum(fraction for fraction, _ in c.load_profile), 1.0,
+        rel_tol=1e-9, abs_tol=1e-9),
+     "load_profile duration fractions must sum to 1, got {c.load_profile}"),
+    (lambda c: c.task_structure != PARALLEL
+     or c.subtask_count <= c.node_count,
+     "parallel fan-out {c.subtask_count} exceeds node count {c.node_count}"),
+    (lambda c: c.task_structure != SERIAL_PARALLEL
+     or c.stage_width <= c.node_count,
+     "stage width {c.stage_width} exceeds node count {c.node_count}"),
+    (lambda c: c.load == 0 or c.peak_load < 1.0,
+     "peak normalized load {c.peak_load:.3f} >= 1 (unstable): lower load, "
+     "flatten the load_profile, or raise the slowest node's speed factor"),
+)
 
 
 def baseline_config(**overrides) -> SystemConfig:
@@ -586,10 +578,7 @@ def parallel_baseline_config(**overrides) -> SystemConfig:
 def serial_parallel_config(**overrides) -> SystemConfig:
     """The Sec. 6 experiment: serial chains of parallel stages."""
     config = SystemConfig(
-        task_structure=SERIAL_PARALLEL,
-        stages=2,
-        stage_width=2,
-        strategy="UD-UD",
+        task_structure=SERIAL_PARALLEL, stages=2, stage_width=2, strategy="UD-UD"
     )
     return config.with_(**overrides) if overrides else config
 

@@ -170,12 +170,6 @@ class ReadyQueue:
         """The unit that would be dispatched next, or ``None``."""
         return self._heap[0][3] if self._heap else None
 
-    def key_of(self, unit: WorkUnit) -> tuple:
-        """The (class, policy-key) priority of a unit under this queue's
-        policy -- lexicographically smaller dispatches first.  Used by the
-        preemptive node to compare an arrival against the unit in service."""
-        return (unit.priority_class, self._policy.key(unit))
-
     def __len__(self) -> int:
         return len(self._heap)
 

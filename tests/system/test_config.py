@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
 from repro.sim.distributions import Deterministic, DiscreteUniform
 from repro.system.config import (
+    DOMAINS,
     PARALLEL,
     SERIAL,
     SERIAL_PARALLEL,
@@ -220,11 +222,88 @@ class TestValidation:
             {"service_model": "pareto", "service_shape": float("inf")},
             {"service_model": "lognormal", "service_sigma": float("nan")},
             {"service_model": "lognormal", "service_sigma": float("inf")},
+            # Each of these would otherwise fail inside a run.
+            {"task_structure": SERIAL_PARALLEL, "stages": 0},
+            {"task_structure": SERIAL_PARALLEL, "stage_width": 0},
+            {"subtask_count_range": (1.5, 3.0)},
+            {"parallel_slack_range": (5.0, 1.0)},
+            {"scheduler": "BOGUS"},
+            {"strategy": "BOGUS"},
+            {"local_load_weights": (float("nan"),) * 6},
+            # Each of these would otherwise run, with a bool or float
+            # standing in for an int or a real.
+            {"node_count": True},
+            {"mu_local": True},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_bad_settings(self, overrides):
         with pytest.raises(ValueError):
             SystemConfig(**{**{}, **overrides})
+
+
+#: One out-of-domain value per field, with the overrides that make its
+#: domain apply.
+OUT_OF_DOMAIN = {
+    "node_count": (0, {}),
+    "subtask_count": (2.0, {}),
+    "load": (1.0, {}),
+    "frac_local": (-0.5, {}),
+    "mu_local": (float("inf"), {}),
+    "mu_subtask": (0, {}),
+    "slack_range": ((1.0,), {}),
+    "rel_flex": ("1", {}),
+    "pex_error": (float("nan"), {}),
+    "scheduler": ("LIFO", {}),
+    "overload_policy": ("abort-everything", {}),
+    "preemptive": (1, {}),
+    "trace": ("yes", {}),
+    "strategy": ("EQF-BOGUS", {}),
+    "task_structure": ("ring", {}),
+    "stages": (-1, {}),
+    "stage_width": (True, {}),
+    "parallel_slack_range": ([1.25, 5.0], {}),
+    "subtask_count_range": ((0, 3), {}),
+    "local_load_weights": ((1.0,) * 5 + (-1.0,), {}),
+    "arrival_model": ("bursty", {}),
+    "arrival_cv2": (0.5, {"arrival_model": "hyperexp"}),
+    "arrival_burst_ratio": (0.5, {"arrival_model": "mmpp2"}),
+    "arrival_burst_fraction": (1.0, {"arrival_model": "mmpp2"}),
+    "arrival_cycle_time": (0.0, {"arrival_model": "mmpp2"}),
+    "service_model": ("weibull", {}),
+    "service_shape": (1.0, {"service_model": "pareto"}),
+    "service_sigma": (0.0, {"service_model": "lognormal"}),
+    "placement": ("random", {}),
+    "placement_zipf_s": (-1.0, {"placement": "zipf"}),
+    "node_speed_factors": ((1.0,) * 5 + (0.0,), {}),
+    "load_profile": (((1.0, 1.0, 1.0),), {}),
+    "faults": ({"mttf": 400.0}, {}),
+    "detector": ("timeout", {}),
+    "sim_time": (-1.0, {}),
+    "warmup_time": (-1.0, {}),
+    "seed": (1.5, {}),
+}
+
+
+class TestFieldDomains:
+    def test_every_field_declares_a_domain(self):
+        assert list(DOMAINS) == [f.name for f in fields(SystemConfig)]
+        assert set(OUT_OF_DOMAIN) == set(DOMAINS)
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_every_default_lies_in_its_domain(self, name):
+        # Construction skips a field that still holds its default.
+        assert DOMAINS[name].accepts(DOMAINS[name].default)
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
+    def test_out_of_domain_value_names_its_field(self, name):
+        value, context = OUT_OF_DOMAIN[name]
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            SystemConfig(**context, **{name: value})
+
+    def test_guarded_domain_applies_only_under_its_model(self):
+        # arrival_cv2 parameterizes the hyperexp model alone.
+        assert SystemConfig(arrival_cv2=0.5).arrival_cv2 == 0.5
 
 
 class TestConvenience:

@@ -84,11 +84,17 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sim_time, warmup",
-        [("nan", "10"), ("inf", "10"), ("500", "nan"), ("500", "inf"),
-         ("5", "10")],
+        "sim_time, warmup, problem",
+        [("nan", "10", "sim_time must be"),
+         ("inf", "10", "sim_time must be"),
+         ("500", "nan", "warmup_time must be"),
+         ("500", "inf", "warmup_time must be"),
+         ("5", "10", "warmup_time < sim_time")],
+        ids=["nan-10", "inf-10", "500-nan", "500-inf", "5-10"],
     )
-    def test_bad_horizon_is_an_input_error(self, capsys, sim_time, warmup):
+    def test_bad_horizon_is_an_input_error(
+        self, capsys, sim_time, warmup, problem
+    ):
         """Non-finite or inverted horizons are refused up front (a ``nan``
         sim time used to run forever) with an error line, not a
         traceback."""
@@ -96,7 +102,7 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "warmup_time < sim_time" in err
+        assert problem in err
 
 
 class TestParser:
