@@ -565,22 +565,21 @@ def baseline_config(**overrides) -> SystemConfig:
     Keyword overrides are applied on top, e.g.
     ``baseline_config(strategy="EQF", load=0.3)``.
     """
-    return SystemConfig().with_(**overrides) if overrides else SystemConfig()
+    return SystemConfig(**overrides)
 
 
 def parallel_baseline_config(**overrides) -> SystemConfig:
     """The Sec. 5.2 parallel baseline: fans of 4 at distinct nodes, slack
     ``U[1.25, 5.0]``."""
-    config = SystemConfig(task_structure=PARALLEL)
-    return config.with_(**overrides) if overrides else config
+    return SystemConfig(**{"task_structure": PARALLEL, **overrides})
 
 
 def serial_parallel_config(**overrides) -> SystemConfig:
     """The Sec. 6 experiment: serial chains of parallel stages."""
-    config = SystemConfig(
-        task_structure=SERIAL_PARALLEL, stages=2, stage_width=2, strategy="UD-UD"
-    )
-    return config.with_(**overrides) if overrides else config
+    return SystemConfig(**{
+        "task_structure": SERIAL_PARALLEL, "stages": 2, "stage_width": 2,
+        "strategy": "UD-UD", **overrides,
+    })
 
 
 def verify_load_arithmetic(config: SystemConfig) -> float:
