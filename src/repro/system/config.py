@@ -170,7 +170,8 @@ class Domain:
         if self.kind is str:
             text = "a str" if self.check else f"one of {tuple(self.choices)}"
         else:
-            text = _EXPECTS.get(self.kind, "a {d.kind.__name__}").format(d=self)
+            text = _EXPECTS.get(self.kind, "a {d.kind.__name__}")
+            text = text.format(d=self)
         text += f" in {self.bounds}" if self.bounds else ""
         return text if self.default is not None else f"{text} or None"
 
@@ -254,7 +255,9 @@ class SystemConfig:
 
     # -- global task shape ---------------------------------------------------
     #: One of "serial", "parallel", "serial-parallel".
-    task_structure: str = param(SERIAL, choices=(SERIAL, PARALLEL, SERIAL_PARALLEL))
+    task_structure: str = param(
+        SERIAL, choices=(SERIAL, PARALLEL, SERIAL_PARALLEL)
+    )
     #: For serial-parallel trees: number of serial stages.
     stages: int = param(2, "[1, inf)")
     #: For serial-parallel trees: parallel width of each stage.
