@@ -8,8 +8,6 @@ Usage::
     repro-experiments run Fig2 --scale full --workers 0   # all CPU cores
     repro-experiments run V6 --scale smoke
     repro-experiments simulate --strategy EQF --load 0.5 --structure serial
-    repro-experiments simulate --strategy EQF --checkpoint run.ckpt
-    repro-experiments simulate --resume run.ckpt
     repro-experiments simulate --metrics-out run.metrics.jsonl
     repro-experiments metrics tail run.metrics.jsonl
     repro-experiments metrics summarize run.metrics.jsonl
@@ -34,11 +32,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .checkpoint import CheckpointError, CheckpointPolicy, load_checkpoint
 from .experiments.figures import FigureResult
 from .experiments.registry import EXPERIMENTS, get_experiment
 from .experiments.runner import SCALES, JournalError, resolve_workers
 from .experiments.variations import VariationResult
+from .files import CorruptFileError
 from .scenarios import (
     DEFAULT_STRATEGIES,
     SCENARIOS,
@@ -126,42 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="master random seed (echoed in the output for reproducibility)",
-    )
-    simulate.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help=(
-            "periodically snapshot the run to this file (resume with "
-            "--resume; the finished result is bit-identical either way)"
-        ),
-    )
-    simulate.add_argument(
-        "--checkpoint-events",
-        type=int,
-        default=0,
-        metavar="N",
-        help="checkpoint every N simulation events (with --checkpoint)",
-    )
-    simulate.add_argument(
-        "--checkpoint-seconds",
-        type=float,
-        default=0.0,
-        metavar="T",
-        help=(
-            "checkpoint every T wall-clock seconds (with --checkpoint; "
-            "default 60 when no other trigger is given)"
-        ),
-    )
-    simulate.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help=(
-            "resume from a checkpoint file instead of starting fresh "
-            "(the config flags above are ignored; the checkpoint "
-            "carries its own)"
-        ),
     )
     simulate.add_argument(
         "--metrics-out",
@@ -349,26 +311,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_policy(args: argparse.Namespace) -> Optional[CheckpointPolicy]:
-    """Build the ``--checkpoint`` policy, defaulting to a 60 s timer."""
-    if args.checkpoint is None:
-        if args.checkpoint_events or args.checkpoint_seconds:
-            raise ValueError(
-                "--checkpoint-events/--checkpoint-seconds need --checkpoint "
-                "PATH to write to"
-            )
-        return None
-    every_events = args.checkpoint_events
-    every_seconds = args.checkpoint_seconds
-    if not every_events and not every_seconds:
-        every_seconds = 60.0
-    return CheckpointPolicy(
-        path=args.checkpoint,
-        every_events=every_events,
-        every_seconds=every_seconds,
-    )
-
-
 #: Default event interval between emitted records when --metrics-out is
 #: given without an explicit trigger (event-based, so the record count
 #: is reproducible run to run).
@@ -397,36 +339,21 @@ def _emission_policy(args: argparse.Namespace) -> Optional[EmissionPolicy]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        policy = _checkpoint_policy(args)
         emit = _emission_policy(args)
-        if args.resume is not None:
-            simulation = load_checkpoint(args.resume)
-            print(
-                f"resumed from {args.resume} at t={simulation.env.now:g}",
-                file=sys.stderr,
-            )
-        else:
-            simulation = Simulation(SystemConfig(
-                strategy=args.strategy,
-                load=args.load,
-                frac_local=args.frac_local,
-                task_structure=args.structure,
-                scheduler=args.scheduler,
-                sim_time=args.sim_time,
-                warmup_time=args.warmup,
-                seed=args.seed,
-            ))
-    except FileNotFoundError:
-        print(
-            f"error: {args.resume}: no such checkpoint file (a run "
-            "shorter than its first trigger interval writes none)",
-            file=sys.stderr,
-        )
-        return 2
-    except (CheckpointError, ValueError) as exc:
+        simulation = Simulation(SystemConfig(
+            strategy=args.strategy,
+            load=args.load,
+            frac_local=args.frac_local,
+            task_structure=args.structure,
+            scheduler=args.scheduler,
+            sim_time=args.sim_time,
+            warmup_time=args.warmup,
+            seed=args.seed,
+        ))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = simulation.run(checkpoint=policy, emit=emit)
+    result = simulation.run(emit=emit)
     config = simulation.config
     rows = [
         ["MD_local", format_percent(result.md_local)],
@@ -453,7 +380,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: {args.path}: no such metrics series", file=sys.stderr)
         return 2
-    except CheckpointError as exc:
+    except CorruptFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.metrics_command == "tail":

@@ -24,6 +24,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .base import ParallelContext, PriorityClass, PSPStrategy
@@ -42,7 +43,8 @@ class UltimateDeadlineParallel(PSPStrategy):
 class DivX(PSPStrategy):
     """DIV-x: divide the group's window by ``x * n``.
 
-    ``x`` must be positive; larger ``x`` means earlier virtual deadlines.
+    ``x`` must be finite and positive; larger ``x`` means earlier virtual
+    deadlines.
     Note the virtual deadline always stays strictly later than ``ar(T)``
     for any finite ``x`` (the paper contrasts this with GF).
     """
@@ -50,8 +52,9 @@ class DivX(PSPStrategy):
     x: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.x <= 0:
-            raise ValueError(f"DIV-x needs x > 0, got {self.x}")
+        # Written so that a NaN x fails the comparison too.
+        if not 0 < self.x < math.inf:
+            raise ValueError(f"DIV-x needs a finite x > 0, got {self.x}")
 
     @property
     def name(self) -> str:  # type: ignore[override]

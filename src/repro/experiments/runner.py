@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..checkpoint import atomic_write
+from ..files import atomic_write
 from ..stats.confidence import IntervalEstimate, interval_from_samples
 from ..system.config import SystemConfig
 from ..system.metrics import FOLDS, RunResult

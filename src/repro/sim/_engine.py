@@ -1,9 +1,7 @@
 """Monomorphic discrete-event engine core.
 
 This module is the simulator's event list and run loop: the one engine
-every model runs on.  ``repro.sim.core`` re-exports its public names;
-the module keeps its own name because checkpoints pickle engine class
-paths as ``repro.sim._engine.*``.
+every model runs on.  ``repro.sim.core`` re-exports its public names.
 
 Design rules
 ------------
@@ -85,17 +83,6 @@ _INF = float("inf")
 Callback = Callable[[Any], None]
 
 
-def _new_instance(cls: type) -> Any:
-    """Reconstructor for pickled engine objects.
-
-    ``_Sleep.__init__`` pushes onto the event list as a side effect, so
-    unpickling must bypass constructors: allocate bare and let
-    ``__setstate__`` fill the slots.  Module-level so pickles reference it
-    by name.
-    """
-    return cls.__new__(cls)
-
-
 @final
 class _Sleep:
     """A pooled one-shot timer: one callback, ``delay`` time units out.
@@ -152,16 +139,6 @@ class _Sleep:
     def __repr__(self) -> str:
         return f"<_Sleep {self.callback!r} at {id(self):#x}>"
 
-    def __reduce__(self) -> Any:
-        # The state-third-tuple form, not constructor args: the event
-        # graph is cyclic (env -> queue -> sleep -> callback -> owner ->
-        # env), and pickle can only memoize this object between
-        # allocation and __setstate__.
-        return (_new_instance, (_Sleep,), (self.callback, self._processed))
-
-    def __setstate__(self, state: Any) -> None:
-        self.callback, self._processed = state
-
 
 @final
 class _Call:
@@ -188,15 +165,6 @@ class _Call:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<_Call {self.callback!r} at {id(self):#x}>"
-
-    def __reduce__(self) -> Any:
-        # State form for the same reason as _Sleep: the callback is
-        # usually a bound method of an object that (transitively) holds
-        # this very event.
-        return (_new_instance, (_Call,), (self.callback, self._value))
-
-    def __setstate__(self, state: Any) -> None:
-        self.callback, self._value = state
 
 
 @final
@@ -296,30 +264,12 @@ class Environment:
         ``count.__next__`` cannot be read non-destructively, so this
         draws the number and rebinds a fresh counter starting at the
         same value -- the following real ``_next_seq()`` call yields
-        exactly this number again.  Used by checkpointing (progress
-        triggers, and snapshotting the counter position).
+        exactly this number again.  Used by metric emission (the
+        interval trigger and each record's event count).
         """
         seq = self._next_seq()
         self._next_seq = count(seq).__next__
         return seq
-
-    # -- pickling (checkpoint/resume) ------------------------------------
-
-    def __reduce__(self) -> Any:
-        return (
-            _new_instance,
-            (Environment,),
-            (self._now, self._seq_peek(), list(self._queue),
-             list(self._urgent), list(self._sleep_pool)),
-        )
-
-    def __setstate__(self, state: Any) -> None:
-        now, seq, queue, urgent, pool = state
-        self._now = now
-        self._queue = queue
-        self._next_seq = count(seq).__next__
-        self._urgent = deque(urgent)
-        self._sleep_pool = pool
 
     def step(self) -> None:
         """Process the single next event.

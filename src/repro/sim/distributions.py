@@ -442,11 +442,8 @@ class MMPP2Interarrival(Distribution):
 class _MMPP2Sampler:
     """Bound, stateful MMPP(2) interarrival sampler.
 
-    A callable object rather than a closure so that checkpointing can
-    pickle it: the modulating chain's current state must survive a
-    snapshot bit for bit (rebinding would reset the chain to calm).  All
-    randomness lives in the bound stream, which pickles with its full
-    Mersenne state.
+    Carries the modulating chain's current state between draws; all
+    randomness lives in the bound stream.
     """
 
     __slots__ = ("stream", "rates", "sojourns", "state")
@@ -474,12 +471,6 @@ class _MMPP2Sampler:
                 return gap + to_arrival
             gap += to_switch
             state = 1 - state
-
-    def __getstate__(self) -> tuple:
-        return (self.stream, self.rates, self.sojourns, self.state)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.stream, self.rates, self.sojourns, self.state = state
 
 
 def exponential_interarrival(rate: float) -> Exponential:

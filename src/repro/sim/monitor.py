@@ -17,8 +17,7 @@ express, :class:`DecayedMean` and :class:`DecayedRate` maintain
 exponentially time-decayed estimates (window parameter ``tau`` in
 sim-time units): observations older than a few ``tau`` stop mattering, so
 the value tracks the current regime instead of the whole history.  Both
-are O(1) memory, draw no random numbers, and pickle bit-identically
-inside checkpoints.
+are O(1) memory and draw no random numbers.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, Iterator
+from typing import Dict, Iterator
 
 
 class StreamFactory:
@@ -53,8 +53,7 @@ class StreamFactory:
         Useful for replications: ``factory.spawn(f"rep-{i}")`` gives each
         replication its own independent universe of named streams.  The
         sub-factory is cached, so repeated spawns of the same name return
-        the same object -- which lets :meth:`getstate` cover the whole
-        factory tree.
+        the same object.
         """
         child = self._children.get(name)
         if child is None:
@@ -69,44 +68,6 @@ class StreamFactory:
     def names(self) -> Iterator[str]:
         """Names of all streams created so far (for diagnostics)."""
         return iter(self._streams)
-
-    # -- state snapshot (checkpoint/resume) ------------------------------
-
-    def getstate(self) -> Dict[str, Any]:
-        """Snapshot every stream's generator state, in creation order.
-
-        Covers all streams created so far plus every :meth:`spawn`'d
-        sub-factory (recursively).  The result round-trips through
-        :meth:`setstate` and is picklable.
-        """
-        return {
-            "seed": self.seed,
-            "streams": [
-                (name, stream.getstate())
-                for name, stream in self._streams.items()
-            ],
-            "children": [
-                (name, child.getstate())
-                for name, child in self._children.items()
-            ],
-        }
-
-    def setstate(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`getstate` snapshot.
-
-        Streams are matched by name (missing ones are created), so the
-        restore does not depend on this factory having created its
-        streams in the same order as the snapshotted one.
-        """
-        if state["seed"] != self.seed:
-            raise ValueError(
-                f"stream state was captured under seed {state['seed']}, "
-                f"cannot restore into a factory seeded {self.seed}"
-            )
-        for name, stream_state in state["streams"]:
-            self.get(name).setstate(stream_state)
-        for name, child_state in state["children"]:
-            self.spawn(name).setstate(child_state)
 
     def __repr__(self) -> str:
         return f"StreamFactory(seed={self.seed}, streams={len(self._streams)})"

@@ -28,9 +28,7 @@ attaching sketches to the metrics path is invisible to the golden
 determinism gate.  Chunk boundaries are observation *counts*, never
 wall-clock, and queries fold the pending block into a throwaway copy, so
 the committed state is a pure function of the observation sequence no
-matter when anything asks for an estimate.  State is plain slots (lists
-of floats/ints), so pickling a sketch inside a checkpoint restores it
-bit-identically.
+matter when anything asks for an estimate.
 """
 
 from __future__ import annotations

@@ -342,33 +342,6 @@ class _NodeChannel:
         self.expiry = None
         self.detector._suspect(self)
 
-    # -- pickling (checkpoint/resume) ------------------------------------
-    #
-    # The delay sampler is a bind() closure and cannot pickle, so the
-    # snapshot carries its (distribution, stream) pair instead and
-    # rebinds at restore -- bit-identical, since all randomness lives in
-    # the stream.  Captured *here* rather than looked up through
-    # ``self.detector`` in __setstate__: the detector is part of a
-    # reference cycle with its channels and may still be an empty shell
-    # when this channel's state is applied.
-
-    def __getstate__(self) -> tuple:
-        detector = self.detector
-        dist = detector.spec.delay_distribution()
-        delay_stream = (
-            detector.streams.get(f"hb-delay/node-{self.index}")
-            if dist is not None else None
-        )
-        return (
-            detector, self.index, self._loss, self.expiry, self.last,
-            self.samples, self.sample_sum, dist, delay_stream,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.detector, self.index, self._loss, self.expiry, self.last,
-         self.samples, self.sample_sum, dist, delay_stream) = state
-        self._delay = dist.bind(delay_stream) if dist is not None else None
-
 
 class FailureDetector:
     """Runs the heartbeat protocol and maintains the observed view.

@@ -11,7 +11,7 @@ snapshot ("what is the system doing now").
 
 Determinism: emission is *observation only*.  Interval records are cut
 at slice boundaries of the run loop -- the same seq-free mechanism the
-horizon sentinel and checkpoint triggers use -- and writing a record
+horizon sentinel uses -- and writing a record
 reads metric state without mutating it, draws no random numbers, and
 consumes no event sequence numbers.  Emission on/off is therefore
 invisible to the golden determinism gate (pinned in
@@ -30,10 +30,11 @@ File format (one JSON object per line, torn tail tolerated):
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..checkpoint import CheckpointError, JsonlAppender, read_jsonl
+from ..files import CorruptFileError, JsonlAppender, read_jsonl
 from .metrics import (
     DEFAULT_WINDOW_TAU,
     PER_NODE_DETAIL_THRESHOLD,
@@ -49,12 +50,13 @@ METRICS_VERSION = 1
 class EmissionPolicy:
     """When and where a run emits interval metric records.
 
-    Shares the trigger attributes (``every_events``/``every_seconds``)
-    with :class:`~repro.checkpoint.CheckpointPolicy`, so the same
-    slice-boundary :class:`~repro.checkpoint._Trigger` bookkeeping
-    drives both.  At least one trigger must be set.  ``tau`` is the
-    decay window (sim-time units) for the windowed signals attached for
-    the run.
+    ``every_events`` emits after that many kernel events,
+    ``every_seconds`` after that much wall time; at least one trigger
+    must be set.  Triggers are checked at slice boundaries of the
+    sliced run loop (the run is cut into ~128 time slices per phase),
+    so the granularity is bounded by the slice length, not exact.
+    ``tau`` is the decay window (sim-time units) for the windowed
+    signals attached for the run.
     """
 
     path: str
@@ -80,12 +82,35 @@ class EmissionPolicy:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
+class _Trigger:
+    """Slice-boundary bookkeeping for an :class:`EmissionPolicy`."""
+
+    def __init__(self, policy: EmissionPolicy, env: Any) -> None:
+        self.policy = policy
+        self.env = env
+        self._last_seq = env._seq_peek()
+        self._last_wall = time.monotonic()
+
+    def due(self) -> bool:
+        policy = self.policy
+        if policy.every_events > 0:
+            if self.env._seq_peek() - self._last_seq >= policy.every_events:
+                return True
+        if policy.every_seconds > 0:
+            if time.monotonic() - self._last_wall >= policy.every_seconds:
+                return True
+        return False
+
+    def reset(self) -> None:
+        self._last_seq = self.env._seq_peek()
+        self._last_wall = time.monotonic()
+
+
 class MetricsEmitter:
     """Writes the JSONL series for one run (see module docstring).
 
     Constructed by the run loop; not part of the simulation object
-    graph, so checkpoints never capture it -- a restored run passes a
-    fresh ``emit=`` policy and the series continues in a new file.
+    graph.
     """
 
     def __init__(self, policy: EmissionPolicy, simulation: Any) -> None:
@@ -153,14 +178,14 @@ def read_metrics_series(
 
     Tolerates a torn trailing line (the writer crashed mid-record),
     reporting it through ``on_torn`` when given; an invalid or missing
-    header raises :class:`CheckpointError`.
+    header raises :class:`~repro.files.CorruptFileError`.
     """
     records = read_jsonl(path, on_torn=on_torn)
     if not records or records[0].get("magic") != METRICS_MAGIC:
-        raise CheckpointError(f"{path}: not a repro metrics series")
+        raise CorruptFileError(f"{path}: not a repro metrics series")
     version = records[0].get("version")
     if version != METRICS_VERSION:
-        raise CheckpointError(
+        raise CorruptFileError(
             f"{path}: metrics series version {version} is not supported "
             f"(this build reads version {METRICS_VERSION})"
         )

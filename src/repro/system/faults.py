@@ -350,36 +350,6 @@ class _NodeFaultClock:
         self.pending = None
         self.injector._recover(self.index)
 
-    # -- pickling (checkpoint/resume) ------------------------------------
-    #
-    # The TTF/TTR samplers are bind() closures and cannot pickle, so the
-    # snapshot carries their (distribution, stream) pairs instead and
-    # rebinds at restore -- bit-identical, since all randomness lives in
-    # the streams.  The pairs must be captured *here* rather than looked
-    # up through ``self.injector`` in __setstate__: the injector is part
-    # of a reference cycle with its clocks and may still be an empty
-    # shell when this clock's state is applied.
-
-    def __getstate__(self) -> tuple:
-        injector = self.injector
-        streams = injector.streams
-        spec = injector.spec
-        return (
-            injector,
-            self.index,
-            self.pending,
-            spec.failure_distribution(),
-            spec.repair_distribution(),
-            streams.get(f"fault-ttf/node-{self.index}"),
-            streams.get(f"fault-ttr/node-{self.index}"),
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.injector, self.index, self.pending,
-         ttf_dist, ttr_dist, ttf_stream, ttr_stream) = state
-        self.next_ttf = ttf_dist.bind(ttf_stream)
-        self.next_ttr = ttr_dist.bind(ttr_stream)
-
 
 class FaultInjector:
     """Crashes and recovers nodes per a :class:`FaultSpec`.

@@ -45,14 +45,15 @@ slots on the node itself, which the collector reads through
 
 from __future__ import annotations
 
+import itertools
 import math
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
 from .overload import NoAbort, OverloadPolicy
-from .schedulers import FifoCounter, SchedulingPolicy
+from .schedulers import SchedulingPolicy
 from .work import WorkUnit
 
 
@@ -84,7 +85,7 @@ class Node:
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
-        fifo: Optional[FifoCounter] = None,
+        fifo: Optional[Iterator[int]] = None,
     ) -> None:
         if not (math.isfinite(speed) and speed > 0):
             raise ValueError(
@@ -128,11 +129,13 @@ class Node:
         # The inlined ready queue (ReadyQueue is the reference): the heap,
         # the policy key (a C-level ``fast_key`` when the policy has one)
         # and the FIFO tie-break counter, which the nodes of a simulation
-        # share (``FifoCounter``).
+        # share: heap entries are only compared within one node's heap,
+        # and a shared counter is still monotone within each heap, so
+        # sharing it leaves every dispatch order unchanged.
         self._policy = policy
         self._heap = []
         self._queue_key = getattr(policy, "fast_key", None) or policy.key
-        self._queue_seq = FifoCounter() if fifo is None else fifo
+        self._queue_seq = itertools.count() if fifo is None else fifo
         # The completion callback, bound once: a completion runs once per
         # unit, and bound-method creation alone is measurable at that
         # rate.  The idle wake needs no such object: the node is its own

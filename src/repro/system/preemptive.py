@@ -48,13 +48,13 @@ order.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
 from .overload import OverloadPolicy
-from .schedulers import FifoCounter, SchedulingPolicy
+from .schedulers import SchedulingPolicy
 from .work import WorkUnit
 
 
@@ -77,7 +77,7 @@ class PreemptiveNode(Node):
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
-        fifo: Optional[FifoCounter] = None,
+        fifo: Optional[Iterator[int]] = None,
     ) -> None:
         #: Remaining service demand (in demand units, not wall time) of
         #: units that have been preempted at least once, keyed by the

@@ -49,7 +49,8 @@ consumption can be considered as additional subtasks"); neither do we.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import count
+from typing import Iterator, Optional, Sequence
 
 from ..core.strategies import DeadlineAssigner
 from ..core.task import ParallelTask, SerialTask, SimpleTask, TaskClass, TaskNode
@@ -57,7 +58,6 @@ from ..core.timing import fast_timing
 from ..sim.core import NORMAL, Environment, _Call
 from .metrics import MetricsCollector
 from .node import Node
-from .schedulers import FifoCounter
 from .work import WorkUnit
 
 
@@ -261,11 +261,6 @@ class _FailedResult:
 
     timing = _Timing()
     lost = True
-
-    def __reduce__(self) -> str:
-        # Pickle by global reference so a restored checkpoint keeps the
-        # singleton (frames only read attributes, but exactness is free).
-        return "_FAILED"
 
 
 _FAILED = _FailedResult()
@@ -471,7 +466,7 @@ class ProcessManager:
         retry_stream=None,
         detector_spec=None,
         detector_stream=None,
-        unit_ids: Optional[FifoCounter] = None,
+        unit_ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.env = env
         self.nodes = list(nodes)
@@ -483,7 +478,7 @@ class ProcessManager:
         self._parallel_deadline = assigner.parallel_deadline
         # Work-unit ids (display labels), shared with the simulation's
         # local sources; a manager built alone numbers its own.
-        self._unit_ids = FifoCounter(1) if unit_ids is None else unit_ids
+        self._unit_ids = count(1) if unit_ids is None else unit_ids
         # Retry layer: armed only by a retry-enabled FaultSpec; the
         # fault-free (and retry-free) leaf path costs one None check.
         # ``live_set`` is whatever liveness view the simulation routes

@@ -24,7 +24,7 @@ sequence number breaks ties FIFO, keeping runs deterministic.
 
 :class:`ReadyQueue` is the reference implementation of that heap.  The
 nodes inline it (see :mod:`repro.system.node`) and draw their sequence
-numbers from one :class:`FifoCounter` per simulation.
+numbers from one ``itertools.count`` per simulation.
 """
 
 from __future__ import annotations
@@ -111,34 +111,12 @@ def get_policy(name: str) -> SchedulingPolicy:
         raise ValueError(f"unknown scheduling policy {name!r}; known: {known}")
 
 
-class FifoCounter(itertools.count):
-    """A per-simulation counter: the FIFO tie-break counter that all
-    nodes of one simulation share, and the run's work-unit ids.
-
-    Heap entries are only compared within one node's heap, and a shared
-    counter is still monotone within each heap, so sharing it leaves
-    every dispatch order unchanged -- and saves each node a counter of
-    its own.
-
-    Pickles by its position: pickling an ``itertools.count`` is
-    deprecated since Python 3.12 (and goes in 3.14).  ``count`` shows
-    its position only in its repr, ``FifoCounter(n)``; reading it there
-    leaves the live counter untouched.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self) -> tuple:
-        text = repr(self)
-        return (FifoCounter, (int(text[text.index("(") + 1:-1]),))
-
-
 class ReadyQueue:
     """Priority-ordered ready queue of work units.
 
     The reference for the ready queue that :class:`~repro.system.node.Node`
     inlines (the node keeps the heap in its own slots and shares one
-    :class:`FifoCounter` with its simulation's other nodes); tests pin the
+    ``itertools.count`` with its simulation's other nodes); tests pin the
     nodes' dispatch order against it.  Keys are computed at insertion
     (valid for all shipped policies; see module docstring).
     """

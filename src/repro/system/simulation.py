@@ -15,15 +15,15 @@ chosen SDA strategy, and the workload sources, then runs for
 
 from __future__ import annotations
 
+from itertools import count
 from typing import List, Optional
 
-from ..checkpoint import CheckpointPolicy, _Trigger, save_checkpoint
 from ..core.strategies import DeadlineAssigner, parse_assigner
 from ..sim.core import Environment
 from ..sim.rng import StreamFactory
 from .config import PARALLEL, SERIAL, SERIAL_PARALLEL, SystemConfig
 from .detector import FailureDetector, SuspicionView
-from .emission import EmissionPolicy, MetricsEmitter
+from .emission import EmissionPolicy, MetricsEmitter, _Trigger
 from .faults import FaultInjector, LiveSet
 from .metrics import MetricsCollector, RunResult
 from .node import Node
@@ -37,7 +37,7 @@ from .placement import (
 from .preemptive import PreemptiveNode
 from .overload import get_overload_policy
 from .process_manager import ProcessManager
-from .schedulers import FifoCounter, get_policy
+from .schedulers import get_policy
 from .tracing import TraceLog
 from .workload import (
     GlobalTaskFactory,
@@ -55,9 +55,6 @@ class Simulation:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        #: True once the warmup phase has run and metrics were reset;
-        #: lets a restored checkpoint resume without re-warming.
-        self._warmup_done = False
         self.env = Environment()
         self.streams = StreamFactory(config.seed)
         self.metrics = MetricsCollector(config.node_count)
@@ -71,10 +68,10 @@ class Simulation:
         overload = get_overload_policy(config.overload_policy)
         speeds = config.node_speed_factors
         node_type = PreemptiveNode if config.preemptive else Node
-        fifo = FifoCounter()
+        fifo = count()
         # One work-unit id counter per run: the local sources and the
         # process manager draw trace labels from it.
-        unit_ids = FifoCounter(1)
+        unit_ids = count(1)
         self.nodes: List[Node] = [
             node_type(
                 env=self.env,
@@ -274,19 +271,8 @@ class Simulation:
             )
         raise ValueError(f"unknown task structure {config.task_structure!r}")
 
-    def run(
-        self,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        emit: Optional[EmissionPolicy] = None,
-    ) -> RunResult:
+    def run(self, emit: Optional[EmissionPolicy] = None) -> RunResult:
         """Execute the configured run and return its measurements.
-
-        With a :class:`~repro.checkpoint.CheckpointPolicy`, the run is
-        periodically snapshotted to the policy's path; a snapshot
-        restored with :func:`~repro.checkpoint.load_checkpoint` finishes
-        the run bit-identically to the uninterrupted one.  Works both on
-        fresh simulations and on restored ones (which skip the already
-        completed warmup).
 
         With an :class:`~repro.system.emission.EmissionPolicy`, the run
         additionally writes a JSONL metric time series to the policy's
@@ -294,29 +280,24 @@ class Simulation:
         record whose cumulative payload equals the returned result.
         Emission is observation-only and determinism-invisible.
         """
-        if checkpoint is not None or emit is not None:
-            return self._run_sliced(checkpoint, emit)
+        if emit is not None:
+            return self._run_sliced(emit)
         config = self.config
-        if config.warmup_time > 0 and not self._warmup_done:
+        if config.warmup_time > 0:
             self.env.run(until=config.warmup_time)
             self.metrics.reset(self.env.now)
-        self._warmup_done = True
         self.env.run(until=config.sim_time)
         return self.metrics.snapshot(self.env.now)
 
-    def _run_sliced(
-        self,
-        checkpoint: Optional[CheckpointPolicy],
-        emit: Optional[EmissionPolicy],
-    ) -> RunResult:
-        """The sliced run loop behind ``run(checkpoint=..., emit=...)``.
+    def _run_sliced(self, emit: EmissionPolicy) -> RunResult:
+        """The sliced run loop behind ``run(emit=...)``.
 
-        Each phase's time horizon is cut into slices and the policies'
-        triggers are checked between slices.  Slicing is free in terms
-        of determinism: the run-horizon sentinel consumes no sequence
+        Each phase's time horizon is cut into slices and the emission
+        trigger is checked between slices.  Slicing is free in terms of
+        determinism: the run-horizon sentinel consumes no sequence
         number, so ``run(until=a); run(until=b)`` is bit-identical to
-        ``run(until=b)`` (pinned by the engine kernel tests), and both
-        the checkpoint snapshot and the emitted records only read state.
+        ``run(until=b)`` (pinned by the engine kernel tests), and the
+        emitted records only read state.
 
         Interval records are only cut during the measured phase --
         warm-up statistics are discarded at the reset, so emitting them
@@ -326,14 +307,8 @@ class Simulation:
         """
         env = self.env
         config = self.config
-        checkpoint_trigger = (
-            _Trigger(checkpoint, env) if checkpoint is not None else None
-        )
-        emitter = None
-        emit_trigger = None
-        if emit is not None:
-            emitter = MetricsEmitter(emit, self)
-            emit_trigger = _Trigger(emit, env)
+        emitter = MetricsEmitter(emit, self)
+        trigger = _Trigger(emit, env)
 
         def advance(target: float, measured: bool) -> None:
             remaining = target - env.now
@@ -342,28 +317,21 @@ class Simulation:
             step = remaining / 128.0
             while env.now < target:
                 env.run(until=min(env.now + step, target))
-                if checkpoint_trigger is not None and checkpoint_trigger.due():
-                    save_checkpoint(self, checkpoint.path)
-                    checkpoint_trigger.saved()
-                if measured and emit_trigger is not None and emit_trigger.due():
+                if measured and trigger.due():
                     emitter.emit_interval()
-                    emit_trigger.saved()
+                    trigger.reset()
 
-        if config.warmup_time > 0 and not self._warmup_done:
+        if config.warmup_time > 0:
             advance(config.warmup_time, measured=False)
             self.metrics.reset(env.now)
-        self._warmup_done = True
         advance(config.sim_time, measured=True)
         result = self.metrics.snapshot(env.now)
-        if emitter is not None:
-            emitter.emit_final(result)
+        emitter.emit_final(result)
         return result
 
 
 def simulate(
-    config: SystemConfig,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    emit: Optional[EmissionPolicy] = None,
+    config: SystemConfig, emit: Optional[EmissionPolicy] = None
 ) -> RunResult:
     """One-shot convenience: build and run a :class:`Simulation`."""
-    return Simulation(config).run(checkpoint=checkpoint, emit=emit)
+    return Simulation(config).run(emit=emit)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..checkpoint import JsonlAppender, read_jsonl
+from ..files import JsonlAppender, read_jsonl
 
 #: Event kinds recorded by the nodes.
 SUBMIT = "submit"
@@ -198,10 +198,6 @@ class JsonlTraceSink:
     each event as one flushed JSON line, so arbitrarily long traced runs
     stay bounded-memory.  Load a written file back into memory with
     :func:`load_trace_events`.
-
-    Picklable: the underlying appender reopens its file in append mode
-    on restore, so a sink inside a checkpointed simulation resumes
-    appending to the same file after a crash/restore cycle.
     """
 
     def __init__(self, path: Any, append: bool = False) -> None:
@@ -213,7 +209,7 @@ class JsonlTraceSink:
 
     @property
     def written(self) -> int:
-        """Events written so far (survives checkpoint/restore)."""
+        """Events written so far."""
         return self._appender.written
 
     def record(self, time: float, kind: str, unit, node_index: int) -> None:

@@ -31,10 +31,10 @@ The SDA strategies, in contrast, only ever see ``pex``.
 
 from __future__ import annotations
 
-import types
+import itertools
 from bisect import bisect_right
 from heapq import heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.estimators import Estimator, PerfectEstimator
 from ..core.strategies.base import PriorityClass
@@ -52,50 +52,10 @@ from ..sim.rng import StreamFactory
 from .node import Node
 from .placement import PlacementPolicy, UniformPlacement
 from .process_manager import ProcessManager
-from .schedulers import FifoCounter
 from .work import WorkUnit
 
 _LOCAL = TaskClass.LOCAL
 _PRIORITY_NORMAL = PriorityClass.NORMAL
-
-
-class _RebindSamplers:
-    """Pickle support for classes holding ``Distribution.bind`` samplers.
-
-    Stateless ``bind()`` closures cannot pickle; they are dropped from
-    the snapshot and rebuilt from their ``(distribution, stream)`` pair
-    at restore -- bit-identical, since every draw depends only on the
-    stream's (pickled) generator state.  Stateful samplers (MMPP2) are
-    picklable callable objects and pass through unchanged.
-    """
-
-    __slots__ = ()
-
-    #: sampler attribute -> (distribution attribute, stream attribute)
-    _samplers: Dict[str, Tuple[str, str]] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        if hasattr(self, "__dict__"):
-            state = dict(self.__dict__)
-        else:
-            state = {
-                name: getattr(self, name) for name in type(self).__slots__
-            }
-        for field in self._samplers:
-            if isinstance(state.get(field), types.FunctionType):
-                state[field] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        for field, (dist_name, stream_name) in self._samplers.items():
-            if getattr(self, field) is None:
-                setattr(
-                    self,
-                    field,
-                    getattr(self, dist_name).bind(getattr(self, stream_name)),
-                )
 
 
 class PiecewiseProfile:
@@ -141,7 +101,7 @@ class PiecewiseProfile:
         return multipliers[index]
 
 
-class LocalTaskSource(_RebindSamplers):
+class LocalTaskSource:
     """Poisson source of local tasks at one node.
 
     Implemented as a self-rescheduling sleep callback rather than a
@@ -151,11 +111,6 @@ class LocalTaskSource(_RebindSamplers):
     seeds keep producing identical workloads.
     """
 
-    _samplers = {
-        "_next_interarrival": ("interarrival", "_arrival_stream"),
-        "_next_execution": ("execution", "_execution_stream"),
-        "_next_slack": ("slack", "_slack_stream"),
-    }
 
     __slots__ = (
         "env",
@@ -190,7 +145,7 @@ class LocalTaskSource(_RebindSamplers):
         streams: StreamFactory,
         estimator: Optional[Estimator] = None,
         profile: Optional[PiecewiseProfile] = None,
-        unit_ids: Optional[FifoCounter] = None,
+        unit_ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.env = env
         self.node = node
@@ -217,7 +172,7 @@ class LocalTaskSource(_RebindSamplers):
         # Work-unit ids (display labels), shared with the simulation's
         # other sources and its process manager; a source built alone
         # numbers its own.
-        self._unit_ids = FifoCounter(1) if unit_ids is None else unit_ids
+        self._unit_ids = itertools.count(1) if unit_ids is None else unit_ids
         # Bound once; reused per arrival.  The stationary path keeps the
         # original callback untouched (zero overhead when no profile).
         self._on_arrive = (
@@ -312,7 +267,7 @@ class LocalTaskSource(_RebindSamplers):
             env._sleep(gap, self._on_arrive)
 
 
-class GlobalTaskFactory(_RebindSamplers):
+class GlobalTaskFactory:
     """Builds one global task instance (tree + end-to-end deadline)."""
 
     #: Expected number of simple subtasks per task (load arithmetic).
@@ -333,11 +288,6 @@ class SerialChainFactory(GlobalTaskFactory):
     paper.
     """
 
-    _samplers = {
-        "_next_count": ("count", "_count_stream"),
-        "_next_execution": ("execution", "_execution_stream"),
-        "_next_slack": ("slack", "_slack_stream"),
-    }
 
     def __init__(
         self,
@@ -398,10 +348,6 @@ class ParallelFanFactory(GlobalTaskFactory):
     paper's eq. (2): ``dl = max_i ex(Ti) + slack + ar``.
     """
 
-    _samplers = {
-        "_next_execution": ("execution", "_execution_stream"),
-        "_next_slack": ("slack", "_slack_stream"),
-    }
 
     def __init__(
         self,
@@ -468,10 +414,6 @@ class SerialParallelFactory(GlobalTaskFactory):
     envelope) plus slack.
     """
 
-    _samplers = {
-        "_next_execution": ("execution", "_execution_stream"),
-        "_next_slack": ("slack", "_slack_stream"),
-    }
 
     def __init__(
         self,
@@ -538,7 +480,7 @@ class SerialParallelFactory(GlobalTaskFactory):
         return tree, deadline
 
 
-class GlobalTaskSource(_RebindSamplers):
+class GlobalTaskSource:
     """Single Poisson stream of global tasks feeding the process manager.
 
     Like :class:`LocalTaskSource`, a self-rescheduling sleep callback;
@@ -547,9 +489,6 @@ class GlobalTaskSource(_RebindSamplers):
     records the task's outcome in the metrics.
     """
 
-    _samplers = {
-        "_next_interarrival": ("interarrival", "_arrival_stream"),
-    }
 
     __slots__ = (
         "env",

@@ -53,7 +53,13 @@ class TestParseAssigner:
         assert isinstance(assigner.ssp, UltimateDeadline)
         assert isinstance(assigner.psp, UltimateDeadlineParallel)
 
-    @pytest.mark.parametrize("bad", ["", "XYZ", "EQF-XYZ", "XYZ-DIV1", "A-B-C-D"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "", "XYZ", "EQF-XYZ", "XYZ-DIV1", "A-B-C-D",
+            "DIVnan", "DIVNaN", "DIVinf", "DIV-inf", "EQF-DIVnan",
+        ],
+    )
     def test_unknown_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_assigner(bad)

@@ -10,13 +10,11 @@ simulation must match ``run()`` event for event and metric for metric.
 
 The rest covers the kernel-internal primitives the system model runs
 on: ``_schedule_call`` bookkeeping events, sequence-key accounting,
-``run(until=t)`` edge cases, error propagation, and the pickling
-contract checkpoints rely on.
+``run(until=t)`` edge cases, error propagation, and the re-exports of
+``repro.sim.core``.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import pytest
 
@@ -315,8 +313,8 @@ class TestSequenceKeys:
         assert env._next_seq() == peeked
 
     def test_run_horizon_consumes_no_sequence_number(self):
-        """Slicing a run into many ``run(until=t)`` calls (checkpointing
-        and emission do) must not move the key of any later event."""
+        """Slicing a run into many ``run(until=t)`` calls (metric
+        emission does) must not move the key of any later event."""
         sliced = Environment()
         whole = Environment()
         for env in (sliced, whole):
@@ -421,77 +419,13 @@ class TestPooledSleepContract:
         assert env._sleep_pool == [first]
 
 
-class _Recorder:
-    """Picklable callback target: records (label, time) pairs."""
-
-    def __init__(self, env):
-        self.env = env
-        self.log = []
-
-    def hit(self, event):
-        self.log.append((event._value, self.env.now))
-
-    def tagged(self, tag, _event):
-        self.log.append((tag, self.env.now))
-
-
-class TestPickling:
-    """Checkpoints pickle the environment graph; a restored copy must
-    carry on exactly as the original."""
-
-    def _populated(self):
-        env = Environment()
-        recorder = _Recorder(env)
-        for delay, tag in ((3.0, "c"), (1.0, "a"), (1.0, "b")):
-            env._sleep(delay, partial(recorder.tagged, tag))
-        env._sleep(2.0, partial(recorder.tagged, "sleep"))
-        env._schedule_call(recorder.hit, value="urgent")
-        env._schedule_call(recorder.hit, value="normal-call", priority=NORMAL)
-        return env, recorder
-
-    def test_round_trip_continues_identically(self):
-        import pickle
-
-        env, recorder = self._populated()
-        restored_env, restored = pickle.loads(pickle.dumps((env, recorder)))
-        assert restored_env._seq_peek() == env._seq_peek()
-        env.run()
-        restored_env.run()
-        assert restored.log == recorder.log
-        assert recorder.log[0] == ("urgent", 0.0)
-        assert restored_env._seq_peek() == env._seq_peek()
-
-    def test_cancelled_and_processed_sleeps_round_trip(self):
-        """A cancelled sleep stays silent after a restore, and a fired
-        one in the pool still refuses a stale cancel."""
-        import pickle
-
-        env = Environment()
-        recorder = _Recorder(env)
-        fired = env._sleep(1.0, partial(recorder.tagged, "fired"))
-        env.run(until=1.5)
-        env._sleep(3.0, partial(recorder.tagged, "cancelled")).cancel()
-        env._sleep(4.0, partial(recorder.tagged, "kept"))
-        assert fired not in env._sleep_pool  # re-issued to "cancelled"
-        restored_env, restored = pickle.loads(pickle.dumps((env, recorder)))
-        restored_env.run()
-        assert restored.log == [("fired", 1.0), ("kept", 5.5)]
-        for sleep in restored_env._sleep_pool:
-            with pytest.raises(EventLifecycleError):
-                sleep.cancel()
-
-    def test_classes_pickle_under_the_engine_module_path(self):
-        """Existing checkpoints name ``repro.sim._engine`` classes; the
-        public re-export in ``repro.sim.core`` must not change that."""
-        import pickle
-
+class TestCoreReExports:
+    def test_core_names_are_the_engine_objects(self):
+        """``repro.sim.core`` re-exports the engine; it defines nothing
+        of its own under those names."""
         from repro.sim import core
 
-        env, _recorder = self._populated()
-        payload = pickle.dumps(env)
-        assert b"repro.sim._engine" in payload
         for name in core.__all__:
-            obj = getattr(core, name)
-            assert obj is getattr(_engine, name)
+            assert getattr(core, name) is getattr(_engine, name)
         for cls in (core.Environment, core._Call, _Sleep):
             assert cls.__module__ == "repro.sim._engine"

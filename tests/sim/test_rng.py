@@ -62,87 +62,3 @@ class TestStreamFactory:
     def test_spawn_same_name_returns_same_child(self):
         factory = StreamFactory(seed=5)
         assert factory.spawn("rep-1") is factory.spawn("rep-1")
-
-
-class TestStreamFactoryStateRoundtrip:
-    """getstate/setstate must capture every stream's exact Mersenne
-    position (the checkpoint subsystem rides on this)."""
-
-    def test_all_streams_resume_exactly(self):
-        factory = StreamFactory(seed=31)
-        # Streams at different positions, created in a specific order.
-        for name, draws in (("a", 3), ("b", 17), ("c", 0)):
-            stream = factory.get(name)
-            for _ in range(draws):
-                stream.random()
-        state = factory.getstate()
-
-        expected = {
-            name: [factory.get(name).random() for _ in range(5)]
-            for name in ("a", "b", "c")
-        }
-        restored = StreamFactory(seed=31)
-        restored.setstate(state)
-        actual = {
-            name: [restored.get(name).random() for _ in range(5)]
-            for name in ("a", "b", "c")
-        }
-        assert actual == expected
-
-    def test_restore_is_creation_order_independent(self):
-        """A factory whose streams were first touched in a different
-        order must still restore every stream's position by name."""
-        factory = StreamFactory(seed=31)
-        for name in ("a", "b", "c"):
-            factory.get(name).random()
-        state = factory.getstate()
-        expected = {
-            name: factory.get(name).random() for name in ("a", "b", "c")
-        }
-
-        restored = StreamFactory(seed=31)
-        for name in ("c", "a", "b"):  # different creation order
-            restored.get(name)
-        restored.setstate(state)
-        actual = {
-            name: restored.get(name).random() for name in ("a", "b", "c")
-        }
-        assert actual == expected
-
-    def test_spawned_children_roundtrip(self):
-        factory = StreamFactory(seed=9)
-        factory.get("top").random()
-        child = factory.spawn("rep-1")
-        child.get("inner").random()
-        child.get("inner").random()
-        state = factory.getstate()
-        expected = (
-            factory.get("top").random(),
-            factory.spawn("rep-1").get("inner").random(),
-        )
-
-        restored = StreamFactory(seed=9)
-        restored.setstate(state)
-        actual = (
-            restored.get("top").random(),
-            restored.spawn("rep-1").get("inner").random(),
-        )
-        assert actual == expected
-
-    def test_seed_mismatch_is_rejected(self):
-        import pytest
-
-        state = StreamFactory(seed=1).getstate()
-        with pytest.raises(ValueError, match="seed"):
-            StreamFactory(seed=2).setstate(state)
-
-    def test_untouched_restore_equals_fresh_factory(self):
-        """Restoring a virgin factory's state is a no-op: draws match a
-        fresh factory with the same seed."""
-        state = StreamFactory(seed=4).getstate()
-        restored = StreamFactory(seed=4)
-        restored.setstate(state)
-        assert (
-            restored.get("x").random()
-            == StreamFactory(seed=4).get("x").random()
-        )

@@ -4,7 +4,7 @@ The pinned tolerances here are the contract the metrics layer relies on:
 adversarial orderings (sorted, reverse-sorted) and nasty shapes (constant,
 bimodal, heavy-tail Pareto) must stay within a usable distance of the
 exact sorted-list quantile, and pickling must round-trip the internal
-state bit for bit (checkpoints depend on it).
+state bit for bit.
 """
 
 import math

@@ -235,6 +235,8 @@ class TestValidation:
             {"node_count": True},
             {"mu_local": True},
             {"seed": 1.5},
+            # This would otherwise run with every DIV virtual deadline NaN.
+            {"strategy": "EQF-DIVnan"},
         ],
     )
     def test_rejects_bad_settings(self, overrides):

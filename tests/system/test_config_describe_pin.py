@@ -1,7 +1,7 @@
 """Pin of ``SystemConfig.describe()``.
 
 ``describe()`` titles the ``simulate`` stdout, the runner's recovered-cell
-lines and the emission and checkpoint headers.  This pins it, byte for
+lines and the emission series header.  This pins it, byte for
 byte, for the config of every ``LIBRARY`` scenario and for the three
 ``*_config()`` baselines, one ``name: describe()`` line each, against
 ``tests/pins/config_describe.txt``.

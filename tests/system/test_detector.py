@@ -13,8 +13,7 @@ The load-bearing claims, in order:
   (false suspicions, missed detections, misroutes) without breaking
   the run;
 * :class:`DetectorSpec` validates eagerly and round-trips through
-  JSON, alone and riding a :class:`ScenarioSpec`;
-* checkpoint/resume reproduces a detector run bit-identically.
+  JSON, alone and riding a :class:`ScenarioSpec`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import json
 
 import pytest
 
-from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.system.config import baseline_config
@@ -280,39 +278,3 @@ class TestScenarioIntegration:
         assert isinstance(detector, DetectorSpec)
         assert detector.timeout == 5.0
         assert spec.to_config().detector is detector
-
-
-class TestCheckpointResume:
-    def test_detector_resume_is_bit_identical(self, tmp_path):
-        """Heartbeat channels, expiry timers, phi windows, and the
-        suspicion view must all survive a snapshot: resuming mid-run
-        finishes bit-identically to the uninterrupted run."""
-        config = get_scenario("lossy-heartbeats").to_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=17, strategy="EQF",
-        )
-        straight = simulate(config)
-        assert straight.misroutes > 0  # the snapshot covers a busy run
-
-        sim = Simulation(config)
-        sim.env.run(until=config.warmup_time)
-        sim.metrics.reset(sim.env.now)
-        sim._warmup_done = True
-        sim.env.run(until=1_200.0)
-        path = str(tmp_path / "detector.ckpt")
-        save_checkpoint(sim, path)
-        assert load_checkpoint(path).run() == straight
-
-    def test_phi_detector_resume_is_bit_identical(self, tmp_path):
-        """The phi leg additionally carries per-node sample windows."""
-        config = get_scenario("paranoid-detector").to_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=17, strategy="UD",
-        )
-        straight = simulate(config)
-        sim = Simulation(config)
-        sim.env.run(until=config.warmup_time)
-        sim.metrics.reset(sim.env.now)
-        sim._warmup_done = True
-        sim.env.run(until=1_200.0)
-        path = str(tmp_path / "phi.ckpt")
-        save_checkpoint(sim, path)
-        assert load_checkpoint(path).run() == straight

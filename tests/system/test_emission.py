@@ -8,11 +8,10 @@ torn tail the way a killed run leaves one.
 
 import json
 import math
-import pickle
 
 import pytest
 
-from repro.checkpoint import CheckpointError, JsonlAppender, read_jsonl
+from repro.files import CorruptFileError, JsonlAppender, read_jsonl
 from repro.system.config import baseline_config
 from repro.system.emission import (
     EmissionPolicy,
@@ -73,7 +72,7 @@ class TestJsonlAppender:
     def test_corruption_before_tail_raises(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('{"a": 1}\nnot json at all\n{"b": 2}\n')
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorruptFileError):
             read_jsonl(path)
 
     def test_write_after_close_rejected(self, tmp_path):
@@ -81,17 +80,6 @@ class TestJsonlAppender:
         appender.close()
         with pytest.raises(ValueError):
             appender.write({})
-
-    def test_pickle_reopens_in_append_mode(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        appender = JsonlAppender(path)
-        appender.write({"a": 1})
-        clone = pickle.loads(pickle.dumps(appender))
-        appender.close()
-        clone.write({"b": 2})
-        clone.close()
-        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
-        assert clone.written == 2
 
 
 class TestEmissionPolicy:
@@ -176,7 +164,7 @@ class TestEmittedSeries:
     def test_invalid_series_rejected(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"type": "interval"}\n')
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorruptFileError):
             read_metrics_series(path)
 
     def test_render_and_summarize(self, tmp_path):
@@ -196,20 +184,6 @@ class TestEmittedSeries:
         # summarize the same way.
         old_header = dict(records[0], kernel="python")
         assert summarize_series([old_header, *records[1:]]) == summary
-
-    def test_emission_composes_with_checkpointing(self, tmp_path):
-        from repro.checkpoint import CheckpointPolicy
-
-        path = str(tmp_path / "m.jsonl")
-        result = simulate(
-            quick_config(),
-            checkpoint=CheckpointPolicy(
-                path=str(tmp_path / "run.ckpt"), every_events=1_000
-            ),
-            emit=EmissionPolicy(path=path, every_events=500),
-        )
-        assert simulate(quick_config()) == result
-        assert read_metrics_series(path)[-1]["type"] == "final"
 
 
 class TestWindowedSignals:

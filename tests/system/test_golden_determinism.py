@@ -562,145 +562,6 @@ class TestDetectorOracleDefaultGolden:
         ]
 
 
-def _checkpoint_at(config, stop_time: float, path: str):
-    """Advance a fresh :class:`Simulation` to ``stop_time`` and snapshot it.
-
-    Mirrors ``Simulation.run`` exactly (warmup, metrics reset, then the
-    measured phase); stopping early is determinism-free because the
-    run-horizon sentinel consumes no sequence number, so
-    ``run(until=a); run(until=b)`` is bit-identical to ``run(until=b)``.
-    """
-    from repro.checkpoint import save_checkpoint
-    from repro.system.simulation import Simulation
-
-    sim = Simulation(config)
-    if config.warmup_time > 0:
-        sim.env.run(until=config.warmup_time)
-        sim.metrics.reset(sim.env.now)
-    sim._warmup_done = True
-    sim.env.run(until=stop_time)
-    save_checkpoint(sim, path)
-
-
-class TestCheckpointResumeGolden:
-    """Checkpoint/resume must be invisible to the golden pins.
-
-    Nothing here pins a new literal: every check compares a
-    checkpoint-interrupted run against the corresponding *existing*
-    fixture or straight-through run, so a drift anywhere in the snapshot
-    path (engine heap, RNG states, metrics tallies, fault clocks) fails
-    against the same values the rest of this file protects.
-    """
-
-    def test_serial_resume_is_bit_identical(self, serial_result, tmp_path):
-        path = str(tmp_path / "serial.ckpt")
-        config = baseline_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=42
-        )
-        _checkpoint_at(config, 1_200.0, path)
-        from repro.checkpoint import load_checkpoint
-
-        assert load_checkpoint(path).run() == serial_result
-
-    def test_traced_resume_is_bit_identical(self, serial_result, tmp_path):
-        """Trace on, checkpoint mid-run, resume: still equal to the
-        untraced uninterrupted run (tracing stays observation-only
-        through a snapshot cycle)."""
-        path = str(tmp_path / "traced.ckpt")
-        config = baseline_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=42, trace=True
-        )
-        _checkpoint_at(config, 1_200.0, path)
-        from repro.checkpoint import load_checkpoint
-
-        assert load_checkpoint(path).run() == serial_result
-
-    def test_fault_scenario_resume_is_bit_identical(self, tmp_path):
-        """The fault path (crash clocks, retry stream, live set) must
-        survive the snapshot too."""
-        from repro.checkpoint import load_checkpoint
-        from repro.scenarios import get_scenario
-
-        config = get_scenario("steady-churn").to_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=17, strategy="EQF",
-        )
-        straight = simulate(config)
-        path = str(tmp_path / "churn.ckpt")
-        _checkpoint_at(config, 1_200.0, path)
-        assert load_checkpoint(path).run() == straight
-
-    def test_least_outstanding_fault_resume_is_bit_identical(
-        self, tmp_path
-    ):
-        """The least-outstanding placement's load lists and tie-break
-        stream ride the snapshot: a lossy parallel run resumed mid-way
-        equals the straight-through run."""
-        from repro.checkpoint import load_checkpoint
-
-        config = _least_outstanding_lossy_parallel_config()
-        straight = simulate(config)
-        path = str(tmp_path / "least-outstanding.ckpt")
-        _checkpoint_at(config, 1_200.0, path)
-        assert load_checkpoint(path).run() == straight
-
-    def test_periodic_checkpointing_is_invisible(
-        self, serial_result, tmp_path
-    ):
-        """A run under an every-N-events policy returns the exact plain
-        result, and resuming its last snapshot finishes identically."""
-        from repro.checkpoint import CheckpointPolicy, load_checkpoint
-        from repro.system.simulation import Simulation
-
-        path = str(tmp_path / "periodic.ckpt")
-        config = baseline_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=42
-        )
-        policy = CheckpointPolicy(path=path, every_events=5_000)
-        assert Simulation(config).run(checkpoint=policy) == serial_result
-        assert os.path.exists(path)
-        assert load_checkpoint(path).run() == serial_result
-
-    def test_resume_restores_sketch_state_bit_identically(self, tmp_path):
-        """The P² quantile sketches ride inside the metrics accumulators;
-        a restored checkpoint must carry their complete marker state --
-        heights, positions, desired positions -- bit for bit, so the
-        resumed run's percentile estimates equal the straight-through
-        run's exactly."""
-        from repro.checkpoint import load_checkpoint
-        from repro.system.simulation import Simulation
-
-        config = baseline_config(
-            sim_time=SIM_TIME, warmup_time=WARMUP, seed=42
-        )
-        path = str(tmp_path / "sketch.ckpt")
-        _checkpoint_at(config, 1_200.0, path)
-        restored = load_checkpoint(path)
-
-        reference = Simulation(config)
-        reference.env.run(until=config.warmup_time)
-        reference.metrics.reset(reference.env.now)
-        reference._warmup_done = True
-        reference.env.run(until=1_200.0)
-
-        for cls in restored.metrics._classes:
-            restored_acc = restored.metrics._classes[cls]
-            reference_acc = reference.metrics._classes[cls]
-            assert (
-                restored_acc.response_sketch.state()
-                == reference_acc.response_sketch.state()
-            )
-            assert (
-                restored_acc.lateness_sketch.state()
-                == reference_acc.lateness_sketch.state()
-            )
-
-        finished = restored.run()
-        straight = reference.run()
-        assert finished == straight
-        assert finished.local.p99_response == straight.local.p99_response
-        assert finished.global_.p99_lateness == straight.global_.p99_lateness
-
-
 class TestEmissionIsObservationOnly:
     """Metric emission must never perturb the simulation it observes.
 

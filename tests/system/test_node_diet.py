@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -45,7 +46,6 @@ from repro.system.placement import LeastOutstandingPlacement
 from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import (
     EarliestDeadlineFirst,
-    FifoCounter,
     FirstComeFirstServed,
     MinimumLaxityFirst,
     ReadyQueue,
@@ -115,7 +115,7 @@ class TestTrackedObjectBudget:
         simulation = Simulation(_fleet_config(8))
         counters = {id(node._queue_seq) for node in simulation.nodes}
         assert len(counters) == 1
-        assert type(simulation.nodes[0]._queue_seq) is FifoCounter
+        assert type(simulation.nodes[0]._queue_seq) is itertools.count
 
 
 # -- snapshot budget ----------------------------------------------------------
@@ -196,7 +196,7 @@ def _submissions():
 def test_dispatch_order_equals_ready_queue_pop_order(node_cls, policy):
     env = Environment()
     metrics = MetricsCollector(node_count=2)
-    shared = FifoCounter()
+    shared = itertools.count()
     nodes = [
         node_cls(env, i, policy, metrics, fifo=shared) for i in range(2)
     ]

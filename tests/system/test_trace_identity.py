@@ -2,8 +2,8 @@
 
 Each simulation numbers its work units from one counter of its own, so a
 traced run's event stream -- unit names included -- is a function of its
-config alone: not of what else ran, was checkpointed or was restored in
-the same interpreter before or during it.
+config alone: not of what else ran in the same interpreter before or
+during it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.experiments.runner import run_config_batch
 from repro.system.config import baseline_config
 from repro.system.faults import FaultSpec
@@ -41,23 +40,6 @@ class TestTraceIdentity:
         second = traced(CONFIG)
         assert first == second
         assert first[0].unit_name.endswith("-1")
-
-    def test_another_checkpoint_mid_run_changes_nothing(self, tmp_path):
-        reference = traced(CONFIG)
-        path = str(tmp_path / "other.ckpt")
-        other_config = baseline_config(
-            sim_time=300.0, warmup_time=0.0, seed=8, trace=True
-        )
-
-        def checkpoint_another_simulation():
-            other = Simulation(other_config)
-            other.env.run(until=150.0)
-            save_checkpoint(other, path)
-            load_checkpoint(path).run()
-
-        assert traced(
-            CONFIG, interlude=checkpoint_another_simulation
-        ) == reference
 
     def test_run_after_a_batch_equals_the_run_made_first(self):
         first = traced(CONFIG)

@@ -270,25 +270,6 @@ class TestJsonlTraceSink:
         env.run()
         assert len(sink) == 3
 
-    def test_pickle_reopens_appending(self, env, tmp_path):
-        import pickle
-
-        path = tmp_path / "trace.jsonl"
-        sink = JsonlTraceSink(path)
-        metrics = MetricsCollector(node_count=1)
-        metrics.tracer = sink
-        node = Node(env=env, index=0, policy=EarliestDeadlineFirst(),
-                    metrics=metrics)
-        unit = submit(env, node, ex=1.0, dl=5.0, name="a")
-        env.run()
-        clone = pickle.loads(pickle.dumps(sink))
-        sink.close()
-        clone.record(9.0, COMPLETE, unit, 0)
-        clone.close()
-        events = load_trace_events(path)
-        assert len(events) == 4
-        assert events[-1].time == 9.0
-
     def test_attaches_to_a_full_simulation(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         config = baseline_config(sim_time=100.0, warmup_time=0.0, seed=5)

@@ -187,61 +187,6 @@ class TestScenarios:
         assert "unknown strategy" in capsys.readouterr().err
 
 
-class TestSimulateCheckpointFlags:
-    def test_checkpoint_and_resume_print_identical_tables(
-        self, capsys, tmp_path
-    ):
-        path = str(tmp_path / "run.ckpt")
-        base = [
-            "simulate", "--strategy", "EQF",
-            "--sim-time", "600", "--warmup", "60", "--seed", "42",
-        ]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(
-            base + ["--checkpoint", path, "--checkpoint-events", "500"]
-        ) == 0
-        assert capsys.readouterr().out == plain
-        import os as _os
-
-        assert _os.path.exists(path)
-        assert main(["simulate", "--resume", path]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == plain
-        assert "resumed from" in captured.err
-
-    def test_trigger_flags_without_path_fail_cleanly(self, capsys):
-        assert main(["simulate", "--checkpoint-events", "10"]) == 2
-        assert "--checkpoint PATH" in capsys.readouterr().err
-
-    def test_resume_from_junk_fails_cleanly(self, capsys, tmp_path):
-        bogus = tmp_path / "bogus.ckpt"
-        bogus.write_bytes(b"junk")
-        assert main(["simulate", "--resume", str(bogus)]) == 2
-        assert "not a repro checkpoint" in capsys.readouterr().err
-
-    def test_resume_from_truncated_payload_fails_cleanly(
-        self, capsys, tmp_path
-    ):
-        path = tmp_path / "run.ckpt"
-        assert main([
-            "simulate", "--sim-time", "600", "--warmup", "60",
-            "--checkpoint", str(path), "--checkpoint-events", "500",
-        ]) == 0
-        capsys.readouterr()
-        path.write_bytes(path.read_bytes()[:-200])
-        assert main(["simulate", "--resume", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: damaged or incompatible")
-        assert "Traceback" not in err
-
-    def test_resume_from_missing_file_fails_cleanly(self, capsys, tmp_path):
-        assert main(
-            ["simulate", "--resume", str(tmp_path / "absent.ckpt")]
-        ) == 2
-        assert "no such checkpoint file" in capsys.readouterr().err
-
-
 class TestSweepJournalFlags:
     _BASE = [
         "scenarios", "sweep", "--scenario", "baseline",
