@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.strategies.base import ParallelContext, PriorityClass
@@ -91,6 +93,13 @@ class TestDivX:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
                 DivX(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_x_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DivX(bad)
 
     def test_name_rendering(self):
         assert DivX(1.0).name == "DIV-1"

@@ -12,6 +12,8 @@ import math
 import pytest
 
 from repro.files import CorruptFileError, JsonlAppender, read_jsonl
+from repro.sim._engine import Environment
+from repro.system import emission
 from repro.system.config import baseline_config
 from repro.system.emission import (
     EmissionPolicy,
@@ -96,6 +98,62 @@ class TestEmissionPolicy:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             EmissionPolicy(path="x.jsonl", every_events=1, tau=0.0)
+
+
+def _noop(_event) -> None:
+    pass
+
+
+class TestTrigger:
+    """The slice-boundary trigger the sliced run loop checks."""
+
+    def test_event_trigger_waits_for_that_many_events(self):
+        """Events are counted by the sequence numbers they consume."""
+        env = Environment()
+        trigger = emission._Trigger(
+            EmissionPolicy(path="x.jsonl", every_events=3), env
+        )
+        env._sleep(1.0, _noop)
+        env._sleep(2.0, _noop)
+        env.run(until=2.5)
+        assert not trigger.due()
+        env._sleep(1.0, _noop)
+        assert trigger.due()
+
+    def test_reset_restarts_the_event_count(self):
+        env = Environment()
+        trigger = emission._Trigger(
+            EmissionPolicy(path="x.jsonl", every_events=2), env
+        )
+        env._sleep(1.0, _noop)
+        env._sleep(2.0, _noop)
+        assert trigger.due()
+        trigger.reset()
+        assert not trigger.due()
+
+    def test_wall_clock_trigger_fires_after_its_interval(self, monkeypatch):
+        clock = [100.0]
+        monkeypatch.setattr(emission.time, "monotonic", lambda: clock[0])
+        trigger = emission._Trigger(
+            EmissionPolicy(path="x.jsonl", every_seconds=5.0), Environment()
+        )
+        clock[0] = 104.9
+        assert not trigger.due()
+        clock[0] = 105.0
+        assert trigger.due()
+        trigger.reset()
+        assert not trigger.due()
+
+    def test_wall_clock_trigger_emits_intervals(self, tmp_path):
+        path = str(tmp_path / "m.jsonl")
+        config = quick_config()
+        result = simulate(
+            config, emit=EmissionPolicy(path=path, every_seconds=1e-9)
+        )
+        assert result == simulate(config)
+        kinds = [record["type"] for record in read_metrics_series(path)]
+        assert kinds.count("interval") > 0
+        assert kinds[-1] == "final"
 
 
 class TestEmittedSeries:

@@ -1,8 +1,9 @@
 """Tests for the crash-safe file writes (repro.files).
 
 :func:`~repro.files.atomic_write` must never leave a torn file, even
-when its writer is killed with SIGKILL.  The JSONL appender and reader
-are covered with the emission series in ``test_emission.py``.
+when its writer is killed with SIGKILL.  The JSONL appender's open
+modes and the reader's edge cases are here; its round trip and torn
+tail are covered with the emission series in ``test_emission.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ import subprocess
 import sys
 import time
 
+import math
+
 import pytest
 
-from repro.files import atomic_write
+from repro.files import (
+    CorruptFileError,
+    JsonlAppender,
+    atomic_write,
+    read_jsonl,
+)
 
 
 class TestAtomicWrite:
@@ -28,6 +36,16 @@ class TestAtomicWrite:
         path.write_bytes(b"old")
         atomic_write(path, b"new")
         assert path.read_bytes() == b"new"
+
+    def test_accepts_a_str_path(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(str(path), b"payload")
+        assert path.read_bytes() == b"payload"
+
+    def test_missing_directory_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            atomic_write(tmp_path / "absent" / "out.bin", b"payload")
+        assert os.listdir(tmp_path) == []
 
     def test_failed_write_keeps_old_content_and_no_litter(
         self, tmp_path, monkeypatch
@@ -79,3 +97,71 @@ class TestAtomicWrite:
         data = path.read_bytes()
         assert len(data) == 4096
         assert data in {bytes([65 + i]) * 4096 for i in range(4)}
+
+
+class TestJsonlAppenderModes:
+    def test_append_mode_keeps_existing_records(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        first = JsonlAppender(path)
+        first.write({"a": 1})
+        first.close()
+        second = JsonlAppender(path, append=True)
+        second.write({"b": 2})
+        second.close()
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+        assert second.written == 1
+
+    def test_write_mode_truncates(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"old": true}\n')
+        appender = JsonlAppender(path)
+        appender.write({"new": True})
+        appender.close()
+        assert read_jsonl(path) == [{"new": True}]
+
+    def test_each_record_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        appender = JsonlAppender(path)
+        appender.write({"a": 1})
+        appender.write({"b": 2})
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+        assert appender.written == 2
+        appender.close()
+
+    def test_close_is_idempotent(self, tmp_path):
+        appender = JsonlAppender(tmp_path / "records.jsonl")
+        appender.close()
+        appender.close()
+
+    def test_floats_round_trip_exactly(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        values = [0.1, 1.0 / 3.0, 1e-300, 2.0 ** 60 + 0.5, -0.0]
+        appender = JsonlAppender(path)
+        appender.write({"values": values, "missing": math.nan})
+        appender.close()
+        [record] = read_jsonl(path)
+        assert record["values"] == values
+        assert math.copysign(1.0, record["values"][-1]) == -1.0
+        assert math.isnan(record["missing"])
+
+
+class TestReadJsonl:
+    def test_empty_file_has_no_records(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert read_jsonl(path) == []
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\n{"a": 1}\n\n  \n{"b": 2}\n\n')
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_jsonl(tmp_path / "absent.jsonl")
+
+    def test_corruption_error_names_the_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('not json\n{"a": 1}\n')
+        with pytest.raises(CorruptFileError, match="records.jsonl"):
+            read_jsonl(path)
