@@ -1,15 +1,13 @@
-"""Observability-layer benchmarks: sketches, windows, and emission.
+"""Observability-layer benchmarks: sketches and emission.
 
 Not a paper artifact: these guard the streaming-observability claim
 that the instrumented completion path stays within noise of the
-pre-observability tree.  Four workloads bracket the layer:
+pre-observability tree.  Three workloads bracket the layer:
 
 * ``obs_sketch_observe`` -- 10 000 P² updates on one three-quantile
   sketch: the marginal cost the metrics path pays per completion;
-* ``obs_window_record`` -- 10 000 windowed-signal updates (decayed
-  miss/throughput/response per class): the opt-in window hook's cost;
 * ``obs_mm1_sketch_on`` -- the baseline mm1 cycle end to end on this
-  tree (sketches always on, windows off): the number to compare with
+  tree (sketches always on, emission off): the number to compare with
   the pre-observability ``core_mm1`` and the recorded A/B;
 * ``obs_mm1_emitting`` -- the same run with a JSONL metric series
   emitted every 2 000 events: the all-in observability cost.
@@ -28,7 +26,6 @@ from repro.sim.rng import StreamFactory
 from repro.sim.sketch import QuantileSketch
 from repro.system.config import baseline_config
 from repro.system.emission import EmissionPolicy
-from repro.system.metrics import WindowedSignals
 from repro.system.simulation import simulate
 
 from _util import record_obs_bench
@@ -46,16 +43,6 @@ def run_sketch_observe() -> float:
     for value in _VALUES:
         observe(value)
     return sketch.quantile(0.99)
-
-
-def run_window_record() -> float:
-    window = WindowedSignals(node_count=1, tau=500.0)
-    record = window.record_global
-    now = 0.0
-    for value in _VALUES:
-        now += 0.1
-        record(0.0, value, now)
-    return window.snapshot(now)["per_class"]["global"]["mean_response"]
 
 
 def run_mm1() -> int:
@@ -78,12 +65,6 @@ def test_obs_sketch_observe(benchmark):
     p99 = benchmark(run_sketch_observe)
     record_obs_bench("obs_sketch_observe", benchmark)
     assert 95.0 <= p99 <= 100.0
-
-
-def test_obs_window_record(benchmark):
-    mean_response = benchmark(run_window_record)
-    record_obs_bench("obs_window_record", benchmark)
-    assert 0.0 < mean_response < 100.0
 
 
 def test_obs_mm1_sketch_on(benchmark):

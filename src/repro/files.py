@@ -58,9 +58,9 @@ class JsonlAppender:
     ``nan`` as the bare ``NaN`` literal the stdlib parser accepts).
     """
 
-    def __init__(self, path: Any, append: bool = False) -> None:
+    def __init__(self, path: Any) -> None:
         self.path = os.fspath(path)
-        self._handle = open(self.path, "a" if append else "w", encoding="utf-8")
+        self._handle = open(self.path, "w", encoding="utf-8")
         self.written = 0
 
     def write(self, record: Dict[str, Any]) -> None:

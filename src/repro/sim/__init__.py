@@ -5,7 +5,7 @@ Public surface:
 * :class:`Environment` -- the simulation clock and event list;
 * :class:`StreamFactory` -- reproducible named random streams;
 * the distribution classes in :mod:`repro.sim.distributions`;
-* :class:`Tally`, :class:`MeanTally`, :class:`TimeWeighted` -- monitors;
+* :class:`MeanTally`, :class:`TimeWeighted` -- monitors;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
@@ -21,7 +21,7 @@ from .distributions import (
     exponential_interarrival,
 )
 from .errors import EventLifecycleError, SimulationError, StopSimulation
-from .monitor import MeanTally, Tally, TimeWeighted
+from .monitor import MeanTally, TimeWeighted
 from .rng import StreamFactory
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "StreamFactory",
-    "Tally",
     "TimeWeighted",
     "Uniform",
     "UniformErrorFactor",

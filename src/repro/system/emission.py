@@ -1,13 +1,13 @@
 """Incremental metric emission: a JSONL time series of a live run.
 
-ROADMAP item 5's billion-event horizons make "wait for the final
-``RunResult``" useless as an observability story: a run that takes hours
-must be watchable (and post-mortem-able) *while it runs*.  This module
-emits a JSONL time series of interval records from inside the sliced run
-loop (:meth:`repro.system.simulation.Simulation.run` with ``emit=``):
-each record carries the cumulative :class:`~repro.system.metrics.RunResult`
-so far plus the time-decayed :class:`~repro.system.metrics.WindowedSignals`
-snapshot ("what is the system doing now").
+A long run should be watchable (and post-mortem-able) *while it runs*,
+not only through its final ``RunResult``.  This module emits a JSONL
+time series of interval records from inside the sliced run loop
+(:meth:`repro.system.simulation.Simulation.run` with ``emit=``): each
+record carries the cumulative :class:`~repro.system.metrics.RunResult`
+so far, and the reader derives what happened *between* two records
+(e.g. the interval miss ratios of ``metrics tail``) by differencing
+their counts.
 
 Determinism: emission is *observation only*.  Interval records are cut
 at slice boundaries of the run loop -- the same seq-free mechanism the
@@ -21,8 +21,8 @@ File format (one JSON object per line, torn tail tolerated):
 
 1. a ``header`` record (magic, version, seed, config);
 2. ``interval`` records at each trigger firing during the measured
-   phase: ``now``, kernel ``events`` so far, ``cumulative`` (the
-   ``RunResult.to_dict()`` of a mid-run snapshot), ``window``;
+   phase: ``now``, kernel ``events`` so far and ``cumulative`` (the
+   ``RunResult.to_dict()`` of a mid-run snapshot);
 3. one ``final`` record whose ``cumulative`` equals the returned
    ``RunResult.to_dict()`` exactly.
 """
@@ -35,11 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..files import CorruptFileError, JsonlAppender, read_jsonl
-from .metrics import (
-    DEFAULT_WINDOW_TAU,
-    PER_NODE_DETAIL_THRESHOLD,
-    RunResult,
-)
+from .metrics import PER_NODE_DETAIL_THRESHOLD, RunResult
 
 #: First record's magic field in every metrics series file.
 METRICS_MAGIC = "repro-metrics"
@@ -55,14 +51,11 @@ class EmissionPolicy:
     must be set.  Triggers are checked at slice boundaries of the
     sliced run loop (the run is cut into ~128 time slices per phase),
     so the granularity is bounded by the slice length, not exact.
-    ``tau`` is the decay window (sim-time units) for the windowed
-    signals attached for the run.
     """
 
     path: str
     every_events: int = 0
     every_seconds: float = 0.0
-    tau: float = DEFAULT_WINDOW_TAU
 
     def __post_init__(self) -> None:
         if self.every_events < 0:
@@ -78,8 +71,6 @@ class EmissionPolicy:
                 "emission policy needs at least one trigger: set "
                 "every_events and/or every_seconds"
             )
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 class _Trigger:
@@ -125,9 +116,6 @@ class MetricsEmitter:
             simulation.config.node_count > PER_NODE_DETAIL_THRESHOLD
         )
         self._appender = JsonlAppender(policy.path)
-        self._window = simulation.metrics.enable_windows(
-            tau=policy.tau, now=simulation.env.now
-        )
         self._appender.write(
             {
                 "type": "header",
@@ -139,16 +127,14 @@ class MetricsEmitter:
         )
 
     def _record(self, kind: str, cumulative: Dict[str, Any]) -> None:
-        simulation = self.simulation
-        now = simulation.env.now
+        env = self.simulation.env
         self._appender.write(
             {
                 "type": kind,
                 "interval": self.intervals,
-                "now": now,
-                "events": simulation.env._seq_peek(),
+                "now": env.now,
+                "events": env._seq_peek(),
                 "cumulative": cumulative,
-                "window": self._window.snapshot(now),
             }
         )
 
@@ -198,22 +184,53 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.4f}"
 
 
+def _interval_miss_ratios(
+    rows: List[Dict[str, Any]]
+) -> List[List[Optional[float]]]:
+    """Per row, the local and global miss ratio of the stretch since the
+    previous row: Δmissed / (Δcompleted + Δaborted) of its ``cumulative``
+    counts (``None`` where nothing finished).
+
+    The first row is differenced against zero: the counters restart at
+    the warm-up reset, and interval records are only cut after it.
+    """
+    before = {"local": (0, 0), "global": (0, 0)}
+    ratios = []
+    for record in rows:
+        per_class = (record.get("cumulative") or {}).get("per_class", {})
+        row: List[Optional[float]] = []
+        for name, (missed_before, finished_before) in before.items():
+            stats = per_class.get(name, {})
+            missed = stats.get("missed", 0)
+            finished = stats.get("completed", 0) + stats.get("aborted", 0)
+            delta = finished - finished_before
+            row.append((missed - missed_before) / delta if delta else None)
+            before[name] = (missed, finished)
+        ratios.append(row)
+    return ratios
+
+
 def render_series_tail(
     records: List[Dict[str, Any]], last: int = 10
 ) -> str:
-    """Render the last ``last`` interval/final records as an aligned table."""
+    """Render the last ``last`` interval/final records as an aligned table.
+
+    ``win_miss_l``/``win_miss_g`` are each row's interval miss ratios
+    (see :func:`_interval_miss_ratios`), computed before the tail is
+    cut so every shown row is differenced against its predecessor.
+    """
     rows = [r for r in records if r.get("type") in ("interval", "final")]
-    rows = rows[-last:] if last > 0 else rows
+    ratios = _interval_miss_ratios(rows)
+    if last > 0:
+        rows, ratios = rows[-last:], ratios[-last:]
     header = [
         "now", "events", "MD_local", "MD_global",
         "p99_resp", "win_miss_l", "win_miss_g",
     ]
     table = [header]
-    for record in rows:
+    for record, (miss_local, miss_global) in zip(rows, ratios):
         cumulative = record.get("cumulative", {})
         result = RunResult.from_dict(cumulative) if cumulative else None
-        window = record.get("window") or {}
-        per_class = window.get("per_class", {})
         table.append(
             [
                 f"{record.get('now', 0.0):.1f}",
@@ -221,8 +238,8 @@ def render_series_tail(
                 _fmt(result.md_local) if result else "-",
                 _fmt(result.md_global) if result else "-",
                 _fmt(result.global_.p99_response) if result else "-",
-                _fmt(per_class.get("local", {}).get("miss_rate")),
-                _fmt(per_class.get("global", {}).get("miss_rate")),
+                _fmt(miss_local),
+                _fmt(miss_global),
             ]
         )
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]

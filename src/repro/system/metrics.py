@@ -10,7 +10,10 @@ Warm-up: experiments call :meth:`MetricsCollector.reset` at the end of the
 transient phase; only completions recorded after the reset count.  (Tasks
 that *arrived* before the reset but finish after it still count -- standard
 practice for steady-state miss-ratio estimation, and the bias vanishes as
-the window grows.)
+the window grows.)  A view of one stretch of the run is the difference of
+two :meth:`MetricsCollector.snapshot` counts (the emitted series' reader
+derives its interval miss ratios that way; see
+:mod:`repro.system.emission`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import (
 )
 
 from ..core.task import TaskClass
-from ..sim.monitor import DecayedMean, DecayedRate, MeanTally
+from ..sim.monitor import MeanTally
 from ..sim.sketch import CHUNK, QuantileSketch
 from .work import WorkUnit
 
@@ -37,11 +40,10 @@ from .work import WorkUnit
 _NAN = math.nan
 
 #: Above this node count, per-node detail is dropped from emitted
-#: reports (``RunResult.to_dict(aggregate_nodes=True)``) and from the
-#: windowed per-node signals: a 100k-node interval record would
-#: otherwise serialize 100k dicts per emission.  In-process snapshots
-#: always keep full per-node stats; only serialized/streamed forms and
-#: the windowed per-node detail are bounded.
+#: reports (``RunResult.to_dict(aggregate_nodes=True)``): a 100k-node
+#: interval record would otherwise serialize 100k dicts per emission.
+#: In-process snapshots always keep full per-node stats; only the
+#: serialized/streamed forms are bounded.
 PER_NODE_DETAIL_THRESHOLD = 256
 
 
@@ -634,160 +636,6 @@ class _ClassAccumulator:
         )
 
 
-#: Default window for the time-decayed "current" signals, in sim-time
-#: units: long enough to smooth over individual completions at baseline
-#: load, short enough that a load-profile phase change shows within a
-#: few hundred time units.
-DEFAULT_WINDOW_TAU = 500.0
-
-
-class _ClassWindow:
-    """Time-decayed "current" signals for one task class."""
-
-    __slots__ = ("miss", "throughput", "response")
-
-    def __init__(self, tau: float, label: str, start_time: float) -> None:
-        #: Decayed mean of the 0/1 miss indicator: the *current* miss rate.
-        self.miss = DecayedMean(tau, f"{label}/miss-rate", start_time)
-        #: Decayed completion rate (tasks per unit sim-time).
-        self.throughput = DecayedRate(tau, f"{label}/throughput", start_time)
-        #: Decayed mean response time of recent completions.
-        self.response = DecayedMean(tau, f"{label}/response", start_time)
-
-    def record(self, missed: float, response: Optional[float], now: float) -> None:
-        self.miss.observe(missed, now)
-        self.throughput.tick(now)
-        if response is not None:
-            self.response.observe(response, now)
-
-    def reset(self, now: float) -> None:
-        self.miss.reset(now)
-        self.throughput.reset(now)
-        self.response.reset(now)
-
-    def snapshot(self, now: float) -> Dict[str, float]:
-        return {
-            "miss_rate": self.miss.value,
-            "throughput": self.throughput.rate_at(now),
-            "mean_response": self.response.value,
-        }
-
-
-class _NodeWindow:
-    """Time-decayed "current" load signals for one node."""
-
-    __slots__ = ("throughput", "queue")
-
-    def __init__(self, tau: float, index: int, start_time: float) -> None:
-        #: Decayed unit-completion rate at this node (its current load).
-        self.throughput = DecayedRate(tau, f"node-{index}/throughput", start_time)
-        #: Decayed mean queue depth, sampled at completion instants.
-        self.queue = DecayedMean(tau, f"node-{index}/queue", start_time)
-
-    def reset(self, now: float) -> None:
-        self.throughput.reset(now)
-        self.queue.reset(now)
-
-    def snapshot(self, now: float) -> Dict[str, float]:
-        return {
-            "throughput": self.throughput.rate_at(now),
-            "queue_depth": self.queue.value,
-        }
-
-
-class WindowedSignals:
-    """Exponentially time-decayed *current* load signals, per node and class.
-
-    End-of-run means answer "how did the run go"; these answer "what is
-    the system doing *now*" -- the view an in-run strategy switcher
-    (ROADMAP item 4) and the incremental metric emitter consume.  Off by
-    default (one ``is None`` check per completion, same discipline as the
-    tracer); enable with :meth:`MetricsCollector.enable_windows`.
-
-    Updates are pure float arithmetic on already-observed completion
-    events: no random draws, no event scheduling -- enabling windows is
-    invisible to the golden determinism gate.
-    """
-
-    __slots__ = ("tau", "local", "global_", "nodes", "_servers")
-
-    def __init__(
-        self,
-        node_count: int,
-        tau: float = DEFAULT_WINDOW_TAU,
-        start_time: float = 0.0,
-        servers: Optional[List[Any]] = None,
-    ) -> None:
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        self.tau = tau
-        self.local = _ClassWindow(tau, "local", start_time)
-        self.global_ = _ClassWindow(tau, "global", start_time)
-        #: Per-node decayed signals -- dropped entirely past the fleet
-        #: threshold, where 100k ``_NodeWindow`` objects would dominate
-        #: collector memory and every interval snapshot.
-        self.nodes = (
-            [] if node_count > PER_NODE_DETAIL_THRESHOLD
-            else [_NodeWindow(tau, i, start_time) for i in range(node_count)]
-        )
-        #: The collector's registered nodes, whose queue-length signal
-        #: (``_q_value``) feeds the decayed queue-depth estimate (may be
-        #: None standalone).
-        self._servers = servers
-
-    def record_unit(self, unit: WorkUnit, now: Optional[float]) -> None:
-        """Fold one finished work unit (any class) into the signals."""
-        timing = unit.timing
-        if timing.aborted:
-            # An abort is a certain miss; it has no response time and
-            # does not count as node throughput.  Callers on the hot
-            # path pass the abort instant; without it there is no
-            # timestamp to decay against, so skip.
-            if now is not None and unit.task_class is _LOCAL:
-                self.local.record(1.0, None, now)
-            return
-        completed_at = timing.completed_at
-        nodes = self.nodes
-        if nodes:
-            node = nodes[unit.node_index]
-            node.throughput.tick(completed_at)
-            servers = self._servers
-            if servers is not None:
-                node.queue.observe(
-                    servers[unit.node_index]._q_value, completed_at
-                )
-        if unit.task_class is _LOCAL:
-            self.local.record(
-                1.0 if completed_at > timing.dl else 0.0,
-                completed_at - timing.ar,
-                completed_at,
-            )
-
-    def record_global(
-        self, missed: float, response: Optional[float], now: float
-    ) -> None:
-        """Fold one end-to-end global-task outcome into the signals."""
-        self.global_.record(missed, response, now)
-
-    def reset(self, now: float) -> None:
-        """Restart every window at ``now`` (warm-up truncation)."""
-        self.local.reset(now)
-        self.global_.reset(now)
-        for node in self.nodes:
-            node.reset(now)
-
-    def snapshot(self, now: float) -> Dict[str, Any]:
-        """JSON-ready view of every current signal at sim-time ``now``."""
-        return {
-            "tau": self.tau,
-            "per_class": {
-                "local": self.local.snapshot(now),
-                "global": self.global_.snapshot(now),
-            },
-            "per_node": [node.snapshot(now) for node in self.nodes],
-        }
-
-
 _LOCAL = TaskClass.LOCAL
 
 #: ``count & _CHUNK_MASK == 0`` on every ``CHUNK``-th observation
@@ -825,10 +673,6 @@ class MetricsCollector:
             setattr(self, name, zero)
         self._warmup_end = 0.0
         self._tracer = None
-        #: Optional :class:`WindowedSignals` (see :meth:`enable_windows`);
-        #: ``None`` keeps the hot path at one pointer comparison, the
-        #: same discipline as ``_tracer``.
-        self._window: Optional[WindowedSignals] = None
 
     @property
     def tracer(self):
@@ -850,43 +694,14 @@ class MetricsCollector:
         if self._tracer is not None:
             self._tracer.record(time, kind, unit, node_index)
 
-    @property
-    def window(self) -> Optional[WindowedSignals]:
-        """The attached :class:`WindowedSignals`, or ``None`` (default)."""
-        return self._window
-
-    def enable_windows(
-        self, tau: float = DEFAULT_WINDOW_TAU, now: float = 0.0
-    ) -> WindowedSignals:
-        """Attach (and return) time-decayed load signals starting at ``now``.
-
-        Idempotent for a matching ``tau``; a different ``tau`` replaces
-        the window wholesale (fresh state).
-        """
-        window = self._window
-        if window is None or window.tau != tau:
-            window = WindowedSignals(
-                node_count=self.node_count,
-                tau=tau,
-                start_time=now,
-                servers=self.nodes,
-            )
-            self._window = window
-        return window
-
     # -- recording ---------------------------------------------------------
 
-    def record_unit_completion(
-        self, unit: WorkUnit, now: Optional[float] = None
-    ) -> None:
+    def record_unit_completion(self, unit: WorkUnit) -> None:
         """Record the outcome of a finished *local* work unit.
 
         Global subtasks are not recorded here: the paper's ``MD_global`` is
         an end-to-end measure, recorded once per global task by
-        :meth:`record_global_completion`.  ``now`` (the recording instant)
-        only feeds the optional windowed signals; node loops pass it so
-        aborted units -- which carry no ``completed_at`` -- still have a
-        timestamp to decay against.
+        :meth:`record_global_completion`.
 
         The body inlines the equivalents of ``timing.missed`` /
         ``.response_time`` / ``.lateness`` / ``.waiting_time`` plus the
@@ -897,9 +712,6 @@ class MetricsCollector:
         the whole update.  A node only records after stamping
         ``completed_at``, so the property guards cannot fire here.
         """
-        window = self._window
-        if window is not None:
-            window.record_unit(unit, now)
         if unit.task_class is not _LOCAL:
             return
         acc = self._local_acc
@@ -949,25 +761,20 @@ class MetricsCollector:
         response_time: Optional[float] = None,
         lateness: Optional[float] = None,
         failed: bool = False,
-        now: Optional[float] = None,
     ) -> None:
         """Record the end-to-end outcome of one global task.
 
         An aborted task never completed, so it has no response time or
         lateness; callers pass ``None`` (the default) and only the
         aborted/missed counters move.  ``failed`` marks the retry-budget-
-        exhausted disposition (a subset of aborted).  ``now`` feeds the
-        optional windowed signals only.
+        exhausted disposition (a subset of aborted).
         """
         acc = self._global_acc
-        window = self._window
         if aborted:
             acc.aborted += 1
             acc.missed += 1
             if failed:
                 acc.failed += 1
-            if window is not None and now is not None:
-                window.record_global(1.0, None, now)
             return
         acc.completed += 1
         if timing_missed:
@@ -980,14 +787,6 @@ class MetricsCollector:
         if not acc.response.count & _CHUNK_MASK:
             acc.response_sketch.commit_chunk()
             acc.lateness_sketch.commit_chunk()
-        if window is not None and now is not None:
-            window.record_global(
-                1.0 if timing_missed else 0.0, response_time, now
-            )
-
-    def count_dispatch(self, node_index: int) -> None:
-        """Count one dispatch decision at a node."""
-        self.node_dispatched[node_index] += 1
 
     # -- warm-up and snapshots ----------------------------------------------
 
@@ -1008,8 +807,6 @@ class MetricsCollector:
         for name, zero in _RUN_COUNTERS:
             setattr(self, name, zero)
         self._warmup_end = now
-        if self._window is not None:
-            self._window.reset(now)
 
     def snapshot(self, now: float) -> RunResult:
         """Freeze current statistics into a :class:`RunResult`."""

@@ -270,7 +270,7 @@ class Node:
                 timing.aborted = True
                 if metrics._tracer is not None:
                     metrics._tracer.record(now, "abort", unit, index)
-                metrics.record_unit_completion(unit, now)
+                metrics.record_unit_completion(unit)
                 listener = self._outstanding_listener
                 if listener is not None:
                     listener(index)
@@ -337,7 +337,7 @@ class Node:
         self._b_value = 0.0
         if metrics._tracer is not None:
             metrics._tracer.record(now, "complete", unit, index)
-        metrics.record_unit_completion(unit, now)
+        metrics.record_unit_completion(unit)
         listener = self._outstanding_listener
         if listener is not None:
             listener(index)
@@ -469,7 +469,7 @@ class Node:
         metrics.node_lost[index] += 1
         if metrics._tracer is not None:
             metrics._tracer.record(now, "lost", unit, index)
-        metrics.record_unit_completion(unit, now)
+        metrics.record_unit_completion(unit)
         on_done = unit.on_done
         if on_done is not None:
             self.env._schedule_call(on_done, value=unit, priority=NORMAL)

@@ -225,7 +225,7 @@ class PreemptiveNode(Node):
                 remaining.pop(unit, None)
                 if tracer is not None:
                     tracer.record(now, "abort", unit, index)
-                metrics.record_unit_completion(unit, now)
+                metrics.record_unit_completion(unit)
                 listener = self._outstanding_listener
                 if listener is not None:
                     listener(index)

@@ -122,7 +122,7 @@ class _TaskRun(_Continuation):
         deadline = self.deadline
         if aborted:
             manager.metrics.record_global_completion(
-                timing_missed=True, aborted=True, failed=self.failed, now=now
+                timing_missed=True, aborted=True, failed=self.failed
             )
         else:
             manager.metrics.record_global_completion(
@@ -130,7 +130,6 @@ class _TaskRun(_Continuation):
                 aborted=False,
                 response_time=now - self.arrival,
                 lateness=now - deadline,
-                now=now,
             )
 
 

@@ -301,9 +301,7 @@ class Simulation:
 
         Interval records are only cut during the measured phase --
         warm-up statistics are discarded at the reset, so emitting them
-        would just be noise; the emitter's windowed signals still warm
-        up through the transient (and restart at the reset with
-        everything else).
+        would just be noise.
         """
         env = self.env
         config = self.config

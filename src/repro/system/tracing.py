@@ -200,8 +200,8 @@ class JsonlTraceSink:
     :func:`load_trace_events`.
     """
 
-    def __init__(self, path: Any, append: bool = False) -> None:
-        self._appender = JsonlAppender(path, append=append)
+    def __init__(self, path: Any) -> None:
+        self._appender = JsonlAppender(path)
 
     @property
     def path(self) -> str:

@@ -2,24 +2,16 @@
 
 from __future__ import annotations
 
-import statistics
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment
-from repro.sim.monitor import Tally, TimeWeighted
+from repro.sim.monitor import TimeWeighted
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=60,
-)
-
-values = st.lists(
-    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False),
-    min_size=2,
-    max_size=80,
 )
 
 
@@ -52,33 +44,6 @@ def test_simultaneous_events_fire_fifo(tags):
         env._sleep(1.0, lambda e, tag=tag: fired.append(tag))
     env.run()
     assert fired == tags
-
-
-@given(values)
-def test_tally_matches_statistics_module(xs):
-    tally = Tally()
-    for x in xs:
-        tally.observe(x)
-    assert tally.count == len(xs)
-    assert tally.mean == pytest_approx(statistics.fmean(xs))
-    assert tally.variance == pytest_approx(statistics.variance(xs))
-    assert tally.min == min(xs)
-    assert tally.max == max(xs)
-
-
-@given(values, values)
-def test_tally_merge_equals_pooled(xs, ys):
-    a, b, pooled = Tally(), Tally(), Tally()
-    for x in xs:
-        a.observe(x)
-        pooled.observe(x)
-    for y in ys:
-        b.observe(y)
-        pooled.observe(y)
-    a.merge(b)
-    assert a.count == pooled.count
-    assert a.mean == pytest_approx(pooled.mean)
-    assert a.variance == pytest_approx(pooled.variance, abs_tol=1e-6)
 
 
 @given(

@@ -21,8 +21,8 @@ from repro.system.emission import (
     render_series_tail,
     summarize_series,
 )
-from repro.system.metrics import RunResult, WindowedSignals
-from repro.system.simulation import Simulation, simulate
+from repro.system.metrics import RunResult
+from repro.system.simulation import simulate
 
 
 def quick_config(**overrides):
@@ -94,10 +94,6 @@ class TestEmissionPolicy:
             EmissionPolicy(path="x.jsonl", every_events=-1)
         with pytest.raises(ValueError):
             EmissionPolicy(path="x.jsonl", every_seconds=-1.0)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            EmissionPolicy(path="x.jsonl", every_events=1, tau=0.0)
 
 
 def _noop(_event) -> None:
@@ -206,8 +202,7 @@ class TestEmittedSeries:
         for record in intervals:
             assert record["events"] > last_events
             last_events = record["events"]
-            assert "per_class" in record["window"]
-            assert "local" in record["window"]["per_class"]
+            assert "window" not in record
             RunResult.from_dict(record["cumulative"])  # parses
 
     def test_intervals_only_in_measured_phase(self, tmp_path):
@@ -244,40 +239,79 @@ class TestEmittedSeries:
         assert summarize_series([old_header, *records[1:]]) == summary
 
 
-class TestWindowedSignals:
-    def test_attach_and_snapshot(self):
-        simulation = Simulation(quick_config())
-        window = simulation.metrics.enable_windows(tau=100.0, now=0.0)
-        assert simulation.metrics.window is window
-        result = simulation.run()
-        snapshot = window.snapshot(simulation.env.now)
-        assert snapshot["tau"] == 100.0
-        local = snapshot["per_class"]["local"]
-        # The run completed local work recently, so the current signals
-        # are live numbers, not the empty-window nan.
-        assert local["throughput"] > 0.0
-        assert 0.0 <= local["miss_rate"] <= 1.0
-        assert local["mean_response"] > 0.0
-        assert len(snapshot["per_node"]) == simulation.config.node_count
-        # Windows never perturb the result.
-        assert simulate(quick_config()) == result
+def _tail_cells(records, last=0):
+    """``render_series_tail`` rows as lists of cells (header dropped)."""
+    lines = render_series_tail(records, last=last).splitlines()
+    return [line.split() for line in lines[1:]]
 
-    def test_windowed_miss_rate_tracks_recent_regime(self):
-        window = WindowedSignals(node_count=1, tau=10.0)
-        for t in range(100):
-            window.record_global(0.0, 1.0, float(t))
-        for t in range(100, 200):
-            window.record_global(1.0, 1.0, float(t))
-        snapshot = window.snapshot(200.0)
-        assert snapshot["per_class"]["global"]["miss_rate"] > 0.99
 
-    def test_enable_is_idempotent_per_tau(self):
-        simulation = Simulation(quick_config())
-        first = simulation.metrics.enable_windows(tau=50.0, now=0.0)
-        assert simulation.metrics.enable_windows(tau=50.0, now=1.0) is first
-        replaced = simulation.metrics.enable_windows(tau=99.0, now=1.0)
-        assert replaced is not first
+def _expected_interval_miss(rows, name):
+    """Δmissed / Δ(completed + aborted) of one class between consecutive
+    ``cumulative`` records, formatted as the tail prints it."""
+    cells = []
+    missed_before = finished_before = 0
+    for record in rows:
+        stats = record["cumulative"]["per_class"][name]
+        missed = stats["missed"]
+        finished = stats["completed"] + stats["aborted"]
+        delta = finished - finished_before
+        cells.append(
+            f"{(missed - missed_before) / delta:.4f}" if delta else "-"
+        )
+        missed_before, finished_before = missed, finished
+    return cells
 
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            WindowedSignals(node_count=1, tau=0.0)
+
+class TestIntervalMissColumns:
+    """``metrics tail``'s ``win_miss_*`` columns are exact interval miss
+    ratios derived from consecutive ``cumulative`` records."""
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("series") / "m.jsonl")
+        simulate(
+            quick_config(sim_time=1_500.0, overload_policy="abort-tardy"),
+            emit=EmissionPolicy(path=path, every_events=300),
+        )
+        return read_metrics_series(path)
+
+    def test_columns_difference_consecutive_cumulative_records(self, records):
+        rows = [r for r in records if r["type"] in ("interval", "final")]
+        assert len(rows) > 3
+        # Aborts count as finished (and missed) in both classes.
+        per_class = rows[-1]["cumulative"]["per_class"]
+        assert per_class["local"]["aborted"] > 0
+        assert per_class["global"]["aborted"] > 0
+        cells = _tail_cells(records)
+        assert len(cells) == len(rows)
+        assert [row[5] for row in cells] == _expected_interval_miss(
+            rows, "local"
+        )
+        assert [row[6] for row in cells] == _expected_interval_miss(
+            rows, "global"
+        )
+        # An interval ratio is not the cumulative one past the first row.
+        assert [row[5] for row in cells] != [row[2] for row in cells]
+
+    def test_tail_rows_keep_their_predecessor(self, records):
+        assert _tail_cells(records, last=3) == _tail_cells(records)[-3:]
+
+    def test_series_with_window_keys_renders_the_same(self, records):
+        legacy = [
+            dict(record, window={
+                "tau": 500.0,
+                "per_class": {
+                    "local": {"miss_rate": 0.5},
+                    "global": {"miss_rate": 0.5},
+                },
+                "per_node": [],
+            })
+            if record["type"] != "header" else record
+            for record in records
+        ]
+        assert render_series_tail(legacy) == render_series_tail(records)
+
+    def test_interval_where_nothing_finished_renders_dash(self, records):
+        final = records[-1]
+        repeated = [*records, dict(final, interval=final["interval"] + 1)]
+        assert _tail_cells(repeated, last=1)[0][5:] == ["-", "-"]

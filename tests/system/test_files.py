@@ -100,17 +100,6 @@ class TestAtomicWrite:
 
 
 class TestJsonlAppenderModes:
-    def test_append_mode_keeps_existing_records(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        first = JsonlAppender(path)
-        first.write({"a": 1})
-        first.close()
-        second = JsonlAppender(path, append=True)
-        second.write({"b": 2})
-        second.close()
-        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
-        assert second.written == 1
-
     def test_write_mode_truncates(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('{"old": true}\n')

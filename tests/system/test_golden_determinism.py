@@ -587,15 +587,6 @@ class TestEmissionIsObservationOnly:
             assert stats.p50_lateness <= stats.p95_lateness <= stats.p99_lateness
             assert stats.p50_response > 0.0
 
-    def test_windowed_signals_are_observation_only(self, serial_result):
-        from repro.system.simulation import Simulation
-
-        simulation = Simulation(
-            baseline_config(sim_time=SIM_TIME, warmup_time=WARMUP, seed=42)
-        )
-        simulation.metrics.enable_windows(tau=250.0, now=0.0)
-        assert simulation.run() == serial_result
-
 class TestTracingIsObservationOnly:
     """Tracing must never perturb the simulation it observes.
 

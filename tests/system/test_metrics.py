@@ -135,7 +135,7 @@ class TestWarmupReset:
     def test_dispatch_counters_reset(self, env):
         collector = MetricsCollector(node_count=1)
         register_nodes(env, collector, 1)
-        collector.count_dispatch(0)
+        collector.node_dispatched[0] += 1
         collector.reset(now=10.0)
         assert collector.snapshot(20.0).per_node[0].dispatched == 0
 
@@ -169,8 +169,7 @@ class TestStreamingPercentiles:
         collector = MetricsCollector(node_count=1)
         for i in range(1, 101):
             collector.record_unit_completion(
-                finished_unit(env, ar=0.0, completed=float(i), dl=50.0),
-                now=float(i),
+                finished_unit(env, ar=0.0, completed=float(i), dl=50.0)
             )
         stats = collector.snapshot(200.0).local
         # Responses are exactly 1..100: small-n P² stays close to exact.
@@ -190,7 +189,7 @@ class TestStreamingPercentiles:
 
     def test_warmup_reset_clears_sketches(self, env):
         collector = MetricsCollector(node_count=1)
-        collector.record_unit_completion(finished_unit(env), now=2.0)
+        collector.record_unit_completion(finished_unit(env))
         collector.reset(5.0)
         assert math.isnan(collector.snapshot(10.0).local.p50_response)
 
@@ -279,7 +278,7 @@ class TestFromDictTolerance:
         from repro.system.metrics import RunResult
 
         collector = MetricsCollector(node_count=2)
-        collector.record_unit_completion(finished_unit(env), now=2.0)
+        collector.record_unit_completion(finished_unit(env))
         result = collector.snapshot(10.0)
         assert RunResult.from_dict(result.to_dict()) == result
 

@@ -188,9 +188,9 @@ class TestCompletionChannel:
         recorded = []
         record = MetricsCollector.record_unit_completion
 
-        def recording(collector, unit, now=None):
+        def recording(collector, unit):
             recorded.append(unit)
-            record(collector, unit, now)
+            record(collector, unit)
 
         monkeypatch.setattr(
             MetricsCollector, "record_unit_completion", recording

@@ -284,7 +284,7 @@ class TestAbortedOutcomeValues:
         stats = metrics.snapshot(env.now).global_
         assert stats.aborted == 1
         assert stats.missed == 1
-        # No samples observed: the Tally means stay at their empty value.
+        # No samples observed: the MeanTally means stay at their empty value.
         import math
 
         assert math.isnan(stats.mean_response)
