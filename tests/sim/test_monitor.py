@@ -74,3 +74,57 @@ class TestMeanTallyStillMatchesTally:
         for value in values:
             mean.observe(value)
         assert mean.mean == math.fsum(values) / len(values)
+
+
+class TestMeanTally:
+    def test_empty_mean_is_nan(self):
+        tally = MeanTally("m")
+        assert tally.count == 0
+        assert math.isnan(tally.mean)
+
+    def test_single_observation_is_exact(self):
+        tally = MeanTally()
+        tally.observe(0.1)
+        assert tally.count == 1
+        assert tally.mean == 0.1
+
+    def test_reset_forgets(self):
+        tally = MeanTally()
+        for value in (3.0, 5.0, 100.0):
+            tally.observe(value)
+        tally.reset()
+        assert tally.count == 0
+        assert math.isnan(tally.mean)
+        tally.observe(2.0)
+        assert tally.mean == 2.0
+
+    def test_mean_matches_the_exact_mean(self):
+        values = [0.1 * i + (-1.0) ** i for i in range(200)]
+        tally = MeanTally()
+        for value in values:
+            tally.observe(value)
+        assert tally.count == len(values)
+        assert tally.mean == pytest.approx(
+            math.fsum(values) / len(values), rel=1e-12
+        )
+
+
+class TestTimeWeightedEdges:
+    def test_increment_time_backwards_rejected(self):
+        signal = TimeWeighted()
+        signal.increment(+1, now=5.0)
+        with pytest.raises(ValueError):
+            signal.increment(-1, now=4.0)
+
+    def test_reset_restarts_min_and_max_at_the_current_value(self):
+        signal = TimeWeighted(initial=0.0)
+        signal.update(9.0, now=1.0)
+        signal.update(4.0, now=2.0)
+        signal.reset(now=2.0)
+        assert (signal.min, signal.max) == (4.0, 4.0)
+
+    def test_mean_includes_the_value_held_since_the_last_update(self):
+        signal = TimeWeighted(initial=0.0)
+        signal.update(2.0, now=5.0)
+        # 0 over [0, 5), then 2 held over [5, 10] with no further update.
+        assert signal.mean_at(10.0) == pytest.approx(1.0)
