@@ -45,7 +45,10 @@ class TaskNode:
         #: Display name, or ``None``: a work unit built from an unnamed
         #: leaf is labelled by its simulation's unit counter instead.
         self.name = name
-        self.parent: Optional["TaskNode"] = None
+        #: Set once a composite node adopts this node as a child.  A flag
+        #: rather than a parent link: a back-pointer would make every tree
+        #: a reference cycle, which only the garbage collector can free.
+        self.owned = False
         #: Timing attributes; ``ar``/``dl`` of inner nodes describe the
         #: node's *window* (assigned recursively by the combined strategy).
         self.timing: Optional[TimingRecord] = None
@@ -96,11 +99,33 @@ class TaskNode:
     # -- misc ---------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural sanity; raises ``ValueError`` on problems."""
-        for child in self.children:
-            if child.parent is not self:
-                raise ValueError(f"{child!r} has wrong parent link")
-            child.validate()
+        """Check structural sanity; raises ``ValueError`` on problems.
+
+        Every child must have been adopted by a composite constructor
+        (its ``owned`` flag), and no node may be reached twice: a tree
+        that shares a node, or contains itself, was edited behind the
+        constructors' back.
+        """
+        seen = set()
+        pending: List[TaskNode] = [self]
+        while pending:
+            node = pending.pop()
+            if id(node) in seen:
+                raise ValueError(
+                    f"{node!r} is reached twice; task trees must not "
+                    "share nodes"
+                )
+            seen.add(id(node))
+            node._check()
+            for child in node.children:
+                if not child.owned:
+                    raise ValueError(
+                        f"{child!r} was not adopted by a composite node"
+                    )
+                pending.append(child)
+
+    def _check(self) -> None:
+        """This node's own sanity checks (``validate`` walks the tree)."""
 
     def notation(self) -> str:
         """Render in the paper's bracket notation."""
@@ -147,8 +172,7 @@ class SimpleTask(TaskNode):
             return self.name
         return f"{self.ex:g}"
 
-    def validate(self) -> None:
-        super().validate()
+    def _check(self) -> None:
         if self.node_index is not None and self.node_index < 0:
             raise ValueError(f"negative node index: {self.node_index}")
 
@@ -162,12 +186,12 @@ class _CompositeTask(TaskNode):
             raise ValueError(f"{type(self).__name__} needs at least one child")
         self._children: List[TaskNode] = list(children)
         for child in self._children:
-            if child.parent is not None:
+            if child.owned:
                 raise ValueError(
-                    f"{child!r} already belongs to {child.parent!r}; "
+                    f"{child!r} already belongs to a task; "
                     "task trees must not share nodes"
                 )
-            child.parent = self
+            child.owned = True
 
     @property
     def children(self) -> Sequence[TaskNode]:

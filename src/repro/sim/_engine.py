@@ -17,14 +17,16 @@ Design rules
 
   - the heap holds pooled :class:`_Sleep` timers, NORMAL
     :class:`_Call` entries (``on_done`` continuations, the run-horizon
-    sentinel) and preemptive nodes, each its own idle wake-up;
-  - the urgent deque holds URGENT :class:`_Call` entries (the
-    preemptive node's pooled poke among them) and non-preemptive
-    nodes, each its own idle wake-up.
+    sentinel), the workload sources, each its own next arrival, and
+    preemptive nodes, each its own idle wake-up;
+  - the urgent deque holds URGENT :class:`_Call` entries and the
+    nodes: a non-preemptive node as its own idle wake-up, a preemptive
+    node as its own preemption poke.
 
-  A node is not a :class:`_Sleep` and has a class-level ``callback``
-  (its dispatch step), so it needs no wrapper object of its own; its
-  owner guarantees that it is queued at most once at a time.
+  A node or a source is not a :class:`_Sleep` and has a class-level
+  ``callback`` (its dispatch or arrival step), so it needs no wrapper
+  object and stores no bound method of itself; its owner guarantees
+  that it is queued at most once at a time.
 * **Plain tuples on the heap.**  An event-list entry is
   ``(time, seq, event)`` — a float, an int, an object — with a bare
   monotone sequence number as the FIFO tie-break.
@@ -144,17 +146,17 @@ class _Sleep:
 class _Call:
     """A bare single-callback bookkeeping event (``_schedule_call``).
 
-    The kernel's "call this at the current time" primitive: preemption
-    pokes and deferred ``on_done`` continuations are one callback with
-    a payload -- no lifecycle, no ``env`` backref.  Dispatching one is
-    two slot reads and a call.  (Node wake-ups need no ``_Call``: a
-    node is its own event; see the module docstring.)
+    The kernel's "call this at the current time" primitive: deferred
+    ``on_done`` continuations are one callback with a payload -- no
+    lifecycle, no ``env`` backref.  Dispatching one is two slot reads
+    and a call.  (Node wake-ups and preemption pokes need no ``_Call``:
+    a node is its own event; see the module docstring.)
 
     Callers receiving a ``_Call`` as their event argument read the
-    payload from ``_value``; nothing else is supported.  Long-lived
-    callers (the preemption poke) may pool one instance and re-enqueue
-    it after it fires -- the callback slot is never detached, so
-    re-arming is free (guard against double-enqueueing yourself).
+    payload from ``_value``; nothing else is supported.  A long-lived
+    caller may pool one instance and re-enqueue it after it fires --
+    the callback slot is never detached, so re-arming is free (guard
+    against double-enqueueing yourself).
     """
 
     __slots__ = ("callback", "_value")
@@ -234,8 +236,8 @@ class Environment:
     ) -> _Call:
         """Schedule a lightweight single-callback event at the current time.
 
-        Internal fast path for kernel bookkeeping (node server wake-ups,
-        preemption pokes, deferred completion continuations): builds a
+        Internal fast path for kernel bookkeeping (deferred completion
+        continuations, a task's start kick): builds a
         bare :class:`_Call` carrying ``value``, by default with
         :data:`URGENT` priority so it runs before any normal event at the
         same timestamp.  Urgent calls land on the FIFO deque (never the
@@ -250,6 +252,20 @@ class Environment:
         else:
             heappush(self._queue, (self._now, self._next_seq(), event))
         return event
+
+    def release(self) -> None:
+        """Drop every pending event and every pooled sleep.
+
+        Queued events and pooled sleeps hold model callbacks, and the
+        model holds this environment, so the event list of a finished
+        run ties the whole model into reference cycles.  Releasing it
+        lets a dropped model be freed by reference counting rather than
+        by the garbage collector.  The clock keeps its time; anything
+        scheduled afterwards runs as usual.
+        """
+        self._queue.clear()
+        self._urgent.clear()
+        self._sleep_pool.clear()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -7,8 +7,8 @@ substrate on which the task/node/scheduler model is built.
 
 The engine itself (event list, run loop, pooled sleeps, urgent deque)
 lives in :mod:`repro.sim._engine`; this module re-exports its public
-names, plus ``_Call``, the bookkeeping event the preemptive node pools
-for its preemption poke.
+names, plus ``_Call``, the bookkeeping event that carries a leaf's
+completion to the process manager.
 
 Design notes
 ------------

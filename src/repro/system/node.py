@@ -29,13 +29,16 @@ subclass is a callback machine too, built on cancellable kernel timers
 server.
 
 A fleet holds one node per component (100k in the fleet scenarios), so
-a node is also written to be small: three objects the garbage collector
-tracks -- the node, its ready heap and its bound completion callback.
-The ready queue is inlined (:class:`~repro.system.schedulers.ReadyQueue`
-is the reference), the FIFO tie-break counter is shared by all nodes of
-a simulation, and the node is its own wake-up event: its class-level
-``callback`` is the dispatch step, so a wake pushes the node itself onto
-the kernel's urgent deque (or, for the preemptive node, the heap).  Every
+a node is also written to be small: two objects the garbage collector
+tracks -- the node and its ready heap.  The node stores no bound method
+of itself (that would be a reference cycle per node): its completion
+callback is bound when the service timer is armed, and goes with the
+timer.  The ready queue is inlined
+(:class:`~repro.system.schedulers.ReadyQueue` is the reference), the
+FIFO tie-break counter is shared by all nodes of a simulation, and the
+node is its own wake-up event: its class-level ``callback`` is the
+dispatch step, so a wake pushes the node itself onto the kernel's
+urgent deque (or, for the preemptive node, the heap).  Every
 tracked object a node adds is one more object each full collection
 walks, and it moves the point where the next full collection lands.
 The node's time-weighted signals (queue length, busy, down) are float
@@ -74,7 +77,7 @@ class Node:
         "_d_value", "_d_area", "_d_last",
         "_outstanding_listener",
         "_policy", "_heap", "_queue_key", "_queue_seq",
-        "_on_complete", "_abort_check",
+        "_abort_check",
     )
 
     def __init__(
@@ -136,11 +139,10 @@ class Node:
         self._heap = []
         self._queue_key = getattr(policy, "fast_key", None) or policy.key
         self._queue_seq = itertools.count() if fifo is None else fifo
-        # The completion callback, bound once: a completion runs once per
-        # unit, and bound-method creation alone is measurable at that
-        # rate.  The idle wake needs no such object: the node is its own
-        # wake event (see ``callback``).
-        self._on_complete = self._complete
+        # Store no bound method of the node on it (a reference cycle per
+        # node): the service timer binds ``_complete`` when it is armed,
+        # and the idle wake needs no callback object at all -- the node
+        # is its own wake event (see ``callback``).
         overload = self.overload_policy
         self._abort_check = (
             None
@@ -292,20 +294,20 @@ class Node:
                 metrics._tracer.record(now, "dispatch", unit, index)
             speed = self.speed
             service = timing.ex if speed == 1.0 else timing.ex / speed
-            # Inlined env._sleep(service, self._on_complete): the service
+            # Inlined env._sleep(service, self._complete): the service
             # timer is armed once per dispatched unit, and the method
             # frame alone is measurable at that rate.
             pool = env._sleep_pool
             if pool and service >= 0.0:
                 sleep = pool.pop()
-                sleep.callback = self._on_complete
+                sleep.callback = self._complete
                 sleep._processed = False
                 heappush(
                     env._queue,
                     (env._now + service, env._next_seq(), sleep),
                 )
             else:
-                sleep = env._sleep(service, self._on_complete)
+                sleep = env._sleep(service, self._complete)
             # Retained so a crash can revoke the completion; the expiry
             # stamp is what "frozen-and-resumed" semantics restart from.
             self._sleep = sleep
@@ -420,7 +422,7 @@ class Node:
             self._b_last = now
             self._b_value = 1.0
             self._service_end = now + left
-            self._sleep = env._sleep(left, self._on_complete)
+            self._sleep = env._sleep(left, self._complete)
         elif self._heap and not self._wake_pending:
             self._wake_pending = True
             env._urgent.append(self)

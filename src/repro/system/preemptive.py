@@ -38,11 +38,13 @@ Like its base class, the server is a callback state machine.  Dispatch
 schedules a pooled, *cancellable* completion timer
 (:meth:`repro.sim._engine._Sleep.cancel`); preemption cancels it, computes
 the remaining demand, re-enqueues the unit, and re-dispatches, all in one
-urgent callback.  The idle wake-up is the node itself as a NORMAL-priority
-heap entry, which consumes one event-list sequence number, and the
-preemption poke rides the kernel's urgent deque (see
-:mod:`repro.sim._engine`); the golden determinism gate pins that event
-order.
+urgent callback.  The node is its own event twice over: the idle
+wake-up is the node as a NORMAL-priority heap entry, which consumes one
+event-list sequence number, and the preemption poke is the node on the
+kernel's urgent deque (see :mod:`repro.sim._engine`); the golden
+determinism gate pins that event order.  The two are never queued at
+once -- a wake is only pending while the server is idle, a poke only
+while it serves -- so ``_preempt_pending`` tells them apart.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
-from ..sim.core import NORMAL, Environment, _Call
+from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
 from .node import Node
 from .overload import OverloadPolicy
@@ -66,7 +68,7 @@ class PreemptiveNode(Node):
     __slots__ = (
         "_remaining", "_preemptions", "_preempt_pending",
         "_service_began", "_service_demand",
-        "_preempt_counts", "_poke",
+        "_preempt_counts",
     )
 
     def __init__(
@@ -88,7 +90,8 @@ class PreemptiveNode(Node):
         #: it.  Guards against the double-interrupt bug: two same-instant
         #: higher-priority arrivals must cause ONE preemption, not a
         #: second poke that charges a spurious preemption to the unit
-        #: dispatched by the first.
+        #: dispatched by the first.  It also tells the node's event
+        #: callback that it fired as the poke, not as the idle wake.
         self._preempt_pending = False
         #: The cancellable completion timer of the unit in service.
         self._sleep = None
@@ -98,11 +101,6 @@ class PreemptiveNode(Node):
             env, index, policy, metrics, overload_policy, speed, fifo
         )
         self._preempt_counts = metrics.node_preemptions
-        # The urgent preemption poke, pooled: one bare kernel call per
-        # node, reused for every schedule (the callback slot is never
-        # detached, so there is nothing to re-arm).  ``_preempt_pending``
-        # guarantees at most one outstanding schedule, so reuse is safe.
-        self._poke = _Call(self._preempt)
 
     @property
     def preemptions(self) -> int:
@@ -174,8 +172,8 @@ class PreemptiveNode(Node):
                 # re-picks the best queued unit, so further same-instant
                 # arrivals need no second poke (see ``_preempt_pending``).
                 # Scheduling inlines the urgent ``_schedule_call`` with
-                # the pooled poke event: straight onto the kernel's
-                # urgent deque, no allocation, no heap entry.
+                # the node as its own poke event: straight onto the
+                # kernel's urgent deque, no allocation, no heap entry.
                 self._preempt_pending = True
                 self._preemptions += 1
                 # Separate measured-window counter (reset at warm-up):
@@ -183,7 +181,7 @@ class PreemptiveNode(Node):
                 # preemption rate; ``self._preemptions`` stays the
                 # lifetime diagnostic the node repr shows.
                 self._preempt_counts[self.index] += 1
-                env._urgent.append(self._poke)
+                env._urgent.append(self)
 
     # -- server state machine ------------------------------------------------
 
@@ -191,10 +189,10 @@ class PreemptiveNode(Node):
         """Serve the highest-priority queued unit (for its *remaining*
         demand, scaled by the node speed), or go idle.
 
-        Runs from the idle wake (as its event callback, clearing
-        ``_wake_pending`` on entry like the base class), the completion
-        callback, and the preemption callback; immediate aborts drain in
-        the loop without touching the event list.
+        Runs from the idle wake (through the node's event ``callback``,
+        clearing ``_wake_pending`` on entry like the base class), the
+        completion callback, and the preemption poke; immediate aborts
+        drain in the loop without touching the event list.
         """
         self._wake_pending = False
         if not self._up:
@@ -251,27 +249,31 @@ class PreemptiveNode(Node):
             # The homogeneous path keeps the exact ``demand`` delay (no
             # division), so fixed-seed results are bit-identical.
             service = demand if speed == 1.0 else demand / speed
-            # Inlined env._sleep(service, self._on_complete), keeping the
+            # Inlined env._sleep(service, self._complete), keeping the
             # cancellable timer (cf. Node._dispatch_next).
             pool = env._sleep_pool
             if pool and service >= 0.0:
                 sleep = pool.pop()
-                sleep.callback = self._on_complete
+                sleep.callback = self._complete
                 sleep._processed = False
                 heappush(
                     env._queue,
                     (env._now + service, env._next_seq(), sleep),
                 )
             else:
-                sleep = env._sleep(service, self._on_complete)
+                sleep = env._sleep(service, self._complete)
             self._sleep = sleep
             return
 
-    #: The node is its own idle wake-up event (see ``Node.callback``);
-    #: redeclared so the wake runs this class's dispatch step.
-    callback = _dispatch_next
+    def callback(self, _event) -> None:
+        """The node's event step: the preemption poke while one is
+        pending, otherwise the idle wake (see ``Node.callback``)."""
+        if self._preempt_pending:
+            self._preempt()
+        else:
+            self._dispatch_next()
 
-    def _preempt(self, _event) -> None:
+    def _preempt(self) -> None:
         """Urgent preemption poke: revoke the completion timer, bookkeep
         the remaining demand, re-enqueue the preempted unit, re-dispatch.
 

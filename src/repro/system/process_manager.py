@@ -67,6 +67,9 @@ class _Continuation:
     Every frame exposes ``child_done(aborted)`` (called directly by child
     frames) and ``_on_unit`` (the kernel callback attached to leaf work
     units via :attr:`WorkUnit.on_done`; the event's value is the unit).
+    A frame never stores a bound method of itself: the launching code
+    binds ``_on_unit`` when it builds a leaf's unit, so a frame is freed
+    by reference counting once its last unit completes.
     """
 
     __slots__ = ()
@@ -84,7 +87,6 @@ class _TaskRun(_Continuation):
         "deadline",
         "arrival",
         "failed",
-        "on_unit",
     )
 
     def __init__(
@@ -100,7 +102,6 @@ class _TaskRun(_Continuation):
         #: Latched by a leaf's retry shim when its budget is exhausted,
         #: turning the recorded outcome into the "failed" disposition.
         self.failed = False
-        self.on_unit = self._on_unit  # bound once; reused per leaf
 
     def _start(self, _event: _Call) -> None:
         """Deferred start kick (scheduled by ``submit``): walk the tree.
@@ -150,7 +151,6 @@ class _SerialFrame(_Continuation):
         "index",
         "window_arrival",
         "window_deadline",
-        "on_unit",
     )
 
     def __init__(
@@ -176,7 +176,6 @@ class _SerialFrame(_Continuation):
         self.index = 0
         self.window_arrival = window_arrival
         self.window_deadline = window_deadline
-        self.on_unit = self._on_unit  # bound once; reused per stage
 
     def child_done(self, aborted: bool) -> None:
         if aborted:
@@ -205,7 +204,7 @@ class _SerialFrame(_Continuation):
         if type(child) is SimpleTask:
             # Direct leaf call: no child frame on the dominant
             # serial-chain-of-leaves structure.
-            manager._submit_leaf(child, deadline, self.run, self.on_unit)
+            manager._submit_leaf(child, deadline, self.run, self._on_unit)
         else:
             manager._execute(
                 child,
@@ -225,13 +224,12 @@ class _ParallelFrame(_Continuation):
     so the abort signal is latched, not propagated early.
     """
 
-    __slots__ = ("parent", "remaining", "aborted", "on_unit")
+    __slots__ = ("parent", "remaining", "aborted")
 
     def __init__(self, parent: _Continuation, fan_out: int) -> None:
         self.parent = parent
         self.remaining = fan_out
         self.aborted = False
-        self.on_unit = self._on_unit  # bound once; shared by all branches
 
     def child_done(self, aborted: bool) -> None:
         if aborted:
@@ -302,10 +300,6 @@ class _LeafAttempt:
         "timer",
         "attempts",
         "redirects",
-        "on_unit",
-        "_on_timeout",
-        "_on_backoff",
-        "_on_bounce",
     )
 
     def __init__(
@@ -326,10 +320,6 @@ class _LeafAttempt:
         self.timer = None
         self.attempts = 0
         self.redirects = 0
-        self.on_unit = self._unit_done
-        self._on_timeout = self._timeout
-        self._on_backoff = self._backoff
-        self._on_bounce = self._bounce
 
     def launch(self) -> None:
         self._dispatch(self.node_index)
@@ -352,7 +342,7 @@ class _LeafAttempt:
             manager.metrics.misroutes += 1
             self.node_index = node_index
             if detector.misroute_delay > 0.0:
-                env._sleep(detector.misroute_delay, self._on_bounce)
+                env._sleep(detector.misroute_delay, self._bounce)
             else:
                 self._bounce(None)
             return
@@ -364,13 +354,13 @@ class _LeafAttempt:
         # Positional, as in ProcessManager._submit_leaf.
         unit = WorkUnit(
             leaf.name, TaskClass.GLOBAL, node_index, timing,
-            manager._priority_class, self.run.deadline, self.on_unit,
+            manager._priority_class, self.run.deadline, self._unit_done,
             next(manager._unit_ids),
         )
         self.current = unit
         retry = manager._retry
         if retry is not None and retry.retry_timeout > 0.0:
-            self.timer = env._sleep(retry.retry_timeout, self._on_timeout)
+            self.timer = env._sleep(retry.retry_timeout, self._timeout)
         manager.nodes[node_index].submit(unit)
 
     def _bounce(self, _event) -> None:
@@ -428,7 +418,7 @@ class _LeafAttempt:
         self.attempts = attempts + 1
         delay = spec.backoff_delay(self.attempts)
         if delay > 0.0:
-            manager.env._sleep(delay, self._on_backoff)
+            manager.env._sleep(delay, self._backoff)
         else:
             self._backoff(None)
 
@@ -511,10 +501,13 @@ class ProcessManager:
         The outcome is recorded in the metrics when the task completes
         or aborts; nothing is returned, and there is nothing to wait on.
         A deadline already in the past is permitted -- a soft real-time
-        system may receive a task that is already hopeless -- but the
-        tree must be well formed.
+        system may receive a task that is already hopeless.
+
+        The tree is not validated here: the composite constructors
+        already reject shared nodes, and the workload factories build
+        every tree through them.  Call :meth:`TaskNode.validate` on a
+        tree edited by hand before submitting it.
         """
-        tree.validate()
         self.submitted += 1
         self.env._schedule_call(_TaskRun(self, tree, deadline)._start)
 
@@ -530,7 +523,7 @@ class ProcessManager:
     ) -> None:
         """Launch one subtree; ``parent.child_done`` fires when it ends."""
         if isinstance(node, SimpleTask):
-            self._submit_leaf(node, window_deadline, run, parent.on_unit)
+            self._submit_leaf(node, window_deadline, run, parent._on_unit)
         elif isinstance(node, SerialTask):
             _SerialFrame(
                 self, node, run, parent, window_arrival, window_deadline
@@ -590,7 +583,7 @@ class ProcessManager:
         fan_out = len(children)
         parallel_deadline = self._parallel_deadline
         frame = _ParallelFrame(parent, fan_out)
-        on_unit = frame.on_unit
+        on_unit = frame._on_unit  # one bound method, shared by the branches
         for i, child in enumerate(children):
             is_leaf = type(child) is SimpleTask
             deadline = parallel_deadline(

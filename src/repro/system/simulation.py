@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from ..core.strategies import DeadlineAssigner, parse_assigner
 from ..sim.core import Environment
+from ..sim.errors import SimulationError
 from ..sim.rng import StreamFactory
 from .config import PARALLEL, SERIAL, SERIAL_PARALLEL, SystemConfig
 from .detector import FailureDetector, SuspicionView
@@ -56,6 +57,7 @@ class Simulation:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.env = Environment()
+        self._ran = False
         self.streams = StreamFactory(config.seed)
         self.metrics = MetricsCollector(config.node_count)
         self.trace_log: Optional[TraceLog] = None
@@ -274,20 +276,33 @@ class Simulation:
     def run(self, emit: Optional[EmissionPolicy] = None) -> RunResult:
         """Execute the configured run and return its measurements.
 
+        A simulation runs once.  After the final snapshot the run
+        releases the environment's event list (pending events and pooled
+        sleeps): it holds the model's callbacks, so keeping it would tie
+        the model into reference cycles, and a dropped finished
+        simulation would wait for the garbage collector to free its
+        random streams.
+
         With an :class:`~repro.system.emission.EmissionPolicy`, the run
         additionally writes a JSONL metric time series to the policy's
         path: interval records during the measured phase, and a final
         record whose cumulative payload equals the returned result.
         Emission is observation-only and determinism-invisible.
         """
+        if self._ran:
+            raise SimulationError("a Simulation runs once; build a new one")
+        self._ran = True
         if emit is not None:
-            return self._run_sliced(emit)
-        config = self.config
-        if config.warmup_time > 0:
-            self.env.run(until=config.warmup_time)
-            self.metrics.reset(self.env.now)
-        self.env.run(until=config.sim_time)
-        return self.metrics.snapshot(self.env.now)
+            result = self._run_sliced(emit)
+        else:
+            config = self.config
+            if config.warmup_time > 0:
+                self.env.run(until=config.warmup_time)
+                self.metrics.reset(self.env.now)
+            self.env.run(until=config.sim_time)
+            result = self.metrics.snapshot(self.env.now)
+        self.env.release()
+        return result
 
     def _run_sliced(self, emit: EmissionPolicy) -> RunResult:
         """The sliced run loop behind ``run(emit=...)``.

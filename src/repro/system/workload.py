@@ -47,7 +47,7 @@ from ..core.task import (
 )
 from ..core.timing import TimingRecord
 from ..sim.core import Environment
-from ..sim.distributions import Distribution
+from ..sim.distributions import Deterministic, Distribution
 from ..sim.rng import StreamFactory
 from .node import Node
 from .placement import PlacementPolicy, UniformPlacement
@@ -101,14 +101,41 @@ class PiecewiseProfile:
         return multipliers[index]
 
 
+def _estimation(estimator: Estimator, streams: StreamFactory, name: str):
+    """The ``(predict, stream)`` pair of an estimating source or factory:
+    ``(None, None)`` for a perfect estimator, which draws nothing, so its
+    stream is never made (a stream's seed derives from its name, not from
+    the order streams are made in)."""
+    if estimator.is_perfect:
+        return None, None
+    return estimator.predict, streams.get(name)
+
+
+def _queue_arrival(source, env: Environment, gap: float) -> None:
+    """Queue ``source`` as its own heap event, ``gap`` time units out.
+
+    The same entry, validation and sequence-number consumption as
+    ``env._sleep(gap, ...)``, without a timer object: a source is queued
+    exactly once at a time, so it can be the event itself, and its
+    class-level ``callback`` is the arrival step.
+    """
+    # ``not >=`` rather than ``<``: a NaN gap must not pass.
+    if not gap >= 0.0:
+        raise ValueError(f"negative or NaN interarrival gap: {gap!r}")
+    heappush(env._queue, (env._now + gap, env._next_seq(), source))
+
+
 class LocalTaskSource:
     """Poisson source of local tasks at one node.
 
-    Implemented as a self-rescheduling sleep callback rather than a
-    generator process: one arrival costs one event-list entry and one
-    callback, with no coroutine suspend/resume machinery.  Random draws
-    happen in the same per-stream order as the process version, so fixed
-    seeds keep producing identical workloads.
+    Implemented as a self-rescheduling event rather than a generator
+    process: the source is its own heap entry, and its class-level
+    ``callback`` generates one arrival and re-queues the source.  One
+    arrival costs one event-list entry and one callback, with no
+    coroutine machinery and no timer object; the source holds no bound
+    method of itself, so nothing ties it into a reference cycle.  Random
+    draws happen in the same per-stream order as the process version,
+    so fixed seeds keep producing identical workloads.
     """
 
 
@@ -130,7 +157,6 @@ class LocalTaskSource:
         "_predict",
         "_submit",
         "_node_index",
-        "_on_arrive",
         "_profile",
         "_unit_ids",
     )
@@ -157,14 +183,13 @@ class LocalTaskSource:
         self._arrival_stream = streams.get(f"local-arrival/{tag}")
         self._execution_stream = streams.get(f"local-execution/{tag}")
         self._slack_stream = streams.get(f"local-slack/{tag}")
-        self._estimate_stream = streams.get(f"local-estimate/{tag}")
         self.generated = 0
         # Hot-path bindings (one arrival per callback for the whole run).
         self._next_interarrival = interarrival.bind(self._arrival_stream)
         self._next_execution = execution.bind(self._execution_stream)
         self._next_slack = slack.bind(self._slack_stream)
-        self._predict = (
-            None if self.estimator.is_perfect else self.estimator.predict
+        self._predict, self._estimate_stream = _estimation(
+            self.estimator, streams, f"local-estimate/{tag}"
         )
         self._submit = node.submit
         self._node_index = node.index
@@ -173,18 +198,15 @@ class LocalTaskSource:
         # other sources and its process manager; a source built alone
         # numbers its own.
         self._unit_ids = itertools.count(1) if unit_ids is None else unit_ids
-        # Bound once; reused per arrival.  The stationary path keeps the
-        # original callback untouched (zero overhead when no profile).
-        self._on_arrive = (
-            self._arrive if profile is None else self._arrive_modulated
-        )
         gap = self._next_interarrival()
         if profile is not None:
             gap /= profile(env._now)
-        env._sleep(gap, self._on_arrive)
+        _queue_arrival(self, env, gap)
 
-    def _arrive(self, _event) -> None:
-        """Generate one local task, then schedule the next arrival."""
+    def callback(self, _event) -> None:
+        """Generate one local task, then re-queue for the next arrival
+        (its gap scaled by the load profile's multiplier at the current
+        instant when the load varies over time)."""
         env = self.env
         self.generated += 1
         ex = self._next_execution()
@@ -215,56 +237,14 @@ class LocalTaskSource:
         unit.natural_deadline = dl
         unit.lost = False
         self._submit(unit)
-        # Inlined env._sleep(gap, self._on_arrive): one next-arrival
-        # timer per task for the whole run (cf. Node._dispatch_next).
         gap = self._next_interarrival()
-        pool = env._sleep_pool
-        if pool and gap >= 0.0:
-            sleep = pool.pop()
-            sleep.callback = self._on_arrive
-            sleep._processed = False
-            heappush(env._queue, (env._now + gap, env._next_seq(), sleep))
-        else:
-            env._sleep(gap, self._on_arrive)
-
-    def _arrive_modulated(self, _event) -> None:
-        """Like :meth:`_arrive`, with the next gap scaled by the load
-        profile's multiplier at the current instant (time-varying load)."""
-        env = self.env
-        self.generated += 1
-        ex = self._next_execution()
-        slack = self._next_slack()
-        predict = self._predict
-        ar = env._now
-        timing = TimingRecord.__new__(TimingRecord)
-        timing.ar = ar
-        timing.ex = ex
-        timing.pex = ex if predict is None else predict(ex, self._estimate_stream)
-        dl = ar + ex + slack
-        timing.dl = dl
-        timing.completed_at = None
-        timing.started_at = None
-        timing.aborted = False
-        unit = WorkUnit.__new__(WorkUnit)
-        unit.id = next(self._unit_ids)
-        unit._name = None
-        unit.task_class = _LOCAL
-        unit.node_index = self._node_index
-        unit.timing = timing
-        unit.priority_class = _PRIORITY_NORMAL
-        unit.on_done = None
-        unit.natural_deadline = dl
-        unit.lost = False
-        self._submit(unit)
-        gap = self._next_interarrival() / self._profile(ar)
-        pool = env._sleep_pool
-        if pool and gap >= 0.0:
-            sleep = pool.pop()
-            sleep.callback = self._on_arrive
-            sleep._processed = False
-            heappush(env._queue, (env._now + gap, env._next_seq(), sleep))
-        else:
-            env._sleep(gap, self._on_arrive)
+        profile = self._profile
+        if profile is not None:
+            gap /= profile(ar)
+        # Inlined _queue_arrival: one re-queue per task for the whole run.
+        if not gap >= 0.0:
+            raise ValueError(f"negative or NaN interarrival gap: {gap!r}")
+        heappush(env._queue, (env._now + gap, env._next_seq(), self))
 
 
 class GlobalTaskFactory:
@@ -308,16 +288,19 @@ class SerialChainFactory(GlobalTaskFactory):
         self.estimator = estimator or PerfectEstimator()
         self.placement = placement or UniformPlacement(node_count, streams)
         self.mean_subtask_count = float(count.mean)
-        self._count_stream = streams.get("global-count")
+        # A fixed count draws nothing, so its stream is never made.
+        self._count_stream = (
+            None if isinstance(count, Deterministic)
+            else streams.get("global-count")
+        )
         self._execution_stream = streams.get("global-execution")
         self._slack_stream = streams.get("global-slack")
         self._pick_one = self.placement.pick_one
-        self._estimate_stream = streams.get("global-estimate")
         self._next_count = count.bind(self._count_stream)
         self._next_execution = execution.bind(self._execution_stream)
         self._next_slack = slack.bind(self._slack_stream)
-        self._predict = (
-            None if self.estimator.is_perfect else self.estimator.predict
+        self._predict, self._estimate_stream = _estimation(
+            self.estimator, streams, "global-estimate"
         )
 
     def build(self, now: float) -> Tuple[TaskNode, float]:
@@ -376,11 +359,10 @@ class ParallelFanFactory(GlobalTaskFactory):
         self._execution_stream = streams.get("global-execution")
         self._slack_stream = streams.get("global-slack")
         self._pick_distinct = self.placement.pick_distinct
-        self._estimate_stream = streams.get("global-estimate")
         self._next_execution = execution.bind(self._execution_stream)
         self._next_slack = slack.bind(self._slack_stream)
-        self._predict = (
-            None if self.estimator.is_perfect else self.estimator.predict
+        self._predict, self._estimate_stream = _estimation(
+            self.estimator, streams, "global-estimate"
         )
 
     def build(self, now: float) -> Tuple[TaskNode, float]:
@@ -445,11 +427,10 @@ class SerialParallelFactory(GlobalTaskFactory):
         self._execution_stream = streams.get("global-execution")
         self._slack_stream = streams.get("global-slack")
         self._pick_distinct = self.placement.pick_distinct
-        self._estimate_stream = streams.get("global-estimate")
         self._next_execution = execution.bind(self._execution_stream)
         self._next_slack = slack.bind(self._slack_stream)
-        self._predict = (
-            None if self.estimator.is_perfect else self.estimator.predict
+        self._predict, self._estimate_stream = _estimation(
+            self.estimator, streams, "global-estimate"
         )
 
     def build(self, now: float) -> Tuple[TaskNode, float]:
@@ -483,8 +464,8 @@ class SerialParallelFactory(GlobalTaskFactory):
 class GlobalTaskSource:
     """Single Poisson stream of global tasks feeding the process manager.
 
-    Like :class:`LocalTaskSource`, a self-rescheduling sleep callback;
-    each arrival is handed to
+    Like :class:`LocalTaskSource`, a self-rescheduling event (the source
+    is its own heap entry); each arrival is handed to
     :meth:`~repro.system.process_manager.ProcessManager.submit`, which
     records the task's outcome in the metrics.
     """
@@ -500,7 +481,6 @@ class GlobalTaskSource:
         "_next_interarrival",
         "_build",
         "_submit",
-        "_on_arrive",
         "_profile",
     )
 
@@ -523,32 +503,21 @@ class GlobalTaskSource:
         self._build = factory.build
         self._submit = process_manager.submit
         self._profile = profile
-        # Bound once; the stationary path keeps the original callback.
-        self._on_arrive = (
-            self._arrive if profile is None else self._arrive_modulated
-        )
         gap = self._next_interarrival()
         if profile is not None:
             gap /= profile(env._now)
-        env._sleep(gap, self._on_arrive)
+        _queue_arrival(self, env, gap)
 
-    def _arrive(self, _event) -> None:
-        """Launch one global task, then schedule the next arrival."""
-        env = self.env
-        self.generated += 1
-        tree, deadline = self._build(env._now)
-        self._submit(tree, deadline)
-        # Global arrivals are orders of magnitude rarer than local ones,
-        # so the plain kernel call (no inlined arming) is fine here.
-        env._sleep(self._next_interarrival(), self._on_arrive)
-
-    def _arrive_modulated(self, _event) -> None:
-        """Like :meth:`_arrive`, with the next gap scaled by the load
-        profile's multiplier at the current instant (time-varying load)."""
+    def callback(self, _event) -> None:
+        """Launch one global task, then re-queue for the next arrival
+        (its gap scaled by the load profile, as for local sources)."""
         env = self.env
         self.generated += 1
         now = env._now
         tree, deadline = self._build(now)
         self._submit(tree, deadline)
-        gap = self._next_interarrival() / self._profile(now)
-        env._sleep(gap, self._on_arrive)
+        gap = self._next_interarrival()
+        profile = self._profile
+        if profile is not None:
+            gap /= profile(now)
+        _queue_arrival(self, env, gap)

@@ -74,10 +74,13 @@ class TestSerialTask:
         with pytest.raises(ValueError):
             SerialTask([])
 
-    def test_parent_links_set(self):
+    def test_children_marked_owned(self):
         leaves = [SimpleTask(1.0), SimpleTask(2.0)]
+        assert not any(leaf.owned for leaf in leaves)
         task = SerialTask(leaves)
-        assert all(leaf.parent is task for leaf in leaves)
+        assert all(leaf.owned for leaf in leaves)
+        assert not task.owned
+        assert not hasattr(leaves[0], "parent")  # no child -> parent cycle
 
     def test_shared_child_rejected(self):
         leaf = SimpleTask(1.0)
@@ -134,9 +137,23 @@ class TestComposition:
     def test_validate_recurses(self):
         tree = serial(SimpleTask(1.0), parallel(SimpleTask(2.0), SimpleTask(3.0)))
         tree.validate()
-        # Break a parent link behind the model's back.
-        tree.children[1].children[0].parent = None
-        with pytest.raises(ValueError):
+        # Clear an ownership flag behind the model's back.
+        tree.children[1].children[0].owned = False
+        with pytest.raises(ValueError, match="not adopted"):
+            tree.validate()
+
+    def test_validate_rejects_a_node_reached_twice(self):
+        shared = SimpleTask(2.0)
+        tree = serial(SimpleTask(1.0), parallel(shared, SimpleTask(3.0)))
+        tree._children.append(shared)  # behind the constructors' back
+        with pytest.raises(ValueError, match="reached twice"):
+            tree.validate()
+
+    def test_validate_rejects_a_tree_containing_itself(self):
+        tree = serial(SimpleTask(1.0))
+        tree._children.append(tree)
+        tree.owned = True
+        with pytest.raises(ValueError, match="reached twice"):
             tree.validate()
 
 

@@ -469,17 +469,31 @@ class TestKernelPoolHygiene:
         env.run(until=15.0)
         assert sleep in env._sleep_pool
 
+    CHURN = baseline_config(
+        sim_time=3_000.0, warmup_time=100.0, seed=4,
+        faults=FaultSpec(
+            mttf=100.0, mttr=10.0, in_flight="lost", queued="dropped",
+            retry_limit=2, retry_timeout=20.0, retry_backoff=0.5,
+        ),
+    )
+
     def test_churn_simulation_does_not_leak_pooled_events(self):
-        sim = Simulation(baseline_config(
-            sim_time=3_000.0, warmup_time=100.0, seed=4,
-            faults=FaultSpec(
-                mttf=100.0, mttr=10.0, in_flight="lost", queued="dropped",
-                retry_limit=2, retry_timeout=20.0, retry_backoff=0.5,
-            ),
-        ))
-        result = sim.run()
-        assert result.total_crashes > 50
+        # The phases of ``run()``, driven by hand: ``run()`` releases the
+        # pool at the end, so the bound is checked on the live pool.
+        config = self.CHURN
+        sim = Simulation(config)
+        env = sim.env
+        env.run(until=config.warmup_time)
+        sim.metrics.reset(env.now)
+        env.run(until=config.sim_time)
+        assert sim.metrics.snapshot(env.now).total_crashes > 50
         # The pool holds only the handful of timers that were in flight
         # simultaneously -- tens of thousands of events were recycled.
-        assert len(sim.env._sleep_pool) < 100
-        assert all(s._processed for s in sim.env._sleep_pool)
+        assert 0 < len(env._sleep_pool) < 100
+        assert all(s._processed for s in env._sleep_pool)
+
+    def test_churn_run_releases_its_event_list(self):
+        sim = Simulation(self.CHURN)
+        assert sim.run().total_crashes > 50
+        env = sim.env
+        assert not env._queue and not env._urgent and not env._sleep_pool

@@ -1,9 +1,10 @@
 """Pins for the lean fleet node.
 
-A node costs three objects the garbage collector tracks (the node, its
-ready heap and its bound completion callback; two more for the
-preemptive node's pooled poke) and holds its busy, queue and down
-signals as float slots, so building a 100k-node fleet stays cheap.
+A node costs two objects the garbage collector tracks (the node and its
+ready heap; it stores no bound method of itself, and the preemptive
+node's preemption record is an empty dict, which the collector does not
+track) and holds its busy, queue and down signals as float slots, so
+building a 100k-node fleet stays cheap.
 These tests pin that budget (tracked objects and traced bytes per node)
 and the equivalences it rests on:
 
@@ -98,18 +99,19 @@ def _bytes_per_node(node_count: int) -> float:
 
 
 class TestTrackedObjectBudget:
-    def test_node_costs_three_tracked_objects(self):
-        assert _tracked_per_node(5000) <= 3.1
+    def test_node_costs_two_tracked_objects(self):
+        assert _tracked_per_node(5000) <= 2.1
 
-    def test_fleet_set_up_costs_at_most_530_bytes_per_node(self):
+    def test_fleet_set_up_costs_at_most_460_bytes_per_node(self):
         # Everything a least-outstanding, fault-free simulation allocates
-        # per node: the slotted node with its float signals, its heap
-        # and bound callback, the collector's counter entries and the
-        # placement's count entry.
-        assert _bytes_per_node(5000) <= 530
+        # per node: the slotted node with its float signals, its heap,
+        # the collector's counter entries and the placement's count
+        # entry.
+        assert _bytes_per_node(5000) <= 460
 
-    def test_preemptive_node_costs_five_tracked_objects(self):
-        assert _tracked_per_node(5000, preemptive=True) <= 5.1
+    def test_preemptive_node_costs_two_tracked_objects(self):
+        # The preemption poke is the node itself on the urgent deque.
+        assert _tracked_per_node(5000, preemptive=True) <= 2.1
 
     def test_nodes_of_one_simulation_share_the_fifo_counter(self):
         simulation = Simulation(_fleet_config(8))

@@ -327,9 +327,11 @@ class TestSubmissionBookkeeping:
         assert stats.completed == 1
         assert stats.missed == 1
 
-    def test_invalid_tree_rejected_at_submit(self, env):
-        manager, _, _ = build_system(env)
+    def test_invalid_tree_rejected_by_validate(self):
+        """``submit`` trusts the composite constructors; a hand-edited
+        tree is checked by calling ``validate`` before submitting it."""
         tree = serial(SimpleTask(1.0, node_index=0), SimpleTask(1.0, node_index=1))
-        tree.children[0].parent = None  # corrupt the tree
+        tree.validate()
+        tree.children[0].owned = False  # corrupt the tree
         with pytest.raises(ValueError):
-            manager.submit(tree, deadline=10.0)
+            tree.validate()

@@ -17,7 +17,9 @@ from repro.sim.distributions import (
 from repro.sim.rng import StreamFactory
 from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
+from repro.system.config import baseline_config
 from repro.system.schedulers import EarliestDeadlineFirst
+from repro.system.simulation import Simulation
 from repro.system.workload import (
     LocalTaskSource,
     ParallelFanFactory,
@@ -222,6 +224,18 @@ class TestSerialParallelFactory:
 
 
 class TestLocalTaskSource:
+    def test_negative_gap_rejected(self, env, streams):
+        node = Node(env, 0, EarliestDeadlineFirst(), MetricsCollector(1))
+        with pytest.raises(ValueError, match="interarrival gap"):
+            LocalTaskSource(
+                env=env,
+                node=node,
+                interarrival=Deterministic(-1.0),
+                execution=Exponential(1.0),
+                slack=Uniform(0.25, 2.5),
+                streams=streams,
+            )
+
     def test_generates_poisson_stream(self, env, streams):
         metrics = MetricsCollector(node_count=1)
         node = Node(env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics)
@@ -268,3 +282,38 @@ class TestLocalTaskSource:
         assert captured
         for slack in captured:
             assert 0.25 <= slack <= 2.5
+
+
+class TestStreamsOnlyWhereDrawn:
+    """A named stream is made only where something draws from it; a
+    stream's seed derives from its name, so leaving one out moves no
+    other draw."""
+
+    ESTIMATE_AND_COUNT = {f"local-estimate/node-{i}" for i in range(6)} | {
+        "global-estimate",
+        "global-count",
+    }
+
+    def test_perfect_estimator_and_fixed_count_make_none(self):
+        simulation = Simulation(
+            baseline_config(sim_time=200.0, warmup_time=20.0, seed=3)
+        )
+        simulation.run()
+        names = set(simulation.streams.names())
+        assert "global-execution" in names
+        assert not names & self.ESTIMATE_AND_COUNT
+
+    def test_imperfect_estimator_and_count_range_draw_from_theirs(self):
+        simulation = Simulation(baseline_config(
+            sim_time=200.0, warmup_time=20.0, seed=3,
+            pex_error=0.5, subtask_count_range=(2, 6),
+        ))
+        streams = simulation.streams
+        states = {
+            name: streams.get(name).getstate()
+            for name in self.ESTIMATE_AND_COUNT
+        }
+        assert set(streams.names()) >= self.ESTIMATE_AND_COUNT
+        simulation.run()
+        for name, state in states.items():
+            assert streams.get(name).getstate() != state, name
