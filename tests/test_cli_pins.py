@@ -26,7 +26,10 @@ PINS = Path(__file__).parent / "pins"
 
 CASES = {
     "run_fig2_smoke": ["run", "Fig2", "--scale", "smoke"],
+    "run_fig4_smoke": ["run", "Fig4", "--scale", "smoke"],
+    "run_sec6_smoke": ["run", "Sec6", "--scale", "smoke"],
     "run_v2_smoke": ["run", "V2", "--scale", "smoke"],
+    "run_v4_smoke": ["run", "V4", "--scale", "smoke"],
     "scenarios_list": ["scenarios", "list"],
     "scenarios_sweep_seed17": [
         "scenarios", "sweep",
