@@ -20,10 +20,6 @@ BENCH_KERNEL_JSON = Path(__file__).parent.parent / "BENCH_kernel.json"
 #: (``bench_manager.py``); same contract as ``BENCH_kernel.json``.
 BENCH_MANAGER_JSON = Path(__file__).parent.parent / "BENCH_manager.json"
 
-#: Machine-readable record of per-scenario runtimes
-#: (``bench_scenarios.py``); same contract as ``BENCH_kernel.json``.
-BENCH_SCENARIOS_JSON = Path(__file__).parent.parent / "BENCH_scenarios.json"
-
 #: Machine-readable record of the preemptive-node ablation benchmarks
 #: (``bench_preemptive.py``); same contract as ``BENCH_kernel.json``.
 BENCH_PREEMPTIVE_JSON = Path(__file__).parent.parent / "BENCH_preemptive.json"
@@ -95,11 +91,6 @@ def record_kernel_bench(name: str, benchmark) -> Path | None:
 def record_manager_bench(name: str, benchmark) -> Path | None:
     """Record one coordinator microbenchmark into ``BENCH_manager.json``."""
     return record_bench(BENCH_MANAGER_JSON, name, benchmark)
-
-
-def record_scenario_bench(name: str, benchmark) -> Path | None:
-    """Record one scenario runtime into ``BENCH_scenarios.json``."""
-    return record_bench(BENCH_SCENARIOS_JSON, name, benchmark)
 
 
 def record_preemptive_bench(name: str, benchmark) -> Path | None:

@@ -12,7 +12,7 @@ from .config import (
     serial_parallel_config,
     verify_load_arithmetic,
 )
-from .detector import DetectorSpec, FailureDetector, SuspicionView
+from .detector import DetectorSpec, FailureDetector
 from .faults import FaultInjector, FaultSpec, LiveSet
 from .metrics import (
     ClassStats,
@@ -47,9 +47,7 @@ from .workload import (
     GlobalTaskFactory,
     GlobalTaskSource,
     LocalTaskSource,
-    ParallelFanFactory,
-    SerialChainFactory,
-    SerialParallelFactory,
+    StageFactory,
 )
 
 __all__ = [
@@ -75,7 +73,6 @@ __all__ = [
     "OverloadPolicy",
     "PARALLEL",
     "POLICIES",
-    "ParallelFanFactory",
     "PreemptiveNode",
     "ProcessManager",
     "ReadyQueue",
@@ -83,10 +80,8 @@ __all__ = [
     "SERIAL",
     "SERIAL_PARALLEL",
     "SchedulingPolicy",
-    "SerialChainFactory",
-    "SerialParallelFactory",
     "Simulation",
-    "SuspicionView",
+    "StageFactory",
     "SystemConfig",
     "TraceEvent",
     "TraceLog",

@@ -10,12 +10,13 @@ wrong.  This module models that regime:
   the heartbeat channel (period, per-link delay distribution, loss
   probability) plus the detector algorithm ("timeout" or "phi") and the
   misroute-recovery knobs;
-* :class:`SuspicionView` -- the manager's *observed* liveness view, with
-  the same O(1) interface as :class:`~repro.system.faults.LiveSet`, so
-  failure-aware placement and the retry router consume it unchanged;
 * :class:`FailureDetector` -- the callback machine that emits each
   node's heartbeats over its modeled channel and turns missing
   heartbeats into suspicion (and resumed heartbeats back into trust).
+  It marks its own :class:`~repro.system.faults.LiveSet`, the
+  manager's *observed* liveness view: there membership means
+  *trusted*, not *up*, and failure-aware placement and the retry
+  router consume it as they would the oracle set.
 
 Detector algorithms
 -------------------
@@ -56,7 +57,7 @@ from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..sim.distributions import Distribution
-from .faults import _TIME_MODELS, _time_distribution
+from .faults import _TIME_MODELS, LiveSet, _time_distribution
 
 #: Detector algorithm selectors.
 DETECTOR_KINDS = ("timeout", "phi")
@@ -73,7 +74,7 @@ class DetectorSpec:
     events are scheduled -- a disabled spec is bit-identical to no spec
     at all (pinned by the golden gate).  When enabled, the manager-side
     components (placement, retry routing, misroute recovery) consult the
-    detector's :class:`SuspicionView` instead of the oracle live set.
+    detector's observed live set instead of the oracle one.
     """
 
     #: Detector algorithm: "timeout" (fixed) or "phi" (phi-accrual).
@@ -213,53 +214,6 @@ class DetectorSpec:
         return "detector(" + ", ".join(parts) + ")"
 
 
-class SuspicionView:
-    """The manager's *observed* node-liveness view.
-
-    Same O(1) interface as :class:`~repro.system.faults.LiveSet`
-    (``index in view`` / ``live_count`` / ``live_indices`` /
-    ``version``), so failure-aware placement policies and the retry
-    router consume either interchangeably -- but membership here means
-    *trusted*, not *up*: the :class:`FailureDetector` flips entries on
-    heartbeat evidence, which can lag or contradict ground truth.
-    All-trusted at construction.
-    """
-
-    __slots__ = ("_trusted", "live_count", "node_count", "version")
-
-    def __init__(self, node_count: int) -> None:
-        self._trusted: List[bool] = [True] * node_count
-        self.live_count = node_count
-        self.node_count = node_count
-        #: Bumped on every actual trust flip; cheap change detection for
-        #: caches built over the membership (Zipf alias tables etc.).
-        self.version = 0
-
-    def __contains__(self, index: int) -> bool:
-        return self._trusted[index]
-
-    def mark_suspected(self, index: int) -> None:
-        if self._trusted[index]:
-            self._trusted[index] = False
-            self.live_count -= 1
-            self.version += 1
-
-    def mark_trusted(self, index: int) -> None:
-        if not self._trusted[index]:
-            self._trusted[index] = True
-            self.live_count += 1
-            self.version += 1
-
-    def live_indices(self) -> List[int]:
-        """Indices of the nodes currently trusted, ascending."""
-        return [i for i, trusted in enumerate(self._trusted) if trusted]
-
-    def __repr__(self) -> str:
-        return (
-            f"<SuspicionView {self.live_count}/{self.node_count} trusted>"
-        )
-
-
 class _NodeChannel:
     """One node's heartbeat link plus its detector-side monitor state.
 
@@ -361,7 +315,7 @@ class FailureDetector:
         spec: DetectorSpec,
         streams,
         metrics,
-        view: SuspicionView,
+        view: LiveSet,
     ) -> None:
         if not spec.enabled:
             raise ValueError(
@@ -415,7 +369,7 @@ class FailureDetector:
         index = channel.index
         view = self.view
         if index not in view:
-            view.mark_trusted(index)  # rehabilitation
+            view.mark_up(index)  # rehabilitation
         samples = channel.samples
         last = channel.last
         if samples is not None and last is not None:
@@ -436,7 +390,7 @@ class FailureDetector:
         """``channel``'s expiry timer fired: suspect its node."""
         index = channel.index
         now = self.env._now
-        self.view.mark_suspected(index)
+        self.view.mark_down(index)
         self.suspicions += 1
         metrics = self.metrics
         metrics.node_suspicions[index] += 1

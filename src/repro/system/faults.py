@@ -9,8 +9,9 @@ failure.  This module adds a declarative fault dimension:
   distribution family) plus the crash semantics (is the in-flight unit
   *lost* or *frozen-and-resumed*?  is the ready queue *dropped* or
   *preserved*?) and the process manager's retry/timeout/backoff knobs;
-* :class:`LiveSet` -- the O(1) up/down membership structure that
-  failure-aware placement policies and the retry layer consult;
+* :class:`LiveSet` -- the O(1) membership structure that failure-aware
+  placement policies and the retry layer consult (the injector marks
+  the oracle one, a failure detector its observed one);
 * :class:`FaultInjector` -- the callback-based driver that crashes and
   recovers nodes on their per-node fault streams.
 
@@ -271,10 +272,13 @@ class FaultSpec:
 class LiveSet:
     """O(1) membership view of which nodes are currently up.
 
-    Maintained by the :class:`FaultInjector`; consulted by the
-    failure-aware placement policies (``index in live_set``) and the
-    retry layer (``live_count`` / ``live_indices``).  All-up at
-    construction.
+    The :class:`FaultInjector` marks the *oracle* set on true crashes and
+    recoveries; a :class:`~repro.system.detector.FailureDetector` marks
+    its own *observed* set on heartbeat evidence, where membership means
+    *trusted* and can lag or contradict ground truth.  Either is
+    consulted by the failure-aware placement policies (``index in
+    live_set``) and the retry layer (``live_count`` / ``live_indices``).
+    All-up at construction.
     """
 
     __slots__ = ("_up", "live_count", "node_count", "version")

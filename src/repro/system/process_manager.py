@@ -276,7 +276,7 @@ class _LeafAttempt:
     the policy judged the work useless, and retrying it would be a bug.
 
     Misroute recovery (detector mode): placement routes on the
-    *observed* :class:`~repro.system.detector.SuspicionView`, so a
+    detector's *observed* :class:`~repro.system.faults.LiveSet`, so a
     submit can target a node that is truly down but not yet suspected.
     Such a submit bounces: after ``misroute_delay`` (the time it takes
     the manager to notice the dead target) it re-routes to a trusted
@@ -363,20 +363,25 @@ class _LeafAttempt:
             self.timer = env._sleep(retry.retry_timeout, self._timeout)
         manager.nodes[node_index].submit(unit)
 
-    def _bounce(self, _event) -> None:
-        """Bounce delay elapsed: re-route to a trusted node (or back to
-        the original target when the whole view is suspected)."""
-        manager = self.manager
-        view = manager._observed
+    def _reroute(self, stream) -> None:
+        """Dispatch again, drawing the node from ``stream``: uniformly over
+        the view's live nodes when some are down, over every node when
+        all are up (the fault that sent the unit back may have healed),
+        and back to the last target when none is up or there is no view
+        -- the unit then queues there until recovery."""
+        view = self.manager._live
         node_index = self.node_index
-        if 0 < view.live_count < view.node_count:
-            indices = view.live_indices()
-            node_index = indices[
-                manager._detector_stream.randrange(len(indices))
-            ]
-        elif view.live_count == view.node_count:
-            node_index = manager._detector_stream.randrange(view.node_count)
+        if view is not None:
+            if 0 < view.live_count < view.node_count:
+                indices = view.live_indices()
+                node_index = indices[stream.randrange(len(indices))]
+            elif view.live_count == view.node_count:
+                node_index = stream.randrange(view.node_count)
         self._dispatch(node_index)
+
+    def _bounce(self, _event) -> None:
+        """Bounce delay elapsed: re-route on the observed view."""
+        self._reroute(self.manager._detector_stream)
 
     def _unit_done(self, event: _Call) -> None:
         unit = event._value
@@ -423,22 +428,10 @@ class _LeafAttempt:
             self._backoff(None)
 
     def _backoff(self, _event) -> None:
-        """Backoff elapsed: resubmit to a live node (or the original when
-        the whole cluster is down -- the unit queues until recovery)."""
+        """Backoff elapsed: resubmit one more attempt."""
         manager = self.manager
         manager.metrics.retries += 1
-        node_index = self.node_index
-        live = manager._live
-        if live is not None and 0 < live.live_count < live.node_count:
-            indices = live.live_indices()
-            node_index = indices[
-                manager._retry_stream.randrange(len(indices))
-            ]
-        elif live is not None and live.live_count == live.node_count:
-            # All up: spread retries uniformly too (the crash that lost
-            # the unit may already have healed).
-            node_index = manager._retry_stream.randrange(live.node_count)
-        self._dispatch(node_index)
+        self._reroute(manager._retry_stream)
 
 
 class ProcessManager:
@@ -470,26 +463,22 @@ class ProcessManager:
         self._unit_ids = count(1) if unit_ids is None else unit_ids
         # Retry layer: armed only by a retry-enabled FaultSpec; the
         # fault-free (and retry-free) leaf path costs one None check.
-        # ``live_set`` is whatever liveness view the simulation routes
-        # on: the oracle LiveSet, or the detector's SuspicionView when
-        # a detector is configured (observed re-routing).
         if fault_spec is not None and fault_spec.retries_enabled:
             self._retry = fault_spec
-            self._live = live_set
             self._retry_stream = retry_stream
         else:
             self._retry = None
-            self._live = None
             self._retry_stream = None
         # Misroute layer: armed only by an enabled DetectorSpec.
         if detector_spec is not None and detector_spec.enabled:
             self._detector = detector_spec
-            self._observed = live_set
             self._detector_stream = detector_stream
         else:
             self._detector = None
-            self._observed = None
             self._detector_stream = None
+        # The liveness view both layers re-route on: the oracle LiveSet,
+        # or the detector's observed one when a detector is configured.
+        self._live = live_set
         #: Number of global tasks submitted so far (for tracing/tests).
         self.submitted = 0
 

@@ -20,10 +20,11 @@ from typing import List, Optional
 
 from ..core.strategies import DeadlineAssigner, parse_assigner
 from ..sim.core import Environment
+from ..sim.distributions import Deterministic
 from ..sim.errors import SimulationError
 from ..sim.rng import StreamFactory
 from .config import PARALLEL, SERIAL, SERIAL_PARALLEL, SystemConfig
-from .detector import FailureDetector, SuspicionView
+from .detector import FailureDetector
 from .emission import EmissionPolicy, MetricsEmitter, _Trigger
 from .faults import FaultInjector, LiveSet
 from .metrics import MetricsCollector, RunResult
@@ -41,13 +42,10 @@ from .process_manager import ProcessManager
 from .schedulers import get_policy
 from .tracing import TraceLog
 from .workload import (
-    GlobalTaskFactory,
     GlobalTaskSource,
     LocalTaskSource,
-    ParallelFanFactory,
     PiecewiseProfile,
-    SerialChainFactory,
-    SerialParallelFactory,
+    StageFactory,
 )
 
 
@@ -87,9 +85,10 @@ class Simulation:
             for i in range(config.node_count)
         ]
         # Fault model: a crash-enabled spec builds the live set and the
-        # injector; anything else (None, or a zero-rate spec) wires
-        # NOTHING -- no streams, no timers, no live set -- so fault-free
-        # runs stay bit-identical to the pre-fault engine.
+        # injector, and a retry-enabled spec (even at ``mttf = 0``) arms
+        # the manager's retry layer; anything else wires NOTHING -- no
+        # streams, no timers, no live set -- so fault-free runs stay
+        # bit-identical to the pre-fault engine.
         faults = config.faults
         fault_spec = (
             faults if faults is not None and faults.enabled else None
@@ -98,26 +97,26 @@ class Simulation:
             LiveSet(config.node_count) if fault_spec is not None else None
         )
         self.fault_injector: Optional[FaultInjector] = None
-        retry_stream = (
-            self.streams.get("retry-route")
-            if fault_spec is not None and fault_spec.retries_enabled
-            else None
-        )
-        # Failure detection: an enabled spec replaces the manager-side
-        # *oracle* view with the detector's observed SuspicionView --
-        # placement, retry routing, and misroute recovery all consult
-        # beliefs instead of ground truth.  Anything else wires NOTHING
-        # (no streams, no timers, no view), so oracle-mode runs stay
-        # bit-identical to the pre-detector engine.
+        # Failure detection: an enabled spec gives the detector a live set
+        # of its own (membership means *trusted*), which replaces the
+        # oracle set as the manager-side view -- placement, retry routing
+        # and misroute recovery all consult beliefs instead of ground
+        # truth.  Anything else wires NOTHING (no streams, no timers, no
+        # view), so oracle-mode runs stay bit-identical to the
+        # pre-detector engine.
         detector_cfg = config.detector
         detector_spec = (
             detector_cfg
             if detector_cfg is not None and detector_cfg.enabled
             else None
         )
-        self.suspicion_view: Optional[SuspicionView] = (
-            SuspicionView(config.node_count)
+        self.suspicion_view: Optional[LiveSet] = (
+            LiveSet(config.node_count)
             if detector_spec is not None else None
+        )
+        view = (
+            self.suspicion_view if detector_spec is not None
+            else self.live_set
         )
         self.failure_detector: Optional[FailureDetector] = None
         self.process_manager = ProcessManager(
@@ -125,12 +124,13 @@ class Simulation:
             nodes=self.nodes,
             assigner=self.assigner,
             metrics=self.metrics,
-            fault_spec=fault_spec,
-            live_set=(
-                self.suspicion_view
-                if detector_spec is not None else self.live_set
+            fault_spec=faults,
+            live_set=view,
+            retry_stream=(
+                self.streams.get("retry-route")
+                if faults is not None and faults.retries_enabled
+                and view is not None else None
             ),
-            retry_stream=retry_stream,
             detector_spec=detector_spec,
             detector_stream=(
                 self.streams.get("detector-route")
@@ -177,13 +177,8 @@ class Simulation:
                 profile=profile,
             )
 
-        if fault_spec is not None or detector_spec is not None:
-            if self.placement_policy is not None:
-                # Observed view when a detector runs, oracle otherwise.
-                self.placement_policy.attach_live_set(
-                    self.suspicion_view
-                    if detector_spec is not None else self.live_set
-                )
+        if view is not None and self.placement_policy is not None:
+            self.placement_policy.attach_live_set(view)
         if fault_spec is not None:
             self.fault_injector = FaultInjector(
                 env=self.env,
@@ -235,43 +230,28 @@ class Simulation:
             f"placement {config.placement!r} validated but not wired"
         )
 
-    def _make_factory(self, estimator) -> GlobalTaskFactory:
+    def _make_factory(self, estimator) -> StageFactory:
+        """The global-task factory: a chain is stages of one leaf each
+        (``width=None``), a fan is one stage, a tree is ``stages`` fans."""
         config = self.config
         placement = self._make_placement()
         # Retained so the fault injector can attach its live set.
         self.placement_policy = placement
-        if config.task_structure == SERIAL:
-            return SerialChainFactory(
-                node_count=config.node_count,
-                count=config.subtask_count_distribution(),
-                execution=config.subtask_execution_distribution(),
-                slack=config.global_slack_distribution(),
-                streams=self.streams,
-                estimator=estimator,
-                placement=placement,
-            )
-        if config.task_structure == PARALLEL:
-            return ParallelFanFactory(
-                node_count=config.node_count,
-                fan_out=config.subtask_count,
-                execution=config.subtask_execution_distribution(),
-                slack=config.global_slack_distribution(),
-                streams=self.streams,
-                estimator=estimator,
-                placement=placement,
-            )
-        if config.task_structure == SERIAL_PARALLEL:
-            return SerialParallelFactory(
-                node_count=config.node_count,
-                stages=config.stages,
-                width=config.stage_width,
-                execution=config.subtask_execution_distribution(),
-                slack=config.global_slack_distribution(),
-                streams=self.streams,
-                estimator=estimator,
-                placement=placement,
-            )
-        raise ValueError(f"unknown task structure {config.task_structure!r}")
+        stages, width = {
+            SERIAL: (config.subtask_count_distribution(), None),
+            PARALLEL: (Deterministic(1), config.subtask_count),
+            SERIAL_PARALLEL: (Deterministic(config.stages), config.stage_width),
+        }[config.task_structure]
+        return StageFactory(
+            node_count=config.node_count,
+            stages=stages,
+            width=width,
+            execution=config.subtask_execution_distribution(),
+            slack=config.global_slack_distribution(),
+            streams=self.streams,
+            estimator=estimator,
+            placement=placement,
+        )
 
     def run(self, emit: Optional[EmissionPolicy] = None) -> RunResult:
         """Execute the configured run and return its measurements.

@@ -7,22 +7,23 @@ Two task populations:
   ``1/mu_local``; slack is uniform on ``[Smin, Smax]``; the deadline is
   ``ar + ex + slack``.
 * **Global tasks** arrive as a single Poisson stream with rate
-  ``lambda_global``.  Their shape depends on the experiment: a serial chain
-  (Sec. 4), a parallel fan (Sec. 5), or a serial-of-parallel tree (Sec. 6).
+  ``lambda_global``.  One factory, :class:`StageFactory`, builds every
+  shape the experiments use as serial stages of parallel leaves: a
+  serial chain (Sec. 4) is stages of one leaf, a parallel fan (Sec. 5)
+  is one stage, and a serial-parallel tree (Sec. 6) is several fans.
   Subtask execution times are exponential with mean ``1/mu_subtask``;
-  execution nodes are picked uniformly at random (distinct nodes within a
-  parallel fan, per Sec. 5.2).
+  the placement policy picks execution nodes (uniformly at random in
+  the paper: with replacement along a chain, distinct nodes within a
+  fan, per Sec. 5.2).
 
-Deadlines of global tasks:
-
-* serial chain: ``dl = ar + sum_i ex(Ti) + slack`` where the slack
-  distribution is the local one scaled so that ``rel_flex`` holds (see
-  :class:`~repro.system.config.SystemConfig`);
-* parallel fan: ``dl = ar + max_i ex(Ti) + slack`` (paper eq. (2)) with the
-  paper's explicit ``[1.25, 5.0]`` baseline range;
-* serial-parallel tree: ``dl = ar + critical_path_ex + slack`` -- the
-  natural generalization (the critical path is what a perfectly idle
-  system would need).
+The deadline of a global task is ``dl = ar + sum over stages of the
+stage's longest ex + slack``.  For a serial chain that is ``ar + sum_i
+ex(Ti) + slack``, with the local slack distribution scaled so that
+``rel_flex`` holds (see :class:`~repro.system.config.SystemConfig`); for a
+parallel fan it is the paper's eq. (2), ``ar + max_i ex(Ti) + slack``,
+with the paper's explicit ``[1.25, 5.0]`` baseline range; for a tree it
+is the critical path plus slack -- the natural generalization (the
+critical path is what a perfectly idle system would need).
 
 Note the deadline uses *real* execution times: the definition
 ``dl = ar + ex + sl`` fixes slack exactly, independent of prediction error.
@@ -250,29 +251,38 @@ class LocalTaskSource:
 class GlobalTaskFactory:
     """Builds one global task instance (tree + end-to-end deadline)."""
 
-    #: Expected number of simple subtasks per task (load arithmetic).
-    mean_subtask_count: float
-
     def build(self, now: float) -> Tuple[TaskNode, float]:
         """Return ``(tree, deadline)`` for a task arriving at ``now``."""
         raise NotImplementedError
 
 
-class SerialChainFactory(GlobalTaskFactory):
-    """Serial global tasks ``T = [T1 T2 ... Tm]`` (Sec. 4.1).
+class StageFactory(GlobalTaskFactory):
+    """Global tasks of ``stages`` serial stages, ``width`` leaves each.
 
-    ``count`` may be deterministic (the baseline's fixed ``m``) or any
-    integer distribution (the Sec. 4.3 "different number of subtasks"
-    variation).  Execution nodes are picked uniformly at random with
-    replacement -- consecutive stages may land on the same node, as in the
-    paper.
+    The paper's three shapes are one stage loop:
+
+    * serial chain ``[T1 T2 ... Tm]`` (Sec. 4.1): ``stages`` is the
+      count distribution (the baseline's fixed ``m``, or the Sec. 4.3
+      random count) and ``width=None``: each stage is one leaf, its node
+      picked with replacement (``pick_one``), so consecutive stages may
+      share a node, as in the paper;
+    * parallel fan ``[T1 || ... || Tm]`` (Sec. 5.2): one stage of
+      ``width = m`` leaves at distinct nodes (``pick_distinct``);
+    * serial-parallel tree (Sec. 6): ``stages`` fans of ``width``.
+
+    A fan stage picks with ``pick_distinct`` even at width 1: under a
+    live set it draws differently from ``pick_one``.  A stage of one
+    leaf is the leaf itself, and a one-stage task is its stage.  The
+    deadline is ``now + sum over stages of the stage's longest ex +
+    slack``: the chain's sum, the fan's maximum (paper eq. (2)) and the
+    tree's critical path.
     """
-
 
     def __init__(
         self,
         node_count: int,
-        count: Distribution,
+        stages: Distribution,
+        width: Optional[int],
         execution: Distribution,
         slack: Distribution,
         streams: StreamFactory,
@@ -281,184 +291,64 @@ class SerialChainFactory(GlobalTaskFactory):
     ) -> None:
         if node_count < 1:
             raise ValueError(f"need at least one node, got {node_count}")
-        self.node_count = node_count
-        self.count = count
-        self.execution = execution
-        self.slack = slack
-        self.estimator = estimator or PerfectEstimator()
-        self.placement = placement or UniformPlacement(node_count, streams)
-        self.mean_subtask_count = float(count.mean)
-        # A fixed count draws nothing, so its stream is never made.
-        self._count_stream = (
-            None if isinstance(count, Deterministic)
-            else streams.get("global-count")
-        )
-        self._execution_stream = streams.get("global-execution")
-        self._slack_stream = streams.get("global-slack")
-        self._pick_one = self.placement.pick_one
-        self._next_count = count.bind(self._count_stream)
-        self._next_execution = execution.bind(self._execution_stream)
-        self._next_slack = slack.bind(self._slack_stream)
-        self._predict, self._estimate_stream = _estimation(
-            self.estimator, streams, "global-estimate"
-        )
-
-    def build(self, now: float) -> Tuple[TaskNode, float]:
-        m = int(self._next_count())
-        if m < 1:
-            raise ValueError(f"subtask count must be >= 1, got {m}")
-        leaves = [self._make_leaf() for _ in range(m)]
-        tree: TaskNode = SerialTask(leaves) if m > 1 else leaves[0]
-        total_ex = sum(leaf.ex for leaf in leaves)
-        deadline = now + total_ex + self._next_slack()
-        return tree, deadline
-
-    def _make_leaf(self) -> SimpleTask:
-        ex = self._next_execution()
-        predict = self._predict
-        return SimpleTask(
-            ex=ex,
-            pex=ex if predict is None else predict(ex, self._estimate_stream),
-            node_index=self._pick_one(),
-        )
-
-
-class ParallelFanFactory(GlobalTaskFactory):
-    """Parallel global tasks ``T = [T1 || ... || Tm]`` (Sec. 5.2).
-
-    The ``m`` subtasks run at ``m`` *distinct* nodes (sampled without
-    replacement), so ``m <= k`` is required.  The deadline follows the
-    paper's eq. (2): ``dl = max_i ex(Ti) + slack + ar``.
-    """
-
-
-    def __init__(
-        self,
-        node_count: int,
-        fan_out: int,
-        execution: Distribution,
-        slack: Distribution,
-        streams: StreamFactory,
-        estimator: Optional[Estimator] = None,
-        placement: Optional[PlacementPolicy] = None,
-    ) -> None:
-        if fan_out < 1:
-            raise ValueError(f"fan-out must be >= 1, got {fan_out}")
-        if fan_out > node_count:
+        if width is not None and not 1 <= width <= node_count:
             raise ValueError(
-                f"fan-out {fan_out} exceeds node count {node_count}; the "
+                f"stage width {width} must lie in [1, {node_count}]: the "
                 "paper places parallel subtasks at distinct nodes"
             )
-        self.node_count = node_count
-        self.fan_out = fan_out
-        self.execution = execution
-        self.slack = slack
-        self.estimator = estimator or PerfectEstimator()
-        self.placement = placement or UniformPlacement(node_count, streams)
-        self.mean_subtask_count = float(fan_out)
-        self._execution_stream = streams.get("global-execution")
-        self._slack_stream = streams.get("global-slack")
-        self._pick_distinct = self.placement.pick_distinct
-        self._next_execution = execution.bind(self._execution_stream)
-        self._next_slack = slack.bind(self._slack_stream)
+        self.stages = stages
+        self.width = width
+        # A fixed count draws nothing, so its stream is never made.
+        self._next_stages = stages.bind(
+            None if isinstance(stages, Deterministic)
+            else streams.get("global-count")
+        )
+        self._next_execution = execution.bind(streams.get("global-execution"))
+        self._next_slack = slack.bind(streams.get("global-slack"))
+        placement = placement or UniformPlacement(node_count, streams)
+        self._pick_one = placement.pick_one
+        self._pick_distinct = placement.pick_distinct
         self._predict, self._estimate_stream = _estimation(
-            self.estimator, streams, "global-estimate"
+            estimator or PerfectEstimator(), streams, "global-estimate"
         )
 
     def build(self, now: float) -> Tuple[TaskNode, float]:
-        nodes = self._pick_distinct(self.fan_out)
+        count = int(self._next_stages())
+        if count < 1:
+            raise ValueError(f"stage count must be >= 1, got {count}")
+        width = self.width
+        next_execution = self._next_execution
         predict = self._predict
-        leaves = []
-        for node_index in nodes:
-            ex = self._next_execution()
-            leaves.append(
-                SimpleTask(
+        stages: List[TaskNode] = []
+        longest: List[float] = []
+        for _ in range(count):
+            if width is None:
+                ex = next_execution()
+                stages.append(SimpleTask(
+                    ex=ex,
+                    pex=(
+                        ex if predict is None
+                        else predict(ex, self._estimate_stream)
+                    ),
+                    node_index=self._pick_one(),
+                ))
+                longest.append(ex)
+                continue
+            leaves = []
+            for node_index in self._pick_distinct(width):
+                ex = next_execution()
+                leaves.append(SimpleTask(
                     ex=ex,
                     pex=(
                         ex if predict is None
                         else predict(ex, self._estimate_stream)
                     ),
                     node_index=node_index,
-                )
-            )
-        tree: TaskNode = ParallelTask(leaves) if self.fan_out > 1 else leaves[0]
-        longest = max(leaf.ex for leaf in leaves)
-        deadline = now + longest + self._next_slack()
-        return tree, deadline
-
-
-class SerialParallelFactory(GlobalTaskFactory):
-    """Serial-parallel trees for the Sec. 6 experiment.
-
-    The tree is a serial chain of ``stages`` stages, each a parallel fan of
-    ``width`` subtasks at distinct nodes (width 1 degenerates to a simple
-    stage).  The deadline allows the critical path (the tree's execution
-    envelope) plus slack.
-    """
-
-
-    def __init__(
-        self,
-        node_count: int,
-        stages: int,
-        width: int,
-        execution: Distribution,
-        slack: Distribution,
-        streams: StreamFactory,
-        estimator: Optional[Estimator] = None,
-        placement: Optional[PlacementPolicy] = None,
-    ) -> None:
-        if stages < 1:
-            raise ValueError(f"need at least one stage, got {stages}")
-        if width < 1:
-            raise ValueError(f"stage width must be >= 1, got {width}")
-        if width > node_count:
-            raise ValueError(
-                f"stage width {width} exceeds node count {node_count}"
-            )
-        self.node_count = node_count
-        self.stages = stages
-        self.width = width
-        self.execution = execution
-        self.slack = slack
-        self.estimator = estimator or PerfectEstimator()
-        self.placement = placement or UniformPlacement(node_count, streams)
-        self.mean_subtask_count = float(stages * width)
-        self._execution_stream = streams.get("global-execution")
-        self._slack_stream = streams.get("global-slack")
-        self._pick_distinct = self.placement.pick_distinct
-        self._next_execution = execution.bind(self._execution_stream)
-        self._next_slack = slack.bind(self._slack_stream)
-        self._predict, self._estimate_stream = _estimation(
-            self.estimator, streams, "global-estimate"
-        )
-
-    def build(self, now: float) -> Tuple[TaskNode, float]:
-        predict = self._predict
-        stage_nodes: List[TaskNode] = []
-        for _ in range(self.stages):
-            leaves = []
-            node_indices = self._pick_distinct(self.width)
-            for node_index in node_indices:
-                ex = self._next_execution()
-                leaves.append(
-                    SimpleTask(
-                        ex=ex,
-                        pex=(
-                            ex if predict is None
-                            else predict(ex, self._estimate_stream)
-                        ),
-                        node_index=node_index,
-                    )
-                )
-            stage_nodes.append(
-                ParallelTask(leaves) if self.width > 1 else leaves[0]
-            )
-        tree: TaskNode = (
-            SerialTask(stage_nodes) if self.stages > 1 else stage_nodes[0]
-        )
-        deadline = now + tree.total_ex() + self._next_slack()
-        return tree, deadline
+                ))
+            stages.append(ParallelTask(leaves) if width > 1 else leaves[0])
+            longest.append(max(leaf.ex for leaf in leaves))
+        tree: TaskNode = SerialTask(stages) if count > 1 else stages[0]
+        return tree, now + sum(longest) + self._next_slack()
 
 
 class GlobalTaskSource:

@@ -3,8 +3,8 @@
 The load-bearing claims, in order:
 
 * a perfect channel (zero loss, zero delay, tight timeout) makes the
-  observed :class:`SuspicionView` *converge* to the oracle
-  :class:`LiveSet` trajectory -- no false positives, no missed
+  observed :class:`LiveSet` the detector marks *converge* to the
+  oracle one's trajectory -- no false positives, no missed
   detections, and view == truth everywhere outside the detection
   horizon of the last true transition;
 * a config with a detector left unset (or a disabled spec) is
@@ -25,8 +25,8 @@ import pytest
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.system.config import baseline_config
-from repro.system.detector import DetectorSpec, FailureDetector, SuspicionView
-from repro.system.faults import FaultSpec
+from repro.system.detector import DetectorSpec, FailureDetector
+from repro.system.faults import FaultSpec, LiveSet
 from repro.system.simulation import Simulation, simulate
 
 SIM_TIME = 2_500.0
@@ -119,34 +119,8 @@ class TestDetectorSpecValidation:
         with pytest.raises(ValueError, match="enabled"):
             FailureDetector(
                 env=None, nodes=[], spec=DetectorSpec(), streams=None,
-                metrics=None, view=SuspicionView(0),
+                metrics=None, view=LiveSet(0),
             )
-
-
-class TestSuspicionView:
-    def test_starts_all_trusted(self):
-        view = SuspicionView(4)
-        assert view.live_count == 4
-        assert view.node_count == 4
-        assert all(i in view for i in range(4))
-        assert view.live_indices() == [0, 1, 2, 3]
-
-    def test_flips_update_count_and_version(self):
-        view = SuspicionView(3)
-        view.mark_suspected(1)
-        assert 1 not in view
-        assert view.live_count == 2
-        assert view.version == 1
-        assert view.live_indices() == [0, 2]
-        # Idempotent: re-suspecting is not a flip.
-        view.mark_suspected(1)
-        assert view.version == 1
-        view.mark_trusted(1)
-        assert 1 in view
-        assert view.live_count == 3
-        assert view.version == 2
-        view.mark_trusted(1)
-        assert view.version == 2
 
 
 def _converged_sim() -> Simulation:
@@ -174,6 +148,18 @@ class TestConvergenceToOracle:
         assert result.total_crashes > 0
         # Crash-to-suspicion lag is bounded by interval + timeout.
         assert 0.0 < result.detection_latency <= 2.0
+
+    def test_detector_marks_its_own_live_set(self, sim):
+        """The observed view is a second LiveSet: the manager and the
+        placement policy route on it, and the oracle set stays the
+        injector's."""
+        view = sim.suspicion_view
+        assert isinstance(view, LiveSet)
+        assert view is not sim.live_set
+        assert sim.failure_detector.view is view
+        assert sim.process_manager._live is view
+        assert sim.placement_policy.live is view
+        assert sim.fault_injector.live is sim.live_set
 
     def test_view_matches_truth_outside_horizon(self, sim):
         detector = sim.failure_detector

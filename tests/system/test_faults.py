@@ -87,6 +87,7 @@ class TestLiveSet:
     def test_starts_all_up(self):
         live = LiveSet(4)
         assert live.live_count == 4
+        assert live.node_count == 4
         assert all(i in live for i in range(4))
         assert live.live_indices() == [0, 1, 2, 3]
 
@@ -100,6 +101,18 @@ class TestLiveSet:
         live.mark_up(1)
         live.mark_up(1)
         assert live.live_count == 3
+
+    def test_flips_bump_version(self):
+        """Only a real flip moves ``version`` (caches key on it)."""
+        live = LiveSet(3)
+        live.mark_down(1)
+        assert live.version == 1
+        live.mark_down(1)
+        assert live.version == 1
+        live.mark_up(1)
+        assert live.version == 2
+        live.mark_up(1)
+        assert live.version == 2
 
 
 @pytest.fixture
@@ -365,6 +378,20 @@ class TestRetryLayer:
         )
         plain = baseline_config(sim_time=1_000.0, warmup_time=100.0, seed=3)
         assert simulate(config) == simulate(plain)
+
+    def test_short_timeout_retries_without_crashes(self):
+        """A retry-enabled spec wires the retry layer at mttf = 0: a
+        timeout shorter than many subtasks' sojourn fires.  With no
+        crashes there is no live set, so each retry goes back to its
+        own node and no routing stream is made."""
+        spec = FaultSpec(retry_limit=2, retry_timeout=0.5)
+        sim = Simulation(baseline_config(
+            sim_time=1_000.0, warmup_time=100.0, seed=3, faults=spec,
+        ))
+        result = sim.run()
+        assert result.retries > 0
+        assert sim.live_set is None
+        assert "retry-route" not in set(sim.streams.names())
 
 
 class TestUtilizationSemantics:

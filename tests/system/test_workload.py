@@ -20,24 +20,31 @@ from repro.system.node import Node
 from repro.system.config import baseline_config
 from repro.system.schedulers import EarliestDeadlineFirst
 from repro.system.simulation import Simulation
-from repro.system.workload import (
-    LocalTaskSource,
-    ParallelFanFactory,
-    SerialChainFactory,
-    SerialParallelFactory,
-)
+from repro.system.workload import LocalTaskSource, StageFactory
 
 
-class TestSerialChainFactory:
+def chain(streams, count=Deterministic(4), node_count=6, **kwargs):
+    """A serial-chain factory: ``count`` stages of one leaf each."""
+    kwargs.setdefault("slack", Uniform(1.0, 10.0))
+    return StageFactory(
+        node_count=node_count, stages=count, width=None,
+        execution=Exponential(1.0), streams=streams, **kwargs,
+    )
+
+
+def fans(streams, stages=1, width=4, node_count=6, **kwargs):
+    """``stages`` serial stages, each a fan of ``width`` distinct nodes."""
+    kwargs.setdefault("slack", Uniform(1.25, 5.0))
+    return StageFactory(
+        node_count=node_count, stages=Deterministic(stages), width=width,
+        execution=Exponential(1.0), streams=streams, **kwargs,
+    )
+
+
+class TestStageFactoryChain:
     @pytest.fixture
     def factory(self, streams):
-        return SerialChainFactory(
-            node_count=6,
-            count=Deterministic(4),
-            execution=Exponential(1.0),
-            slack=Uniform(1.0, 10.0),
-            streams=streams,
-        )
+        return chain(streams)
 
     def test_builds_chain_of_m(self, factory):
         tree, _ = factory.build(now=0.0)
@@ -54,41 +61,21 @@ class TestSerialChainFactory:
         tree, _ = factory.build(now=0.0)
         assert all(0 <= leaf.node_index < 6 for leaf in tree.leaves())
 
-    def test_mean_subtask_count(self, factory):
-        assert factory.mean_subtask_count == 4.0
-
     def test_variable_count(self, streams):
-        factory = SerialChainFactory(
-            node_count=6,
-            count=DiscreteUniform(2, 6),
-            execution=Exponential(1.0),
-            slack=Uniform(1.0, 10.0),
-            streams=streams,
-        )
+        factory = chain(streams, count=DiscreteUniform(2, 6))
         counts = {factory.build(now=0.0)[0].subtask_count() for _ in range(300)}
         assert counts == {2, 3, 4, 5, 6}
-        assert factory.mean_subtask_count == 4.0
 
     def test_single_subtask_builds_leaf(self, streams):
-        factory = SerialChainFactory(
-            node_count=3,
-            count=Deterministic(1),
-            execution=Exponential(1.0),
+        factory = chain(
+            streams, count=Deterministic(1), node_count=3,
             slack=Uniform(0.5, 1.0),
-            streams=streams,
         )
         tree, _ = factory.build(now=0.0)
         assert isinstance(tree, SimpleTask)
 
     def test_noisy_estimator_perturbs_pex_not_ex(self, streams):
-        factory = SerialChainFactory(
-            node_count=6,
-            count=Deterministic(4),
-            execution=Exponential(1.0),
-            slack=Uniform(1.0, 10.0),
-            streams=streams,
-            estimator=uniform_error_estimator(0.5),
-        )
+        factory = chain(streams, estimator=uniform_error_estimator(0.5))
         tree, deadline = factory.build(now=0.0)
         for leaf in tree.leaves():
             assert 0.5 * leaf.ex <= leaf.pex <= 1.5 * leaf.ex
@@ -97,39 +84,25 @@ class TestSerialChainFactory:
 
     def test_reproducible_across_factories(self):
         def build_once():
-            factory = SerialChainFactory(
-                node_count=6,
-                count=Deterministic(4),
-                execution=Exponential(1.0),
-                slack=Uniform(1.0, 10.0),
-                streams=StreamFactory(7),
-            )
-            tree, deadline = factory.build(now=0.0)
+            tree, deadline = chain(StreamFactory(7)).build(now=0.0)
             return [(leaf.ex, leaf.node_index) for leaf in tree.leaves()], deadline
 
         assert build_once() == build_once()
 
     def test_bad_node_count_rejected(self, streams):
         with pytest.raises(ValueError):
-            SerialChainFactory(
-                node_count=0,
-                count=Deterministic(4),
-                execution=Exponential(1.0),
-                slack=Uniform(0, 1),
-                streams=streams,
-            )
+            chain(streams, node_count=0)
+
+    def test_zero_count_rejected_at_build(self, streams):
+        factory = chain(streams, count=Deterministic(0))
+        with pytest.raises(ValueError, match="stage count"):
+            factory.build(now=0.0)
 
 
-class TestParallelFanFactory:
+class TestStageFactoryFan:
     @pytest.fixture
     def factory(self, streams):
-        return ParallelFanFactory(
-            node_count=6,
-            fan_out=4,
-            execution=Exponential(1.0),
-            slack=Uniform(1.25, 5.0),
-            streams=streams,
-        )
+        return fans(streams)
 
     def test_builds_fan(self, factory):
         tree, _ = factory.build(now=0.0)
@@ -152,37 +125,17 @@ class TestParallelFanFactory:
 
     def test_fan_out_exceeding_nodes_rejected(self, streams):
         with pytest.raises(ValueError, match="distinct nodes"):
-            ParallelFanFactory(
-                node_count=3,
-                fan_out=4,
-                execution=Exponential(1.0),
-                slack=Uniform(1, 2),
-                streams=streams,
-            )
+            fans(streams, width=4, node_count=3)
 
     def test_fan_out_one_builds_leaf(self, streams):
-        factory = ParallelFanFactory(
-            node_count=3,
-            fan_out=1,
-            execution=Exponential(1.0),
-            slack=Uniform(1, 2),
-            streams=streams,
-        )
-        tree, _ = factory.build(now=0.0)
+        tree, _ = fans(streams, width=1, node_count=3).build(now=0.0)
         assert isinstance(tree, SimpleTask)
 
 
-class TestSerialParallelFactory:
+class TestStageFactoryTree:
     @pytest.fixture
     def factory(self, streams):
-        return SerialParallelFactory(
-            node_count=6,
-            stages=2,
-            width=2,
-            execution=Exponential(1.0),
-            slack=Uniform(1.0, 10.0),
-            streams=streams,
-        )
+        return fans(streams, stages=2, width=2, slack=Uniform(1.0, 10.0))
 
     def test_structure(self, factory):
         tree, _ = factory.build(now=0.0)
@@ -204,23 +157,13 @@ class TestSerialParallelFactory:
                 assert len(set(nodes)) == len(nodes)
 
     def test_width_one_gives_simple_stages(self, streams):
-        factory = SerialParallelFactory(
-            node_count=3, stages=3, width=1,
-            execution=Exponential(1.0), slack=Uniform(1, 2), streams=streams,
-        )
-        tree, _ = factory.build(now=0.0)
+        tree, _ = fans(streams, stages=3, width=1, node_count=3).build(now=0.0)
         assert all(stage.is_leaf for stage in tree.children)
 
-    def test_mean_subtask_count(self, factory):
-        assert factory.mean_subtask_count == 4.0
-
-    @pytest.mark.parametrize("stages,width", [(0, 2), (2, 0), (2, 9)])
-    def test_bad_shape_rejected(self, streams, stages, width):
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_bad_width_rejected(self, streams, width):
         with pytest.raises(ValueError):
-            SerialParallelFactory(
-                node_count=6, stages=stages, width=width,
-                execution=Exponential(1.0), slack=Uniform(1, 2), streams=streams,
-            )
+            fans(streams, stages=2, width=width)
 
 
 class TestLocalTaskSource:
