@@ -322,6 +322,8 @@ class StageFactory(GlobalTaskFactory):
         stages: List[TaskNode] = []
         longest: List[float] = []
         for _ in range(count):
+            # A chain leaf skips the fan's leaf list and max(): chains
+            # are the paper workload's hot path.
             if width is None:
                 ex = next_execution()
                 stages.append(SimpleTask(
