@@ -56,6 +56,7 @@ from .process_manager import ProcessManager
 from .work import WorkUnit
 
 _LOCAL = TaskClass.LOCAL
+_NEG_INF = float("-inf")
 _PRIORITY_NORMAL = PriorityClass.NORMAL
 
 
@@ -296,8 +297,7 @@ class StageFactory(GlobalTaskFactory):
                 f"stage width {width} must lie in [1, {node_count}]: the "
                 "paper places parallel subtasks at distinct nodes"
             )
-        self.stages = stages
-        self.width = width
+        self._width = width
         # A fixed count draws nothing, so its stream is never made.
         self._next_stages = stages.bind(
             None if isinstance(stages, Deterministic)
@@ -316,29 +316,20 @@ class StageFactory(GlobalTaskFactory):
         count = int(self._next_stages())
         if count < 1:
             raise ValueError(f"stage count must be >= 1, got {count}")
-        width = self.width
+        width = self._width
         next_execution = self._next_execution
         predict = self._predict
-        stages: List[TaskNode] = []
+        leaves: List[TaskNode] = []
         longest: List[float] = []
         for _ in range(count):
-            # A chain leaf skips the fan's leaf list and max(): chains
-            # are the paper workload's hot path.
-            if width is None:
+            top = _NEG_INF
+            for node_index in (
+                (self._pick_one(),) if width is None
+                else self._pick_distinct(width)
+            ):
                 ex = next_execution()
-                stages.append(SimpleTask(
-                    ex=ex,
-                    pex=(
-                        ex if predict is None
-                        else predict(ex, self._estimate_stream)
-                    ),
-                    node_index=self._pick_one(),
-                ))
-                longest.append(ex)
-                continue
-            leaves = []
-            for node_index in self._pick_distinct(width):
-                ex = next_execution()
+                if ex > top:
+                    top = ex
                 leaves.append(SimpleTask(
                     ex=ex,
                     pex=(
@@ -347,8 +338,13 @@ class StageFactory(GlobalTaskFactory):
                     ),
                     node_index=node_index,
                 ))
-            stages.append(ParallelTask(leaves) if width > 1 else leaves[0])
-            longest.append(max(leaf.ex for leaf in leaves))
+            longest.append(top)
+        # Group the leaves, built stage by stage, into their stages; a
+        # stage of one leaf is the leaf itself.
+        stages = leaves if width is None or width == 1 else [
+            ParallelTask(leaves[i:i + width])
+            for i in range(0, len(leaves), width)
+        ]
         tree: TaskNode = SerialTask(stages) if count > 1 else stages[0]
         return tree, now + sum(longest) + self._next_slack()
 
