@@ -556,6 +556,11 @@ _RULES: Tuple[Tuple[Callable[[SystemConfig], bool], str], ...] = (
     (lambda c: c.task_structure != SERIAL_PARALLEL
      or c.stage_width <= c.node_count,
      "stage width {c.stage_width} exceeds node count {c.node_count}"),
+    # A fan is always ``subtask_count`` wide and a tree ``stage_width``
+    # wide, so a range elsewhere would only skew the derived arrival rate.
+    (lambda c: c.subtask_count_range is None or c.task_structure == SERIAL,
+     "subtask_count_range applies to serial chains only, not to "
+     "task_structure {c.task_structure!r}"),
     (lambda c: c.load == 0 or c.peak_load < 1.0,
      "peak normalized load {c.peak_load:.3f} >= 1 (unstable): lower load, "
      "flatten the load_profile, or raise the slowest node's speed factor"),

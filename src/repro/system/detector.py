@@ -323,7 +323,7 @@ class FailureDetector:
                 "(heartbeat_interval > 0)"
             )
         self.env = env
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.spec = spec
         self.streams = streams
         self.metrics = metrics

@@ -45,6 +45,7 @@ from ..sim.distributions import (
     Pareto,
     Uniform,
 )
+from .node import shared_states
 
 #: Crash semantics for the unit in service at the crash instant.
 IN_FLIGHT_LOST = "lost"
@@ -381,7 +382,7 @@ class FaultInjector:
                 "FaultInjector requires a crash-enabled spec (mttf > 0)"
             )
         self.env = env
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.spec = spec
         self.streams = streams
         self.metrics = metrics
@@ -400,8 +401,9 @@ class FaultInjector:
         ]
         lose = spec.in_flight == IN_FLIGHT_LOST
         drop = spec.queued == QUEUED_DROPPED
-        for node in self.nodes:
-            node.configure_fault_semantics(lose_in_flight=lose, drop_queued=drop)
+        for shared in shared_states(nodes):
+            shared.lose_in_flight = lose
+            shared.drop_queued = drop
 
     def start(self) -> None:
         """Arm every node's first failure timer."""

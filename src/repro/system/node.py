@@ -29,14 +29,20 @@ subclass is a callback machine too, built on cancellable kernel timers
 server.
 
 A fleet holds one node per component (100k in the fleet scenarios), so
-a node is also written to be small: two objects the garbage collector
-tracks -- the node and its ready heap.  The node stores no bound method
-of itself (that would be a reference cycle per node): its completion
-callback is bound when the service timer is armed, and goes with the
-timer.  The ready queue is inlined
-(:class:`~repro.system.schedulers.ReadyQueue` is the reference), the
-FIFO tie-break counter is shared by all nodes of a simulation, and the
-node is its own wake-up event: its class-level ``callback`` is the
+a node is also written to be small: one object the garbage collector
+tracks, the node itself.  What every node of a run reads alike -- the
+environment, the collector, the scheduling policy and its queue key,
+the FIFO tie-break counter, the overload hook, the outstanding-count
+listener and the crash semantics -- lives in one :class:`NodeShared`
+that the simulation builds once and each node points at.  The ready
+heap is a list only once the node gets work: until its first submit
+the node holds the shared empty tuple ``_NO_WORK`` (a fleet under
+least-outstanding placement leaves most nodes idle).  The node stores
+no bound method of itself (that would be a reference cycle per node):
+its completion callback is bound when the service timer is armed, and
+goes with the timer.  The ready queue is inlined
+(:class:`~repro.system.schedulers.ReadyQueue` is the reference), and
+the node is its own wake-up event: its class-level ``callback`` is the
 dispatch step, so a wake pushes the node itself onto the kernel's
 urgent deque (or, for the preemptive node, the heap).  Every
 tracked object a node adds is one more object each full collection
@@ -51,13 +57,79 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Iterable, Optional, Set
 
 from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
 from .overload import NoAbort, OverloadPolicy
 from .schedulers import SchedulingPolicy
 from .work import WorkUnit
+
+#: The ready heap of a node that has never had work.  Every ``heappush``
+#: site swaps in a list on first use; ``len``, truthiness and iteration
+#: work on the tuple as they do on an empty list.
+_NO_WORK: tuple = ()
+
+
+class NodeShared:
+    """What every node of one run reads alike, held once per run.
+
+    A :class:`~repro.system.simulation.Simulation` builds one and each of
+    its nodes points at it; a node built alone makes its own.  The
+    outstanding-count listener and the crash semantics are set after
+    construction, once per run, by the least-outstanding placement and
+    the fault injector.  Apart from that listener, a bound method of the
+    placement, it reaches no simulation, process manager or random
+    stream.
+    """
+
+    __slots__ = (
+        "env", "metrics", "policy", "queue_key", "queue_seq",
+        "abort_check", "outstanding_listener",
+        "lose_in_flight", "drop_queued", "preempt_counts",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        metrics: MetricsCollector,
+        policy: SchedulingPolicy,
+        overload_policy: Optional[OverloadPolicy] = None,
+    ) -> None:
+        self.env = env
+        self.metrics = metrics
+        # The inlined ready queue's policy key (a C-level ``fast_key``
+        # when the policy has one) and FIFO tie-break counter.  Heap
+        # entries are only compared within one node's heap, and a shared
+        # counter is still monotone within each heap, so sharing it
+        # leaves every dispatch order unchanged.
+        self.policy = policy
+        self.queue_key = getattr(policy, "fast_key", None) or policy.key
+        self.queue_seq = itertools.count()
+        # The overload hook is skipped entirely under the NoAbort baseline.
+        self.abort_check = (
+            None
+            if overload_policy is None or type(overload_policy) is NoAbort
+            else overload_policy.should_abort_at_dispatch
+        )
+        #: Outstanding-count change hook (``None`` keeps the hot path at
+        #: one pointer check, the tracer discipline).  An incremental
+        #: placement policy (least-outstanding) binds this to learn of
+        #: every submit/complete/crash/recover without scanning nodes.
+        self.outstanding_listener = None
+        #: Crash semantics (inert unless a FaultInjector attaches).
+        self.lose_in_flight = True
+        self.drop_queued = False
+        #: The collector's measured-window preemption counters (zeroed in
+        #: place at the warm-up reset), read by the preemptive node.
+        self.preempt_counts = metrics.node_preemptions
+
+
+def shared_states(nodes: Iterable["Node"]) -> Set[NodeShared]:
+    """The distinct per-run objects behind ``nodes``: one for the nodes
+    of a simulation, one per node for nodes built alone."""
+    return set(map(attrgetter("_shared"), nodes))
 
 
 class Node:
@@ -68,16 +140,12 @@ class Node:
     # instance-dict keys, so each node would carry a private dict and
     # lose the fast attribute loads on the server hot paths.
     __slots__ = (
-        "env", "index", "speed", "metrics", "overload_policy",
+        "index", "speed", "_shared", "_heap",
         "_busy", "_serving", "_wake_pending",
         "_up", "_sleep", "_service_end", "_frozen_left",
-        "_lose_in_flight", "_drop_queued",
         "_q_value", "_q_area", "_q_last",
         "_b_value", "_b_area", "_b_last",
         "_d_value", "_d_area", "_d_last",
-        "_outstanding_listener",
-        "_policy", "_heap", "_queue_key", "_queue_seq",
-        "_abort_check",
     )
 
     def __init__(
@@ -88,34 +156,46 @@ class Node:
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
-        fifo: Optional[Iterator[int]] = None,
+        *,
+        shared: Optional[NodeShared] = None,
     ) -> None:
         if not (math.isfinite(speed) and speed > 0):
             raise ValueError(
                 f"node speed must be positive and finite, got {speed}"
             )
-        self.env = env
+        if shared is None:
+            shared = NodeShared(env, metrics, policy, overload_policy)
+        elif (
+            shared.env is not env
+            or shared.metrics is not metrics
+            or shared.policy is not policy
+            or overload_policy is not None
+        ):
+            raise ValueError(
+                "a node built on a NodeShared takes its environment, "
+                "collector, policy and overload policy from it"
+            )
         self.index = index
         #: Service-speed factor (heterogeneous-hardware scenarios): a unit
         #: with demand ``ex`` occupies the server for ``ex / speed``.  The
         #: homogeneous baseline keeps the exact ``timing.ex`` sleep (no
         #: division), so fixed-seed results are bit-identical.
         self.speed = speed
-        self.metrics = metrics
-        self.overload_policy = overload_policy or NoAbort()
+        self._shared = shared
+        # The inlined ready queue (ReadyQueue is the reference); a list
+        # from the first submit on.
+        self._heap = _NO_WORK
         self._busy = False
         self._serving: Optional[WorkUnit] = None
         self._wake_pending = False
         # Fault machinery (inert unless a FaultInjector attaches): the
         # up/down flag, the retained in-service timer (so a crash can
-        # revoke it), its absolute expiry (so "resume" semantics know the
-        # remaining service), and the crash-semantics flags.
+        # revoke it), and its absolute expiry (so "resume" semantics know
+        # the remaining service).
         self._up = True
         self._sleep = None
         self._service_end = 0.0
         self._frozen_left = -1.0  # >= 0 while a frozen unit awaits recovery
-        self._lose_in_flight = True
-        self._drop_queued = False
         # The node's time-weighted signals (queue length, busy, down) as
         # float slots: value, area since the warm-up end, time of the
         # last update.  The hot loops below update them with the exact
@@ -124,35 +204,14 @@ class Node:
         self._q_value = self._q_area = self._q_last = 0.0
         self._b_value = self._b_area = self._b_last = 0.0
         self._d_value = self._d_area = self._d_last = 0.0
-        #: Outstanding-count change hook (``None`` keeps the hot path at
-        #: one pointer check, the tracer discipline).  An incremental
-        #: placement policy (least-outstanding) binds this to learn of
-        #: every submit/complete/crash/recover without scanning nodes.
-        self._outstanding_listener = None
-        # The inlined ready queue (ReadyQueue is the reference): the heap,
-        # the policy key (a C-level ``fast_key`` when the policy has one)
-        # and the FIFO tie-break counter, which the nodes of a simulation
-        # share: heap entries are only compared within one node's heap,
-        # and a shared counter is still monotone within each heap, so
-        # sharing it leaves every dispatch order unchanged.
-        self._policy = policy
-        self._heap = []
-        self._queue_key = getattr(policy, "fast_key", None) or policy.key
-        self._queue_seq = itertools.count() if fifo is None else fifo
         # Store no bound method of the node on it (a reference cycle per
         # node): the service timer binds ``_complete`` when it is armed,
         # and the idle wake needs no callback object at all -- the node
         # is its own wake event (see ``callback``).
-        overload = self.overload_policy
-        self._abort_check = (
-            None
-            if type(overload) is NoAbort
-            else overload.should_abort_at_dispatch
-        )
         # Register last, so a node that fails to build is never listed.
         # The collector's per-node counters and ``per_node`` rows are
         # positional, so registration order must be index order.
-        nodes = metrics.nodes
+        nodes = shared.metrics.nodes
         if index != len(nodes):
             raise ValueError(
                 f"node {index} registered out of order: the collector "
@@ -174,27 +233,30 @@ class Node:
                 f"{unit!r} routed to node {self.index}, expected "
                 f"{unit.node_index}"
             )
+        shared = self._shared
+        heap = self._heap
+        if heap is _NO_WORK:
+            heap = self._heap = []
         # Inlined ReadyQueue.push (see schedulers.py for the reference).
         heappush(
-            self._heap,
+            heap,
             (
                 unit.priority_class,
-                self._queue_key(unit),
-                next(self._queue_seq),
+                shared.queue_key(unit),
+                next(shared.queue_seq),
                 unit,
             ),
         )
-        now = self.env._now
+        now = shared.env._now
         index = self.index
         # Inlined queue increment(1, now).
         old = self._q_value
         self._q_area += old * (now - self._q_last)
         self._q_last = now
         self._q_value = old + 1.0
-        metrics = self.metrics
-        if metrics._tracer is not None:
-            metrics._tracer.record(now, "submit", unit, index)
-        listener = self._outstanding_listener
+        if shared.metrics._tracer is not None:
+            shared.metrics._tracer.record(now, "submit", unit, index)
+        listener = shared.outstanding_listener
         if listener is not None:
             listener(index)
         # Wake the idle server.  The dispatch is deferred by one urgent
@@ -210,7 +272,7 @@ class Node:
             self._wake_pending = True
             # Inlined urgent _schedule_call with the node as its own wake
             # event: no allocation, no heap entry.
-            self.env._urgent.append(self)
+            shared.env._urgent.append(self)
 
     @property
     def busy(self) -> bool:
@@ -225,12 +287,16 @@ class Node:
     def _push(self, unit: WorkUnit) -> None:
         """Enqueue ``unit`` in the ready heap (cold paths; ``submit``
         inlines this, and :meth:`ReadyQueue.push` is the reference)."""
+        shared = self._shared
+        heap = self._heap
+        if heap is _NO_WORK:
+            heap = self._heap = []
         heappush(
-            self._heap,
+            heap,
             (
                 unit.priority_class,
-                self._queue_key(unit),
-                next(self._queue_seq),
+                shared.queue_key(unit),
+                next(shared.queue_seq),
                 unit,
             ),
         )
@@ -253,10 +319,11 @@ class Node:
         heap = self._heap
         if not heap:
             return
-        env = self.env
+        shared = self._shared
+        env = shared.env
         index = self.index
-        metrics = self.metrics
-        abort_check = self._abort_check
+        metrics = shared.metrics
+        abort_check = shared.abort_check
         while heap:
             unit = heappop(heap)[3]
             now = env._now
@@ -273,7 +340,7 @@ class Node:
                 if metrics._tracer is not None:
                     metrics._tracer.record(now, "abort", unit, index)
                 metrics.record_unit_completion(unit)
-                listener = self._outstanding_listener
+                listener = shared.outstanding_listener
                 if listener is not None:
                     listener(index)
                 on_done = unit.on_done
@@ -325,9 +392,10 @@ class Node:
         unit = self._serving
         self._serving = None
         self._sleep = None
-        metrics = self.metrics
+        shared = self._shared
+        metrics = shared.metrics
         index = self.index
-        env = self.env
+        env = shared.env
         now = env._now
         timing = unit.timing
         timing.completed_at = now
@@ -340,7 +408,7 @@ class Node:
         if metrics._tracer is not None:
             metrics._tracer.record(now, "complete", unit, index)
         metrics.record_unit_completion(unit)
-        listener = self._outstanding_listener
+        listener = shared.outstanding_listener
         if listener is not None:
             listener(index)
         on_done = unit.on_done
@@ -361,9 +429,11 @@ class Node:
     def configure_fault_semantics(
         self, lose_in_flight: bool, drop_queued: bool
     ) -> None:
-        """Set what a crash does to in-flight and queued work."""
-        self._lose_in_flight = lose_in_flight
-        self._drop_queued = drop_queued
+        """Set what a crash does to in-flight and queued work, for every
+        node that shares this node's :class:`NodeShared`."""
+        shared = self._shared
+        shared.lose_in_flight = lose_in_flight
+        shared.drop_queued = drop_queued
 
     def crash(self) -> None:
         """Take the node down, revoking the in-service timer.
@@ -375,8 +445,8 @@ class Node:
         be pending for the base node.
         """
         self._up = False
-        env = self.env
-        now = env._now
+        shared = self._shared
+        now = shared.env._now
         index = self.index
         if self._busy:
             self._sleep.cancel()
@@ -388,7 +458,7 @@ class Node:
             self._b_last = now
             self._b_value = 0.0
             unit = self._serving
-            if self._lose_in_flight:
+            if shared.lose_in_flight:
                 self._serving = None
                 self._discard_lost(unit, now)
             else:
@@ -396,7 +466,7 @@ class Node:
                 # service so recovery can restart the timer.
                 left = self._service_end - now
                 self._frozen_left = left if left > 0.0 else 0.0
-        if self._drop_queued:
+        if shared.drop_queued:
             heap = self._heap
             if heap:
                 count = len(heap)
@@ -404,16 +474,16 @@ class Node:
                     self._discard_lost(entry[3], now)
                 heap.clear()
                 self._queue_increment(-count, now)
-        listener = self._outstanding_listener
+        listener = shared.outstanding_listener
         if listener is not None:
             listener(index)
 
     def recover(self) -> None:
         """Bring the node back up and resume or re-dispatch work."""
         self._up = True
-        env = self.env
+        shared = self._shared
+        env = shared.env
         now = env._now
-        index = self.index
         if self._frozen_left >= 0.0:
             left = self._frozen_left
             self._frozen_left = -1.0
@@ -426,9 +496,9 @@ class Node:
         elif self._heap and not self._wake_pending:
             self._wake_pending = True
             env._urgent.append(self)
-        listener = self._outstanding_listener
+        listener = shared.outstanding_listener
         if listener is not None:
-            listener(index)
+            listener(self.index)
 
     def _queue_increment(self, delta: float, now: float) -> None:
         """Shift the queue-length signal by ``delta`` (cold paths).
@@ -466,7 +536,8 @@ class Node:
         timing = unit.timing
         timing.aborted = True
         unit.lost = True
-        metrics = self.metrics
+        shared = self._shared
+        metrics = shared.metrics
         index = self.index
         metrics.node_lost[index] += 1
         if metrics._tracer is not None:
@@ -474,10 +545,10 @@ class Node:
         metrics.record_unit_completion(unit)
         on_done = unit.on_done
         if on_done is not None:
-            self.env._schedule_call(on_done, value=unit, priority=NORMAL)
+            shared.env._schedule_call(on_done, value=unit, priority=NORMAL)
 
     def __repr__(self) -> str:
         return (
-            f"<Node {self.index} policy={self._policy.name} "
+            f"<Node {self.index} policy={self._shared.policy.name} "
             f"queued={len(self._heap)} busy={self._busy}>"
         )

@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Sequence, Set
 
 from ..sim.rng import StreamFactory
+from .node import shared_states
 
 #: Policy-name constants (mirrored by ``SystemConfig.placement``).
 UNIFORM = "uniform"
@@ -375,13 +376,14 @@ class LeastOutstandingPlacement(PlacementPolicy):
 
     Fleet-scale bookkeeping: instead of rescanning every node per
     decision (O(n)), the policy keeps sorted index lists, updated from
-    the node outstanding hooks
-    (:attr:`~repro.system.node.Node._outstanding_listener`): ``_active``
-    holds the nodes with any outstanding work and ``_members[c]`` those
-    with exactly ``c > 0`` units.  The idle (count 0) bucket is the
-    complement of ``_active`` and is never stored.  A decision visits the
-    counts in ascending order -- 0 first while any node is idle -- and
-    takes the first bucket with an eligible member.  The historical draw
+    the run's outstanding hook
+    (:attr:`~repro.system.node.NodeShared.outstanding_listener`):
+    ``_active`` holds the nodes with any outstanding work and
+    ``_members[c]`` those with exactly ``c > 0`` units.  The idle (count
+    0) bucket is the complement of ``_active`` and is never stored.  A
+    decision visits the counts in ascending order -- 0 first while any
+    node is idle -- and takes the first bucket with an eligible member.
+    The historical draw
     trajectory -- ties scanned in ascending index order, one
     ``randrange`` per multi-way tie, none for singletons -- is
     reproduced exactly.  Counts derive from each node's queue and busy
@@ -401,7 +403,7 @@ class LeastOutstandingPlacement(PlacementPolicy):
     name = LEAST_OUTSTANDING
 
     def __init__(self, nodes: Sequence, streams: StreamFactory) -> None:
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self._stream = streams.get("placement-lo")
         node_count = len(self.nodes)
         self._node_count = node_count
@@ -415,12 +417,14 @@ class LeastOutstandingPlacement(PlacementPolicy):
         self._members: Dict[int, List[int]] = {}
         #: count -> down nodes holding it (live tracking only).
         self._bucket_down: Dict[int, Set[int]] = {}
+        # One listener per run object (one for a simulation's nodes).
         # Every node starts idle; one that already holds work (never so
         # in a fresh simulation) moves to its own bucket through the
         # listener, which reconciles against the node's signals.
         touch = self._touch
-        for index, node in enumerate(self.nodes):
-            node._outstanding_listener = touch
+        for shared in shared_states(nodes):
+            shared.outstanding_listener = touch
+        for index, node in enumerate(nodes):
             if node._q_value or node._b_value:
                 touch(index)
 

@@ -50,11 +50,11 @@ while it serves -- so ``_preempt_pending`` tells them apart.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
-from .node import Node
+from .node import _NO_WORK, Node, NodeShared
 from .overload import OverloadPolicy
 from .schedulers import SchedulingPolicy
 from .work import WorkUnit
@@ -68,7 +68,6 @@ class PreemptiveNode(Node):
     __slots__ = (
         "_remaining", "_preemptions", "_preempt_pending",
         "_service_began", "_service_demand",
-        "_preempt_counts",
     )
 
     def __init__(
@@ -79,7 +78,8 @@ class PreemptiveNode(Node):
         metrics: MetricsCollector,
         overload_policy: Optional[OverloadPolicy] = None,
         speed: float = 1.0,
-        fifo: Optional[Iterator[int]] = None,
+        *,
+        shared: Optional[NodeShared] = None,
     ) -> None:
         #: Remaining service demand (in demand units, not wall time) of
         #: units that have been preempted at least once, keyed by the
@@ -98,9 +98,9 @@ class PreemptiveNode(Node):
         self._service_began = 0.0
         self._service_demand = 0.0
         super().__init__(
-            env, index, policy, metrics, overload_policy, speed, fifo
+            env, index, policy, metrics, overload_policy, speed,
+            shared=shared,
         )
-        self._preempt_counts = metrics.node_preemptions
 
     @property
     def preemptions(self) -> int:
@@ -121,17 +121,22 @@ class PreemptiveNode(Node):
                 f"{unit!r} routed to node {self.index}, expected "
                 f"{unit.node_index}"
             )
+        shared = self._shared
+        queue_key = shared.queue_key
+        heap = self._heap
+        if heap is _NO_WORK:
+            heap = self._heap = []
         # Inlined ReadyQueue.push (see schedulers.py for the reference).
         heappush(
-            self._heap,
+            heap,
             (
                 unit.priority_class,
-                self._queue_key(unit),
-                next(self._queue_seq),
+                queue_key(unit),
+                next(shared.queue_seq),
                 unit,
             ),
         )
-        env = self.env
+        env = shared.env
         now = env._now
         index = self.index
         # Inlined queue increment(1, now).
@@ -139,10 +144,9 @@ class PreemptiveNode(Node):
         self._q_area += old * (now - self._q_last)
         self._q_last = now
         self._q_value = old + 1.0
-        metrics = self.metrics
-        if metrics._tracer is not None:
-            metrics._tracer.record(now, "submit", unit, index)
-        listener = self._outstanding_listener
+        if shared.metrics._tracer is not None:
+            shared.metrics._tracer.record(now, "submit", unit, index)
+        listener = shared.outstanding_listener
         if listener is not None:
             listener(index)
         if not self._busy:
@@ -166,7 +170,7 @@ class PreemptiveNode(Node):
             serving_class = serving.priority_class
             if arriving_class < serving_class or (
                 arriving_class == serving_class
-                and self._queue_key(unit) < self._queue_key(serving)
+                and queue_key(unit) < queue_key(serving)
             ):
                 # One urgent poke per preemption decision: the re-dispatch
                 # re-picks the best queued unit, so further same-instant
@@ -180,7 +184,7 @@ class PreemptiveNode(Node):
                 # feeds NodeStats.preemptions so sweeps can rank by
                 # preemption rate; ``self._preemptions`` stays the
                 # lifetime diagnostic the node repr shows.
-                self._preempt_counts[self.index] += 1
+                shared.preempt_counts[index] += 1
                 env._urgent.append(self)
 
     # -- server state machine ------------------------------------------------
@@ -200,12 +204,13 @@ class PreemptiveNode(Node):
         heap = self._heap
         if not heap:
             return
-        env = self.env
+        shared = self._shared
+        env = shared.env
         index = self.index
-        metrics = self.metrics
+        metrics = shared.metrics
         tracer = metrics._tracer
         dispatched = metrics.node_dispatched
-        abort_check = self._abort_check
+        abort_check = shared.abort_check
         remaining = self._remaining
         while heap:
             unit = heappop(heap)[3]
@@ -224,7 +229,7 @@ class PreemptiveNode(Node):
                 if tracer is not None:
                     tracer.record(now, "abort", unit, index)
                 metrics.record_unit_completion(unit)
-                listener = self._outstanding_listener
+                listener = shared.outstanding_listener
                 if listener is not None:
                     listener(index)
                 on_done = unit.on_done
@@ -286,8 +291,8 @@ class PreemptiveNode(Node):
         self._preempt_pending = False
         unit = self._serving
         self._serving = None
-        env = self.env
-        now = env._now
+        shared = self._shared
+        now = shared.env._now
         self._sleep.cancel()
         self._sleep = None
         speed = self.speed
@@ -305,9 +310,9 @@ class PreemptiveNode(Node):
         self._b_area += now - self._b_last
         self._b_last = now
         self._b_value = 0.0
-        metrics = self.metrics
-        if metrics._tracer is not None:
-            metrics._tracer.record(now, "preempt", unit, index)
+        tracer = shared.metrics._tracer
+        if tracer is not None:
+            tracer.record(now, "preempt", unit, index)
         # Put the preempted unit back; the newcomer (already queued by
         # submit) wins the re-dispatch.  Preemption is not the per-unit
         # hot path, so this takes the ``_push`` helper rather than
@@ -338,9 +343,8 @@ class PreemptiveNode(Node):
         dropped.  ``_preempt_pending`` is always False here: crash timers
         are heap events and the urgent deque drains first.
         """
-        env = self.env
-        now = env._now
-        index = self.index
+        shared = self._shared
+        now = shared.env._now
         held = None
         if self._busy:
             self._sleep.cancel()
@@ -353,7 +357,7 @@ class PreemptiveNode(Node):
             self._b_area += now - self._b_last
             self._b_last = now
             self._b_value = 0.0
-            if self._lose_in_flight:
+            if shared.lose_in_flight:
                 self._discard_lost(unit, now)
             else:
                 speed = self.speed
@@ -369,9 +373,9 @@ class PreemptiveNode(Node):
             # The base-class crash already notified the listener; notify
             # again so the re-queued frozen unit is counted (the touch
             # reconciles against current state, so the repeat is safe).
-            listener = self._outstanding_listener
+            listener = shared.outstanding_listener
             if listener is not None:
-                listener(index)
+                listener(self.index)
 
     def _discard_lost(self, unit: WorkUnit, now: float) -> None:
         """Scrub the unit's preemption bookkeeping, then discard it like
@@ -384,17 +388,18 @@ class PreemptiveNode(Node):
         """Bring the node back up; queued work (including any frozen unit,
         now carrying remaining demand) re-dispatches via the NORMAL wake."""
         self._up = True
-        env = self.env
+        shared = self._shared
         if self._heap and not self._wake_pending:
             self._wake_pending = True
+            env = shared.env
             heappush(env._queue, (env._now, env._next_seq(), self))
-        listener = self._outstanding_listener
+        listener = shared.outstanding_listener
         if listener is not None:
             listener(self.index)
 
     def __repr__(self) -> str:
         return (
-            f"<PreemptiveNode {self.index} policy={self._policy.name} "
-            f"queued={len(self._heap)} busy={self._busy} "
-            f"preemptions={self._preemptions}>"
+            f"<PreemptiveNode {self.index} "
+            f"policy={self._shared.policy.name} queued={len(self._heap)} "
+            f"busy={self._busy} preemptions={self._preemptions}>"
         )

@@ -451,7 +451,7 @@ class ProcessManager:
         unit_ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.env = env
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.assigner = assigner
         self.metrics = metrics
         # Bound once for the per-leaf / per-stage hot paths.

@@ -28,7 +28,7 @@ from .detector import FailureDetector
 from .emission import EmissionPolicy, MetricsEmitter, _Trigger
 from .faults import FaultInjector, LiveSet
 from .metrics import MetricsCollector, RunResult
-from .node import Node
+from .node import Node, NodeShared
 from .placement import (
     LeastOutstandingPlacement,
     PlacementPolicy,
@@ -68,22 +68,20 @@ class Simulation:
         overload = get_overload_policy(config.overload_policy)
         speeds = config.node_speed_factors
         node_type = PreemptiveNode if config.preemptive else Node
-        fifo = count()
         # One work-unit id counter per run: the local sources and the
         # process manager draw trace labels from it.
         unit_ids = count(1)
-        self.nodes: List[Node] = [
+        # The per-run values every node reads, built once; each node
+        # registers itself with the collector, whose list is the run's
+        # one node list.
+        shared = NodeShared(self.env, self.metrics, policy, overload)
+        for i in range(config.node_count):
             node_type(
-                env=self.env,
-                index=i,
-                policy=policy,
-                metrics=self.metrics,
-                overload_policy=overload,
+                self.env, i, policy, self.metrics,
                 speed=1.0 if speeds is None else speeds[i],
-                fifo=fifo,
+                shared=shared,
             )
-            for i in range(config.node_count)
-        ]
+        self.nodes: List[Node] = self.metrics.nodes
         # Fault model: a crash-enabled spec builds the live set and the
         # injector, and a retry-enabled spec (even at ``mttf = 0``) arms
         # the manager's retry layer; anything else wires NOTHING -- no

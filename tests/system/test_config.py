@@ -84,6 +84,12 @@ class TestDerivedRates:
         config = serial_parallel_config(stages=3, stage_width=2)
         assert config.mean_subtask_count == 6.0
 
+    def test_fan_rejects_a_count_range(self):
+        # A fan is always ``subtask_count`` wide: a range would derive
+        # the arrival rate from E[m] = 2.5 while building fans of 4.
+        with pytest.raises(ValueError, match="serial chains only"):
+            parallel_baseline_config(subtask_count_range=(2, 3))
+
 
 class TestHeterogeneousLoads:
     def test_homogeneous_default(self):
@@ -199,6 +205,10 @@ class TestValidation:
             {"subtask_count_range": (5, 3)},
             {"task_structure": PARALLEL, "subtask_count": 7},
             {"task_structure": SERIAL_PARALLEL, "stage_width": 7},
+            # A count range only draws a serial chain's length.
+            {"task_structure": PARALLEL, "subtask_count_range": (2, 3)},
+            {"task_structure": SERIAL_PARALLEL,
+             "subtask_count_range": (2, 3)},
             {"sim_time": float("nan")},
             {"sim_time": float("inf")},
             {"warmup_time": float("nan")},

@@ -1,15 +1,20 @@
 """Pins for the lean fleet node.
 
-A node costs two objects the garbage collector tracks (the node and its
-ready heap; it stores no bound method of itself, and the preemptive
-node's preemption record is an empty dict, which the collector does not
-track) and holds its busy, queue and down signals as float slots, so
-building a 100k-node fleet stays cheap.
+A node costs one object the garbage collector tracks, the node itself:
+its per-run values live in one :class:`NodeShared` per simulation, its
+ready heap is the shared empty tuple until its first submit, it stores
+no bound method of itself, and the preemptive node's preemption record
+is an empty dict, which the collector does not track.  It holds its
+busy, queue and down signals as float slots, so building a 100k-node
+fleet stays cheap.
 These tests pin that budget (tracked objects and traced bytes per node)
 and the equivalences it rests on:
 
 * the inlined ready queue, drawing from a counter the nodes share,
   dispatches in :class:`ReadyQueue`'s pop order;
+* a node that never gets work answers every query and survives a
+  crash and a recovery on its shared empty heap;
+* nodes built alone keep their own listener and crash semantics;
 * the node's signal slots reproduce :class:`TimeWeighted` exactly,
   through service, preemption, crashes, recoveries and a warm-up reset;
 * nodes register with their collector in index order;
@@ -40,9 +45,15 @@ from repro.sim.core import Environment
 from repro.sim.monitor import TimeWeighted
 from repro.sim.rng import StreamFactory
 from repro.system.config import parallel_baseline_config
-from repro.system.faults import IN_FLIGHT_LOST
+from repro.system.faults import (
+    IN_FLIGHT_LOST,
+    FaultInjector,
+    FaultSpec,
+    LiveSet,
+)
 from repro.system.metrics import NODE_COUNTERS, MetricsCollector, NodeStats
-from repro.system.node import Node
+from repro.system.node import _NO_WORK, Node, NodeShared
+from repro.system.overload import NoAbort
 from repro.system.placement import LeastOutstandingPlacement
 from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import (
@@ -99,25 +110,36 @@ def _bytes_per_node(node_count: int) -> float:
 
 
 class TestTrackedObjectBudget:
-    def test_node_costs_two_tracked_objects(self):
-        assert _tracked_per_node(5000) <= 2.1
+    def test_node_costs_one_tracked_object(self):
+        assert _tracked_per_node(5000) <= 1.1
 
-    def test_fleet_set_up_costs_at_most_460_bytes_per_node(self):
+    def test_fleet_set_up_costs_at_most_320_bytes_per_node(self):
         # Everything a least-outstanding, fault-free simulation allocates
-        # per node: the slotted node with its float signals, its heap,
-        # the collector's counter entries and the placement's count
-        # entry.
-        assert _bytes_per_node(5000) <= 460
+        # per node: the slotted node with its float signals, its entry in
+        # the run's one node list, the collector's counter entries and
+        # the placement's count entry.
+        assert _bytes_per_node(5000) <= 320
 
-    def test_preemptive_node_costs_two_tracked_objects(self):
+    def test_preemptive_node_costs_one_tracked_object(self):
         # The preemption poke is the node itself on the urgent deque.
-        assert _tracked_per_node(5000, preemptive=True) <= 2.1
+        assert _tracked_per_node(5000, preemptive=True) <= 1.1
 
-    def test_nodes_of_one_simulation_share_the_fifo_counter(self):
+    def test_nodes_of_one_simulation_share_one_run_object(self):
         simulation = Simulation(_fleet_config(8))
-        counters = {id(node._queue_seq) for node in simulation.nodes}
-        assert len(counters) == 1
-        assert type(simulation.nodes[0]._queue_seq) is itertools.count
+        shared = {id(node._shared) for node in simulation.nodes}
+        assert len(shared) == 1
+        run = simulation.nodes[0]._shared
+        assert type(run) is NodeShared
+        assert type(run.queue_seq) is itertools.count
+        assert run.env is simulation.env
+        assert run.metrics is simulation.metrics
+
+    def test_the_run_keeps_one_node_list(self):
+        simulation = Simulation(_fleet_config(8))
+        nodes = simulation.metrics.nodes
+        assert simulation.nodes is nodes
+        assert simulation.process_manager.nodes is nodes
+        assert simulation.placement_policy.nodes is nodes
 
 
 # -- snapshot budget ----------------------------------------------------------
@@ -198,9 +220,9 @@ def _submissions():
 def test_dispatch_order_equals_ready_queue_pop_order(node_cls, policy):
     env = Environment()
     metrics = MetricsCollector(node_count=2)
-    shared = itertools.count()
+    shared = NodeShared(env, metrics, policy)
     nodes = [
-        node_cls(env, i, policy, metrics, fifo=shared) for i in range(2)
+        node_cls(env, i, policy, metrics, shared=shared) for i in range(2)
     ]
     references = [ReadyQueue(policy), ReadyQueue(policy)]
     units = _submissions()
@@ -343,6 +365,100 @@ def test_signal_slots_equal_time_weighted_reference(
     assert checks > 0
     if node_cls is PreemptiveNode:
         assert node.preemptions > 0
+
+
+# -- nodes that never get work -----------------------------------------------
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+def test_idle_node_survives_queries_crash_and_recovery(env, node_cls):
+    metrics = MetricsCollector(1)
+    node = node_cls(env, 0, EarliestDeadlineFirst(), metrics)
+    node.configure_fault_semantics(lose_in_flight=True, drop_queued=True)
+    assert node._heap is _NO_WORK
+    assert node.queue_length == 0
+    assert "queued=0" in repr(node)
+    node.crash()
+    assert not node.up
+    node.recover()
+    assert node.up
+    env.run(until=1.0)
+    assert node._heap is _NO_WORK
+    assert node.queue_length == 0 and not node.busy
+    assert sum(metrics.node_lost) == 0
+    assert metrics.snapshot(1.0).per_node[0].utilization == 0.0
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+def test_first_submit_swaps_in_a_heap_of_its_own(env, node_cls):
+    metrics = MetricsCollector(2)
+    nodes = [
+        node_cls(env, i, EarliestDeadlineFirst(), metrics) for i in range(2)
+    ]
+    nodes[0].submit(_unit(0, 0, dl=5.0, pex=1.0,
+                          priority=PriorityClass.NORMAL))
+    assert type(nodes[0]._heap) is list and nodes[0].queue_length == 1
+    assert nodes[1]._heap is _NO_WORK
+    env.run()
+    assert nodes[0]._heap == [] and nodes[1]._heap is _NO_WORK
+
+
+@pytest.mark.parametrize("preemptive", [False, True])
+def test_mostly_idle_fleet_outstanding_matches_placement(preemptive):
+    """On a run where most nodes never get a unit, the from-scratch
+    ``_outstanding()`` reference agrees with the incremental counts."""
+    config = _fleet_config(400, preemptive=preemptive).with_(
+        sim_time=1.0
+    )
+    simulation = Simulation(config)
+    env = simulation.env
+    placement = simulation.placement_policy
+    for until in (0.25, 0.5, 1.0):
+        env.run(until=until)
+        assert placement._outstanding() == placement._counts
+    idle = [n for n in simulation.nodes if n._heap is _NO_WORK]
+    assert len(idle) > len(simulation.nodes) // 2
+    assert placement._outstanding()[idle[0].index] == 0
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+def test_nodes_built_alone_keep_their_own_run_object(env, streams, node_cls):
+    metrics = MetricsCollector(2)
+    policy = EarliestDeadlineFirst()
+    first, second = (node_cls(env, i, policy, metrics) for i in range(2))
+    assert first._shared is not second._shared
+    first.configure_fault_semantics(lose_in_flight=False, drop_queued=True)
+    assert (second._shared.lose_in_flight, second._shared.drop_queued) == (
+        True, False
+    )
+    LeastOutstandingPlacement([first], StreamFactory(seed=1))
+    assert first._shared.outstanding_listener is not None
+    assert second._shared.outstanding_listener is None
+    # The fault injector sets the semantics of every run object it sees.
+    FaultInjector(
+        env=env, nodes=[first, second],
+        spec=FaultSpec(
+            mttf=50.0, mttr=5.0, in_flight="resume", queued="dropped"
+        ),
+        streams=streams, metrics=metrics, live_set=LiveSet(2),
+    )
+    for node in (first, second):
+        assert (node._shared.lose_in_flight, node._shared.drop_queued) == (
+            False, True
+        )
+
+
+def test_node_on_a_run_object_rejects_other_run_values(env):
+    metrics = MetricsCollector(2)
+    policy = EarliestDeadlineFirst()
+    shared = NodeShared(env, metrics, policy)
+    Node(env, 0, policy, metrics, shared=shared)
+    with pytest.raises(ValueError, match="NodeShared"):
+        Node(env, 1, FirstComeFirstServed(), metrics, shared=shared)
+    with pytest.raises(ValueError, match="NodeShared"):
+        Node(env, 1, policy, metrics, overload_policy=NoAbort(),
+             shared=shared)
+    assert len(metrics.nodes) == 1
 
 
 # -- least-outstanding placement --------------------------------------------

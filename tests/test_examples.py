@@ -4,7 +4,8 @@ Each example guards its entry point with ``__name__ == "__main__"``, so
 importing is safe; the fast helpers are exercised directly, and the
 simulation functions run at a short horizon by patching the module's
 time constants.  (The full example mains simulate tens of thousands of
-time units and are run manually / in CI's long lane, not here.)
+time units; CI's ``tier1`` job runs each of them in its "Example mains"
+step, not here.)
 """
 
 from __future__ import annotations
