@@ -25,11 +25,17 @@ from repro.cli import main
 PINS = Path(__file__).parent / "pins"
 
 CASES = {
+    "list": ["list"],
     "run_fig2_smoke": ["run", "Fig2", "--scale", "smoke"],
+    "run_fig3_smoke": ["run", "Fig3", "--scale", "smoke"],
     "run_fig4_smoke": ["run", "Fig4", "--scale", "smoke"],
     "run_sec6_smoke": ["run", "Sec6", "--scale", "smoke"],
+    "run_v1_smoke": ["run", "V1", "--scale", "smoke"],
     "run_v2_smoke": ["run", "V2", "--scale", "smoke"],
+    "run_v3_smoke": ["run", "V3", "--scale", "smoke"],
     "run_v4_smoke": ["run", "V4", "--scale", "smoke"],
+    "run_v5_smoke": ["run", "V5", "--scale", "smoke"],
+    "run_v6_smoke": ["run", "V6", "--scale", "smoke"],
     "scenarios_list": ["scenarios", "list"],
     "scenarios_sweep_seed17": [
         "scenarios", "sweep",
