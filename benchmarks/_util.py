@@ -2,7 +2,7 @@
 
 Every bench regenerates one artifact of the paper (table or figure),
 asserts its qualitative shape, and archives the rendered output under
-``benchmarks/results/`` so EXPERIMENTS.md can quote it.
+``benchmarks/results/`` (git-ignored) for inspection.
 """
 
 from __future__ import annotations

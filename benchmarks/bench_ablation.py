@@ -1,4 +1,4 @@
-"""Ablation benches for the design knobs DESIGN.md calls out.
+"""Ablation benches for two design knobs the paper leaves open.
 
 * **EQF-AS** (Sec. 7 future work): does adding artificial stages to the
   EQF denominator help tight tasks?  We sweep phantom stage counts at the

@@ -10,7 +10,7 @@ Paper claims checked:
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig2
+from repro.experiments import EXPERIMENTS, render, run
 from repro.experiments.runner import QUICK
 
 from _util import save_artifact
@@ -18,7 +18,7 @@ from _util import save_artifact
 
 def test_fig2_ssp_strategies_vs_load(benchmark):
     figure = benchmark.pedantic(
-        lambda: fig2(scale=QUICK), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["Fig2"], QUICK), rounds=1, iterations=1
     )
     grid = figure.grid
 
@@ -55,6 +55,6 @@ def test_fig2_ssp_strategies_vs_load(benchmark):
                 for s in grid.strategies]
     assert max(lightest) - min(lightest) < 0.04
 
-    text = figure.render()
+    text = render(figure)
     save_artifact("fig2", text)
     print("\n" + text)

@@ -10,7 +10,7 @@ Paper claims checked:
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig3
+from repro.experiments import EXPERIMENTS, render, run
 from repro.experiments.runner import QUICK
 
 from _util import save_artifact
@@ -18,7 +18,7 @@ from _util import save_artifact
 
 def test_fig3_frac_local_sweep(benchmark):
     figure = benchmark.pedantic(
-        lambda: fig3(scale=QUICK), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["Fig3"], QUICK), rounds=1, iterations=1
     )
     grid = figure.grid
 
@@ -40,6 +40,6 @@ def test_fig3_frac_local_sweep(benchmark):
     eqf_gap = eqf_global[-1] - eqf_local[-1]
     assert ud_gap > eqf_gap + 0.05
 
-    text = figure.render()
+    text = render(figure)
     save_artifact("fig3", text)
     print("\n" + text)

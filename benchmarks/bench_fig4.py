@@ -11,7 +11,7 @@ Paper claims checked:
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig4
+from repro.experiments import EXPERIMENTS, render, run
 from repro.experiments.runner import QUICK
 
 from _util import save_artifact
@@ -19,7 +19,7 @@ from _util import save_artifact
 
 def test_fig4_psp_strategies_vs_load(benchmark):
     figure = benchmark.pedantic(
-        lambda: fig4(scale=QUICK), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["Fig4"], QUICK), rounds=1, iterations=1
     )
     grid = figure.grid
     at_top = {s: grid.cell(0.5, s).estimate for s in grid.strategies}
@@ -50,6 +50,6 @@ def test_fig4_psp_strategies_vs_load(benchmark):
         series = grid.series(strategy, "global")
         assert series[0] < series[-1]
 
-    text = figure.render()
+    text = render(figure)
     save_artifact("fig4", text)
     print("\n" + text)

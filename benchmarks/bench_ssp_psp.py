@@ -11,7 +11,7 @@ Paper claims checked:
 
 from __future__ import annotations
 
-from repro.experiments.figures import ssp_psp
+from repro.experiments import EXPERIMENTS, render, run
 from repro.experiments.runner import QUICK
 
 from _util import save_artifact
@@ -19,7 +19,7 @@ from _util import save_artifact
 
 def test_sec6_combined_strategies(benchmark):
     figure = benchmark.pedantic(
-        lambda: ssp_psp(scale=QUICK), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["Sec6"], QUICK), rounds=1, iterations=1
     )
     grid = figure.grid
     # The paper's "high load" is the Table 1 baseline (0.5); the sweep also
@@ -54,6 +54,6 @@ def test_sec6_combined_strategies(benchmark):
         combo = grid.cell(load, "EQF-DIV1").estimate
         assert combo.gap < 0.6 * base.gap + 0.02
 
-    text = figure.render()
+    text = render(figure)
     save_artifact("sec6_ssp_psp", text)
     print("\n" + text)

@@ -12,15 +12,8 @@ conclusion it supports.
 
 from __future__ import annotations
 
-from repro.experiments.runner import QUICK, RunScale
-from repro.experiments.variations import (
-    abort_policy_comparison,
-    heterogeneous_nodes,
-    pex_error_sweep,
-    scheduler_comparison,
-    slack_sweep,
-    variable_subtasks,
-)
+from repro.experiments import EXPERIMENTS, render, run
+from repro.experiments.runner import RunScale
 
 from _util import save_artifact
 
@@ -40,19 +33,19 @@ def gap(result, setting):
 
 def test_v1_pex_error(benchmark):
     result = benchmark.pedantic(
-        lambda: pex_error_sweep(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V1"], SCALE), rounds=1, iterations=1
     )
     # EQF beats UD at every error level, including heavy 90% error.
     for setting in ("error=0", "error=0.25", "error=0.5", "error=0.9"):
         assert gap(result, setting) > 0, f"EQF lost at {setting}"
-    text = result.table()
+    text = render(result)
     save_artifact("v1_pex_error", text)
     print("\n" + text)
 
 
 def test_v2_abort_policy(benchmark):
     result = benchmark.pedantic(
-        lambda: abort_policy_comparison(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V2"], SCALE), rounds=1, iterations=1
     )
     # The conclusion holds without aborts and with natural-deadline aborts.
     assert gap(result, "no-abort") > 0
@@ -60,50 +53,50 @@ def test_v2_abort_policy(benchmark):
     # The blind virtual-deadline abort punishes EQF (the GF caveat,
     # generalized): its gain disappears or reverses.
     assert gap(result, "abort-virtual") < gap(result, "abort-tardy")
-    text = result.table()
+    text = render(result)
     save_artifact("v2_abort_policy", text)
     print("\n" + text)
 
 
 def test_v3_scheduler(benchmark):
     result = benchmark.pedantic(
-        lambda: scheduler_comparison(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V3"], SCALE), rounds=1, iterations=1
     )
     # EQF wins under EDF and MLF.  Under FCFS deadlines are ignored, so the
     # strategies must tie up to noise -- a control cell.
     assert gap(result, "EDF") > 0
     assert gap(result, "MLF") > 0
     assert abs(gap(result, "FCFS")) < 0.05
-    text = result.table()
+    text = render(result)
     save_artifact("v3_scheduler", text)
     print("\n" + text)
 
 
 def test_v4_variable_subtasks(benchmark):
     result = benchmark.pedantic(
-        lambda: variable_subtasks(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V4"], SCALE), rounds=1, iterations=1
     )
     assert gap(result, "m=4 fixed") > 0
     assert gap(result, "m~U{2..6}") > 0
-    text = result.table()
+    text = render(result)
     save_artifact("v4_variable_subtasks", text)
     print("\n" + text)
 
 
 def test_v5_heterogeneous_nodes(benchmark):
     result = benchmark.pedantic(
-        lambda: heterogeneous_nodes(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V5"], SCALE), rounds=1, iterations=1
     )
     assert gap(result, "homogeneous") > 0
     assert gap(result, "skewed 2:2:1:1:.5:.5") > 0
-    text = result.table()
+    text = render(result)
     save_artifact("v5_heterogeneous_nodes", text)
     print("\n" + text)
 
 
 def test_v6_slack_sweep(benchmark):
     result = benchmark.pedantic(
-        lambda: slack_sweep(scale=SCALE), rounds=1, iterations=1
+        lambda: run(EXPERIMENTS["V6"], SCALE), rounds=1, iterations=1
     )
     # "In the intermediate range a smart SSP policy can make a difference
     # and this is where EQF wins big": the gain at moderate slack exceeds
@@ -116,6 +109,6 @@ def test_v6_slack_sweep(benchmark):
     # At very loose slack everyone meets deadlines: tiny miss ratios.
     eqf_loose = result.grid.cell("rel_flex=8", "EQF").estimate.md_global.mean
     assert eqf_loose < 0.05
-    text = result.table()
+    text = render(result)
     save_artifact("v6_slack_sweep", text)
     print("\n" + text)

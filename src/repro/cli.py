@@ -18,7 +18,7 @@ Usage::
     repro-experiments scenarios sweep --scale smoke --journal sweep.json
 
 Every experiment id in ``repro-experiments list`` maps to one table/figure
-of the paper (see :mod:`repro.experiments.registry`); ``scenarios`` drives
+of the paper (see :mod:`repro.experiments.paper`); ``scenarios`` drives
 the declarative workload library of :mod:`repro.scenarios`.  Every result
 printout echoes the resolved seed, so any printed line is reproducible
 verbatim.
@@ -32,17 +32,16 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .experiments.figures import FigureResult
-from .experiments.registry import EXPERIMENTS, get_experiment
+from .experiments.experiment import render, run
+from .experiments.paper import EXPERIMENTS, get_experiment
 from .experiments.runner import SCALES, JournalError, resolve_workers
-from .experiments.variations import VariationResult
 from .files import CorruptFileError
 from .scenarios import (
     DEFAULT_STRATEGIES,
     SCENARIOS,
     get_scenario,
     run_scenario,
-    run_scenario_sweep,
+    sweep_experiment,
 )
 from .stats.tables import format_percent, render_table
 from .system.config import (
@@ -262,8 +261,8 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     rows = [
-        [entry.experiment_id, entry.paper_artifact, entry.description]
-        for entry in EXPERIMENTS.values()
+        [experiment.id, experiment.paper_ref, experiment.description]
+        for experiment in EXPERIMENTS.values()
     ]
     print(render_table(["id", "paper artifact", "description"], rows))
     return 0
@@ -292,22 +291,16 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    entry = get_experiment(args.experiment_id)
+    experiment = get_experiment(args.experiment_id)
     scale = SCALES[args.scale]
     try:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"running {entry.experiment_id} ({entry.paper_artifact}) at "
+    print(f"running {experiment.id} ({experiment.paper_ref}) at "
           f"scale={scale.label} workers={workers} ...", file=sys.stderr)
-    result = entry.run(scale, workers=workers)
-    if isinstance(result, FigureResult):
-        print(result.render())
-    elif isinstance(result, VariationResult):
-        print(result.table())
-    else:  # pragma: no cover - future experiment types
-        print(result)
+    print(render(run(experiment, scale, workers=workers)))
     return 0
 
 
@@ -557,11 +550,9 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
         journal = os.path.abspath(journal)
         print(f"journal: {journal}", file=sys.stderr)
     try:
-        result = run_scenario_sweep(
-            specs,
-            strategies=args.strategies,
-            scale=scale,
-            seed=args.seed,
+        result = run(
+            sweep_experiment(specs, args.strategies, seed=args.seed),
+            scale,
             workers=workers,
             journal=journal,
         )
@@ -574,7 +565,7 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
             "run(s); skipped re-running them",
             file=sys.stderr,
         )
-    print(result.table())
+    print(render(result))
     print(f"resolved seed: {args.seed}")
     return 0
 

@@ -1,26 +1,18 @@
-"""Experiment harness: replication runner, figure and variation definitions."""
+"""Experiment harness: experiments as data, replications, process pool."""
 
-from .figures import (
-    FIG2_LOADS,
-    FIG2_STRATEGIES,
-    FIG3_FRACTIONS,
-    FIG3_STRATEGIES,
-    FIG4_LOADS,
-    FIG4_STRATEGIES,
-    SSP_PSP_LOADS,
-    SSP_PSP_STRATEGIES,
-    FigureResult,
-    fig2,
-    fig3,
-    fig4,
-    ssp_psp,
+from .experiment import (
+    FIGURE,
+    REPORT_COLUMNS,
+    SWEEP,
+    VARIATION,
+    Experiment,
+    ExperimentResult,
+    best_strategy,
+    ranking,
+    render,
+    run,
 )
-from .registry import (
-    EXPERIMENTS,
-    ExperimentDefinition,
-    experiment_ids,
-    get_experiment,
-)
+from .paper import EXPERIMENTS, get_experiment
 from .runner import (
     FULL,
     QUICK,
@@ -32,54 +24,29 @@ from .runner import (
     StrategyGrid,
     replicate,
     strategy_grid,
-    sweep,
-)
-from .variations import (
-    VARIATIONS,
-    VariationResult,
-    abort_policy_comparison,
-    heterogeneous_nodes,
-    pex_error_sweep,
-    scheduler_comparison,
-    slack_sweep,
-    variable_subtasks,
 )
 
 __all__ = [
     "EXPERIMENTS",
-    "ExperimentDefinition",
-    "FIG2_LOADS",
-    "FIG2_STRATEGIES",
-    "FIG3_FRACTIONS",
-    "FIG3_STRATEGIES",
-    "FIG4_LOADS",
-    "FIG4_STRATEGIES",
+    "Experiment",
+    "ExperimentResult",
+    "FIGURE",
     "FULL",
-    "FigureResult",
     "GridCell",
     "PointEstimate",
     "QUICK",
+    "REPORT_COLUMNS",
     "RunScale",
     "SCALES",
     "SMOKE",
-    "SSP_PSP_LOADS",
-    "SSP_PSP_STRATEGIES",
+    "SWEEP",
     "StrategyGrid",
-    "VARIATIONS",
-    "VariationResult",
-    "abort_policy_comparison",
-    "experiment_ids",
-    "fig2",
-    "fig3",
-    "fig4",
+    "VARIATION",
+    "best_strategy",
     "get_experiment",
-    "heterogeneous_nodes",
-    "pex_error_sweep",
+    "ranking",
+    "render",
     "replicate",
-    "scheduler_comparison",
-    "slack_sweep",
-    "ssp_psp",
+    "run",
     "strategy_grid",
-    "sweep",
-    "variable_subtasks",
 ]

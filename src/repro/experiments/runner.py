@@ -481,7 +481,7 @@ def replicate(
     up front).  Parallelism here is inherently bounded by ``replications``:
     with a single replication there is nothing to fan out and the run
     proceeds serially -- parallelize across the whole grid with
-    ``sweep(workers=...)`` instead.  ``workers > 1`` with an injected
+    ``strategy_grid(workers=...)`` instead.  ``workers > 1`` with an injected
     ``runner`` emits a :class:`RuntimeWarning` and runs serially, since
     closures generally do not pickle.
     """
@@ -551,10 +551,11 @@ def strategy_grid(
 ) -> StrategyGrid:
     """Run every strategy on every row's config.
 
-    ``rows`` is a list of ``(label, config)`` pairs; a repeated row label
-    or strategy raises :class:`ValueError`, since a cell is looked up by
-    the pair.  Cell ``(ri, si)``
-    runs ``rows[ri]``'s config under ``strategies[si]`` at ``scale``.
+    ``rows`` is a list of ``(label, config)`` pairs; an empty ``rows`` or
+    ``strategies``, or a repeated row label or strategy, raises
+    :class:`ValueError`, since a cell is looked up by the pair.  Cell
+    ``(ri, si)`` runs ``rows[ri]``'s config under ``strategies[si]`` at
+    ``scale``.
     This is the one place the cells' seed rule lives: the base seed
     steps by 1,000 per row and by one per strategy, so the cells are
     statistically independent and any printed number is reproducible
@@ -564,6 +565,10 @@ def strategy_grid(
     injected for tests (serial), and ``journal`` makes the grid
     restart-safe (see :func:`run_grid`).
     """
+    if not rows:
+        raise ValueError("need at least one row")
+    if not strategies:
+        raise ValueError("need at least one strategy")
     labels = [label for label, _ in rows]
     for name, keys in (("row labels", labels), ("strategies", strategies)):
         if len(set(keys)) != len(keys):
@@ -592,25 +597,3 @@ def strategy_grid(
         journal_restored=report.journal_restored,
     )
 
-
-def sweep(
-    base: SystemConfig,
-    parameter: str,
-    values: Sequence[float],
-    strategies: Sequence[str],
-    scale: RunScale = QUICK,
-    runner: Optional[Callable[[SystemConfig], RunResult]] = None,
-    workers: int = 1,
-    journal: Optional[str] = None,
-) -> StrategyGrid:
-    """The (parameter value x strategy) grid over ``base``.
-
-    ``parameter`` must be a field of :class:`SystemConfig` (e.g., ``load``
-    or ``frac_local``); the rows are labelled by the values, and the base
-    seed is ``base.seed`` (see :func:`strategy_grid`).
-    """
-    return strategy_grid(
-        [(value, base.with_(**{parameter: value})) for value in values],
-        strategies, scale=scale, seed=base.seed, workers=workers,
-        runner=runner, journal=journal,
-    )

@@ -9,28 +9,19 @@ layers a scenario subsystem on top of the fast engine:
   overrides (bursty arrivals, heavy-tailed service, heterogeneous node
   speeds, pluggable placement, time-varying load, faults, failure
   detection, the overload policy, or any other field);
-* a curated library of named scenarios (:data:`LIBRARY`) with a registry
-  (:func:`get_scenario`, :func:`register_scenario`);
-* a sweep runner (:func:`run_scenario_sweep`) that pushes the whole
-  scenario x strategy x replication grid through the batched process
-  pool and ranks strategies by missed-deadline ratio per scenario.
+* a curated library of named scenarios (:data:`LIBRARY`), looked up by
+  name (:func:`get_scenario`);
+* :func:`sweep_experiment`, a scenario x strategy grid declared as an
+  :class:`~repro.experiments.experiment.Experiment`: ``run`` pushes it
+  through the batched process pool and ``render`` ranks strategies by
+  missed-deadline ratio per scenario.
 
 CLI: ``repro-experiments scenarios list|run|sweep``.
 """
 
 from .library import LIBRARY
-from .registry import (
-    SCENARIOS,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from .report import (
-    DEFAULT_STRATEGIES,
-    ScenarioSweepResult,
-    run_scenario,
-    run_scenario_sweep,
-)
+from .registry import SCENARIOS, get_scenario
+from .report import DEFAULT_STRATEGIES, run_scenario, sweep_experiment
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -38,10 +29,7 @@ __all__ = [
     "LIBRARY",
     "SCENARIOS",
     "ScenarioSpec",
-    "ScenarioSweepResult",
     "get_scenario",
-    "register_scenario",
     "run_scenario",
-    "run_scenario_sweep",
-    "scenario_names",
+    "sweep_experiment",
 ]

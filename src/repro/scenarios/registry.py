@@ -1,13 +1,12 @@
-"""Scenario registry: look up library scenarios by name, register new ones.
+"""Scenario lookup: the library by name.
 
-Mirrors :mod:`repro.experiments.registry` for workload scenarios: the CLI
-(``repro-experiments scenarios list|run|sweep``), the benchmarks, and the
-tests all resolve scenarios through this one table.
+The CLI (``repro-experiments scenarios list|run|sweep``), the benchmarks
+and the tests all resolve scenarios through this one table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from .library import LIBRARY
 from .spec import ScenarioSpec
@@ -15,52 +14,10 @@ from .spec import ScenarioSpec
 SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in LIBRARY}
 
 
-def scenario_names() -> List[str]:
-    """All registered scenario names, library order first."""
-    return list(SCENARIOS)
-
-
-def _find_key(name: str):
-    """The registry key matching ``name`` case-insensitively, or ``None``.
-
-    Lookup and registration share this resolution so a case-variant name
-    can never bypass the collision guard (``"Baseline"`` is the library's
-    ``"baseline"``, for both reads and writes).
-    """
-    lowered = name.lower()
-    for key in SCENARIOS:
-        if key.lower() == lowered:
-            return key
-    return None
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a scenario by name (case-insensitive)."""
-    key = _find_key(name)
-    if key is None:
-        known = ", ".join(SCENARIOS)
-        raise KeyError(f"unknown scenario {name!r}; known: {known}")
-    return SCENARIOS[key]
-
-
-def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
-    """Add a scenario to the registry (e.g. from a user's JSON file).
-
-    Registration is idempotent for an identical spec; a *different* spec
-    under an existing name (compared case-insensitively, like lookup)
-    needs ``replace=True`` -- silently shadowing a library scenario would
-    make result archives ambiguous.
-    """
-    key = _find_key(spec.name)
-    if key is not None:
-        existing = SCENARIOS[key]
-        if existing != spec:
-            if not replace:
-                raise ValueError(
-                    f"scenario {spec.name!r} already registered as {key!r} "
-                    "with a different definition; pass replace=True to "
-                    "overwrite"
-                )
-            del SCENARIOS[key]  # one entry per name, whatever the case
-    SCENARIOS[spec.name] = spec
-    return spec
+    for key, spec in SCENARIOS.items():
+        if key.lower() == name.lower():
+            return spec
+    known = ", ".join(SCENARIOS)
+    raise KeyError(f"unknown scenario {name!r}; known: {known}")

@@ -1,6 +1,6 @@
 """Property-based tests of SDA strategy invariants (hypothesis).
 
-These encode the DESIGN.md invariant list: what must hold for *any*
+These encode the strategies' invariants: what must hold for *any*
 deadline, submit time, and pex vector -- not just the worked examples.
 """
 

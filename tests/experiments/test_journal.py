@@ -149,9 +149,10 @@ class TestJournalGuards:
 #: exactly the two finished runs.
 _KILLED_SWEEP_DRIVER = """
 import os, signal, sys
+import repro.experiments.runner as runner_mod
+from repro.experiments import run
 from repro.experiments.runner import RunScale, run_config
-from repro.scenarios import get_scenario
-from repro.scenarios.report import run_scenario_sweep
+from repro.scenarios import get_scenario, sweep_experiment
 
 scale = RunScale(sim_time=250.0, warmup_time=50.0, replications=1)
 count = [0]
@@ -162,12 +163,14 @@ def killing(config):
     count[0] += 1
     return run_config(config)
 
-run_scenario_sweep(
-    [get_scenario("baseline"), get_scenario("steady-churn")],
-    strategies=["UD", "EQF"],
-    scale=scale,
-    seed=17,
-    runner=killing,
+runner_mod.run_config = killing
+run(
+    sweep_experiment(
+        [get_scenario("baseline"), get_scenario("steady-churn")],
+        strategies=["UD", "EQF"],
+        seed=17,
+    ),
+    scale,
     journal=sys.argv[1],
 )
 raise SystemExit("unreachable: cell 3 must have killed us")
@@ -177,9 +180,10 @@ raise SystemExit("unreachable: cell 3 must have killed us")
 #: table plus how many runs the journal restored.
 _FINISH_SWEEP_DRIVER = """
 import json, sys
+import repro.experiments.runner as runner_mod
+from repro.experiments import render, run
 from repro.experiments.runner import RunScale, run_config
-from repro.scenarios import get_scenario
-from repro.scenarios.report import run_scenario_sweep
+from repro.scenarios import get_scenario, sweep_experiment
 
 scale = RunScale(sim_time=250.0, warmup_time=50.0, replications=1)
 calls = [0]
@@ -188,16 +192,18 @@ def counting(config):
     calls[0] += 1
     return run_config(config)
 
-result = run_scenario_sweep(
-    [get_scenario("baseline"), get_scenario("steady-churn")],
-    strategies=["UD", "EQF"],
-    scale=scale,
-    seed=17,
-    runner=counting,
+runner_mod.run_config = counting
+result = run(
+    sweep_experiment(
+        [get_scenario("baseline"), get_scenario("steady-churn")],
+        strategies=["UD", "EQF"],
+        seed=17,
+    ),
+    scale,
     journal=sys.argv[1] if len(sys.argv) > 1 else None,
 )
 print(json.dumps({
-    "table": result.table(),
+    "table": render(result),
     "restored": result.grid.journal_restored,
     "ran": calls[0],
 }))

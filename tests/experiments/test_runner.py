@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     RunScale,
     replicate,
     strategy_grid,
-    sweep,
 )
 from repro.system.config import baseline_config
 from repro.system.metrics import ClassStats, RunResult
@@ -38,6 +37,11 @@ def fake_result(md_local=0.2, md_global=0.4, completed=100):
         per_class={"local": stats(md_local), "global": stats(md_global)},
         per_node=[],
     )
+
+
+def load_rows(values):
+    """A load axis over the Table 1 baseline, each row labelled by its load."""
+    return [(load, baseline_config(load=load)) for load in values]
 
 
 class TestRunScale:
@@ -185,25 +189,21 @@ class TestBatchExecutor:
         monkeypatch.setattr(runner_mod, "_run_batches_resilient", spy)
         scale = RunScale(sim_time=400.0, warmup_time=40.0, replications=2)
         kwargs = dict(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.2, 0.3, 0.4],
+            rows=load_rows([0.2, 0.3, 0.4]),
             strategies=["UD", "EQF"],
             scale=scale,
         )
-        serial = sweep(**kwargs)
+        serial = strategy_grid(**kwargs)
         assert batch_sizes == []
-        batched = sweep(**kwargs, workers=2)
+        batched = strategy_grid(**kwargs, workers=2)
         # 12 runs on 2 workers: about four batches per worker.
         assert batch_sizes == [2] * 6
         assert batched.cells == serial.cells
 
 class TestSweep:
     def test_grid_shape(self):
-        result = sweep(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.1, 0.3],
+        result = strategy_grid(
+            load_rows([0.1, 0.3]),
             strategies=["UD", "EQF"],
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=lambda c: fake_result(),
@@ -219,10 +219,8 @@ class TestSweep:
             seen.append((config.load, config.strategy))
             return fake_result()
 
-        sweep(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.1, 0.3],
+        strategy_grid(
+            load_rows([0.1, 0.3]),
             strategies=["UD"],
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=runner,
@@ -235,10 +233,8 @@ class TestSweep:
             md = config.load + (0.1 if config.strategy == "UD" else 0.0)
             return fake_result(md_global=md, md_local=md / 2)
 
-        result = sweep(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.1, 0.3],
+        result = strategy_grid(
+            load_rows([0.1, 0.3]),
             strategies=["UD", "EQF"],
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=runner,
@@ -248,10 +244,8 @@ class TestSweep:
         assert result.series("UD", "local") == pytest.approx([0.1, 0.2])
 
     def test_point_lookup(self):
-        result = sweep(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.1],
+        result = strategy_grid(
+            load_rows([0.1]),
             strategies=["UD"],
             scale=RunScale(sim_time=10, warmup_time=0, replications=1),
             runner=lambda c: fake_result(),
@@ -262,10 +256,8 @@ class TestSweep:
 
     def test_distinct_seeds_across_grid(self):
         seeds = []
-        sweep(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.1, 0.2, 0.3],
+        strategy_grid(
+            load_rows([0.1, 0.2, 0.3]),
             strategies=["UD", "EQF"],
             scale=RunScale(sim_time=10, warmup_time=0, replications=2),
             runner=lambda c: (seeds.append(c.seed), fake_result())[1],
@@ -273,18 +265,16 @@ class TestSweep:
         assert len(seeds) == len(set(seeds)) == 12
 
     def test_grid_parallel_sweep_matches_serial(self):
-        """sweep(workers>1) flattens the whole grid into one pool and must
-        reproduce the single-worker sweep bit-for-bit."""
+        """strategy_grid(workers>1) flattens the whole grid into one pool
+        and must reproduce the single-worker grid bit-for-bit."""
         scale = RunScale(sim_time=500.0, warmup_time=50.0, replications=2)
         kwargs = dict(
-            base=baseline_config(),
-            parameter="load",
-            values=[0.2, 0.4],
+            rows=load_rows([0.2, 0.4]),
             strategies=["UD", "EQF"],
             scale=scale,
         )
-        serial = sweep(**kwargs)
-        parallel = sweep(**kwargs, workers=4)
+        serial = strategy_grid(**kwargs)
+        parallel = strategy_grid(**kwargs, workers=4)
         assert parallel.cells == serial.cells
 
 
@@ -330,4 +320,13 @@ class TestStrategyGrid:
                           runner=lambda c: fake_result())
         with pytest.raises(ValueError, match="strategies"):
             strategy_grid([("a", config)], ["UD", "UD"], scale,
+                          runner=lambda c: fake_result())
+
+    def test_empty_rows_or_strategies_rejected(self):
+        """An empty grid is refused for every caller, not only sweeps."""
+        scale = RunScale(sim_time=10, warmup_time=0, replications=1)
+        with pytest.raises(ValueError, match="at least one row"):
+            strategy_grid([], ["UD"], scale, runner=lambda c: fake_result())
+        with pytest.raises(ValueError, match="at least one strategy"):
+            strategy_grid([("a", baseline_config())], [], scale,
                           runner=lambda c: fake_result())

@@ -24,9 +24,7 @@ from repro.scenarios import (
     LIBRARY,
     ScenarioSpec,
     get_scenario,
-    register_scenario,
     run_scenario,
-    scenario_names,
 )
 
 #: Short but non-trivial runs: every task class sees hundreds of
@@ -88,57 +86,3 @@ class TestRegistry:
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="baseline"):
             get_scenario("no-such-scenario")
-
-    def test_names_match_library(self):
-        assert scenario_names() == [spec.name for spec in LIBRARY]
-
-    def test_register_identical_is_idempotent(self):
-        spec = get_scenario("baseline")
-        assert register_scenario(spec) is spec
-
-    def test_register_conflict_rejected(self):
-        imposter = ScenarioSpec(name="baseline", description="not the same")
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(imposter)
-
-    def test_register_and_remove_new_scenario(self):
-        from repro.scenarios import SCENARIOS
-
-        spec = ScenarioSpec(name="test-only", overrides={"load": 0.4})
-        try:
-            register_scenario(spec)
-            assert get_scenario("test-only") == spec
-        finally:
-            SCENARIOS.pop("test-only", None)
-
-
-class TestRegistryCaseConsistency:
-    """Regression: a case-variant name must hit the same registry slot
-    for both lookup and registration."""
-
-    def test_case_variant_conflict_rejected(self):
-        from repro.scenarios import ScenarioSpec, register_scenario
-        import pytest as _pytest
-
-        imposter = ScenarioSpec(name="Baseline", description="not the same")
-        with _pytest.raises(ValueError, match="already registered"):
-            register_scenario(imposter)
-
-    def test_case_variant_replace_rekeys(self):
-        from repro.scenarios import (
-            SCENARIOS,
-            ScenarioSpec,
-            get_scenario,
-            register_scenario,
-        )
-
-        spec = ScenarioSpec(name="Test-Case", overrides={"load": 0.4})
-        try:
-            register_scenario(spec)
-            variant = ScenarioSpec(name="TEST-CASE", overrides={"load": 0.3})
-            register_scenario(variant, replace=True)
-            assert get_scenario("test-case") == variant
-            assert "Test-Case" not in SCENARIOS  # old key removed
-        finally:
-            SCENARIOS.pop("TEST-CASE", None)
-            SCENARIOS.pop("Test-Case", None)

@@ -1,15 +1,17 @@
-"""Tests for the scenario sweep runner and ranking report."""
+"""Tests for the scenario sweep experiment and its ranking report."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.experiments.runner as runner_mod
+from repro.experiments import best_strategy, ranking, render, run
 from repro.experiments.runner import RunScale
 from repro.scenarios import (
     LIBRARY,
     ScenarioSpec,
     get_scenario,
-    run_scenario_sweep,
+    sweep_experiment,
 )
 
 TINY = RunScale(sim_time=800.0, warmup_time=100.0, replications=1, label="tiny")
@@ -20,7 +22,7 @@ STRATEGIES = ("UD", "EQF")
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_scenario_sweep(SPECS, STRATEGIES, scale=TINY, seed=11)
+    return run(sweep_experiment(SPECS, STRATEGIES, seed=11), scale=TINY)
 
 
 class TestGridConfigs:
@@ -62,23 +64,23 @@ class TestSweepResult:
 
     def test_ranking_sorted_by_global_miss_ratio(self, sweep_result):
         for spec in SPECS:
-            ranked = sweep_result.ranking(spec.name)
+            ranked = ranking(sweep_result.grid, spec.name)
             values = [cell.estimate.md_global.mean for cell in ranked]
             assert values == sorted(values)
 
     def test_best_strategy_is_rank_one(self, sweep_result):
         for spec in SPECS:
             assert (
-                sweep_result.best_strategy(spec.name)
-                == sweep_result.ranking(spec.name)[0].strategy
+                best_strategy(sweep_result.grid, spec.name)
+                == ranking(sweep_result.grid, spec.name)[0].strategy
             )
 
     def test_unknown_scenario_raises(self, sweep_result):
         with pytest.raises(KeyError):
-            sweep_result.ranking("no-such")
+            ranking(sweep_result.grid, "no-such")
 
     def test_table_lists_scenarios_ranks_and_seed(self, sweep_result):
-        table = sweep_result.table()
+        table = render(sweep_result)
         for spec in SPECS:
             assert spec.name in table
         assert "MD_global" in table
@@ -87,13 +89,13 @@ class TestSweepResult:
     def test_table_surfaces_preemption_counts(self, sweep_result):
         """The sweep report carries the per-cell preemption total (0 for
         these non-preemptive scenarios, > 0 for preemptive ones)."""
-        table = sweep_result.table()
+        table = render(sweep_result)
         assert "preempt" in table
         for cell in sweep_result.grid.cells:
             assert cell.estimate.preemptions == 0
 
     def test_deterministic_across_invocations(self, sweep_result):
-        again = run_scenario_sweep(SPECS, STRATEGIES, scale=TINY, seed=11)
+        again = run(sweep_experiment(SPECS, STRATEGIES, seed=11), scale=TINY)
         for cell, cell2 in zip(sweep_result.grid.cells, again.grid.cells):
             assert cell.estimate.md_global.mean == cell2.estimate.md_global.mean
             assert cell.estimate.md_local.mean == cell2.estimate.md_local.mean
@@ -102,25 +104,25 @@ class TestSweepResult:
 class TestValidation:
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
-            run_scenario_sweep([], STRATEGIES, scale=TINY)
+            run(sweep_experiment([], STRATEGIES), scale=TINY)
 
     def test_empty_strategies_rejected(self):
         with pytest.raises(ValueError):
-            run_scenario_sweep(SPECS, [], scale=TINY)
+            run(sweep_experiment(SPECS, []), scale=TINY)
 
 
 class TestInjectedRunner:
-    def test_runner_sees_every_grid_cell(self):
+    def test_runner_sees_every_grid_cell(self, monkeypatch):
         seen = []
+        real_run_config = runner_mod.run_config
 
         def fake_runner(config):
             seen.append(config)
-            from repro.system.simulation import Simulation
+            return real_run_config(
+                config.with_(sim_time=400.0, warmup_time=50.0)
+            )
 
-            return Simulation(config.with_(sim_time=400.0, warmup_time=50.0)).run()
-
+        monkeypatch.setattr(runner_mod, "run_config", fake_runner)
         specs = (ScenarioSpec(name="one"),)
-        run_scenario_sweep(
-            specs, ("UD", "EQF"), scale=TINY, seed=2, runner=fake_runner
-        )
+        run(sweep_experiment(specs, ("UD", "EQF"), seed=2), scale=TINY)
         assert [c.strategy for c in seen] == ["UD", "EQF"]

@@ -413,7 +413,7 @@ class TestMetricTable:
             assert default == 0 or math.isnan(default), row.name
 
     def test_report_columns_keep_their_order(self):
-        from repro.scenarios.report import REPORT_COLUMNS
+        from repro.experiments import REPORT_COLUMNS
 
         assert [row.label for row in REPORT_COLUMNS] == [
             "p99_late", "preempt", "crash", "lost", "retry", "fail",

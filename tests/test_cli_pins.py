@@ -1,12 +1,14 @@
 """Byte-for-byte pins of the experiment CLI's stdout.
 
-Each case runs one ``repro-experiments`` command at smoke scale and
-compares its stdout with the file of the same name under ``tests/pins``.
-The pins cover the three grid builders behind the reports: a paper
-figure (load x strategy), a model variation (setting x strategy) and a
-scenario sweep (scenario x strategy); a fourth pins the scenario
-library listing, one ``describe()`` line per scenario.  Any change to a seed rule, a cell
-order or a rendered column shows up here as a diff.
+Each case runs one ``repro-experiments`` command (the grids at smoke
+scale) and compares its stdout with the file of the same name under
+``tests/pins``.  The pins cover all ten entries of the experiment table
+in both grid layouts: the figures (a value x strategy wide table with
+its charts) and the variations (a setting x strategy long table); a
+scenario sweep's ranking report; the experiment listing; and the
+scenario library listing, one ``describe()`` line per scenario.  Any
+change to a seed rule, a cell order or a rendered column shows up here
+as a diff.
 
 Regenerate a pin only when a change is meant to alter the output::
 
