@@ -562,6 +562,124 @@ class TestDetectorOracleDefaultGolden:
         ]
 
 
+#: sha256 of ``repr(RunResult)`` of every detector scenario x seeds 1-3
+#: x UD/EQF at sim_time 6000 (warm-up 600): the observed-liveness view,
+#: misroutes and suspicion accounting all ride these digests.
+_DETECTOR_SCENARIO_PINS = {
+    ("lossy-heartbeats", 1, "UD"):
+        "6b4d47166f7da259bc813f3b30871134b76602efc98f0a02e9f733852a5b9547",
+    ("lossy-heartbeats", 1, "EQF"):
+        "980385e1c6a6d1b6e599919ea4e360c0284d9a1e9eacaf7dbd904bcc5359f2ef",
+    ("lossy-heartbeats", 2, "UD"):
+        "a318dd24162fc72c53c231cf085461bddd53fc9f60f340dd538f88167c869f44",
+    ("lossy-heartbeats", 2, "EQF"):
+        "3ac8d4cb8326eb5e8c019e03ef0f07b16462f12cf447177cd61970bdb6e13770",
+    ("lossy-heartbeats", 3, "UD"):
+        "6df16be3b696bcfa75120bf137c4193af0a617041001c94c71715b7947967ffe",
+    ("lossy-heartbeats", 3, "EQF"):
+        "c9b456a791ccb29ddd5bf78d5b0ef71e7a564832d2ba58eef536b722a8bb2867",
+    ("slow-detector-churn", 1, "UD"):
+        "07bba4256dba08cd6b277cd3fa341bee18355f6582943885b3a33acff9193cbc",
+    ("slow-detector-churn", 1, "EQF"):
+        "b5e8cb6d420940b22a8e13aae532862f6d556692dd536da91cddc2ba8dc03fe3",
+    ("slow-detector-churn", 2, "UD"):
+        "aad1153000274e84e079b2bf8439b7b15305c35dc200e9b3b8107a154950af74",
+    ("slow-detector-churn", 2, "EQF"):
+        "6401c57367b7f93db53832769b26beb32b7c3a406c1fc89158f398035ac6bbbe",
+    ("slow-detector-churn", 3, "UD"):
+        "2a27834d322acb6454871e36ca0d27de4b3e74e347ebac1fa39b0984047df8e2",
+    ("slow-detector-churn", 3, "EQF"):
+        "56dea8381a12352bdf36ec5630bdf4ff8c2b05dba1e502beab5f372f1afbad1d",
+    ("paranoid-detector", 1, "UD"):
+        "9d59dcf960b5caf97aa0ad0048877da494b0a6fea61de30740a1574e05e01d3f",
+    ("paranoid-detector", 1, "EQF"):
+        "07252024d7c475a88aeca175231499a8f1fea59d00731f085263e3751dbaca90",
+    ("paranoid-detector", 2, "UD"):
+        "95b7c33c3560ecb2c4be0b11eba58da70b0e9270663ae9dee68e8fbdbd5e0fc6",
+    ("paranoid-detector", 2, "EQF"):
+        "440b7fad1b4e69ffe61f447eae8f2653adbe1cdfd9e9a5d4477d04b9b9dd5b80",
+    ("paranoid-detector", 3, "UD"):
+        "672bd8a7d7ae45e0d5d2cc2c54b2ed129952d33ee7199a9079e3018adb519124",
+    ("paranoid-detector", 3, "EQF"):
+        "9993c1eaf8e4041499a5470060a6e83612667156151780d9a6a32063a836c25b",
+    ("detector-preemptive", 1, "UD"):
+        "3e88672d2cc8346b4373fe184c24a5717cc8ad1d1f0baca56568eff55a411509",
+    ("detector-preemptive", 1, "EQF"):
+        "b7c41bf83acfbb7c5133fbb1a25c40ed505c3c8a45e35601ca70b5791df95269",
+    ("detector-preemptive", 2, "UD"):
+        "c34d772288cac4769568f6526d562335ef6bb8d150ee9ad345b0bdf37b125d63",
+    ("detector-preemptive", 2, "EQF"):
+        "31744890094ef2f631df6efc6f89f6a7d6f7aa94601654a9b8ffa20a39eb7cc5",
+    ("detector-preemptive", 3, "UD"):
+        "7efb59fdec21d3d6dd4089665672fc2745fe044bac6a1a8b1132b6a855d14305",
+    ("detector-preemptive", 3, "EQF"):
+        "f07b714b3f076cf1af6377338717fe327c8d1badd0faaa87343ecd2c67b02da7",
+}
+
+#: Tie-prone variants of ``lossy-heartbeats`` at seed 4 (EQF).  With
+#: instant links every delivery and every expiry lands on the
+#: heartbeat grid: a three-period timeout makes an expiry coincide with
+#: an emission armed after it, a one-period timeout with one armed
+#: before it; the phi detector runs over delayed links.
+_DETECTOR_TIE_VARIANTS = {
+    "instant-timeout-3-periods": dict(delay_mean=0.0, timeout=6.0),
+    "instant-timeout-1-period": dict(delay_mean=0.0, timeout=2.0),
+    "phi-delayed": dict(kind="phi", phi_threshold=1.5, delay_mean=0.7),
+}
+
+_DETECTOR_TIE_PINS = {
+    "instant-timeout-3-periods":
+        "cb2f952d58e5344746e4d17b88f3ab261530156f9a87ee665ebc0e9be4b8a8d1",
+    "instant-timeout-1-period":
+        "c2877904308c751d6a44f5f01c0fd237546162a63ecc3cb972c48944cb54ab18",
+    "phi-delayed":
+        "df91bea4d63c3ead04d27cf03ddf9a9f3ca3e6c751a02c595d0ea4c3d3cfa78c",
+}
+
+#: Detector-run length: long enough for every scenario to crash, detect,
+#: falsely suspect and rehabilitate nodes many times over.
+DETECTOR_SIM_TIME = 6_000.0
+DETECTOR_WARMUP = 600.0
+
+
+def _detector_config(name, seed, strategy):
+    from repro.scenarios import get_scenario
+
+    return get_scenario(name).to_config(
+        sim_time=DETECTOR_SIM_TIME, warmup_time=DETECTOR_WARMUP,
+        seed=seed, strategy=strategy,
+    )
+
+
+class TestDetectorRunsGolden:
+    """Detector-on runs, pinned bit for bit.
+
+    Heartbeat emission, channel loss and delay, suspicion timers and
+    rehabilitation all feed placement through the observed view, so any
+    change to when the detector acts -- including the order of
+    same-instant expiries and emissions -- moves these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "key", sorted(_DETECTOR_SCENARIO_PINS),
+        ids=lambda key: "-".join(map(str, key)),
+    )
+    def test_scenario_run_exact(self, key):
+        result = simulate(_detector_config(*key))
+        assert _sha256(repr(result)) == _DETECTOR_SCENARIO_PINS[key]
+
+    @pytest.mark.parametrize("variant", sorted(_DETECTOR_TIE_PINS))
+    def test_tie_prone_variant_exact(self, variant):
+        import dataclasses
+
+        config = _detector_config("lossy-heartbeats", 4, "EQF")
+        config = config.with_(detector=dataclasses.replace(
+            config.detector, **_DETECTOR_TIE_VARIANTS[variant]
+        ))
+        result = simulate(config)
+        assert _sha256(repr(result)) == _DETECTOR_TIE_PINS[variant]
+
+
 class TestEmissionIsObservationOnly:
     """Metric emission must never perturb the simulation it observes.
 
