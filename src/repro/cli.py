@@ -291,7 +291,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    experiment = get_experiment(args.experiment_id)
+    try:
+        experiment = get_experiment(args.experiment_id)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     scale = SCALES[args.scale]
     try:
         workers = resolve_workers(args.workers)

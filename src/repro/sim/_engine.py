@@ -228,6 +228,30 @@ class Environment:
         heappush(self._queue, (self._now + delay, self._next_seq(), event))
         return event
 
+    def _sleep_at(self, when: float, seq: int, callback: Callback) -> _Sleep:
+        """Arm a pooled one-shot timer at the absolute key ``(when, seq)``.
+
+        ``seq`` is a number the caller drew from ``_next_seq()`` when it
+        decided on ``when``, so a timer armed lazily, later than that
+        decision, still fires in the FIFO position it would have had if
+        armed right away.  Taking ``when`` as given also avoids
+        ``now + (when - now)``, which need not round back to ``when``.
+        The key must lie after the event being processed; each drawn
+        ``seq`` keys at most one pending entry.  Same retention contract
+        as :meth:`_sleep`.
+        """
+        # ``not >=`` rather than ``<``: a NaN time must not pass.
+        if not when >= self._now:
+            raise ValueError(
+                f"sleep time {when!r} is NaN or before now={self._now!r}"
+            )
+        pool = self._sleep_pool
+        event = pool.pop() if pool else _Sleep.__new__(_Sleep)
+        event.callback = callback
+        event._processed = False
+        heappush(self._queue, (when, seq, event))
+        return event
+
     def _schedule_call(
         self,
         callback: Callback,

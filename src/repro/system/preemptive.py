@@ -50,7 +50,8 @@ while it serves -- so ``_preempt_pending`` tells them apart.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
@@ -58,6 +59,13 @@ from .node import _NO_WORK, Node, NodeShared
 from .overload import OverloadPolicy
 from .schedulers import SchedulingPolicy
 from .work import WorkUnit
+
+
+#: The remaining-demand mapping of a node that has never taken a unit
+#: out of service: one shared read-only empty mapping (the way
+#: ``_NO_WORK`` stands for an empty ready heap), swapped for a dict of
+#: the node's own at its first preemption or frozen crash.
+_NO_REMAINING: Mapping[WorkUnit, float] = MappingProxyType({})
 
 
 class PreemptiveNode(Node):
@@ -84,7 +92,7 @@ class PreemptiveNode(Node):
         #: Remaining service demand (in demand units, not wall time) of
         #: units that have been preempted at least once, keyed by the
         #: unit.  Units never seen here still need their full ``timing.ex``.
-        self._remaining: dict[WorkUnit, float] = {}
+        self._remaining: Mapping[WorkUnit, float] = _NO_REMAINING
         self._preemptions = 0
         #: True between scheduling the urgent preemption poke and handling
         #: it.  Guards against the double-interrupt bug: two same-instant
@@ -225,7 +233,8 @@ class PreemptiveNode(Node):
 
             if abort_check is not None and abort_check(unit, now):
                 timing.aborted = True
-                remaining.pop(unit, None)
+                if remaining:
+                    remaining.pop(unit, None)
                 if tracer is not None:
                     tracer.record(now, "abort", unit, index)
                 metrics.record_unit_completion(unit)
@@ -298,11 +307,7 @@ class PreemptiveNode(Node):
         speed = self.speed
         elapsed = now - self._service_began
         consumed = elapsed if speed == 1.0 else elapsed * speed
-        # Clamp: when the preemption lands exactly at the completion
-        # instant, ``now - began`` can exceed the demand by a float ulp,
-        # and a negative remainder would become a negative timer delay.
-        left = self._service_demand - consumed
-        self._remaining[unit] = left if left > 0.0 else 0.0
+        self._hold(unit, self._service_demand - consumed)
         self._busy = False
         index = self.index
         # Inlined busy update(0, now): the 1 -> 0 edge accumulates one
@@ -327,8 +332,20 @@ class PreemptiveNode(Node):
         """Service interval elapsed: scrub the preemption bookkeeping,
         then record the outcome and serve the next like the base class."""
         self._sleep = None
-        self._remaining.pop(self._serving, None)
+        remaining = self._remaining
+        if remaining:
+            remaining.pop(self._serving, None)
         Node._complete(self, _event)
+
+    def _hold(self, unit: WorkUnit, left: float) -> None:
+        """Record ``unit``'s demand still to serve as it leaves service."""
+        remaining = self._remaining
+        if remaining is _NO_REMAINING:
+            remaining = self._remaining = {}
+        # Clamp: when the preemption lands exactly at the completion
+        # instant, ``now - began`` can exceed the demand by a float ulp,
+        # and a negative remainder would become a negative timer delay.
+        remaining[unit] = left if left > 0.0 else 0.0
 
     # -- fault machinery ------------------------------------------------------
 
@@ -363,8 +380,7 @@ class PreemptiveNode(Node):
                 speed = self.speed
                 elapsed = now - self._service_began
                 consumed = elapsed if speed == 1.0 else elapsed * speed
-                left = self._service_demand - consumed
-                self._remaining[unit] = left if left > 0.0 else 0.0
+                self._hold(unit, self._service_demand - consumed)
                 held = unit
         Node.crash(self)  # _busy is False now: handles the queue drop only
         if held is not None:
@@ -381,7 +397,9 @@ class PreemptiveNode(Node):
         """Scrub the unit's preemption bookkeeping, then discard it like
         the base class.  Covers queued drops too: ``_remaining`` is keyed
         by the unit, so a stale entry would keep a lost unit alive."""
-        self._remaining.pop(unit, None)
+        remaining = self._remaining
+        if remaining:
+            remaining.pop(unit, None)
         Node._discard_lost(self, unit, now)
 
     def recover(self) -> None:

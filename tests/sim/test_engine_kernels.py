@@ -10,8 +10,8 @@ simulation must match ``run()`` event for event and metric for metric.
 
 The rest covers the kernel-internal primitives the system model runs
 on: ``_schedule_call`` bookkeeping events, sequence-key accounting,
-``run(until=t)`` edge cases, error propagation, and the re-exports of
-``repro.sim.core``.
+``run(until=t)`` edge cases, error propagation, sleeps armed at an
+absolute key (``_sleep_at``), and the re-exports of ``repro.sim.core``.
 """
 
 from __future__ import annotations
@@ -417,6 +417,55 @@ class TestPooledSleepContract:
         assert [t for t, _ in seen] == [1.0, 2.0, 3.0]
         assert all(event is first for _, event in seen)
         assert env._sleep_pool == [first]
+
+
+class TestSleepAtAbsoluteKey:
+    def test_keeps_the_fifo_place_of_its_sequence_number(self):
+        """Armed late with a number drawn early, a sleep fires ahead of
+        same-time events armed in between, as if armed at the draw."""
+        env = Environment()
+        order = []
+        seq = env._next_seq()
+        env._sleep(2.0, lambda e: order.append("armed-after-draw"))
+        env._sleep(1.0, lambda e: env._sleep_at(
+            2.0, seq, lambda e: order.append("armed-late")
+        ))
+        env.run()
+        assert order == ["armed-late", "armed-after-draw"]
+
+    def test_fires_at_the_time_itself(self):
+        """``now + (when - now)`` need not round back to ``when``."""
+        now, when = 13579462892.158932, 66959643474.04461
+        assert now + (when - now) != when
+        env = Environment()
+        fired = []
+
+        def arm(_event):
+            env._sleep_at(when, env._next_seq(), lambda e: fired.append(env.now))
+
+        env._sleep(now, arm)
+        env.run()
+        assert fired == [when]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+    @pytest.mark.parametrize("when", [-1.0, float("nan")], ids=["past", "nan"])
+    def test_past_or_nan_time_rejected(self, pooled, when):
+        env = Environment()
+        if pooled:
+            env._sleep(1.0, _noop)
+            env.run()
+        pool_before = list(env._sleep_pool)
+        with pytest.raises(ValueError, match="NaN or before now"):
+            env._sleep_at(when, env._next_seq(), _noop)
+        assert env._sleep_pool == pool_before
+        assert env.peek() == float("inf")
+
+    def test_reuses_a_pooled_sleep(self):
+        env = Environment()
+        first = env._sleep(1.0, _noop)
+        env.run()
+        assert env._sleep_at(2.0, env._next_seq(), _noop) is first
+        assert env._sleep_pool == []
 
 
 class TestCoreReExports:

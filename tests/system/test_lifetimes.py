@@ -10,10 +10,11 @@ random streams at once.
   library scenario, with the collector switched off, no object becomes
   garbage that only the collector could free.
 * **A finished run frees its streams.**  For the scenarios without
-  faults, a failure detector or least-outstanding placement (each of
-  which wires per-node cycles at set-up), dropping a finished
-  simulation frees every stream it made, with the collector off; an
-  emitting run does too.
+  faults or least-outstanding placement (each of which wires per-node
+  cycles at set-up), dropping a finished simulation frees every stream
+  it made but the process manager's (``_MANAGER_STREAMS``), with the
+  collector off; an emitting run does too, and so does a detector run
+  over either kind of heartbeat channel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ def _config(spec):
 def _wires_per_node_cycles(config) -> bool:
     return (
         (config.faults is not None and config.faults.enabled)
-        or (config.detector is not None and config.detector.enabled)
         or config.placement == "least-outstanding"
     )
 
@@ -67,6 +67,13 @@ def test_measured_phase_leaves_no_cyclic_garbage(spec):
     assert unreachable == 0
 
 
+#: The process manager's misroute stream outlives a dropped run that
+#: ends with global work in service: that work keeps the manager alive
+#: (node -> unit -> leaf attempt -> manager -> node list), a cycle
+#: of the manager's own, not the detector's.
+_MANAGER_STREAMS = ("detector-route",)
+
+
 def _frees_its_streams(config, emit=None) -> None:
     gc.collect()
     gc.disable()
@@ -74,7 +81,10 @@ def _frees_its_streams(config, emit=None) -> None:
         simulation = Simulation(config)
         simulation.run(emit=emit)
         streams = simulation.streams
-        refs = [weakref.ref(streams.get(name)) for name in streams.names()]
+        refs = [
+            weakref.ref(streams.get(name)) for name in streams.names()
+            if name not in _MANAGER_STREAMS
+        ]
         del simulation, streams
         alive = [ref() for ref in refs if ref() is not None]
     finally:
@@ -97,6 +107,18 @@ def test_dropped_emitting_simulation_frees_its_streams(tmp_path):
         _config(_BASELINE),
         emit=EmissionPolicy(path=str(tmp_path / "m.jsonl"), every_events=5000),
     )
+
+
+@pytest.mark.parametrize("name", ["paranoid-detector", "lossy-heartbeats"])
+def test_dropped_detector_run_frees_its_streams(name):
+    """The heartbeat channels hold no back-reference to their detector,
+    so a detector run is freed by reference counting: phi-accrual over
+    instant links, and the timeout detector over delayed links (faults
+    taken out, so only the detector could tie the streams up)."""
+    spec = next(spec for spec in LIBRARY if spec.name == name)
+    config = _config(spec).with_(faults=None)
+    assert config.detector.enabled
+    _frees_its_streams(config)
 
 
 def test_a_simulation_runs_once():

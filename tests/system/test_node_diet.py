@@ -94,13 +94,13 @@ def _tracked_per_node(node_count: int, **overrides) -> float:
     return added / node_count
 
 
-def _bytes_per_node(node_count: int) -> float:
-    Simulation(_fleet_config(50))  # import-time caches
+def _bytes_per_node(node_count: int, **overrides) -> float:
+    Simulation(_fleet_config(50, **overrides))  # import-time caches
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        simulation = Simulation(_fleet_config(node_count))
+        simulation = Simulation(_fleet_config(node_count, **overrides))
         gc.collect()
         added = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -123,6 +123,12 @@ class TestTrackedObjectBudget:
     def test_preemptive_node_costs_one_tracked_object(self):
         # The preemption poke is the node itself on the urgent deque.
         assert _tracked_per_node(5000, preemptive=True) <= 1.1
+
+    def test_preemptive_fleet_set_up_costs_at_most_330_bytes_per_node(self):
+        # The fleet budget's objects plus the preemptive slots: a node
+        # that has never been preempted holds the shared empty
+        # remaining-demand mapping, not a dict of its own.
+        assert _bytes_per_node(5000, preemptive=True) <= 330
 
     def test_nodes_of_one_simulation_share_one_run_object(self):
         simulation = Simulation(_fleet_config(8))

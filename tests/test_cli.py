@@ -39,9 +39,11 @@ class TestRun:
         assert "MD_global" in out
         assert "m~U{2..6}" in out
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "Fig99"])
+    def test_unknown_experiment_fails_cleanly(self, capsys):
+        assert main(["run", "Fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown experiment 'Fig99'" in err
+        assert "Traceback" not in err
 
     def test_case_insensitive_id(self, capsys):
         assert main(["run", "v4", "--scale", "smoke"]) == 0
