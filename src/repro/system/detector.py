@@ -487,8 +487,6 @@ class FailureDetector:
         self.spec = spec
         self.view = view
         self._shared = shared = _Verdicts(env, nodes, spec, metrics, view)
-        #: True crash instant per node (None while up); accounting only.
-        self.crash_time = shared.crash_time
         #: Last true up/down flip per node (tests use this to bound the
         #: window in which view and truth may legitimately disagree).
         self.last_transition: List[float] = [0.0] * len(nodes)
