@@ -74,13 +74,13 @@ def _measure_cell(config: SystemConfig) -> dict:
     t1 = time.perf_counter()
     env = sim.env
     env.run(until=config.warmup_time)
-    sim.metrics.reset(env.now)
+    sim.metrics.reset(env.now, sim.nodes)
     events_before = env._seq_peek()
     t2 = time.perf_counter()
     env.run(until=config.sim_time)
     t3 = time.perf_counter()
     events = env._seq_peek() - events_before
-    result = sim.metrics.snapshot(env.now)
+    result = sim.metrics.snapshot(env.now, sim.nodes)
     t4 = time.perf_counter()
     assert events > 0
     assert result.global_.completed > 0, "fleet cell completed no tasks"

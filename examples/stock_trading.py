@@ -132,9 +132,9 @@ def run_market(strategy: str, seed: int = 7):
         streams=streams,
     )
     env.run(until=WARMUP_SECONDS)
-    metrics.reset(env.now)
+    metrics.reset(env.now, nodes)
     env.run(until=SIM_SECONDS)
-    return metrics.snapshot(env.now)
+    return metrics.snapshot(env.now, nodes)
 
 
 def main() -> None:

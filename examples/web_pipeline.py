@@ -117,9 +117,9 @@ def run_service(strategy: str, seed: int = 11):
         streams=streams,
     )
     env.run(until=WARMUP_MS)
-    metrics.reset(env.now)
+    metrics.reset(env.now, nodes)
     env.run(until=SIM_MS)
-    return metrics.snapshot(env.now)
+    return metrics.snapshot(env.now, nodes)
 
 
 def main() -> None:

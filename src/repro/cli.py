@@ -44,11 +44,7 @@ from .scenarios import (
     sweep_experiment,
 )
 from .stats.tables import format_percent, render_table
-from .system.config import (
-    SystemConfig,
-    baseline_config,
-    verify_load_arithmetic,
-)
+from .system.config import SystemConfig, baseline_config
 from .system.emission import (
     EmissionPolicy,
     read_metrics_series,
@@ -284,7 +280,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         ["pex(X)/ex(X)", 1.0 + config.pex_error],
         ["derived lambda_local (per node)", round(config.local_arrival_rate, 6)],
         ["derived lambda_global", round(config.global_arrival_rate, 6)],
-        ["load check (recomputed)", round(verify_load_arithmetic(config), 6)],
     ]
     print(render_table(["parameter", "value"], rows, title="Table 1: baseline setting"))
     return 0

@@ -282,11 +282,17 @@ class Environment:
 
         Queued events and pooled sleeps hold model callbacks, and the
         model holds this environment, so the event list of a finished
-        run ties the whole model into reference cycles.  Releasing it
-        lets a dropped model be freed by reference counting rather than
-        by the garbage collector.  The clock keeps its time; anything
-        scheduled afterwards runs as usual.
+        run ties the whole model into reference cycles; so does a pending
+        sleep its owner still holds (a node's service timer), whose
+        callback is a bound method of that owner, so every pending
+        sleep loses its callback first.  Releasing lets a dropped model
+        be freed by reference counting rather than by the garbage
+        collector.  The clock keeps its time; anything scheduled
+        afterwards runs as usual.
         """
+        for _when, _seq, event in self._queue:
+            if type(event) is _Sleep:
+                event.callback = None
         self._queue.clear()
         self._urgent.clear()
         self._sleep_pool.clear()

@@ -10,7 +10,6 @@ from .config import (
     harmonic,
     parallel_baseline_config,
     serial_parallel_config,
-    verify_load_arithmetic,
 )
 from .detector import DetectorSpec, FailureDetector
 from .faults import FaultInjector, FaultSpec, LiveSet
@@ -94,5 +93,4 @@ __all__ = [
     "parallel_baseline_config",
     "serial_parallel_config",
     "simulate",
-    "verify_load_arithmetic",
 ]

@@ -389,15 +389,26 @@ class SystemConfig:
 
     # -- derived workload parameters -----------------------------------------
 
+    def task_shape(self) -> Tuple[Distribution, Optional[int]]:
+        """The shape of a global task, ``(stages, width)``: the law of its
+        number of serial stages, and the width of each stage's fan
+        (``None``: a chain's stages of one leaf each).
+
+        The factory builds tasks of this shape, and
+        :attr:`mean_subtask_count` and :attr:`mean_critical_path` read
+        it, so the task builder and the rate arithmetic cannot disagree.
+        """
+        if self.task_structure == SERIAL:
+            return self.subtask_count_distribution(), None
+        if self.task_structure == PARALLEL:
+            return Deterministic(1), self.subtask_count
+        return Deterministic(self.stages), self.stage_width
+
     @property
     def mean_subtask_count(self) -> float:
         """``E[m]``: expected number of simple subtasks per global task."""
-        if self.task_structure == SERIAL_PARALLEL:
-            return float(self.stages * self.stage_width)
-        if self.subtask_count_range is not None:
-            lo, hi = self.subtask_count_range
-            return (lo + hi) / 2.0
-        return float(self.subtask_count)
+        stages, width = self.task_shape()
+        return float(stages.mean * (width or 1))
 
     @property
     def local_arrival_rate(self) -> float:
@@ -428,13 +439,11 @@ class SystemConfig:
 
     @property
     def mean_critical_path(self) -> float:
-        """Expected execution envelope (no queueing) of one global task."""
-        stage_mean = 1.0 / self.mu_subtask
-        if self.task_structure == SERIAL:
-            return self.mean_subtask_count * stage_mean
-        if self.task_structure == PARALLEL:
-            return stage_mean * harmonic(self.subtask_count)
-        return self.stages * stage_mean * harmonic(self.stage_width)
+        """Expected execution envelope (no queueing) of one global task:
+        per stage, the mean of the longest of ``width`` exponential
+        subtasks."""
+        stages, width = self.task_shape()
+        return stages.mean * (1.0 / self.mu_subtask) * harmonic(width or 1)
 
     @property
     def global_slack_scale(self) -> float:
@@ -588,22 +597,6 @@ def serial_parallel_config(**overrides) -> SystemConfig:
         "task_structure": SERIAL_PARALLEL, "stages": 2, "stage_width": 2,
         "strategy": "UD-UD", **overrides,
     })
-
-
-def verify_load_arithmetic(config: SystemConfig) -> float:
-    """Recompute the normalized load from the derived rates.
-
-    Returns the reconstructed load; tests assert it equals ``config.load``.
-    This is the inverse of the rate derivation and guards against the
-    classic simulation bug of mis-scaled arrival rates.
-    """
-    local_work = config.node_count * config.local_arrival_rate / config.mu_local
-    global_work = (
-        config.global_arrival_rate
-        * config.mean_subtask_count
-        / config.mu_subtask
-    )
-    return (local_work + global_work) / config.node_count
 
 
 def expected_frac_local(config: SystemConfig) -> float:

@@ -142,7 +142,9 @@ class MetricsEmitter:
         """Write one mid-run interval record (cumulative-so-far view)."""
         simulation = self.simulation
         self.intervals += 1
-        snapshot = simulation.metrics.snapshot(simulation.env.now)
+        snapshot = simulation.metrics.snapshot(
+            simulation.env.now, simulation.nodes
+        )
         self._record(
             "interval", snapshot.to_dict(aggregate_nodes=self._aggregate_nodes)
         )

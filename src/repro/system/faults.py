@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Dict, List, Mapping, Sequence
 
 from ..sim.distributions import (
@@ -316,56 +317,23 @@ class LiveSet:
         return f"<LiveSet {self.live_count}/{self.node_count} up>"
 
 
-class _NodeFaultClock:
-    """The alternating up/down renewal process of one node.
-
-    One pending kernel timer at a time: a failure timer while the node
-    is up, a repair timer while it is down.  Blast victims have their
-    pending failure timer cancelled by the injector and re-enter the
-    cycle through their own repair draw, so every draw still comes from
-    the node's own streams.
-    """
-
-    __slots__ = ("injector", "index", "next_ttf", "next_ttr", "pending")
-
-    def __init__(self, injector: "FaultInjector", index: int) -> None:
-        self.injector = injector
-        self.index = index
-        streams = injector.streams
-        spec = injector.spec
-        self.next_ttf = spec.failure_distribution().bind(
-            streams.get(f"fault-ttf/node-{index}")
-        )
-        self.next_ttr = spec.repair_distribution().bind(
-            streams.get(f"fault-ttr/node-{index}")
-        )
-        self.pending = None
-
-    def arm_failure(self) -> None:
-        self.pending = self.injector.env._sleep(self.next_ttf(), self._on_fail)
-
-    def arm_repair(self) -> None:
-        self.pending = self.injector.env._sleep(self.next_ttr(), self._on_repair)
-
-    def _on_fail(self, _event) -> None:
-        self.pending = None
-        self.injector._fail(self.index)
-
-    def _on_repair(self, _event) -> None:
-        self.pending = None
-        self.injector._recover(self.index)
-
-
 class FaultInjector:
     """Crashes and recovers nodes per a :class:`FaultSpec`.
 
-    Pure callback machine on the kernel's cancellable timers: each node
-    runs an independent alternating renewal process (up for a
-    time-to-failure draw, down for a time-to-repair draw).  The injector
-    owns the :class:`LiveSet` transitions and the crash/recovery
-    counters; the nodes own their local consequences
+    Pure callback machine on the kernel's pooled timers: each node runs
+    an independent alternating renewal process (up for a time-to-failure
+    draw, down for a time-to-repair draw), with one pending timer at a
+    time -- a failure timer while the node is up, a repair timer while
+    it is down.  The injector owns the :class:`LiveSet` transitions and
+    the crash/recovery counters; the nodes own their local consequences
     (:meth:`~repro.system.node.Node.crash` /
     :meth:`~repro.system.node.Node.recover`).
+
+    The injector keeps no timer: a timer's callback names the injector
+    and the node, and a blast victim's pending failure timer is made moot
+    by bumping the node's failure token, so it pops at its expiry as a
+    no-op (the victim re-enters the cycle through its own repair draw).
+    Once the run releases its event list, nothing points back at it.
     """
 
     def __init__(
@@ -384,7 +352,6 @@ class FaultInjector:
         self.env = env
         self.nodes = nodes
         self.spec = spec
-        self.streams = streams
         self.metrics = metrics
         self.live = live_set
         #: Optional :class:`~repro.system.detector.FailureDetector`
@@ -396,9 +363,20 @@ class FaultInjector:
         #: measured-window counters live in the metrics collector).
         self.crashes = 0
         self.recoveries = 0
-        self._clocks = [
-            _NodeFaultClock(self, i) for i in range(len(self.nodes))
+        failure = spec.failure_distribution()
+        repair = spec.repair_distribution()
+        #: Each node's bound time-to-failure / time-to-repair draws.
+        self._next_ttf = [
+            failure.bind(streams.get(f"fault-ttf/node-{i}"))
+            for i in range(len(nodes))
         ]
+        self._next_ttr = [
+            repair.bind(streams.get(f"fault-ttr/node-{i}"))
+            for i in range(len(nodes))
+        ]
+        #: Per-node failure token: a failure timer armed with an older
+        #: token is moot and fires as a no-op.
+        self._fail_token = [0] * len(nodes)
         lose = spec.in_flight == IN_FLIGHT_LOST
         drop = spec.queued == QUEUED_DROPPED
         for shared in shared_states(nodes):
@@ -407,27 +385,31 @@ class FaultInjector:
 
     def start(self) -> None:
         """Arm every node's first failure timer."""
-        for clock in self._clocks:
-            clock.arm_failure()
+        for index in range(len(self.nodes)):
+            self._arm_failure(index)
+
+    def _arm_failure(self, index: int) -> None:
+        self.env._sleep(
+            self._next_ttf[index](),
+            partial(_on_failure, self, index, self._fail_token[index]),
+        )
 
     def _fail(self, origin: int) -> None:
         """Failure event at ``origin``: crash it plus its blast cohort."""
-        clocks = self._clocks
         live = self.live
         metrics = self.metrics
-        now = self.env._now
-        count = len(clocks)
+        env = self.env
+        now = env._now
+        count = len(self.nodes)
         radius = min(self.spec.blast_radius, count)
         detector = self.detector
         for offset in range(radius):
             index = (origin + offset) % count
             if index not in live:
-                continue  # already down; its repair clock is running
-            clock = clocks[index]
-            if index != origin and clock.pending is not None:
+                continue  # already down; its repair timer is pending
+            if index != origin:
                 # A blast victim's own failure timer is moot now.
-                clock.pending.cancel()
-                clock.pending = None
+                self._fail_token[index] += 1
             live.mark_down(index)
             self.crashes += 1
             metrics.node_crashes[index] += 1
@@ -436,7 +418,9 @@ class FaultInjector:
             node.crash()
             if detector is not None:
                 detector.on_node_crash(index, now)
-            clock.arm_repair()
+            env._sleep(
+                self._next_ttr[index](), partial(_on_repair, self, index)
+            )
 
     def _recover(self, index: int) -> None:
         live = self.live
@@ -448,10 +432,23 @@ class FaultInjector:
         node.recover()
         if self.detector is not None:
             self.detector.on_node_recover(index, now)
-        self._clocks[index].arm_failure()
+        self._arm_failure(index)
 
     def __repr__(self) -> str:
         return (
             f"<FaultInjector {self.live.live_count}/{self.live.node_count} up "
             f"crashes={self.crashes}>"
         )
+
+
+def _on_failure(
+    injector: FaultInjector, index: int, token: int, _event
+) -> None:
+    """A node's failure timer fired: crash it unless the timer is moot."""
+    if token == injector._fail_token[index]:
+        injector._fail(index)
+
+
+def _on_repair(injector: FaultInjector, index: int, _event) -> None:
+    """A node's repair timer fired: bring it back up."""
+    injector._recover(index)

@@ -24,7 +24,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple,
 )
 
 from ..core.task import TaskClass
@@ -644,7 +644,11 @@ _CHUNK_MASK = CHUNK - 1
 
 
 class MetricsCollector:
-    """Central sink for task outcomes and node load signals."""
+    """Central sink for task outcomes and node load signals.
+
+    It holds no node: :meth:`reset` and :meth:`snapshot` read the signal
+    slots of the nodes their caller passes, in index order.
+    """
 
     def __init__(self, node_count: int) -> None:
         self._classes: Dict[TaskClass, _ClassAccumulator] = {
@@ -654,11 +658,6 @@ class MetricsCollector:
         self._local_acc = self._classes[TaskClass.LOCAL]
         self._global_acc = self._classes[TaskClass.GLOBAL]
         self.node_count = node_count
-        #: The nodes, in index order: each node registers itself at
-        #: construction (``Node.__init__``).  Their busy, queue and down
-        #: signals are slots on the node; ``reset`` and ``snapshot`` walk
-        #: this list, and ``per_node`` has one row per registered node.
-        self.nodes: List[Any] = []
         #: Per-node event counters, one ``node_<name>`` list per entry of
         #: :data:`NODE_COUNTERS` (``node_dispatched``, ``node_crashes``,
         #: ...).  Nodes, the fault injector and the detector increment
@@ -790,14 +789,15 @@ class MetricsCollector:
 
     # -- warm-up and snapshots ----------------------------------------------
 
-    def reset(self, now: float) -> None:
-        """Discard the transient phase; statistics restart at ``now``."""
+    def reset(self, now: float, nodes: Sequence[Any]) -> None:
+        """Discard the transient phase; statistics, the signals of
+        ``nodes`` included, restart at ``now``."""
         for acc in self._classes.values():
             acc.reset()
         # Signal resets keep the current value: a node busy -- or down --
         # across the warm-up boundary stays so in the measured window.
         # The window start of every signal is ``_warmup_end``.
-        for node in self.nodes:
+        for node in nodes:
             node._b_area = node._q_area = node._d_area = 0.0
             node._b_last = node._q_last = node._d_last = now
         # In place: node server loops hold references to these lists.
@@ -808,9 +808,9 @@ class MetricsCollector:
             setattr(self, name, zero)
         self._warmup_end = now
 
-    def snapshot(self, now: float) -> RunResult:
-        """Freeze current statistics into a :class:`RunResult`."""
-        nodes = self.nodes
+    def snapshot(self, now: float, nodes: Sequence[Any]) -> RunResult:
+        """Freeze current statistics into a :class:`RunResult`, with one
+        ``per_node`` row for each of ``nodes`` (in index order)."""
         count = len(nodes)
         # Every signal's window starts at the warm-up end.
         elapsed = now - self._warmup_end

@@ -37,19 +37,22 @@ listener and the crash semantics -- lives in one :class:`NodeShared`
 that the simulation builds once and each node points at.  The ready
 heap is a list only once the node gets work: until its first submit
 the node holds the shared empty tuple ``_NO_WORK`` (a fleet under
-least-outstanding placement leaves most nodes idle).  The node stores
-no bound method of itself (that would be a reference cycle per node):
-its completion callback is bound when the service timer is armed, and
-goes with the timer.  The ready queue is inlined
-(:class:`~repro.system.schedulers.ReadyQueue` is the reference), and
-the node is its own wake-up event: its class-level ``callback`` is the
-dispatch step, so a wake pushes the node itself onto the kernel's
-urgent deque (or, for the preemptive node, the heap).  Every
-tracked object a node adds is one more object each full collection
-walks, and it moves the point where the next full collection lands.
-The node's time-weighted signals (queue length, busy, down) are float
-slots on the node itself, which the collector reads through
-``metrics.nodes``.
+least-outstanding placement leaves most nodes idle).  The ready queue
+is inlined (:class:`~repro.system.schedulers.ReadyQueue` is the
+reference), and the node is its own wake-up event: its class-level
+``callback`` is the dispatch step, so a wake pushes the node itself
+onto the kernel's urgent deque (or, for the preemptive node, the heap).
+Every tracked object a node adds is one more object each full
+collection walks, and it moves the point where the next full
+collection lands.  The node's time-weighted signals (queue length,
+busy, down) are float slots on the node itself, which the collector
+reads from the node list its caller passes in.
+
+References point outward from a node, to its ``NodeShared`` and the
+work it holds, and nothing it reaches lists the nodes.  The one way
+back is the service timer the node keeps for a crash or a preemption
+to cancel (its callback is the bound ``_complete``); releasing the
+environment at the end of a run clears that callback.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ class NodeShared:
     outstanding-count listener and the crash semantics are set after
     construction, once per run, by the least-outstanding placement and
     the fault injector.  Apart from that listener, a bound method of the
-    placement, it reaches no simulation, process manager or random
-    stream.
+    placement that is called with the node whose count moved, it reaches
+    no simulation, process manager, node list or random stream.
     """
 
     __slots__ = (
@@ -116,7 +119,7 @@ class NodeShared:
         #: Outstanding-count change hook (``None`` keeps the hot path at
         #: one pointer check, the tracer discipline).  An incremental
         #: placement policy (least-outstanding) binds this to learn of
-        #: every submit/complete/crash/recover without scanning nodes.
+        #: every submit/complete/crash/recover (called with the node).
         self.outstanding_listener = None
         #: Crash semantics (inert unless a FaultInjector attaches).
         self.lose_in_flight = True
@@ -130,6 +133,19 @@ def shared_states(nodes: Iterable["Node"]) -> Set[NodeShared]:
     """The distinct per-run objects behind ``nodes``: one for the nodes
     of a simulation, one per node for nodes built alone."""
     return set(map(attrgetter("_shared"), nodes))
+
+
+def drop_continuations(nodes: Iterable["Node"]) -> None:
+    """Clear ``on_done`` on every unit ``nodes`` hold, in service or
+    queued, once their run is over: a continuation reaches the process
+    manager and through it the node list, a reference cycle.  What the
+    nodes report (``queue_length``, ``busy``) does not change."""
+    for node in nodes:
+        serving = node._serving
+        if serving is not None:
+            serving.on_done = None
+        for entry in node._heap:
+            entry[3].on_done = None
 
 
 class Node:
@@ -200,24 +216,11 @@ class Node:
         # float slots: value, area since the warm-up end, time of the
         # last update.  The hot loops below update them with the exact
         # arithmetic of the inlined ``TimeWeighted`` updates; the
-        # collector reads and resets them through ``metrics.nodes``.
+        # collector reads and resets them on the node list its caller
+        # passes to ``reset`` and ``snapshot``.
         self._q_value = self._q_area = self._q_last = 0.0
         self._b_value = self._b_area = self._b_last = 0.0
         self._d_value = self._d_area = self._d_last = 0.0
-        # Store no bound method of the node on it (a reference cycle per
-        # node): the service timer binds ``_complete`` when it is armed,
-        # and the idle wake needs no callback object at all -- the node
-        # is its own wake event (see ``callback``).
-        # Register last, so a node that fails to build is never listed.
-        # The collector's per-node counters and ``per_node`` rows are
-        # positional, so registration order must be index order.
-        nodes = shared.metrics.nodes
-        if index != len(nodes):
-            raise ValueError(
-                f"node {index} registered out of order: the collector "
-                f"expects node {len(nodes)} next"
-            )
-        nodes.append(self)
 
     # -- submission ---------------------------------------------------------
 
@@ -258,7 +261,7 @@ class Node:
             shared.metrics._tracer.record(now, "submit", unit, index)
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(index)
+            listener(self)
         # Wake the idle server.  The dispatch is deferred by one urgent
         # event rather than run synchronously so that submissions landing
         # at the same simulation instant are scheduled as a batch -- the
@@ -342,7 +345,7 @@ class Node:
                 metrics.record_unit_completion(unit)
                 listener = shared.outstanding_listener
                 if listener is not None:
-                    listener(index)
+                    listener(self)
                 on_done = unit.on_done
                 if on_done is not None:
                     env._schedule_call(
@@ -410,7 +413,7 @@ class Node:
         metrics.record_unit_completion(unit)
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(index)
+            listener(self)
         on_done = unit.on_done
         if on_done is not None:
             # Deferred as a NORMAL heap entry (one sequence key) so the
@@ -447,7 +450,6 @@ class Node:
         self._up = False
         shared = self._shared
         now = shared.env._now
-        index = self.index
         if self._busy:
             self._sleep.cancel()
             self._sleep = None
@@ -476,7 +478,7 @@ class Node:
                 self._queue_increment(-count, now)
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(index)
+            listener(self)
 
     def recover(self) -> None:
         """Bring the node back up and resume or re-dispatch work."""
@@ -498,7 +500,7 @@ class Node:
             env._urgent.append(self)
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(self.index)
+            listener(self)
 
     def _queue_increment(self, delta: float, now: float) -> None:
         """Shift the queue-length signal by ``delta`` (cold paths).

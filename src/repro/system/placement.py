@@ -403,9 +403,8 @@ class LeastOutstandingPlacement(PlacementPolicy):
     name = LEAST_OUTSTANDING
 
     def __init__(self, nodes: Sequence, streams: StreamFactory) -> None:
-        self.nodes = nodes
         self._stream = streams.get("placement-lo")
-        node_count = len(self.nodes)
+        node_count = len(nodes)
         self._node_count = node_count
         self._counts: List[int] = [0] * node_count
         #: Per-node down flags, allocated by ``attach_live_set``: only
@@ -417,16 +416,16 @@ class LeastOutstandingPlacement(PlacementPolicy):
         self._members: Dict[int, List[int]] = {}
         #: count -> down nodes holding it (live tracking only).
         self._bucket_down: Dict[int, Set[int]] = {}
-        # One listener per run object (one for a simulation's nodes).
-        # Every node starts idle; one that already holds work (never so
-        # in a fresh simulation) moves to its own bucket through the
-        # listener, which reconciles against the node's signals.
+        # One listener per run object, called with the node whose count
+        # moved (the policy keeps no node list).  A node that already
+        # holds work (never so in a fresh simulation) moves to its own
+        # bucket through the listener, which reconciles its signals.
         touch = self._touch
         for shared in shared_states(nodes):
             shared.outstanding_listener = touch
-        for index, node in enumerate(nodes):
+        for node in nodes:
             if node._q_value or node._b_value:
-                touch(index)
+                touch(node)
 
     def attach_live_set(self, live) -> None:
         self.live = live
@@ -440,23 +439,25 @@ class LeastOutstandingPlacement(PlacementPolicy):
             if is_down:
                 bucket_down.setdefault(counts[index], set()).add(index)
 
-    def _outstanding(self) -> List[int]:
-        """From-scratch recompute (reference for tests; not on hot path)."""
+    @staticmethod
+    def _outstanding(nodes: Sequence) -> List[int]:
+        """From-scratch recompute over ``nodes`` (reference for tests;
+        not on the hot path)."""
         return [
-            node.queue_length + (1 if node.busy else 0) for node in self.nodes
+            node.queue_length + (1 if node.busy else 0) for node in nodes
         ]
 
     # -- incremental maintenance ------------------------------------------
 
-    def _touch(self, index: int) -> None:
-        """Reconcile one node's bucket membership with its signals.
+    def _touch(self, node) -> None:
+        """Reconcile ``node``'s bucket membership with its signals.
 
         Called by the nodes after every outstanding-count transition
         (submit/dispatch-abort/complete/crash/recover); also absorbs
         liveness flips, since the fault injector updates the live set
         before invoking ``crash()``/``recover()``.
         """
-        node = self.nodes[index]
+        index = node.index
         value = int(node._q_value + node._b_value)
         counts = self._counts
         old = counts[index]
@@ -586,9 +587,9 @@ class LeastOutstandingPlacement(PlacementPolicy):
         return self._pick(_NO_EXCLUSIONS)
 
     def pick_distinct(self, count: int) -> List[int]:
-        if count > len(self.nodes):
+        if count > self._node_count:
             raise ValueError(
-                f"cannot pick {count} distinct nodes from {len(self.nodes)}"
+                f"cannot pick {count} distinct nodes from {self._node_count}"
             )
         chosen: List[int] = []
         for _ in range(count):

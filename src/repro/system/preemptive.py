@@ -156,7 +156,7 @@ class PreemptiveNode(Node):
             shared.metrics._tracer.record(now, "submit", unit, index)
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(index)
+            listener(self)
         if not self._busy:
             # Deferred dispatch, one NORMAL event: same-instant
             # submissions are scheduled as a batch, ordered by the policy.
@@ -240,7 +240,7 @@ class PreemptiveNode(Node):
                 metrics.record_unit_completion(unit)
                 listener = shared.outstanding_listener
                 if listener is not None:
-                    listener(index)
+                    listener(self)
                 on_done = unit.on_done
                 if on_done is not None:
                     env._schedule_call(on_done, value=unit, priority=NORMAL)
@@ -391,7 +391,7 @@ class PreemptiveNode(Node):
             # reconciles against current state, so the repeat is safe).
             listener = shared.outstanding_listener
             if listener is not None:
-                listener(self.index)
+                listener(self)
 
     def _discard_lost(self, unit: WorkUnit, now: float) -> None:
         """Scrub the unit's preemption bookkeeping, then discard it like
@@ -413,7 +413,7 @@ class PreemptiveNode(Node):
             heappush(env._queue, (env._now, env._next_seq(), self))
         listener = shared.outstanding_listener
         if listener is not None:
-            listener(self.index)
+            listener(self)
 
     def __repr__(self) -> str:
         return (

@@ -20,15 +20,14 @@ from typing import List, Optional
 
 from ..core.strategies import DeadlineAssigner, parse_assigner
 from ..sim.core import Environment
-from ..sim.distributions import Deterministic
 from ..sim.errors import SimulationError
 from ..sim.rng import StreamFactory
-from .config import PARALLEL, SERIAL, SERIAL_PARALLEL, SystemConfig
+from .config import SystemConfig
 from .detector import FailureDetector
 from .emission import EmissionPolicy, MetricsEmitter, _Trigger
 from .faults import FaultInjector, LiveSet
 from .metrics import MetricsCollector, RunResult
-from .node import Node, NodeShared
+from .node import Node, NodeShared, drop_continuations
 from .placement import (
     LeastOutstandingPlacement,
     PlacementPolicy,
@@ -71,17 +70,19 @@ class Simulation:
         # One work-unit id counter per run: the local sources and the
         # process manager draw trace labels from it.
         unit_ids = count(1)
-        # The per-run values every node reads, built once; each node
-        # registers itself with the collector, whose list is the run's
-        # one node list.
+        # The per-run values every node reads, built once.  This list is
+        # the run's one node list: the process manager, the placement
+        # policy, the fault injector and the detector are handed it, and
+        # the collector reads it when the run resets and snapshots.
         shared = NodeShared(self.env, self.metrics, policy, overload)
-        for i in range(config.node_count):
+        self.nodes: List[Node] = [
             node_type(
                 self.env, i, policy, self.metrics,
                 speed=1.0 if speeds is None else speeds[i],
                 shared=shared,
             )
-        self.nodes: List[Node] = self.metrics.nodes
+            for i in range(config.node_count)
+        ]
         # Fault model: a crash-enabled spec builds the live set and the
         # injector, and a retry-enabled spec (even at ``mttf = 0``) arms
         # the manager's retry layer; anything else wires NOTHING -- no
@@ -235,11 +236,7 @@ class Simulation:
         placement = self._make_placement()
         # Retained so the fault injector can attach its live set.
         self.placement_policy = placement
-        stages, width = {
-            SERIAL: (config.subtask_count_distribution(), None),
-            PARALLEL: (Deterministic(1), config.subtask_count),
-            SERIAL_PARALLEL: (Deterministic(config.stages), config.stage_width),
-        }[config.task_structure]
+        stages, width = config.task_shape()
         return StageFactory(
             node_count=config.node_count,
             stages=stages,
@@ -255,11 +252,13 @@ class Simulation:
         """Execute the configured run and return its measurements.
 
         A simulation runs once.  After the final snapshot the run
-        releases the environment's event list (pending events and pooled
-        sleeps): it holds the model's callbacks, so keeping it would tie
-        the model into reference cycles, and a dropped finished
-        simulation would wait for the garbage collector to free its
-        random streams.
+        releases the environment's event list (pending events, pooled
+        sleeps and the callbacks of pending sleeps their owners still
+        hold) and the continuations of the work the nodes still hold:
+        both reach back into the model, and keeping them would tie it
+        into reference cycles.  The run's objects then point only
+        outward from the simulation, so a dropped finished simulation
+        is freed by reference counting, without the garbage collector.
 
         With an :class:`~repro.system.emission.EmissionPolicy`, the run
         additionally writes a JSONL metric time series to the policy's
@@ -276,10 +275,11 @@ class Simulation:
             config = self.config
             if config.warmup_time > 0:
                 self.env.run(until=config.warmup_time)
-                self.metrics.reset(self.env.now)
+                self.metrics.reset(self.env.now, self.nodes)
             self.env.run(until=config.sim_time)
-            result = self.metrics.snapshot(self.env.now)
+            result = self.metrics.snapshot(self.env.now, self.nodes)
         self.env.release()
+        drop_continuations(self.nodes)
         return result
 
     def _run_sliced(self, emit: EmissionPolicy) -> RunResult:
@@ -314,9 +314,9 @@ class Simulation:
 
         if config.warmup_time > 0:
             advance(config.warmup_time, measured=False)
-            self.metrics.reset(env.now)
+            self.metrics.reset(env.now, self.nodes)
         advance(config.sim_time, measured=True)
-        result = self.metrics.snapshot(env.now)
+        result = self.metrics.snapshot(env.now, self.nodes)
         emitter.emit_final(result)
         return result
 

@@ -194,8 +194,8 @@ class TestStepMatchesRunLoop:
             if env.now < horizon:
                 env._now = horizon  # run(until=t) advances the clock too
             if at_end is not None:
-                at_end(env.now)
-        stepped_result = stepped.metrics.snapshot(env.now)
+                at_end(env.now, stepped.nodes)
+        stepped_result = stepped.metrics.snapshot(env.now, stepped.nodes)
 
         def key(event):
             return (
@@ -417,6 +417,21 @@ class TestPooledSleepContract:
         assert [t for t, _ in seen] == [1.0, 2.0, 3.0]
         assert all(event is first for _, event in seen)
         assert env._sleep_pool == [first]
+
+    def test_release_clears_the_callback_of_a_held_sleep(self):
+        """A pending sleep its owner still holds (a node's service timer)
+        keeps no callback after ``release()``, so it cannot tie the
+        owner into a cycle; released sleeps never fire."""
+        env = Environment()
+        fired = []
+        held = env._sleep(5.0, lambda e: fired.append(env.now))
+        env._sleep(1.0, _noop)
+        env.run(until=2.0)
+        env.release()
+        assert held.callback is None
+        assert not env._queue and not env._sleep_pool
+        env.run()
+        assert fired == [] and env.now == 2.0
 
 
 class TestSleepAtAbsoluteKey:

@@ -141,7 +141,7 @@ class TestConvergenceToOracle:
         return _converged_sim()
 
     def test_no_false_positives_or_missed_detections(self, sim):
-        result = sim.metrics.snapshot(sim.env.now)
+        result = sim.metrics.snapshot(sim.env.now, sim.nodes)
         assert result.false_suspicions == 0
         assert result.missed_detections == 0
         assert result.detections > 0
@@ -177,7 +177,7 @@ class TestConvergenceToOracle:
         """The fault clocks draw from their own streams, so observing
         through a detector must not move a single crash: per-node crash
         counts and downtime equal the oracle (detector-off) run's."""
-        result = sim.metrics.snapshot(sim.env.now)
+        result = sim.metrics.snapshot(sim.env.now, sim.nodes)
         oracle = simulate(
             baseline_config(
                 sim_time=SIM_TIME, warmup_time=WARMUP, seed=17,

@@ -511,9 +511,9 @@ class TestKernelPoolHygiene:
         sim = Simulation(config)
         env = sim.env
         env.run(until=config.warmup_time)
-        sim.metrics.reset(env.now)
+        sim.metrics.reset(env.now, sim.nodes)
         env.run(until=config.sim_time)
-        assert sim.metrics.snapshot(env.now).total_crashes > 50
+        assert sim.metrics.snapshot(env.now, sim.nodes).total_crashes > 50
         # The pool holds only the handful of timers that were in flight
         # simultaneously -- tens of thousands of events were recycled.
         assert 0 < len(env._sleep_pool) < 100

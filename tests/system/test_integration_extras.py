@@ -31,7 +31,7 @@ def build_system(env, node_count=3, strategy="UD"):
 class TestHopelessTasks:
     def test_deadline_already_past_at_submission(self, env, script):
         """A soft real-time system accepts and runs already-late tasks."""
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
 
         def late_submit():
             tree = serial(
@@ -41,7 +41,7 @@ class TestHopelessTasks:
 
         script(10.0, late_submit)
         env.run()
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.completed == 1
         assert stats.missed == 1
 
@@ -135,7 +135,7 @@ class TestParallelJoinSemantics:
     def test_group_outcome_decided_by_last_finisher(self, env):
         """The group misses iff the *last* branch finishes after dl(T),
         even when other branches met their virtual deadlines."""
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = parallel(
             SimpleTask(1.0, node_index=0),
             SimpleTask(9.0, node_index=1),
@@ -143,6 +143,6 @@ class TestParallelJoinSemantics:
         manager.submit(tree, deadline=5.0)
         env.run()
         assert [leaf.timing.missed for leaf in tree.leaves()] == [False, True]
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.mean_response == 9.0
         assert stats.missed == 1

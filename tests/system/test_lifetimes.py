@@ -3,18 +3,20 @@
 Nothing a simulation creates per task or per event forms a reference
 cycle: task trees carry no child -> parent links, and the coordination
 frames, nodes and sources store no bound method of themselves.  And a
-finished run releases its event list, so a dropped simulation frees its
-random streams at once.
+run's objects point only outward from its simulation: the collector and
+the placement policy keep no node list, the fault injector's timers
+name it without it holding them, and a finished run releases its event
+list (clearing the callbacks of the pending timers their owners still
+hold) and the continuations of the work its nodes still hold.
 
 * **No cyclic garbage per task.**  Over the measured phase of every
   library scenario, with the collector switched off, no object becomes
   garbage that only the collector could free.
-* **A finished run frees its streams.**  For the scenarios without
-  faults or least-outstanding placement (each of which wires per-node
-  cycles at set-up), dropping a finished simulation frees every stream
-  it made but the process manager's (``_MANAGER_STREAMS``), with the
-  collector off; an emitting run does too, and so does a detector run
-  over either kind of heartbeat channel.
+* **A finished run frees everything it made.**  With the collector off,
+  dropping a finished simulation of any library scenario frees every
+  random stream it made, and dropping one of the baseline frees its
+  metrics collector; an emitting run frees its streams too, and so does
+  a detector run without faults over delayed heartbeat links.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 
 from repro.scenarios import LIBRARY
 from repro.sim.errors import SimulationError
+from repro.system.config import baseline_config
 from repro.system.emission import EmissionPolicy
 from repro.system.simulation import Simulation
 
@@ -40,13 +43,6 @@ def _config(spec):
     return spec.to_config(sim_time=SIM_TIME, warmup_time=WARMUP, seed=SEED)
 
 
-def _wires_per_node_cycles(config) -> bool:
-    return (
-        (config.faults is not None and config.faults.enabled)
-        or config.placement == "least-outstanding"
-    )
-
-
 @pytest.mark.parametrize("spec", LIBRARY, ids=lambda spec: spec.name)
 def test_measured_phase_leaves_no_cyclic_garbage(spec):
     config = _config(spec)
@@ -55,7 +51,7 @@ def test_measured_phase_leaves_no_cyclic_garbage(spec):
     # The phases of Simulation.run, with the collector off in the
     # measured one.
     env.run(until=config.warmup_time)
-    simulation.metrics.reset(env.now)
+    simulation.metrics.reset(env.now, simulation.nodes)
     gc.collect()
     gc.disable()
     try:
@@ -63,15 +59,9 @@ def test_measured_phase_leaves_no_cyclic_garbage(spec):
         unreachable = gc.collect()
     finally:
         gc.enable()
-    assert simulation.metrics.snapshot(env.now).global_.completed > 0
+    result = simulation.metrics.snapshot(env.now, simulation.nodes)
+    assert result.global_.completed > 0
     assert unreachable == 0
-
-
-#: The process manager's misroute stream outlives a dropped run that
-#: ends with global work in service: that work keeps the manager alive
-#: (node -> unit -> leaf attempt -> manager -> node list), a cycle
-#: of the manager's own, not the detector's.
-_MANAGER_STREAMS = ("detector-route",)
 
 
 def _frees_its_streams(config, emit=None) -> None:
@@ -81,10 +71,7 @@ def _frees_its_streams(config, emit=None) -> None:
         simulation = Simulation(config)
         simulation.run(emit=emit)
         streams = simulation.streams
-        refs = [
-            weakref.ref(streams.get(name)) for name in streams.names()
-            if name not in _MANAGER_STREAMS
-        ]
+        refs = [weakref.ref(streams.get(name)) for name in streams.names()]
         del simulation, streams
         alive = [ref() for ref in refs if ref() is not None]
     finally:
@@ -93,13 +80,27 @@ def _frees_its_streams(config, emit=None) -> None:
     assert alive == []
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [spec for spec in LIBRARY if not _wires_per_node_cycles(_config(spec))],
-    ids=lambda spec: spec.name,
-)
+@pytest.mark.parametrize("spec", LIBRARY, ids=lambda spec: spec.name)
 def test_dropped_finished_simulation_frees_its_streams(spec):
     _frees_its_streams(_config(spec))
+
+
+def test_dropped_finished_simulation_frees_its_collector():
+    """No node list on the collector: the nodes reach it through their
+    shared run values, and nothing of the collector reaches back."""
+    gc.collect()
+    gc.disable()
+    try:
+        simulation = Simulation(
+            baseline_config(sim_time=1000.0, warmup_time=100.0, seed=3)
+        )
+        simulation.run()
+        collector = weakref.ref(simulation.metrics)
+        del simulation
+        alive = collector()
+    finally:
+        gc.enable()
+    assert alive is None
 
 
 def test_dropped_emitting_simulation_frees_its_streams(tmp_path):
@@ -109,13 +110,12 @@ def test_dropped_emitting_simulation_frees_its_streams(tmp_path):
     )
 
 
-@pytest.mark.parametrize("name", ["paranoid-detector", "lossy-heartbeats"])
-def test_dropped_detector_run_frees_its_streams(name):
+def test_dropped_detector_run_frees_its_streams():
     """The heartbeat channels hold no back-reference to their detector,
-    so a detector run is freed by reference counting: phi-accrual over
-    instant links, and the timeout detector over delayed links (faults
-    taken out, so only the detector could tie the streams up)."""
-    spec = next(spec for spec in LIBRARY if spec.name == name)
+    so a detector run is freed by reference counting: the timeout
+    detector over delayed links, with faults taken out (a case the
+    library does not have)."""
+    spec = next(spec for spec in LIBRARY if spec.name == "lossy-heartbeats")
     config = _config(spec).with_(faults=None)
     assert config.detector.enabled
     _frees_its_streams(config)

@@ -25,8 +25,8 @@ def finished_unit(env, task_class=TaskClass.LOCAL, ar=0.0, ex=1.0, dl=5.0,
                     node_index=0, timing=timing)
 
 
-def register_nodes(env, collector, count):
-    """Build ``count`` real nodes, which register with ``collector``."""
+def make_nodes(env, collector, count):
+    """Build ``count`` real nodes recording into ``collector``."""
     return [Node(env, i, EarliestDeadlineFirst(), collector)
             for i in range(count)]
 
@@ -56,7 +56,7 @@ class TestUnitRecording:
     def test_met_deadline(self, env):
         collector = MetricsCollector(node_count=1)
         collector.record_unit_completion(finished_unit(env, completed=2.0, dl=5.0))
-        stats = collector.snapshot(10.0).local
+        stats = collector.snapshot(10.0, []).local
         assert stats.completed == 1
         assert stats.missed == 0
         assert stats.mean_response == pytest.approx(2.0)
@@ -66,13 +66,13 @@ class TestUnitRecording:
     def test_missed_deadline(self, env):
         collector = MetricsCollector(node_count=1)
         collector.record_unit_completion(finished_unit(env, completed=9.0, dl=5.0))
-        stats = collector.snapshot(10.0).local
+        stats = collector.snapshot(10.0, []).local
         assert stats.missed == 1
 
     def test_aborted_unit(self, env):
         collector = MetricsCollector(node_count=1)
         collector.record_unit_completion(finished_unit(env, aborted=True))
-        stats = collector.snapshot(10.0).local
+        stats = collector.snapshot(10.0, []).local
         assert stats.aborted == 1
         assert stats.missed == 1
         assert stats.completed == 0
@@ -82,7 +82,7 @@ class TestUnitRecording:
         collector.record_unit_completion(
             finished_unit(env, task_class=TaskClass.GLOBAL)
         )
-        snapshot = collector.snapshot(10.0)
+        snapshot = collector.snapshot(10.0, [])
         assert snapshot.local.completed == 0
         assert snapshot.global_.completed == 0
 
@@ -93,7 +93,7 @@ class TestGlobalRecording:
         collector.record_global_completion(
             timing_missed=False, aborted=False, response_time=4.0, lateness=-1.0
         )
-        stats = collector.snapshot(10.0).global_
+        stats = collector.snapshot(10.0, []).global_
         assert stats.completed == 1
         assert stats.missed == 0
         assert stats.mean_response == pytest.approx(4.0)
@@ -103,7 +103,7 @@ class TestGlobalRecording:
         collector.record_global_completion(
             timing_missed=True, aborted=False, response_time=9.0, lateness=2.0
         )
-        stats = collector.snapshot(10.0).global_
+        stats = collector.snapshot(10.0, []).global_
         assert stats.missed == 1
         assert stats.miss_ratio == 1.0
 
@@ -112,7 +112,7 @@ class TestGlobalRecording:
         collector.record_global_completion(
             timing_missed=True, aborted=True, response_time=0.0, lateness=0.0
         )
-        stats = collector.snapshot(10.0).global_
+        stats = collector.snapshot(10.0, []).global_
         assert stats.aborted == 1
         assert stats.missed == 1
         assert stats.completed == 0
@@ -121,12 +121,12 @@ class TestGlobalRecording:
 class TestWarmupReset:
     def test_reset_discards_counts(self, env):
         collector = MetricsCollector(node_count=2)
-        nodes = register_nodes(env, collector, 2)
+        nodes = make_nodes(env, collector, 2)
         collector.record_unit_completion(finished_unit(env))
         keep_busy(env, nodes[0])
         env.run(until=100.0)
-        collector.reset(now=100.0)
-        snapshot = collector.snapshot(200.0)
+        collector.reset(now=100.0, nodes=nodes)
+        snapshot = collector.snapshot(200.0, nodes)
         assert snapshot.local.completed == 0
         assert snapshot.warmup == 100.0
         # Busy signal keeps its current value but restarts integration.
@@ -134,10 +134,10 @@ class TestWarmupReset:
 
     def test_dispatch_counters_reset(self, env):
         collector = MetricsCollector(node_count=1)
-        register_nodes(env, collector, 1)
+        nodes = make_nodes(env, collector, 1)
         collector.node_dispatched[0] += 1
-        collector.reset(now=10.0)
-        assert collector.snapshot(20.0).per_node[0].dispatched == 0
+        collector.reset(now=10.0, nodes=nodes)
+        assert collector.snapshot(20.0, nodes).per_node[0].dispatched == 0
 
 
 class TestRunResult:
@@ -147,18 +147,18 @@ class TestRunResult:
         collector.record_global_completion(
             timing_missed=False, aborted=False, response_time=1.0, lateness=-1.0
         )
-        result = collector.snapshot(10.0)
+        result = collector.snapshot(10.0, [])
         assert result.md_local == 1.0
         assert result.md_global == 0.0
         assert result.sim_time == 10.0
 
     def test_mean_utilization_averages_nodes(self, env):
         collector = MetricsCollector(node_count=2)
-        nodes = register_nodes(env, collector, 2)
+        nodes = make_nodes(env, collector, 2)
         keep_busy(env, nodes[0])   # busy whole window
         # node 1 stays idle
         env.run(until=10.0)
-        result = collector.snapshot(10.0)
+        result = collector.snapshot(10.0, nodes)
         assert result.mean_utilization == pytest.approx(0.5)
 
 
@@ -171,7 +171,7 @@ class TestStreamingPercentiles:
             collector.record_unit_completion(
                 finished_unit(env, ar=0.0, completed=float(i), dl=50.0)
             )
-        stats = collector.snapshot(200.0).local
+        stats = collector.snapshot(200.0, []).local
         # Responses are exactly 1..100: small-n P² stays close to exact.
         assert abs(stats.p50_response - 50.0) <= 5.0
         assert abs(stats.p95_response - 95.0) <= 5.0
@@ -181,8 +181,8 @@ class TestStreamingPercentiles:
 
     def test_empty_percentiles_are_nan_and_snapshots_compare_equal(self):
         collector = MetricsCollector(node_count=1)
-        a = collector.snapshot(1.0)
-        b = collector.snapshot(1.0)
+        a = collector.snapshot(1.0, [])
+        b = collector.snapshot(1.0, [])
         assert math.isnan(a.local.p99_response)
         # The nan singleton keeps dataclass equality working.
         assert a == b
@@ -190,8 +190,8 @@ class TestStreamingPercentiles:
     def test_warmup_reset_clears_sketches(self, env):
         collector = MetricsCollector(node_count=1)
         collector.record_unit_completion(finished_unit(env))
-        collector.reset(5.0)
-        assert math.isnan(collector.snapshot(10.0).local.p50_response)
+        collector.reset(5.0, [])
+        assert math.isnan(collector.snapshot(10.0, []).local.p50_response)
 
 
 class TestFromDictTolerance:
@@ -279,7 +279,7 @@ class TestFromDictTolerance:
 
         collector = MetricsCollector(node_count=2)
         collector.record_unit_completion(finished_unit(env))
-        result = collector.snapshot(10.0)
+        result = collector.snapshot(10.0, [])
         assert RunResult.from_dict(result.to_dict()) == result
 
 
@@ -459,7 +459,7 @@ class TestMetricTable:
         from repro.system.metrics import NODE_COUNTERS, METRICS, RUN
 
         collector = MetricsCollector(node_count=2)
-        register_nodes(env, collector, 2)
+        nodes = make_nodes(env, collector, 2)
         for k, name in enumerate(NODE_COUNTERS, start=1):
             getattr(collector, f"node_{name}")[1] = k
         run_counters = [row.name for row in METRICS
@@ -467,7 +467,7 @@ class TestMetricTable:
         for k, name in enumerate(run_counters, start=1):
             setattr(collector, name, k)
         collector.detection_latency_sum = 12.0
-        snapshot = collector.snapshot(1.0)
+        snapshot = collector.snapshot(1.0, nodes)
         node = snapshot.per_node[1]
         assert [getattr(node, name) for name in NODE_COUNTERS] == list(
             range(1, len(NODE_COUNTERS) + 1)
@@ -476,8 +476,8 @@ class TestMetricTable:
             range(1, len(run_counters) + 1)
         )
         assert snapshot.detection_latency == 12.0 / snapshot.detections
-        collector.reset(1.0)
-        cleared = collector.snapshot(2.0)
+        collector.reset(1.0, nodes)
+        cleared = collector.snapshot(2.0, nodes)
         assert all(getattr(cleared.per_node[1], name) == 0
                    for name in NODE_COUNTERS)
         assert all(getattr(cleared, name) == 0 for name in run_counters)
@@ -577,16 +577,16 @@ class TestNodeTable:
         from repro.system.metrics import _NAN, NodeStats
 
         collector = MetricsCollector(node_count=3)
-        register_nodes(env, collector, 3)
-        collector.reset(5.0)
+        nodes = make_nodes(env, collector, 3)
+        collector.reset(5.0, nodes)
         collector.node_dispatched[2] = 4
-        table = collector.snapshot(5.0).per_node
+        table = collector.snapshot(5.0, nodes).per_node
         assert table == [
             NodeStats(i, _NAN, _NAN, 4 if i == 2 else 0, 0, 0, 0, _NAN, 0)
             for i in range(3)
         ]
         assert all(row.utilization is _NAN for row in table)
-        assert collector.snapshot(5.0) == collector.snapshot(5.0)
+        assert collector.snapshot(5.0, nodes) == collector.snapshot(5.0, nodes)
 
 
 class TestCountTriggeredSketchCommit:

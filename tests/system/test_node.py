@@ -103,27 +103,28 @@ class TestMetricsIntegration:
         submit(env, node, ex=1.0, dl=0.5)   # will miss
         submit(env, node, ex=1.0, dl=50.0)  # will meet
         env.run()
-        stats = metrics.snapshot(env.now).local
+        stats = metrics.snapshot(env.now, [node]).local
         assert stats.completed == 2
         assert stats.missed == 1
 
     def test_global_subtask_not_recorded_as_local(self, env, node, metrics):
         submit(env, node, ex=1.0, dl=5.0, task_class=TaskClass.GLOBAL)
         env.run()
-        snapshot = metrics.snapshot(env.now)
+        snapshot = metrics.snapshot(env.now, [node])
         assert snapshot.local.completed == 0
         assert snapshot.global_.completed == 0  # end-to-end is the PM's job
 
     def test_utilization_signal(self, env, node, metrics):
         submit(env, node, ex=4.0, dl=100.0)
         env.run(until=10.0)
-        assert metrics.snapshot(10.0).per_node[0].utilization == pytest.approx(0.4)
+        row = metrics.snapshot(10.0, [node]).per_node[0]
+        assert row.utilization == pytest.approx(0.4)
 
     def test_dispatch_count(self, env, node, metrics):
         for _ in range(3):
             submit(env, node, ex=0.5, dl=100.0)
         env.run()
-        assert metrics.snapshot(env.now).per_node[0].dispatched == 3
+        assert metrics.snapshot(env.now, [node]).per_node[0].dispatched == 3
 
 
 class TestAbortAtDispatch:
@@ -143,7 +144,7 @@ class TestAbortAtDispatch:
         assert doomed.timing.aborted
         assert doomed.timing.started_at is None
         assert handed_back == [(10.0, doomed)]
-        stats = metrics.snapshot(env.now).local
+        stats = metrics.snapshot(env.now, [abort_node]).local
         assert stats.aborted == 1
         assert stats.missed == 2  # the blocker itself finished tardy too
         assert stats.completed == 1  # only the blocker ran

@@ -17,7 +17,6 @@ and the equivalences it rests on:
 * nodes built alone keep their own listener and crash semantics;
 * the node's signal slots reproduce :class:`TimeWeighted` exactly,
   through service, preemption, crashes, recoveries and a warm-up reset;
-* nodes register with their collector in index order;
 * the least-outstanding placement files nodes that already hold work
   under their counts;
 * the positional ``NodeStats`` rows of a snapshot map every counter to
@@ -142,10 +141,11 @@ class TestTrackedObjectBudget:
 
     def test_the_run_keeps_one_node_list(self):
         simulation = Simulation(_fleet_config(8))
-        nodes = simulation.metrics.nodes
-        assert simulation.nodes is nodes
+        nodes = simulation.nodes
         assert simulation.process_manager.nodes is nodes
-        assert simulation.placement_policy.nodes is nodes
+        # Nothing a node reaches holds the node list.
+        assert not hasattr(simulation.metrics, "nodes")
+        assert not hasattr(simulation.placement_policy, "nodes")
 
 
 # -- snapshot budget ----------------------------------------------------------
@@ -156,8 +156,8 @@ def _ran_fleet(node_count: int):
     simulation = Simulation(_fleet_config(node_count))
     simulation.run()
     metrics = simulation.metrics
-    metrics.snapshot(simulation.env.now)  # import-time caches
-    return metrics, simulation.env.now
+    metrics.snapshot(simulation.env.now, simulation.nodes)  # import caches
+    return metrics, simulation.nodes, simulation.env.now
 
 
 class TestSnapshotBudget:
@@ -165,12 +165,12 @@ class TestSnapshotBudget:
     8-byte values per node and no per-node objects."""
 
     def test_snapshot_retains_at_most_80_bytes_per_node(self):
-        metrics, now = _ran_fleet(5000)
+        metrics, nodes, now = _ran_fleet(5000)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = metrics.snapshot(now)
+            result = metrics.snapshot(now, nodes)
             gc.collect()
             added = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -180,10 +180,10 @@ class TestSnapshotBudget:
 
     @pytest.mark.parametrize("node_count", [500, 5000])
     def test_snapshot_adds_at_most_50_tracked_objects(self, node_count):
-        metrics, now = _ran_fleet(node_count)
+        metrics, nodes, now = _ran_fleet(node_count)
         gc.collect()
         before = len(gc.get_objects())
-        result = metrics.snapshot(now)
+        result = metrics.snapshot(now, nodes)
         gc.collect()
         added = len(gc.get_objects()) - before
         assert len(result.per_node) == node_count
@@ -324,7 +324,7 @@ def test_signal_slots_equal_time_weighted_reference(
         now = env.now
         op = rng.random()
         if step == reset_step:
-            metrics.reset(now)
+            metrics.reset(now, [node])
             reference.reset(now)
         elif op < 0.3:
             timing = TimingRecord(
@@ -348,7 +348,7 @@ def test_signal_slots_equal_time_weighted_reference(
                 reference.down.update(0.0, now)
                 node.recover()
         else:
-            row = metrics.snapshot(now).per_node[0]
+            row = metrics.snapshot(now, [node]).per_node[0]
             assert _same(row.utilization, reference.busy.mean_at(now))
             assert _same(
                 row.mean_queue_length, reference.queue.mean_at(now)
@@ -364,7 +364,7 @@ def test_signal_slots_equal_time_weighted_reference(
     env.run()
     assert not node.busy and not node.queue_length
     now = env.now + 1.0
-    row = metrics.snapshot(now).per_node[0]
+    row = metrics.snapshot(now, [node]).per_node[0]
     assert row.utilization == reference.busy.mean_at(now)
     assert row.mean_queue_length == reference.queue.mean_at(now)
     assert row.downtime == reference.down.mean_at(now)
@@ -392,7 +392,7 @@ def test_idle_node_survives_queries_crash_and_recovery(env, node_cls):
     assert node._heap is _NO_WORK
     assert node.queue_length == 0 and not node.busy
     assert sum(metrics.node_lost) == 0
-    assert metrics.snapshot(1.0).per_node[0].utilization == 0.0
+    assert metrics.snapshot(1.0, [node]).per_node[0].utilization == 0.0
 
 
 @pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
@@ -421,10 +421,10 @@ def test_mostly_idle_fleet_outstanding_matches_placement(preemptive):
     placement = simulation.placement_policy
     for until in (0.25, 0.5, 1.0):
         env.run(until=until)
-        assert placement._outstanding() == placement._counts
+        assert placement._outstanding(simulation.nodes) == placement._counts
     idle = [n for n in simulation.nodes if n._heap is _NO_WORK]
     assert len(idle) > len(simulation.nodes) // 2
-    assert placement._outstanding()[idle[0].index] == 0
+    assert placement._outstanding(simulation.nodes)[idle[0].index] == 0
 
 
 @pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
@@ -464,7 +464,6 @@ def test_node_on_a_run_object_rejects_other_run_values(env):
     with pytest.raises(ValueError, match="NodeShared"):
         Node(env, 1, policy, metrics, overload_policy=NoAbort(),
              shared=shared)
-    assert len(metrics.nodes) == 1
 
 
 # -- least-outstanding placement --------------------------------------------
@@ -528,25 +527,10 @@ def test_positional_snapshot_maps_every_counter_to_its_field():
         )
         for i, node in enumerate(simulation.nodes)
     ]
-    assert metrics.snapshot(now).per_node == expected
+    assert metrics.snapshot(now, simulation.nodes).per_node == expected
 
 
 # -- guards -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
-def test_out_of_order_registration_is_rejected(env, node_cls):
-    metrics = MetricsCollector(3)
-    policy = EarliestDeadlineFirst()
-    with pytest.raises(ValueError, match="out of order"):
-        node_cls(env, 1, policy, metrics)
-    first = node_cls(env, 0, policy, metrics)
-    with pytest.raises(ValueError, match="out of order"):
-        node_cls(env, 0, policy, metrics)
-    with pytest.raises(ValueError, match="out of order"):
-        node_cls(env, 2, policy, metrics)
-    assert metrics.nodes == [first]
-    assert len(metrics.snapshot(1.0).per_node) == 1
 
 
 @pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])

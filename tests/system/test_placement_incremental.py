@@ -84,7 +84,7 @@ def _reference_pick(placement, outstanding, excluded, rng):
     live = placement.live
     if live is not None and live.live_count > 0:
         down_excluded = set(excluded) | {
-            i for i in range(len(placement.nodes)) if i not in live
+            i for i in range(len(outstanding)) if i not in live
         }
         ties = argmins(outstanding, down_excluded)
         if not ties:
@@ -107,10 +107,9 @@ def _unit(env, node_index, now):
     return WorkUnit(None, TaskClass.LOCAL, node_index, timing)
 
 
-def _check_counts(placement):
-    recomputed = placement._outstanding()
+def _check_counts(placement, nodes):
+    recomputed = placement._outstanding(nodes)
     assert placement._counts == recomputed
-    nodes = placement.nodes
     members: dict = {}
     downs: dict = {}
     live = placement.live
@@ -176,13 +175,13 @@ def test_incremental_counts_and_decisions_match_rescan(
                 live.mark_up(arg)
                 nodes[arg].recover()
         elif op == "pick_one":
-            outstanding = placement._outstanding()
+            outstanding = placement._outstanding(nodes)
             clone = _clone(placement._stream)
             expected = _reference_pick(placement, outstanding, set(), clone)
             assert placement.pick_one() == expected
             assert placement._stream.getstate() == clone.getstate()
         else:  # pick_distinct
-            outstanding = placement._outstanding()
+            outstanding = placement._outstanding(nodes)
             clone = _clone(placement._stream)
             expected = []
             excluded: set = set()
@@ -194,7 +193,7 @@ def test_incremental_counts_and_decisions_match_rescan(
                 expected.append(pick)
             assert placement.pick_distinct(arg) == expected
             assert placement._stream.getstate() == clone.getstate()
-        _check_counts(placement)
+        _check_counts(placement, nodes)
 
     # Drain everything still in flight: the incremental state must stay
     # consistent through the tail of completions too.
@@ -202,9 +201,9 @@ def test_incremental_counts_and_decisions_match_rescan(
         if i not in live:
             live.mark_up(i)
             nodes[i].recover()
-            _check_counts(placement)
+            _check_counts(placement, nodes)
     env.run(until=env.now + 1_000.0)
-    _check_counts(placement)
+    _check_counts(placement, nodes)
     assert placement._counts == [0] * node_count
 
 
@@ -228,13 +227,13 @@ def test_incremental_counts_without_live_set(node_count, data):
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "pick_one":
-            outstanding = placement._outstanding()
+            outstanding = placement._outstanding(nodes)
             clone = _clone(placement._stream)
             expected = _reference_pick(placement, outstanding, set(), clone)
             assert placement.pick_one() == expected
             assert placement._stream.getstate() == clone.getstate()
         elif op == "pick_distinct":
-            outstanding = placement._outstanding()
+            outstanding = placement._outstanding(nodes)
             clone = _clone(placement._stream)
             expected = []
             excluded: set = set()
@@ -247,4 +246,4 @@ def test_incremental_counts_without_live_set(node_count, data):
             assert placement.pick_distinct(arg) == expected
             assert placement._stream.getstate() == clone.getstate()
         # crash/recover ops are no-ops in the fault-oblivious variant
-        _check_counts(placement)
+        _check_counts(placement, nodes)

@@ -116,7 +116,8 @@ class TestPreemption:
         script(1.0, lambda: submit(env, node, ex=2.0, dl=5.0, name="urgent"))
         env.run(until=10.0)
         # Total service = 6 units over [0, 10]: no double counting.
-        assert metrics.snapshot(10.0).per_node[0].utilization == pytest.approx(0.6)
+        row = metrics.snapshot(10.0, [node]).per_node[0]
+        assert row.utilization == pytest.approx(0.6)
 
 
 class TestSameInstantArrivals:

@@ -35,7 +35,7 @@ def build_system(env, node_count=3, strategy="UD", overload=None):
 
 class TestSerialExecution:
     def test_stages_run_in_order_on_idle_nodes(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = serial(
             SimpleTask(1.0, node_index=0, name="s0"),
             SimpleTask(2.0, node_index=1, name="s1"),
@@ -43,7 +43,7 @@ class TestSerialExecution:
         )
         manager.submit(tree, deadline=20.0)
         env.run()
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.mean_response == 6.0  # arrived at t=0
         assert (stats.completed, stats.missed) == (1, 0)
         leaves = list(tree.leaves())
@@ -53,14 +53,14 @@ class TestSerialExecution:
         assert leaves[2].timing.ar == 3.0
 
     def test_end_to_end_miss_recorded(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = serial(
             SimpleTask(2.0, node_index=0),
             SimpleTask(2.0, node_index=1),
         )
         manager.submit(tree, deadline=3.0)  # needs 4 time units
         env.run()
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.completed == 1
         assert stats.missed == 1
 
@@ -101,12 +101,12 @@ class TestSerialExecution:
         assert dls == [pytest.approx(5.0), pytest.approx(7.0), pytest.approx(10.0)]
 
     def test_single_leaf_global_task(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         leaf = SimpleTask(1.5, node_index=0)
         manager.submit(leaf, deadline=10.0)
         env.run()
         assert leaf.timing.completed_at == 1.5
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.completed == 1
         assert stats.mean_response == 1.5
 
@@ -120,7 +120,7 @@ class TestSerialExecution:
 
 class TestParallelExecution:
     def test_group_finishes_with_last_branch(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = parallel(
             SimpleTask(1.0, node_index=0),
             SimpleTask(5.0, node_index=1),
@@ -128,7 +128,7 @@ class TestParallelExecution:
         )
         manager.submit(tree, deadline=20.0)
         env.run()
-        assert metrics.snapshot(env.now).global_.mean_response == 5.0
+        assert metrics.snapshot(env.now, nodes).global_.mean_response == 5.0
 
     def test_branches_fork_simultaneously(self, env):
         manager, _, _ = build_system(env)
@@ -165,7 +165,7 @@ class TestParallelExecution:
 
 class TestSerialParallelTrees:
     def test_nested_execution_times(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = serial(
             parallel(SimpleTask(2.0, node_index=0), SimpleTask(3.0, node_index=1)),
             parallel(SimpleTask(1.0, node_index=0), SimpleTask(4.0, node_index=2)),
@@ -174,7 +174,7 @@ class TestSerialParallelTrees:
         env.run()
         # Stage 1 finishes at max(2,3)=3; stage 2 at 3+max(1,4)=7.
         assert [leaf.timing.ar for leaf in tree.leaves()] == [0.0, 0.0, 3.0, 3.0]
-        assert metrics.snapshot(env.now).global_.mean_response == 7.0
+        assert metrics.snapshot(env.now, nodes).global_.mean_response == 7.0
 
     def test_eqf_div1_recursive_windows(self, env):
         manager, _, _ = build_system(env, strategy="EQF-DIV1")
@@ -194,14 +194,14 @@ class TestSerialParallelTrees:
             assert leaf.timing.dl == pytest.approx(7.0)
 
     def test_metrics_count_one_global_task(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         tree = serial(
             parallel(SimpleTask(1.0, node_index=0), SimpleTask(1.0, node_index=1)),
             SimpleTask(1.0, node_index=2),
         )
         manager.submit(tree, deadline=20.0)
         env.run()
-        assert metrics.snapshot(env.now).global_.completed == 1
+        assert metrics.snapshot(env.now, nodes).global_.completed == 1
 
 
 class TestAbortPropagation:
@@ -223,7 +223,7 @@ class TestAbortPropagation:
         # The second stage never ran.
         assert list(tree.leaves())[0].timing.aborted
         assert list(tree.leaves())[1].timing is None
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.aborted == 1
         assert stats.missed == 1
         assert stats.completed == 0
@@ -241,7 +241,7 @@ class TestAbortPropagation:
         )
         manager.submit(tree, deadline=2.0)
         env.run()
-        assert metrics.snapshot(env.now).global_.aborted == 1
+        assert metrics.snapshot(env.now, nodes).global_.aborted == 1
         # The healthy branch still ran to completion before the join.
         healthy = list(tree.leaves())[1]
         assert healthy.timing.completed_at == 1.0
@@ -265,23 +265,23 @@ class TestAbortedOutcomeValues:
         leaf = SimpleTask(1.0, node_index=0)
         manager.submit(leaf, deadline=2.0)
         env.run()
-        return leaf, metrics
+        return leaf, metrics, nodes
 
     def test_aborted_response_time_and_lateness_are_none(self, env):
         import math
 
-        leaf, metrics = self._aborted_outcome(env)
+        leaf, metrics, nodes = self._aborted_outcome(env)
         assert leaf.timing.aborted
         assert leaf.timing.completed_at is None
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert math.isnan(stats.p99_response)
         assert math.isnan(stats.p99_lateness)
 
     def test_aborted_task_leaves_response_stats_untouched(self, env):
         """The miss counters move, but no phantom response/lateness sample
         is folded into the means."""
-        _, metrics = self._aborted_outcome(env)
-        stats = metrics.snapshot(env.now).global_
+        _, metrics, nodes = self._aborted_outcome(env)
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.aborted == 1
         assert stats.missed == 1
         # No samples observed: the MeanTally means stay at their empty value.
@@ -291,10 +291,10 @@ class TestAbortedOutcomeValues:
         assert math.isnan(stats.mean_lateness)
 
     def test_completed_outcome_still_reports_timings(self, env):
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         manager.submit(SimpleTask(1.5, node_index=0), deadline=10.0)
         env.run()
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.mean_response == pytest.approx(1.5)
         assert stats.mean_lateness == pytest.approx(-8.5)
 
@@ -310,20 +310,20 @@ class TestSubmissionBookkeeping:
     def test_submit_returns_none_and_records_metrics(self, env):
         """Nothing waits on a global task: ``submit`` returns nothing, and
         the end-to-end outcome lands in the metrics."""
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         assert manager.submit(
             SimpleTask(0.5, node_index=0), deadline=50.0
         ) is None
         env.run()
         assert manager.submitted == 1
-        assert metrics.snapshot(env.now).global_.completed == 1
+        assert metrics.snapshot(env.now, nodes).global_.completed == 1
 
     def test_past_deadline_accepted(self, env):
         """A soft real-time system accepts already-hopeless tasks."""
-        manager, metrics, _ = build_system(env)
+        manager, metrics, nodes = build_system(env)
         manager.submit(SimpleTask(1.0, node_index=0), deadline=-5.0)
         env.run()
-        stats = metrics.snapshot(env.now).global_
+        stats = metrics.snapshot(env.now, nodes).global_
         assert stats.completed == 1
         assert stats.missed == 1
 

@@ -39,7 +39,7 @@ def _advance(simulation: Simulation, pauses) -> None:
     config = simulation.config
     if config.warmup_time > 0:
         simulation.env.run(until=config.warmup_time)
-        simulation.metrics.reset(simulation.env.now)
+        simulation.metrics.reset(simulation.env.now, simulation.nodes)
     for stop in pauses:
         simulation.env.run(until=stop)
 
@@ -49,7 +49,9 @@ def _paused_run(config, pauses):
     simulation = Simulation(config)
     _advance(simulation, pauses)
     simulation.env.run(until=config.sim_time)
-    return simulation.metrics.snapshot(simulation.env.now)
+    return simulation.metrics.snapshot(
+        simulation.env.now, simulation.nodes
+    )
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +100,8 @@ def test_sketch_state_is_identical_at_the_pause():
 
     for simulation in (once, many):
         simulation.env.run(until=config.sim_time)
-    first = once.metrics.snapshot(once.env.now)
-    second = many.metrics.snapshot(many.env.now)
+    first = once.metrics.snapshot(once.env.now, once.nodes)
+    second = many.metrics.snapshot(many.env.now, many.nodes)
     assert first == second
     assert first.local.p99_response == second.local.p99_response
     assert first.global_.p99_lateness == second.global_.p99_lateness

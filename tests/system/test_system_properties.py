@@ -91,7 +91,7 @@ def test_idle_system_completion_equals_critical_path(tree):
     )
     manager.submit(tree, deadline=10_000.0)
     env.run()
-    stats = metrics.snapshot(env.now).global_
+    stats = metrics.snapshot(env.now, nodes).global_
     assert stats.mean_response == pytest.approx(tree.total_ex())
 
 
@@ -104,7 +104,7 @@ def test_all_leaves_execute_exactly_once(tree):
     for leaf in tree.leaves():
         assert leaf.timing is not None
         assert leaf.timing.finished
-    assert metrics.snapshot(env.now).global_.completed == 1
+    assert metrics.snapshot(env.now, manager.nodes).global_.completed == 1
 
 
 @given(trees(), st.sampled_from(["ED", "EQS", "EQF"]))

@@ -193,7 +193,7 @@ class TestLocalTaskSource:
         env.run(until=2_000.0)
         # Expect about rate * horizon = 1000 arrivals.
         assert source.generated == pytest.approx(1_000, rel=0.15)
-        stats = metrics.snapshot(env.now).local
+        stats = metrics.snapshot(env.now, [node]).local
         assert stats.completed > 0
 
     def test_deadline_identity_on_generated_units(
