@@ -680,6 +680,234 @@ class TestDetectorRunsGolden:
         assert _sha256(repr(result)) == _DETECTOR_TIE_PINS[variant]
 
 
+#: sha256 of ``repr(RunResult)`` of ``steady-churn`` faults with a short
+#: (0.5) and a long (3.0) ``retry_timeout``, with and without
+#: ``retry_backoff``, over every task shape on plain and preemptive
+#: nodes, seeds 1-3, at sim_time 3000 (warm-up 300).  A 0.5 timeout
+#: expires most attempts, so nearly every leaf retries and many fail;
+#: without backoff the retry is dispatched from inside the expiry; and a
+#: parallel fork launches its branches, and so sets their deadlines, at
+#: one instant.
+_RETRY_PINS = {
+    ("serial", "plain", 0.5, 0.0, 1):
+        "067d347de20e02c2edcd59ff1fb7b879635264766e91ce976f98bc2a8194504c",
+    ("serial", "plain", 0.5, 0.0, 2):
+        "bc7dae7cb8dc29749b4c0def6afca045b3f54601cfad9bcf8875c843707ebbd9",
+    ("serial", "plain", 0.5, 0.0, 3):
+        "3df7f72f5f775cf8d82665627739c1f5822f6863406eca59250322fb67a4208b",
+    ("serial", "plain", 0.5, 1.0, 1):
+        "9a2d877e9843d2cbdc821588e146fdcbe7b7820b21bae3f6a894e748e7ad1d6c",
+    ("serial", "plain", 0.5, 1.0, 2):
+        "e64f877f3f850c9b0cf1c74d4f99d986cebc265e2893cf55c7dce2217c584251",
+    ("serial", "plain", 0.5, 1.0, 3):
+        "4d331c074811535d46513a73198fcd3c7ced999fe88972692f3d16e45c8a8845",
+    ("serial", "plain", 3.0, 0.0, 1):
+        "4315bb0ce851242eb34d4dc9fb13456a2c42a4789d852dfffb86ac1c7d8b91f1",
+    ("serial", "plain", 3.0, 0.0, 2):
+        "ae3a17f340c24cb146d13e9905836325d443d894179f9a709e69b5ddce8fe4e9",
+    ("serial", "plain", 3.0, 0.0, 3):
+        "12ef4486d739a8f7057894d8f1e39899f708e752b9e11b98959ac1e70da7bf80",
+    ("serial", "plain", 3.0, 1.0, 1):
+        "88f3fdca487d2d46eb6bdbe279b6e606f4c13b474e564a0d64b0690fd02a34e0",
+    ("serial", "plain", 3.0, 1.0, 2):
+        "17f1b558ae099732946e7c38560673cff267e4d6b9e8c52b60d44796056ca5d3",
+    ("serial", "plain", 3.0, 1.0, 3):
+        "5da3cc445ae1456dc0f84a03bfb48b5b4beab1c0b62ac6be399d8b383c8eeb62",
+    ("serial", "preemptive", 0.5, 0.0, 1):
+        "2ae6f81d322da676762744971a703070147711d4c90d310a43553d3245052726",
+    ("serial", "preemptive", 0.5, 0.0, 2):
+        "8b90e58c29fec0d7e21c2838fed0035544315c8fe4b8ccf341e966e70c457329",
+    ("serial", "preemptive", 0.5, 0.0, 3):
+        "d5992b59d9d2447146d630233967594b20ca2f38d5f2376dd9cb0028a39e3479",
+    ("serial", "preemptive", 0.5, 1.0, 1):
+        "ba443f5462bd693669a2c0cbc331ace3d0f9133222f5871b48081532d2f92241",
+    ("serial", "preemptive", 0.5, 1.0, 2):
+        "24f238567b22197677d3dcf32b5d67c4be391b427f354d1207b0581a47867fe1",
+    ("serial", "preemptive", 0.5, 1.0, 3):
+        "eb90d862d4495eb81acd5ddc5e76279e5cf5133aaa4a39dbedbb5c49c35d8e40",
+    ("serial", "preemptive", 3.0, 0.0, 1):
+        "35d021bb8a054bfd5b4c660466c15dbe2f5f4a4d33524c22ea436d4da5a136e6",
+    ("serial", "preemptive", 3.0, 0.0, 2):
+        "2a21d562b776cda39f1b9dcf512ddabb960077d319b4000fe3ba959bccd6800f",
+    ("serial", "preemptive", 3.0, 0.0, 3):
+        "afd884ec682a74ddd0e219af6487c4d672c34aa884a52ee293d0c9ef9f0fc846",
+    ("serial", "preemptive", 3.0, 1.0, 1):
+        "b9130758d1b985b3da5080d0015c27777ae0c19c5b6b64f66e63ee8f3089522b",
+    ("serial", "preemptive", 3.0, 1.0, 2):
+        "62ddc41bc9c2a1e2df9a966a35b809b26db3eff0a6567ae610a8b52957aac4e5",
+    ("serial", "preemptive", 3.0, 1.0, 3):
+        "5551d1ae7155ad41a2c8c0aae794ac556b315f240c2ef57fe2750daf69f8f58f",
+    ("parallel", "plain", 0.5, 0.0, 1):
+        "ea3be2e269879e24b0901d3ee6ef52ffd069ff5f1fe24c80f8b3678f8bb6db7b",
+    ("parallel", "plain", 0.5, 0.0, 2):
+        "15e559a03d646e697631dfa1c711f67f466d7579ae59b82d8fc67e115284fe15",
+    ("parallel", "plain", 0.5, 0.0, 3):
+        "79e37087156a19ee0aa8401f02f6ca8c0ec295a8d32bfc2a4ac71ae4f68482d5",
+    ("parallel", "plain", 0.5, 1.0, 1):
+        "4ce3759028ea3282174a2e9804e3beef5379f95195ba681f585eebb8b1747823",
+    ("parallel", "plain", 0.5, 1.0, 2):
+        "c93a237b3cb2fc625df3e5dd792b5a3014f4b407dfe884633beba6b51c56ea0e",
+    ("parallel", "plain", 0.5, 1.0, 3):
+        "b7789448b96fa2beb8e3482e91ee550111fe1beb491cb964a2701681c627e0f7",
+    ("parallel", "plain", 3.0, 0.0, 1):
+        "4b184fa123bfb949b1e3d894c9526395c6994557d0a8fb285d3fbb22bd95e0b4",
+    ("parallel", "plain", 3.0, 0.0, 2):
+        "290101dff2020658c82e23cf3f012217009a82532f1f92a980fe43c2bd116534",
+    ("parallel", "plain", 3.0, 0.0, 3):
+        "289e31d0f97d180c529e25a2e5169c010bad8ee171bb330c31708f2880e24b95",
+    ("parallel", "plain", 3.0, 1.0, 1):
+        "63dab36137284c4f1dec3c56002e690d6bc8e26322e9cc37ab76ea30cdc88675",
+    ("parallel", "plain", 3.0, 1.0, 2):
+        "bb79284f940a9c2ee0a6a0aa87061259c2023ccff14d7672e7456672cee24f45",
+    ("parallel", "plain", 3.0, 1.0, 3):
+        "46d8c609fac18cdb1099a1d200555732604233bae820b0b0bd008928d12bb3bd",
+    ("parallel", "preemptive", 0.5, 0.0, 1):
+        "8570a389dc587b8bf60542a954d8760f1010c388077d61f12f20a0f91e96f633",
+    ("parallel", "preemptive", 0.5, 0.0, 2):
+        "6982f16a3ec7eb269b2921fca7c1b06d362046f57f7d425974ca5b841f706e46",
+    ("parallel", "preemptive", 0.5, 0.0, 3):
+        "ec7671c7fbb67d85463b7d5959f8c6b0e1d70f1a2de83f4fe36e7482589692ae",
+    ("parallel", "preemptive", 0.5, 1.0, 1):
+        "20833b56afd2499749ffddc5680cc9af3fc12d4ef9e06ecb2a377810137068fa",
+    ("parallel", "preemptive", 0.5, 1.0, 2):
+        "6f17e6a3ffa7f783c160486bac0adf7f3a491e5c8e82baf65a154dbb0d941873",
+    ("parallel", "preemptive", 0.5, 1.0, 3):
+        "2af559124950bd1ce09628a6dc61906ee69b8f706c9b7e89f340fd4486cdc915",
+    ("parallel", "preemptive", 3.0, 0.0, 1):
+        "a67d8dfae742fb92cb36e3918762f4516f6dd93c2104f864b57c75130420f3b5",
+    ("parallel", "preemptive", 3.0, 0.0, 2):
+        "72dea995870ccfb0a2683e024be94b2d3a33bf7a137638e81a453b85151622d7",
+    ("parallel", "preemptive", 3.0, 0.0, 3):
+        "08bfd993229b364dbaa621cbbf5f3076b30c532f170452371eb6c3f5a084e42e",
+    ("parallel", "preemptive", 3.0, 1.0, 1):
+        "c47c8da875bfdbcb848ceb5a641e8eae007da66af17890685ddef72ba66a0e53",
+    ("parallel", "preemptive", 3.0, 1.0, 2):
+        "952c2ff47439eb9b210926be3187d05465dbc5433913dbeab7e9255f21b0975f",
+    ("parallel", "preemptive", 3.0, 1.0, 3):
+        "306572d0d2c427ec17e1998f4cfc3fefa9bc764e8ea38a99e997f7637cf93d23",
+    ("serial-parallel", "plain", 0.5, 0.0, 1):
+        "0c9fefdf90cb6bd98c9c711f87895cb2b19363dc7583d6732aa615e158c26042",
+    ("serial-parallel", "plain", 0.5, 0.0, 2):
+        "2712b7c692c3f41ffa6ee3a41684546f52369d7e0d5b564e45336be5caf92068",
+    ("serial-parallel", "plain", 0.5, 0.0, 3):
+        "3271af2490f90be16cf1f052e3ac4d90941a36b018a49c217a336c28786a7ccc",
+    ("serial-parallel", "plain", 0.5, 1.0, 1):
+        "41d9a3fcfe31cafffe9168ea77b5756ca78c903a6f623d6ee8c91c0a716194f7",
+    ("serial-parallel", "plain", 0.5, 1.0, 2):
+        "8d9a3cf2c46043a34828e7166b926b8cf49d57f2a8eb8d8ce90911987b5d1053",
+    ("serial-parallel", "plain", 0.5, 1.0, 3):
+        "9b06bef1b6b3b1a900c98223b379323f11842283a5a1bdf5797a495a1e411ec5",
+    ("serial-parallel", "plain", 3.0, 0.0, 1):
+        "3e02558e71df972a1b339f9e51e35502079ac778244b0b20509fabe8b8ad4aca",
+    ("serial-parallel", "plain", 3.0, 0.0, 2):
+        "4cf10b782476c8fe9a2199df114a8d13fea6422122d86a8c1e7719ff8e77727b",
+    ("serial-parallel", "plain", 3.0, 0.0, 3):
+        "9204a75f2fe581b30d6fdff98147dd8f50bc4c0b8884a42294844390b80064eb",
+    ("serial-parallel", "plain", 3.0, 1.0, 1):
+        "0518c4e8cc1e4e551d11859a74a36e50e882172d1b33b383457eb7c29a42cd16",
+    ("serial-parallel", "plain", 3.0, 1.0, 2):
+        "c5f48cf652c21e6011812dcc6c1c859aaa482f60bf060b17b5fed2f1f9c5f102",
+    ("serial-parallel", "plain", 3.0, 1.0, 3):
+        "861153e393739169f84d3ba3d85516ecc601c08eaacb0688c8a78e5c7ce462a2",
+    ("serial-parallel", "preemptive", 0.5, 0.0, 1):
+        "175b372a22f249d47fea292ffb42c89c04dd5e1c173afacd0594b56dc68d71f1",
+    ("serial-parallel", "preemptive", 0.5, 0.0, 2):
+        "42af96a0dd1dfed615ee9484d83e640bbd67b8eba47e2593576806ab7e91c924",
+    ("serial-parallel", "preemptive", 0.5, 0.0, 3):
+        "2044f9bd69c4c4873e926e3f4530eac53bc53b2450e6653ce9bd6e38ad32235b",
+    ("serial-parallel", "preemptive", 0.5, 1.0, 1):
+        "8027e74d8bdaa047286a2554860095f66ee983b4447ddf566143b0318a4beecf",
+    ("serial-parallel", "preemptive", 0.5, 1.0, 2):
+        "37ddc289b7ae7c3afda9001df7db1b314607438941a5197d12a2af70731d22d2",
+    ("serial-parallel", "preemptive", 0.5, 1.0, 3):
+        "0f5beda7b69f958d5258ec3f1ae076a15857f55a4e6a5ad57979091ebc81c239",
+    ("serial-parallel", "preemptive", 3.0, 0.0, 1):
+        "d4b9561715a4b44f94038f61776ca81c7a96e713423c6d1e44f0866152174fd5",
+    ("serial-parallel", "preemptive", 3.0, 0.0, 2):
+        "1c3bb5f37f7728f249f728f036360af66120b63ac6f7dc9dd0995a14e9d36f3a",
+    ("serial-parallel", "preemptive", 3.0, 0.0, 3):
+        "c8cef0c2c0656be7d59365033e4e7b73202c5348ed08cb3bb7ad81dcd363bb48",
+    ("serial-parallel", "preemptive", 3.0, 1.0, 1):
+        "04e694117e9dbdf910c38174a176c51c4cae1961c2218bfabdd17108aa217591",
+    ("serial-parallel", "preemptive", 3.0, 1.0, 2):
+        "c52ab4cdc3c64422c8ef9128c1664b076503a065f6b0cddba31f1bad153df181",
+    ("serial-parallel", "preemptive", 3.0, 1.0, 3):
+        "70d965bafc8e117927fa84708765fafa810e01dc4cbda6be19be8063a5e09dd6",
+}
+
+#: ``detector-preemptive`` (EQF, same run length) with an instant
+#: misroute bounce: a submit to an unsuspected dead node re-routes from
+#: inside the dispatch that found it.
+_RETRY_MISROUTE_PINS = {
+    1: "c626a4639bc5c6eea55d8adadae862c1d186089b37aa978e141efaf7d7c3cdd4",
+    2: "1c4447b471eb4d492cd6fe6b8f1151b009ff5853984653a2ff0ba86eb739fdd8",
+    3: "81b105ccbd158a0e01bc7e31de99df16a19c8c561d37aab21f164f1e81615d78",
+}
+
+RETRY_SIM_TIME = 3_000.0
+RETRY_WARMUP = 300.0
+
+#: The run overrides of each task shape (its strategy included).
+_RETRY_SHAPES = {
+    "serial": dict(strategy="EQF"),
+    "parallel": dict(task_structure="parallel", strategy="DIV-1"),
+    "serial-parallel": dict(
+        task_structure="serial-parallel", stages=2, stage_width=2,
+        strategy="EQF-DIV1",
+    ),
+}
+
+
+def _retry_config(shape, kind, timeout, backoff, seed):
+    import dataclasses
+
+    from repro.scenarios import get_scenario
+
+    config = get_scenario("steady-churn").to_config(
+        sim_time=RETRY_SIM_TIME, warmup_time=RETRY_WARMUP, seed=seed,
+        preemptive=kind == "preemptive", **_RETRY_SHAPES[shape],
+    )
+    return config.with_(faults=dataclasses.replace(
+        config.faults, retry_timeout=timeout, retry_backoff=backoff,
+    ))
+
+
+def _retry_misroute_config(seed):
+    import dataclasses
+
+    from repro.scenarios import get_scenario
+
+    config = get_scenario("detector-preemptive").to_config(
+        sim_time=RETRY_SIM_TIME, warmup_time=RETRY_WARMUP, seed=seed,
+        strategy="EQF",
+    )
+    return config.with_(detector=dataclasses.replace(
+        config.detector, misroute_delay=0.0,
+    ))
+
+
+class TestRetryRunsGolden:
+    """Retry-heavy runs, pinned bit for bit.
+
+    Every expiry of a retry timeout, every settled attempt and every
+    resubmission feeds the outcome, so any change to when an attempt
+    times out -- including the order of same-instant expiries and the
+    continuations around them -- moves these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "key", sorted(_RETRY_PINS), ids=lambda key: "-".join(map(str, key)),
+    )
+    def test_retry_run_exact(self, key):
+        result = simulate(_retry_config(*key))
+        assert _sha256(repr(result)) == _RETRY_PINS[key]
+
+    @pytest.mark.parametrize("seed", sorted(_RETRY_MISROUTE_PINS))
+    def test_instant_misroute_run_exact(self, seed):
+        result = simulate(_retry_misroute_config(seed))
+        assert _sha256(repr(result)) == _RETRY_MISROUTE_PINS[seed]
+
+
 class TestEmissionIsObservationOnly:
     """Metric emission must never perturb the simulation it observes.
 

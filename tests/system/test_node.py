@@ -164,6 +164,113 @@ class TestAbortAtDispatch:
         assert survivor.timing.started_at == 10.0  # right after blocker
 
 
+class _Log:
+    """A tracer that also takes the continuations' entries: one ordered
+    record of what the nodes and the continuations did."""
+
+    def __init__(self, env):
+        self.env = env
+        self.entries = []
+
+    def record(self, now, kind, unit, index):
+        self.entries.append((now, kind, unit.name))
+
+    def continuation(self, name):
+        # Ignores its argument: only the moment it runs is recorded.
+        return lambda _arg: self.entries.append(
+            (self.env.now, "continue", name)
+        )
+
+
+class TestSameInstantCompletions:
+    """Two units complete at one instant on two nodes.
+
+    A's continuation submits an urgent unit ``x`` to B.  The rule is that
+    every completion due at an instant, and the dispatch each node makes
+    after it, runs before any of that instant's continuations: so B
+    picks its queued ``b2`` before ``x`` exists, and the continuations
+    run in completion order.
+    """
+
+    EXPECTED = {
+        Node: [
+            (1.0, "complete", "a1"),
+            (1.0, "complete", "b1"),
+            (1.0, "dispatch", "b2"),
+            (1.0, "continue", "a1"),
+            (1.0, "submit", "x"),
+            (1.0, "continue", "b1"),
+            (2.0, "complete", "b2"),
+            (2.0, "dispatch", "x"),
+            (3.0, "complete", "x"),
+        ],
+        # ``x`` preempts ``b2`` from inside A's continuation; the
+        # preemption poke runs before B's continuation.
+        PreemptiveNode: [
+            (1.0, "complete", "a1"),
+            (1.0, "complete", "b1"),
+            (1.0, "dispatch", "b2"),
+            (1.0, "continue", "a1"),
+            (1.0, "submit", "x"),
+            (1.0, "preempt", "b2"),
+            (1.0, "dispatch", "x"),
+            (1.0, "continue", "b1"),
+            (2.0, "complete", "x"),
+            (2.0, "dispatch", "b2"),
+            (3.0, "complete", "b2"),
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "node_cls", [Node, PreemptiveNode], ids=["node", "preemptive"]
+    )
+    def test_continuations_follow_every_same_instant_completion(
+        self, env, node_cls
+    ):
+        metrics = MetricsCollector(node_count=2)
+        log = _Log(env)
+        metrics.tracer = log
+        a, b = (
+            node_cls(env=env, index=i, policy=EarliestDeadlineFirst(),
+                     metrics=metrics)
+            for i in range(2)
+        )
+
+        def unit(name, node, dl, on_done=None):
+            return WorkUnit(
+                name=name, task_class=TaskClass.LOCAL, node_index=node.index,
+                timing=TimingRecord(ar=env.now, ex=1.0, dl=dl),
+                on_done=on_done,
+            )
+
+        def continue_a1(_arg):
+            log.entries.append((env.now, "continue", "a1"))
+            b.submit(unit("x", b, dl=1.5))
+
+        a.submit(unit("a1", a, dl=10.0, on_done=continue_a1))
+        b.submit(unit("b1", b, dl=10.0, on_done=log.continuation("b1")))
+        b.submit(unit("b2", b, dl=50.0))
+        env.run()
+        entries = [e for e in log.entries if e[0] > 0.0]
+        assert entries == self.EXPECTED[node_cls]
+
+    def test_lone_completion_dispatches_before_its_continuation(
+        self, env, node, metrics
+    ):
+        log = _Log(env)
+        metrics.tracer = log
+        submit(env, node, ex=1.0, dl=5.0, name="first",
+               on_done=log.continuation("first"))
+        submit(env, node, ex=1.0, dl=9.0, name="second")
+        env.run()
+        assert [e for e in log.entries if e[0] > 0.0] == [
+            (1.0, "complete", "first"),
+            (1.0, "dispatch", "second"),
+            (1.0, "continue", "first"),
+            (2.0, "complete", "second"),
+        ]
+
+
 class TestCompletionChannel:
     """``on_done`` is a unit's only completion channel: every way a node
     finishes with a unit hands it to that callback exactly once, a unit
