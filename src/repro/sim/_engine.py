@@ -16,12 +16,15 @@ Design rules
   entry is dispatched as ``event.callback(event)``.  So:
 
   - the heap holds pooled :class:`_Sleep` timers, NORMAL
-    :class:`_Call` entries (``on_done`` continuations, the run-horizon
-    sentinel), the workload sources, each its own next arrival, and
-    preemptive nodes, each its own idle wake-up;
-  - the urgent deque holds URGENT :class:`_Call` entries and the
-    nodes: a non-preemptive node as its own idle wake-up, a preemptive
-    node as its own preemption poke.
+    :class:`_Call` entries (deferred ``on_done`` continuations, the
+    run-horizon sentinel), the workload sources, each its own next
+    arrival, and preemptive nodes, each its own idle wake-up.  A
+    completion calls its continuation in place unless another event is
+    due at its instant, so only those, and the continuations of
+    dispatch aborts, crash losses and exhausted retries, are heap calls;
+  - the urgent deque holds URGENT :class:`_Call` entries (a global
+    task's start kick) and the nodes: a non-preemptive node as its own
+    idle wake-up, a preemptive node as its own preemption poke.
 
   A node or a source is not a :class:`_Sleep` and has a class-level
   ``callback`` (its dispatch or arrival step), so it needs no wrapper
@@ -32,7 +35,7 @@ Design rules
   monotone sequence number as the FIFO tie-break.
 * **The urgent queue is a deque, not heap entries.**  Kernel
   bookkeeping scheduled "at the current instant, ahead of normal
-  events" (node wake-ups, preemption pokes, deferred continuations) never
+  events" (node wake-ups, preemption pokes, start kicks) never
   touches the heap: it lands on a FIFO deque drained before every heap
   pop.  This is order-equivalent to the old ``(time, URGENT, seq)``
   entries — an urgent event always beat every heap entry at the same
@@ -146,8 +149,8 @@ class _Sleep:
 class _Call:
     """A bare single-callback bookkeeping event (``_schedule_call``).
 
-    The kernel's "call this at the current time" primitive: deferred
-    ``on_done`` continuations are one callback with a payload -- no
+    The kernel's "call this at the current time" primitive: a deferred
+    ``on_done`` continuation is one callback with a payload -- no
     lifecycle, no ``env`` backref.  Dispatching one is two slot reads
     and a call.  (Node wake-ups and preemption pokes need no ``_Call``:
     a node is its own event; see the module docstring.)

@@ -9,8 +9,17 @@ matching the paper's "open system" assumption.
 The server sleeps while the queue is empty, picks the highest-priority
 unit otherwise, optionally consults the overload policy
 (abort-at-dispatch), serves the unit for its *real* execution time, and
-schedules the unit's ``on_done`` continuation (a unit without one is
+hands the unit to its ``on_done`` continuation (a unit without one is
 dropped once its outcome is recorded).
+
+The same-instant rule: a node picks its next unit before a finished
+unit's continuation runs, and every event already due at the finishing
+instant runs before it too.  A completion with nothing else due at its
+instant therefore calls the continuation itself, right after the next
+dispatch: that is exactly when a deferred continuation would have run.
+Otherwise -- and for dispatch aborts and crash losses, which happen
+mid-loop -- the continuation is deferred as a NORMAL heap entry through
+:func:`defer_continuation`.
 
 Hot-path notes
 --------------
@@ -22,8 +31,8 @@ generator process, no coroutine switch, and no idle-wakeup event),
 collaborator state is bound once, the overload hook is skipped entirely
 under the ``NoAbort`` baseline, trace calls are guarded by a tracer
 ``None`` check (tracing off must cost nothing), monitor updates are
-inlined, and a completion schedules an event only for units whose
-submitter installed an ``on_done`` continuation.  The preemptive
+inlined, and a completion adds no event for its continuation unless
+another event is due at the same instant.  The preemptive
 subclass is a callback machine too, built on cancellable kernel timers
 (see :mod:`repro.system.preemptive`); no node kind runs a generator
 server.
@@ -61,7 +70,7 @@ import itertools
 import math
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Iterable, Optional, Set
+from typing import Any, Callable, Iterable, Optional, Set
 
 from ..sim.core import NORMAL, Environment
 from .metrics import MetricsCollector
@@ -127,6 +136,20 @@ class NodeShared:
         #: The collector's measured-window preemption counters (zeroed in
         #: place at the warm-up reset), read by the preemptive node.
         self.preempt_counts = metrics.node_preemptions
+
+
+def defer_continuation(
+    env: Environment, on_done: Callable[[Any], None], unit: Any
+) -> None:
+    """Call ``on_done(unit)`` from a NORMAL heap entry at the current
+    instant: after every event already due now, in schedule order."""
+    env._schedule_call(_run_continuation, (on_done, unit), NORMAL)
+
+
+def _run_continuation(call) -> None:
+    """The one callback of every deferred continuation."""
+    on_done, unit = call._value
+    on_done(unit)
 
 
 def shared_states(nodes: Iterable["Node"]) -> Set[NodeShared]:
@@ -348,9 +371,7 @@ class Node:
                     listener(self)
                 on_done = unit.on_done
                 if on_done is not None:
-                    env._schedule_call(
-                        on_done, value=unit, priority=NORMAL
-                    )
+                    defer_continuation(env, on_done, unit)
                 continue
 
             self._busy = True
@@ -416,11 +437,20 @@ class Node:
             listener(self)
         on_done = unit.on_done
         if on_done is not None:
-            # Deferred as a NORMAL heap entry (one sequence key) so the
-            # continuation cannot reorder the node's own next dispatch or
-            # any other same-instant event.
-            env._schedule_call(on_done, value=unit, priority=NORMAL)
+            queue = env._queue
+            if queue and queue[0][0] == now:
+                # Another event is due at this instant: run after it, as
+                # a NORMAL heap entry drawn here, ahead of whatever the
+                # next dispatch schedules.
+                defer_continuation(env, on_done, unit)
+                on_done = None
         self._dispatch_next()
+        if on_done is not None:
+            # Nothing else is due now, the urgent deque is empty (this
+            # runs from a heap pop) and whatever the dispatch scheduled
+            # sorts after a deferred entry would have: the deferred call
+            # would run next, so run it here.
+            on_done(unit)
 
     # -- fault machinery ------------------------------------------------------
 
@@ -547,7 +577,7 @@ class Node:
         metrics.record_unit_completion(unit)
         on_done = unit.on_done
         if on_done is not None:
-            shared.env._schedule_call(on_done, value=unit, priority=NORMAL)
+            defer_continuation(shared.env, on_done, unit)
 
     def __repr__(self) -> str:
         return (

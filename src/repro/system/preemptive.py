@@ -53,9 +53,9 @@ from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from ..sim.core import NORMAL, Environment
+from ..sim.core import Environment
 from .metrics import MetricsCollector
-from .node import _NO_WORK, Node, NodeShared
+from .node import _NO_WORK, Node, NodeShared, defer_continuation
 from .overload import OverloadPolicy
 from .schedulers import SchedulingPolicy
 from .work import WorkUnit
@@ -243,7 +243,7 @@ class PreemptiveNode(Node):
                     listener(self)
                 on_done = unit.on_done
                 if on_done is not None:
-                    env._schedule_call(on_done, value=unit, priority=NORMAL)
+                    defer_continuation(env, on_done, unit)
                 continue
 
             demand = remaining.get(unit, timing.ex)

@@ -26,10 +26,11 @@ Hot-path notes
 --------------
 
 Coordination is a callback state machine, mirroring the node servers.
-Each leaf's completion (a lightweight kernel callback scheduled by the
-node, see :attr:`~repro.system.work.WorkUnit.on_done`) drives the
-next serial stage directly through a chain of small *continuation
-frames*:
+Each leaf's completion (the unit's
+:attr:`~repro.system.work.WorkUnit.on_done`, which the node calls with
+the unit -- in place when nothing else is due at that instant, see
+:mod:`repro.system.node`) drives the next serial stage directly
+through a chain of small *continuation frames*:
 
 * :class:`_TaskRun` is the root frame -- it records the end-to-end
   outcome when the tree finishes;
@@ -43,21 +44,29 @@ rather than an exception: a parallel join must wait for *all* branches
 (the group's outcome is decided by the last finisher), so an exception
 unwinding through the join would tear it down early.
 
+Retry timeouts: ``retry_timeout`` is one constant per run, so attempt
+deadlines fall due in launch order.  The manager keeps them in one FIFO
+with the kernel sequence number each would have had as its own timer,
+and one timer sits at the oldest live deadline's ``(time, seq)`` key:
+attempts time out at the same keys as with a timer each, and a
+completion cancels nothing.
+
 The paper does not model the manager's own resource consumption ("this
 consumption can be considered as additional subtasks"); neither do we.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import count
-from typing import Iterator, Optional, Sequence
+from typing import Deque, Iterator, Optional, Sequence, Tuple
 
 from ..core.strategies import DeadlineAssigner
 from ..core.task import ParallelTask, SerialTask, SimpleTask, TaskClass, TaskNode
 from ..core.timing import fast_timing
-from ..sim.core import NORMAL, Environment, _Call
+from ..sim.core import Environment, _Call
 from .metrics import MetricsCollector
-from .node import Node
+from .node import Node, defer_continuation
 from .work import WorkUnit
 
 
@@ -65,17 +74,17 @@ class _Continuation:
     """Shared leaf-completion plumbing for the coordination frames.
 
     Every frame exposes ``child_done(aborted)`` (called directly by child
-    frames) and ``_on_unit`` (the kernel callback attached to leaf work
-    units via :attr:`WorkUnit.on_done`; the event's value is the unit).
-    A frame never stores a bound method of itself: the launching code
-    binds ``_on_unit`` when it builds a leaf's unit, so a frame is freed
-    by reference counting once its last unit completes.
+    frames) and ``_on_unit`` (the continuation attached to leaf work
+    units via :attr:`WorkUnit.on_done`, called with the unit).  A frame
+    never stores a bound method of itself: the launching code binds
+    ``_on_unit`` when it builds a leaf's unit, so a frame is freed by
+    reference counting once its last unit completes.
     """
 
     __slots__ = ()
 
-    def _on_unit(self, event: _Call) -> None:
-        self.child_done(event._value.timing.aborted)
+    def _on_unit(self, unit: WorkUnit) -> None:
+        self.child_done(unit.timing.aborted)
 
 
 class _TaskRun(_Continuation):
@@ -244,8 +253,8 @@ class _FailedResult:
     """Sentinel delivered to a continuation frame when a leaf's retry
     budget is exhausted.
 
-    Continuation frames read ``event._value.timing.aborted`` off whatever
-    the event carries; this object satisfies that contract without a real
+    Continuation frames read ``unit.timing.aborted`` off whatever they
+    are called with; this object satisfies that contract without a real
     work unit (there is no unit -- the last attempt was lost or timed
     out, and no further attempt was made).
     """
@@ -275,6 +284,12 @@ class _LeafAttempt:
     latched as failed.  Overload-policy aborts pass through untouched --
     the policy judged the work useless, and retrying it would be a bug.
 
+    Under a retry timeout each submitted attempt puts its deadline in
+    the manager's FIFO (see :meth:`ProcessManager._expire`) and holds no
+    timer: the attempt is live while ``current`` is that attempt's unit,
+    so a completion or an earlier timeout settles the deadline without
+    touching it.
+
     Misroute recovery (detector mode): placement routes on the
     detector's *observed* :class:`~repro.system.faults.LiveSet`, so a
     submit can target a node that is truly down but not yet suspected.
@@ -297,7 +312,6 @@ class _LeafAttempt:
         "parent_on_done",
         "node_index",
         "current",
-        "timer",
         "attempts",
         "redirects",
     )
@@ -317,7 +331,6 @@ class _LeafAttempt:
         self.parent_on_done = parent_on_done
         self.node_index = leaf.node_index
         self.current: Optional[WorkUnit] = None
-        self.timer = None
         self.attempts = 0
         self.redirects = 0
 
@@ -360,7 +373,14 @@ class _LeafAttempt:
         self.current = unit
         retry = manager._retry
         if retry is not None and retry.retry_timeout > 0.0:
-            self.timer = env._sleep(retry.retry_timeout, self._timeout)
+            # The sequence number is drawn where a timer of the attempt's
+            # own would have drawn it.
+            when = env._now + retry.retry_timeout
+            seq = env._next_seq()
+            deadlines = manager._deadlines
+            if not deadlines:
+                env._sleep_at(when, seq, manager._expire)
+            deadlines.append((when, seq, self, unit))
         manager.nodes[node_index].submit(unit)
 
     def _reroute(self, stream) -> None:
@@ -383,28 +403,22 @@ class _LeafAttempt:
         """Bounce delay elapsed: re-route on the observed view."""
         self._reroute(self.manager._detector_stream)
 
-    def _unit_done(self, event: _Call) -> None:
-        unit = event._value
+    def _unit_done(self, unit: WorkUnit) -> None:
         if unit is not self.current:
             # A timed-out attempt completing late: already retried.
             return
+        # Settles the attempt's retry deadline, if it has one.
         self.current = None
-        timer = self.timer
-        if timer is not None:
-            timer.cancel()
-            self.timer = None
         if unit.lost and self.manager._retry is not None:
             # The lost unit never reaches the parent frame.  (Without a
             # retry layer -- detector-only mode -- the loss passes through
             # below as the abort it is.)
             self._retry_or_fail()
             return
-        self.parent_on_done(event)
+        self.parent_on_done(unit)
 
-    def _timeout(self, _event) -> None:
-        self.timer = None
-        if self.current is None:
-            return
+    def _time_out(self) -> None:
+        """The live attempt's retry deadline is due."""
         # Orphan the in-flight unit: if it completes later anyway, the
         # staleness check in ``_unit_done`` drops it.
         self.current = None
@@ -416,9 +430,7 @@ class _LeafAttempt:
         attempts = self.attempts
         if attempts >= spec.retry_limit:
             self.run.failed = True
-            manager.env._schedule_call(
-                self.parent_on_done, value=_FAILED, priority=NORMAL
-            )
+            defer_continuation(manager.env, self.parent_on_done, _FAILED)
             return
         self.attempts = attempts + 1
         delay = spec.backoff_delay(self.attempts)
@@ -479,6 +491,11 @@ class ProcessManager:
         # The liveness view both layers re-route on: the oracle LiveSet,
         # or the detector's observed one when a detector is configured.
         self._live = live_set
+        #: Retry deadlines in launch order, ``(when, seq, attempt, unit)``;
+        #: one timer is pending at the head's key while it is not empty.
+        self._deadlines: Deque[
+            Tuple[float, int, _LeafAttempt, WorkUnit]
+        ] = deque()
         #: Number of global tasks submitted so far (for tracing/tests).
         self.submitted = 0
 
@@ -499,6 +516,26 @@ class ProcessManager:
         """
         self.submitted += 1
         self.env._schedule_call(_TaskRun(self, tree, deadline)._start)
+
+    def _expire(self, _event) -> None:
+        """The oldest retry deadline is due: re-arm at the next live one,
+        then time out the due attempt if it is still live.
+
+        Deadlines whose attempt completed or timed out since are dropped
+        here rather than cancelled when they settle.  Re-arming at the
+        stored ``(when, seq)`` key keeps every expiry where a timer per
+        attempt would have fired, including among same-instant events.
+        """
+        deadlines = self._deadlines
+        _when, _seq, attempt, unit = deadlines.popleft()
+        while deadlines:
+            head = deadlines[0]
+            if head[2].current is head[3]:
+                self.env._sleep_at(head[0], head[1], self._expire)
+                break
+            deadlines.popleft()
+        if attempt.current is unit:
+            attempt._time_out()
 
     # -- tree execution --------------------------------------------------------
 

@@ -254,9 +254,9 @@ class Simulation:
         A simulation runs once.  After the final snapshot the run
         releases the environment's event list (pending events, pooled
         sleeps and the callbacks of pending sleeps their owners still
-        hold) and the continuations of the work the nodes still hold:
-        both reach back into the model, and keeping them would tie it
-        into reference cycles.  The run's objects then point only
+        hold), the continuations of the work the nodes still hold and the
+        process manager's pending retry deadlines: all reach back into
+        the model, and keeping them would tie it into reference cycles.  The run's objects then point only
         outward from the simulation, so a dropped finished simulation
         is freed by reference counting, without the garbage collector.
 
@@ -280,6 +280,9 @@ class Simulation:
             result = self.metrics.snapshot(self.env.now, self.nodes)
         self.env.release()
         drop_continuations(self.nodes)
+        # Pending retry deadlines hold their attempts, which hold the
+        # manager: a cycle.
+        self.process_manager._deadlines.clear()
         return result
 
     def _run_sliced(self, emit: EmissionPolicy) -> RunResult:

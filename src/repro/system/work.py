@@ -60,11 +60,11 @@ class WorkUnit:
         self.timing = timing
         self.priority_class = priority_class
         #: The one completion channel (the process manager's
-        #: continuation): when set, the node schedules it as a bare
-        #: single-callback event at completion/discard time, with the unit
-        #: as the event's ``_value``.  Units without one (the local task
-        #: sources' fire-and-forget work) get no callback: the node records
-        #: their outcome and drops them.
+        #: continuation): when set, the node calls it with the unit once
+        #: the unit completes or is discarded (see :mod:`repro.system.node`
+        #: for when that call is deferred).  Units without one (the local
+        #: task sources' fire-and-forget work) get no callback: the node
+        #: records their outcome and drops them.
         self.on_done = on_done
         #: True when a node crash discarded this unit (as opposed to an
         #: overload-policy abort).  The process manager's retry layer only

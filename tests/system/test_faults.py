@@ -145,7 +145,7 @@ class TestNodeCrashLost:
         node.configure_fault_semantics(lose_in_flight=True, drop_queued=False)
         handed_back = []
         unit = submit(env, node, ex=10.0, dl=100.0,
-                      on_done=lambda e: handed_back.append((env.now, e._value)))
+                      on_done=lambda u: handed_back.append((env.now, u)))
         env.run(until=2.0)
         node.crash()
         env.run(until=20.0)
@@ -234,7 +234,7 @@ class TestNodeCrashResume:
         node.configure_fault_semantics(lose_in_flight=True, drop_queued=True)
         handed_back = []
         unit = submit(env, node, ex=4.0, dl=100.0,
-                      on_done=lambda e: handed_back.append((env.now, e._value)))
+                      on_done=lambda u: handed_back.append((env.now, u)))
         env.run(until=3.0)
         node.crash()
         env.run(until=5.0)

@@ -39,7 +39,7 @@ class TestService:
     def test_single_unit_served_for_ex(self, env, node):
         handed_back = []
         unit = submit(env, node, ex=2.5, dl=10.0,
-                      on_done=lambda e: handed_back.append((env.now, e._value)))
+                      on_done=lambda u: handed_back.append((env.now, u)))
         env.run()
         assert unit.timing.started_at == 0.0
         assert unit.timing.completed_at == 2.5
@@ -139,7 +139,7 @@ class TestAbortAtDispatch:
         handed_back = []
         blocker = submit(env, abort_node, ex=10.0, dl=2.0, name="blocker")
         doomed = submit(env, abort_node, ex=1.0, dl=5.0, name="doomed",
-                        on_done=lambda e: handed_back.append((env.now, e._value)))
+                        on_done=lambda u: handed_back.append((env.now, u)))
         env.run()
         assert doomed.timing.aborted
         assert doomed.timing.started_at is None
@@ -321,7 +321,7 @@ class TestCompletionChannel:
             name="target", task_class=TaskClass.LOCAL, node_index=0,
             timing=TimingRecord(ar=0.0, ex=1.0, dl=5.0),
             on_done=(
-                (lambda e: handed_back.append((env.now, e._value)))
+                (lambda u: handed_back.append((env.now, u)))
                 if channel == "on_done" else None
             ),
         )
