@@ -417,13 +417,6 @@ class _LeafAttempt:
             return
         self.parent_on_done(unit)
 
-    def _time_out(self) -> None:
-        """The live attempt's retry deadline is due."""
-        # Orphan the in-flight unit: if it completes later anyway, the
-        # staleness check in ``_unit_done`` drops it.
-        self.current = None
-        self._retry_or_fail()
-
     def _retry_or_fail(self) -> None:
         manager = self.manager
         spec = manager._retry
@@ -535,7 +528,10 @@ class ProcessManager:
                 break
             deadlines.popleft()
         if attempt.current is unit:
-            attempt._time_out()
+            # Orphan the in-flight unit: if it completes later anyway,
+            # the staleness check in ``_unit_done`` drops it.
+            attempt.current = None
+            attempt._retry_or_fail()
 
     # -- tree execution --------------------------------------------------------
 

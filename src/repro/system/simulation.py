@@ -256,9 +256,10 @@ class Simulation:
         sleeps and the callbacks of pending sleeps their owners still
         hold), the continuations of the work the nodes still hold and the
         process manager's pending retry deadlines: all reach back into
-        the model, and keeping them would tie it into reference cycles.  The run's objects then point only
-        outward from the simulation, so a dropped finished simulation
-        is freed by reference counting, without the garbage collector.
+        the model, and keeping them would tie it into reference cycles.
+        The run's objects then point only outward from the simulation,
+        so a dropped finished simulation is freed by reference counting,
+        without the garbage collector.
 
         With an :class:`~repro.system.emission.EmissionPolicy`, the run
         additionally writes a JSONL metric time series to the policy's

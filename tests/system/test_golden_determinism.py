@@ -890,9 +890,10 @@ class TestRetryRunsGolden:
     """Retry-heavy runs, pinned bit for bit.
 
     Every expiry of a retry timeout, every settled attempt and every
-    resubmission feeds the outcome, so any change to when an attempt
-    times out -- including the order of same-instant expiries and the
-    continuations around them -- moves these digests.
+    resubmission feeds the outcome, so a change to when an attempt times
+    out moves these digests.  Exact ties between an expiry and another
+    event are rare here (times are continuous); the hand-built tie in
+    ``test_retry_timeouts.py`` covers their order.
     """
 
     @pytest.mark.parametrize(
